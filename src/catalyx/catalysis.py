@@ -28,11 +28,15 @@ from .hilbert import (
     TOL_STATE,
     TOL_UNITARY,
     DensityOperator,
+    StateVector,
     UnitaryOperator,
+    controlled,
     dagger,
     eigh_desc,
     embed_operator,
+    evolve,
     haar_state,
+    max_entangled,
     maximally_mixed,
     permute_subsystems,
     ptrace_matrix,
@@ -65,6 +69,8 @@ def is_catalysis_unitary(u: UnitaryOperator, cut: Sequence[int] = (0,)) -> Catal
     """Test whether the partial transpose of ``u`` over the subsystems in
     ``cut`` is unitary; the defect is the Frobenius norm of (U^T)†U^T - 1."""
     cut = u.layout.check_indices(cut)
+    if not cut:
+        raise ValueError("cut must name at least one subsystem to transpose")
     if len(cut) >= len(u.layout.dims):
         raise ValueError("cut must leave at least one subsystem untransposed")
     pt = ptranspose_matrix(u.matrix, u.layout.dims, cut)
@@ -94,12 +100,6 @@ def _split_dims(u: UnitaryOperator, a_count: int) -> tuple[tuple[int, ...], tupl
     return dims[:a_count], dims[a_count:]
 
 
-def _catalysis_output(u_matrix, a_dim, b_dim, rho_matrix, sigma_matrix) -> np.ndarray:
-    """B marginal of U (rho ⊗ sigma) U†."""
-    full = u_matrix @ np.kron(rho_matrix, sigma_matrix) @ dagger(u_matrix)
-    return ptrace_matrix(full, [a_dim, b_dim], [1])
-
-
 def check_compatibility(
     u: UnitaryOperator, sigma: DensityOperator, a_count: int = 1
 ) -> CompatibilityVerdict:
@@ -115,7 +115,7 @@ def check_compatibility(
             f"not a catalysis unitary: partial-transpose defect {tv.defect:.3e}"
         )
     da = int(np.prod(a_dims))
-    out = _catalysis_output(u.matrix, da, sigma.dim, np.eye(da) / da, sigma.matrix)
+    out = ptrace_matrix(evolve(u.matrix, np.eye(da) / da, sigma.matrix), [da, sigma.dim], [1])
     gap = von_neumann(DensityOperator(out, b_dims)) - von_neumann(sigma)
     return CompatibilityVerdict(verdict=abs(gap) <= COMPAT_ENTROPY_TOL, entropy_gap=gap)
 
@@ -199,10 +199,10 @@ def verify_catalysis_exhaustive(
     db = int(np.prod(b_dims))
     if sigma.dim != db:
         raise ValueError("catalyst dimension does not match the B side of u")
-    ref = _catalysis_output(u.matrix, da, db, np.eye(da) / da, sigma.matrix)
+    ref = ptrace_matrix(evolve(u.matrix, np.eye(da) / da, sigma.matrix), [da, db], [1])
     dev = 0.0
     for rho in _sample_inputs(da, n_samples, seed):
-        out = _catalysis_output(u.matrix, da, db, rho, sigma.matrix)
+        out = ptrace_matrix(evolve(u.matrix, rho, sigma.matrix), [da, db], [1])
         dev = max(dev, trace_distance(out, ref))
     try:
         v = UnitaryOperator(_matching_unitary(sigma.matrix, ref, group_tol), b_dims)
@@ -309,7 +309,7 @@ def canonical_form(
     # postcondition: the canonical unitary preserves sigma itself
     uc = inst.canonical_unitary()
     for rho in _sample_inputs(inst.a_dim, 4, seed + 1):
-        out = _catalysis_output(uc.matrix, inst.a_dim, inst.b_dim, rho, sigma.matrix)
+        out = ptrace_matrix(evolve(uc.matrix, rho, sigma.matrix), [inst.a_dim, inst.b_dim], [1])
         if trace_distance(out, sigma.matrix) > TOL_STATE:
             raise CertificationError("canonical form failed to preserve the catalyst")
     return inst
@@ -319,9 +319,7 @@ def implement_channel(inst: CatalysisInstance, rho: DensityOperator) -> DensityO
     """Apply the induced channel: Tr_B U (rho ⊗ sigma) U†."""
     if rho.dim != inst.a_dim:
         raise ValueError(f"input dimension {rho.dim} != system dimension {inst.a_dim}")
-    full = inst.unitary.matrix @ np.kron(rho.matrix, inst.sigma.matrix) @ dagger(
-        inst.unitary.matrix
-    )
+    full = evolve(inst.unitary.matrix, rho.matrix, inst.sigma.matrix)
     out = ptrace_matrix(full, [inst.a_dim, inst.b_dim], [0])
     return DensityOperator(out, rho.layout)
 
@@ -330,49 +328,70 @@ def implement_channel(inst: CatalysisInstance, rho: DensityOperator) -> DensityO
 # Kraus form
 
 
+def _sandwich(ops: np.ndarray, m: np.ndarray, ref_dim: int) -> np.ndarray:
+    """sum_k (1_ref ⊗ A_k) m (1_ref ⊗ A_k)† for a stack ``ops`` of shape (n, p, q)
+    and ``m`` on reference ⊗ q-dimensional space."""
+    n, p, q = ops.shape
+    left = ops[:, None] @ m.reshape(ref_dim, q, ref_dim * q)
+    both = left.reshape(n, ref_dim * p * ref_dim, q) @ ops.conj().transpose(0, 2, 1)
+    return both.reshape(n, ref_dim * p, ref_dim * p).sum(axis=0)
+
+
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive trace-preserving map given by Kraus operators."""
+    """Completely positive trace-preserving map given by its Kraus operators,
+    stored as one read-only (n, d_out, d_in) array."""
 
-    kraus: tuple[np.ndarray, ...]
-    dim_in: int
-    dim_out: int
+    kraus: np.ndarray
 
-    def __init__(self, kraus, dim_in=None, dim_out=None):
-        ops = tuple(np.asarray(k, dtype=complex) for k in kraus)
-        if not ops:
-            raise ValueError("at least one Kraus operator required")
-        dim_out_, dim_in_ = ops[0].shape
-        dim_in = dim_in_ if dim_in is None else int(dim_in)
-        dim_out = dim_out_ if dim_out is None else int(dim_out)
-        comp = sum(dagger(k) @ k for k in ops)
-        if np.linalg.norm(comp - np.eye(dim_in)) > 1e-7:
+    def __init__(self, kraus):
+        ops = [np.asarray(k, dtype=complex) for k in kraus]
+        if not ops or ops[0].ndim != 2 or any(k.shape != ops[0].shape for k in ops):
+            raise ValueError(
+                "Kraus operators must form a non-empty (n, d_out, d_in) stack of "
+                "equal-shape matrices"
+            )
+        ops = np.array(ops)
+        comp = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
+        if np.linalg.norm(comp - np.eye(ops.shape[2])) > 1e-7:
             raise ValueError("Kraus operators do not satisfy completeness")
-        object.__setattr__(self, "kraus", tuple(hilbert._freeze(k) for k in ops))
-        object.__setattr__(self, "dim_in", dim_in)
-        object.__setattr__(self, "dim_out", dim_out)
+        object.__setattr__(self, "kraus", hilbert._freeze(ops))
+
+    @property
+    def dim_out(self) -> int:
+        return self.kraus.shape[1]
+
+    @property
+    def dim_in(self) -> int:
+        return self.kraus.shape[2]
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
-        return sum(k @ rho @ dagger(k) for k in self.kraus)
+        return _sandwich(self.kraus, rho, 1)
+
+    def adjoint_matrix(self, m: np.ndarray) -> np.ndarray:
+        """Phi†(m) = sum_k K_k† m K_k."""
+        return _sandwich(self.kraus.conj().transpose(0, 2, 1), m, 1)
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
         return DensityOperator(self.apply_matrix(rho.matrix), [self.dim_out])
 
     def extended_apply_matrix(self, rho: np.ndarray, ref_dim: int) -> np.ndarray:
         """(I ⊗ Phi)(rho) for rho on reference ⊗ input."""
-        eye = np.eye(ref_dim)
-        return sum(
-            np.kron(eye, k) @ rho @ dagger(np.kron(eye, k)) for k in self.kraus
-        )
+        return _sandwich(self.kraus, rho, ref_dim)
+
+    def extended_adjoint_matrix(self, m: np.ndarray, ref_dim: int) -> np.ndarray:
+        """(I ⊗ Phi†)(m) for m on reference ⊗ output."""
+        return _sandwich(self.kraus.conj().transpose(0, 2, 1), m, ref_dim)
+
+    def complementary_matrix(self, rho: np.ndarray) -> np.ndarray:
+        """Complementary output G_ij = Tr[K_i rho K_j†]; it shares its spectrum
+        with the channel-plus-purification output, so S((Phi x I)(psi_rho)) = S(G)."""
+        return np.einsum("iab,jab->ij", self.kraus @ rho, self.kraus.conj())
 
     def choi(self) -> np.ndarray:
         """J = sum_ij |i><j| ⊗ Phi(|i><j|), reference factor first."""
-        d = self.dim_in
-        j = np.zeros((d * self.dim_out, d * self.dim_out), dtype=complex)
-        for k in self.kraus:
-            vec = k.reshape(-1, order="F")  # sum_i |i> ⊗ K|i>
-            j += np.outer(vec, vec.conj())
-        return j
+        vecs = self.kraus.transpose(0, 2, 1).reshape(len(self.kraus), -1)  # sum_i |i> ⊗ K|i>
+        return vecs.T @ vecs.conj()
 
 
 def channel_from_unitary(u: np.ndarray) -> KrausChannel:
@@ -385,21 +404,12 @@ def identity_channel(d: int) -> KrausChannel:
 
 def dephasing_channel(d: int) -> KrausChannel:
     """Kill all off-diagonal elements in the computational basis."""
-    ks = []
-    for i in range(d):
-        k = np.zeros((d, d), dtype=complex)
-        k[i, i] = 1.0
-        ks.append(k)
-    return KrausChannel(ks)
+    return KrausChannel([np.diag(e) for e in np.eye(d)])
 
 
 def erasure_channel(d: int) -> KrausChannel:
-    """Unital erasure rho -> 1/d."""
-    ks = [np.zeros((d, d), dtype=complex) for _ in range(d * d)]
-    for i in range(d):
-        for j in range(d):
-            ks[i * d + j][i, j] = 1 / np.sqrt(d)
-    return KrausChannel(ks)
+    """Unital erasure rho -> 1/d, with Kraus operators |i><j| / sqrt(d)."""
+    return KrausChannel(np.eye(d * d).reshape(d * d, d, d) / np.sqrt(d))
 
 
 def weyl_twirl_channel(d: int) -> KrausChannel:
@@ -410,12 +420,7 @@ def weyl_twirl_channel(d: int) -> KrausChannel:
 
 def initialization_channel(d: int) -> KrausChannel:
     """Send every input to |0><0|."""
-    ks = []
-    for i in range(d):
-        k = np.zeros((d, d), dtype=complex)
-        k[0, i] = 1.0
-        ks.append(k)
-    return KrausChannel(ks)
+    return KrausChannel([np.outer(np.eye(d)[0], e) for e in np.eye(d)])
 
 
 def random_unitary_channel(probs: Sequence[float], unitaries: Sequence[np.ndarray]) -> KrausChannel:
@@ -429,7 +434,7 @@ def random_channel(d: int, kraus_rank: int, seed) -> KrausChannel:
     """Haar-random Stinespring isometry cut into Kraus blocks."""
     big = hilbert.haar_unitary_matrix(d * kraus_rank, seed)
     v = big[:, :d]
-    return KrausChannel([v[i * d : (i + 1) * d, :] for i in range(kraus_rank)])
+    return KrausChannel(v.reshape(kraus_rank, d, d))
 
 
 def channel_to_kraus(inst: CatalysisInstance, tol: float = 1e-12) -> KrausChannel:
@@ -438,26 +443,14 @@ def channel_to_kraus(inst: CatalysisInstance, tol: float = 1e-12) -> KrausChanne
     the Choi rank)."""
     da, db = inst.a_dim, inst.b_dim
     svals, svecs = eigh_desc(inst.sigma.matrix)
-    raw = []
+    keep = svals > tol
+    chis = svecs[:, keep] * np.sqrt(svals[keep])
     um = inst.unitary.matrix.reshape(da, db, da, db)
-    for k in range(db):
-        if svals[k] <= tol:
-            continue
-        chi = svecs[:, k]
-        blk = np.tensordot(um, chi, axes=([3], [0]))  # (a_out, b_out, a_in)
-        for b in range(db):
-            raw.append(np.sqrt(svals[k]) * blk[:, b, :])
-    choi = np.zeros((da * da, da * da), dtype=complex)
-    for k in raw:
-        vec = k.reshape(-1)
-        choi += np.outer(vec, vec.conj())
-    vals, vecs = eigh_desc(choi)
-    ks = []
-    for i in range(len(vals)):
-        if vals[i] <= 1e-10:
-            continue
-        ks.append(np.sqrt(vals[i]) * vecs[:, i].reshape(da, da))
-    return KrausChannel(ks)
+    raw = np.einsum("abcd,dk->kbac", um, chis).reshape(-1, da, da)  # sqrt(s_k) <b|U|chi_k>
+    vals, vecs = eigh_desc(KrausChannel(raw).choi())
+    keep = vals > 1e-10
+    vecs = vecs[:, keep].T.reshape(-1, da, da).transpose(0, 2, 1)  # Choi vectors are (in, out)
+    return KrausChannel(np.sqrt(vals[keep])[:, None, None] * vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -524,23 +517,13 @@ def classical_catalysis(
         raise ValueError("need one unitary per probability")
     if abs(p.sum() - 1.0) > 1e-9 or p.min() < 0:
         raise ValueError("probabilities must be nonnegative and sum to 1")
-    mats = [np.asarray(u, dtype=complex) for u in unitaries]
-    da = mats[0].shape[0]
+    da = np.shape(unitaries[0])[0]
     db = p.size
-    u = np.zeros((da * db, da * db), dtype=complex)
-    for x, ux in enumerate(mats):
-        e = np.zeros((db, db))
-        e[x, x] = 1.0
-        u += np.kron(ux, e)
     sigma = DensityOperator(np.diag(p.astype(complex)), [db])
-    inst = canonical_form(UnitaryOperator(u, [da, db]), sigma, seed=seed, classical=True)
+    u = UnitaryOperator(controlled(unitaries), [da, db])
+    inst = canonical_form(u, sigma, seed=seed, classical=True)
     # the natural refinement: every catalyst basis state is preserved alone
-    basis_projs = []
-    for x in range(db):
-        e = np.zeros((db, db), dtype=complex)
-        e[x, x] = 1.0
-        basis_projs.append(e)
-    dec = decompose_subcatalyses(inst, projectors=basis_projs)
+    dec = decompose_subcatalyses(inst, projectors=[np.diag(e) for e in np.eye(db)])
     return replace(inst, decomposition=dec)
 
 
@@ -614,8 +597,7 @@ def ledger(
     if intermediate.dim != int(np.prod([dims[i] for i in a2 + b], dtype=int)):
         raise ValueError("intermediate does not match the A2 ⊗ B dimensions")
 
-    full_in = np.kron(rho.matrix, intermediate.matrix)
-    tau = u.matrix @ full_in @ dagger(u.matrix)
+    tau = evolve(u.matrix, rho.matrix, intermediate.matrix)
 
     int_dims = [dims[i] for i in a2 + b]
     sigma_b = ptrace_matrix(intermediate.matrix, int_dims, range(n_a2, len(int_dims)))
@@ -643,6 +625,10 @@ def ledger(
     s_out = von_neumann(DensityOperator(tau_a, [dims[i] for i in a1 + a2]))
 
     residual = abs((i_after - i_before) - (s_out - s_in))
+    if residual > LEDGER_TOL:
+        raise CertificationError(
+            f"information balance violated: residual {residual:.3e} > {LEDGER_TOL:.1e}"
+        )
     rec = LedgerRecord(i_before=i_before, i_after=i_after, s_in=s_in, s_out=s_out,
                        residual=residual)
     with _LEDGER_LOCK:
@@ -681,8 +667,8 @@ def cost_bound_check(
     da = inst.a_dim
     rng = hilbert._rng(seed)
     best = 0.0
-    gamma = hilbert.canonical_operators(da).max_entangled
-    candidates = [gamma.density().matrix, np.eye(da * da) / (da * da)]
+    gamma = StateVector(max_entangled(da), [da, da]).density().matrix
+    candidates = [gamma, np.eye(da * da) / (da * da)]
     for _ in range(n_samples):
         v = haar_state(da * da, rng).amplitudes
         candidates.append(np.outer(v, v.conj()))
@@ -735,8 +721,7 @@ def recovery_defect(inst: CatalysisInstance, n_samples: int = 8, seed: int = 5) 
     for _ in range(n_samples):
         v = haar_state(da, rng).amplitudes
         kappa = np.outer(v, v.conj())
-        start = np.kron(kappa, sigma_bc)
-        lhs = u_ab @ start @ dagger(u_ab)
-        rhs = u_ac @ start @ dagger(u_ac)
+        lhs = evolve(u_ab, kappa, sigma_bc)
+        rhs = evolve(u_ac, kappa, sigma_bc)
         worst = max(worst, trace_distance(lhs, rhs))
     return worst

@@ -23,11 +23,14 @@ from .hilbert import (
     StateVector,
     UnitaryOperator,
     clock_matrix,
+    controlled,
     eigenspace_decompose,
     eigh_desc,
     fourier_matrix,
     kron_all,
+    max_entangled,
     maximally_mixed,
+    permute_subsystems,
     weyl_set,
 )
 
@@ -167,10 +170,7 @@ def max_extraction_catalysis(
     if np.linalg.norm(kernel) > 1e-12:
         u += kron_all([np.eye(n), np.eye(big_r), kernel])
     inst = canonical_form(UnitaryOperator(u, [n, big_r, db]), sigma, a_count=2)
-    da = n * big_r
-    amps = np.zeros(da * da, dtype=complex)
-    amps[np.arange(da) * da + np.arange(da)] = 1 / np.sqrt(da)
-    psi = StateVector(amps, [n, big_r, n, big_r])
+    psi = StateVector(max_entangled(n * big_r), [n, big_r, n, big_r])
     return MaxExtractionResult(instance=inst, input_state=psi, register_dim=big_r)
 
 
@@ -246,8 +246,7 @@ def initialization_masking(m: int) -> GeneralizedCatalysis:
                             src = idx((a, b, p, q, s, t))
                             dst = idx((q, s, b, (a + t) % m, p, t))
                             u[dst, src] = 1.0
-    pair = np.zeros(m * m, dtype=complex)
-    pair[np.arange(m) * m + np.arange(m)] = 1 / np.sqrt(m)
+    pair = max_entangled(m)
     pair_rho = np.outer(pair, pair.conj())
     # intermediate layout (A1, A2, B2, B1); the pair couples A2 and B2
     inter = kron_all([np.eye(m) / m, pair_rho, np.eye(m) / m])
@@ -291,15 +290,8 @@ def double_random(
         )
     da = u_list[0].shape[0]
     _check_total_dim(da * d, "double-random construction")
-    f = fourier_matrix(d)
-    stage1 = np.zeros((da * d, da * d), dtype=complex)
-    stage2 = np.zeros((da * d, da * d), dtype=complex)
-    for x in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[x, x] = 1.0
-        stage1 += np.kron(u_list[x], e)
-        ftil = np.outer(f[:, x], f[:, x].conj())
-        stage2 += np.kron(v_list[x], ftil)
+    stage1 = double_random_stage_one(d, u_list).matrix
+    stage2 = controlled(v_list, fourier_matrix(d))
     return canonical_form(
         UnitaryOperator(stage2 @ stage1, [da, d]), maximally_mixed([d])
     )
@@ -308,13 +300,7 @@ def double_random(
 def double_random_stage_one(d: int, u_list: Sequence[np.ndarray]) -> UnitaryOperator:
     """First stage alone (computational-basis control), for inspecting the
     intermediate marginal."""
-    da = u_list[0].shape[0]
-    m = np.zeros((da * d, da * d), dtype=complex)
-    for x in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[x, x] = 1.0
-        m += np.kron(np.asarray(u_list[x], dtype=complex), e)
-    return UnitaryOperator(m, [da, d])
+    return UnitaryOperator(controlled(u_list), [np.shape(u_list[0])[0], d])
 
 
 def fourier_conditional_matrix(d: int) -> np.ndarray:
@@ -333,12 +319,8 @@ def multiparty_unitary(d: int) -> UnitaryOperator:
     if d < 2:
         raise ValueError("need d >= 2")
     _check_total_dim(d**3, "multiparty unitary")
-    ws = weyl_set(d)
-    u = np.zeros((d**3, d**3), dtype=complex)
-    for i, w in enumerate(ws):
-        e = np.zeros((d * d, d * d), dtype=complex)
-        e[i, i] = 1.0
-        u += np.kron(e, w)
+    # controlled() puts the control factor last; this layout has it first
+    u = permute_subsystems(controlled(weyl_set(d)), [d, d * d], [1, 0])
     return UnitaryOperator(u, [d * d, d])
 
 

@@ -263,6 +263,21 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def controlled(unitaries: Sequence[np.ndarray], basis: np.ndarray | None = None) -> np.ndarray:
+    """Sum_x U_x ⊗ |b_x><b_x| with the control factor last; the columns of
+    ``basis`` are the control vectors (the computational basis if omitted)."""
+    b = np.eye(len(unitaries)) if basis is None else np.asarray(basis)
+    return sum(
+        np.kron(np.asarray(ux, dtype=complex), np.outer(b[:, x], b[:, x].conj()))
+        for x, ux in enumerate(unitaries)
+    )
+
+
+def evolve(u: np.ndarray, rho: np.ndarray, inter: np.ndarray) -> np.ndarray:
+    """U (rho ⊗ inter) U†."""
+    return u @ np.kron(rho, inter) @ dagger(u)
+
+
 def ptrace_matrix(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Partial trace of a raw matrix, keeping subsystems ``keep`` in layout order."""
     dims = [int(d) for d in dims]
@@ -466,6 +481,13 @@ def fourier_matrix(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * n * m / d) / np.sqrt(d)
 
 
+def max_entangled(d: int) -> np.ndarray:
+    """Amplitudes of |Γ> = (1/sqrt(d)) sum_i |i>|i> on a d x d layout."""
+    gamma = np.zeros(d * d, dtype=complex)
+    gamma[np.arange(d) * d + np.arange(d)] = 1 / np.sqrt(d)
+    return gamma
+
+
 @dataclass(frozen=True)
 class CanonicalOperators:
     clock: UnitaryOperator
@@ -479,13 +501,11 @@ def canonical_operators(d: int) -> CanonicalOperators:
     """Clock Z, shift X, swap F, maximally entangled state and Fourier matrix."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    gamma = np.zeros(d * d, dtype=complex)
-    gamma[np.arange(d) * d + np.arange(d)] = 1 / np.sqrt(d)
     return CanonicalOperators(
         clock=UnitaryOperator(clock_matrix(d), [d]),
         shift=UnitaryOperator(shift_matrix(d), [d]),
         swap=UnitaryOperator(swap_matrix(d), [d, d]),
-        max_entangled=StateVector(gamma, [d, d]),
+        max_entangled=StateVector(max_entangled(d), [d, d]),
         fourier=UnitaryOperator(fourier_matrix(d), [d]),
     )
 

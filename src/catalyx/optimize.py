@@ -74,17 +74,6 @@ def _entropy_derivative(m: np.ndarray, alpha: float) -> np.ndarray:
     return (vecs * diag) @ dagger(vecs)
 
 
-def _adjoint_apply(chan: KrausChannel, m: np.ndarray) -> np.ndarray:
-    return sum(dagger(k) @ m @ k for k in chan.kraus)
-
-
-def _extended_adjoint(chan: KrausChannel, m: np.ndarray, ref_dim: int) -> np.ndarray:
-    eye = np.eye(ref_dim)
-    return sum(
-        dagger(np.kron(eye, k)) @ m @ np.kron(eye, k) for k in chan.kraus
-    )
-
-
 def global_production(
     chan: KrausChannel, rho_ra: np.ndarray, ref_dim: int, alpha: float
 ) -> float:
@@ -194,7 +183,7 @@ def max_entropy_production_global(
         out = chan.extended_apply_matrix(rho, d)
         f = _renyi_of_matrix(out, alpha)
         dmat = _entropy_derivative(out, alpha)
-        g = 2.0 * _extended_adjoint(chan, dmat, d) @ v
+        g = 2.0 * chan.extended_adjoint_matrix(dmat, d) @ v
         return f, _project_tangent(v, g)
 
     rng = hilbert._rng(seed)
@@ -244,7 +233,7 @@ def max_entropy_production_local(
         rho = (el @ dagger(el)) / t
         out = chan.apply_matrix(rho)
         f = _renyi_of_matrix(out, alpha) - _renyi_of_matrix(rho, alpha)
-        gmat = _adjoint_apply(chan, _entropy_derivative(out, alpha)) - _entropy_derivative(
+        gmat = chan.adjoint_matrix(_entropy_derivative(out, alpha)) - _entropy_derivative(
             rho, alpha
         )
         grad_l = ((gmat - np.trace(gmat @ rho).real * np.eye(d)) @ el) / t
@@ -275,23 +264,12 @@ def max_entropy_production_local(
 # entanglement-assisted classical capacity
 
 
-def _exchange_gram(chan: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Gram matrix G_ij = Tr[K_i rho K_j†]; shares its spectrum with the
-    channel-plus-purification output, so S((Phi x I)(psi_rho)) = S(G)."""
-    n = len(chan.kraus)
-    g = np.zeros((n, n), dtype=complex)
-    half = [k @ rho for k in chan.kraus]
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = np.trace(half[i] @ dagger(chan.kraus[j]))
-    return g
-
-
 def ea_objective(chan: KrausChannel, rho: np.ndarray) -> float:
-    """Quantum mutual information I(rho, Phi) = S(rho) + S(Phi(rho)) - S_E."""
+    """Quantum mutual information I(rho, Phi) = S(rho) + S(Phi(rho)) - S_E,
+    with S_E the entropy of the complementary output."""
     s_in = _renyi_of_matrix(rho, 1.0)
     s_out = _renyi_of_matrix(chan.apply_matrix(rho), 1.0)
-    s_exch = _renyi_of_matrix(_exchange_gram(chan, rho), 1.0)
+    s_exch = _renyi_of_matrix(chan.complementary_matrix(rho), 1.0)
     return s_in + s_out - s_exch
 
 
@@ -302,7 +280,7 @@ def ea_objective_gradient(chan: KrausChannel, el: np.ndarray) -> tuple[float, np
     t = np.trace(el @ dagger(el)).real
     rho = (el @ dagger(el)) / t
     out = chan.apply_matrix(rho)
-    gram = _exchange_gram(chan, rho)
+    gram = chan.complementary_matrix(rho)
     f = (
         _renyi_of_matrix(rho, 1.0)
         + _renyi_of_matrix(out, 1.0)
@@ -311,13 +289,11 @@ def ea_objective_gradient(chan: KrausChannel, el: np.ndarray) -> tuple[float, np
     gvals, gvecs = np.linalg.eigh(gram)
     gvals = np.clip(gvals, _EIG_FLOOR, None)
     log_gram = (gvecs * (np.log2(gvals) + 1.0 / _LN2)) @ dagger(gvecs)
-    grad_exch = np.zeros((d, d), dtype=complex)
-    for i, ki in enumerate(chan.kraus):
-        for j, kj in enumerate(chan.kraus):
-            grad_exch += log_gram[i, j] * (dagger(ki) @ kj)
+    # sum_ij log_gram[i, j] K_i† K_j, the adjoint of the complementary map
+    grad_exch = np.einsum("ij,ioa,job->ab", log_gram, chan.kraus.conj(), chan.kraus)
     gmat = (
         _entropy_derivative(rho, 1.0)
-        + _adjoint_apply(chan, _entropy_derivative(out, 1.0))
+        + chan.adjoint_matrix(_entropy_derivative(out, 1.0))
         + grad_exch
     )
     gmat = 0.5 * (gmat + dagger(gmat))

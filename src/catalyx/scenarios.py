@@ -23,9 +23,11 @@ from .hilbert import (
     DensityOperator,
     UnitaryOperator,
     clock_matrix,
-    dagger,
+    controlled,
     embed_operator,
+    evolve,
     haar_state,
+    max_entangled,
     maximally_mixed,
     plus_state,
     ptrace_matrix,
@@ -96,11 +98,6 @@ class ScenarioTrace:
         raise KeyError(f"no reading {key!r} for operation {operation!r}")
 
 
-def _evolve(u: np.ndarray, rho: np.ndarray, inter: np.ndarray) -> np.ndarray:
-    full = np.kron(rho, inter)
-    return u @ full @ dagger(u)
-
-
 # ---------------------------------------------------------------------------
 # multi-party refuelling
 
@@ -133,12 +130,9 @@ def multiparty_refuel(
 
     if classical:
         z = clock_matrix(d)
-        w = np.zeros((d * d, d * d), dtype=complex)
-        for k in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[k, k] = 1.0
-            w += np.kron(np.linalg.matrix_power(z, k), e)
-        turn_u = UnitaryOperator(w, [d, d])
+        turn_u = UnitaryOperator(
+            controlled([np.linalg.matrix_power(z, k) for k in range(d)]), [d, d]
+        )
     else:
         turn_u = multiparty_unitary(d)
 
@@ -155,7 +149,7 @@ def multiparty_refuel(
         u_full = UnitaryOperator(u_full, full_dims)
         inter_rho = DensityOperator(inter, inter_dims)
         rec = ledger(u_full, fresh, inter_rho, 1, len(inter_dims) - 1)
-        inter = _evolve(u_full.matrix, fresh.matrix, inter)
+        inter = evolve(u_full.matrix, fresh.matrix, inter)
         inter_dims = full_dims
         reg_turn = [turn] + reg_turn
 
@@ -271,7 +265,7 @@ def depletion_demo(d: int, seed: int = 0, identity_maps: bool = False) -> Scenar
     steps = []
     inter = maximally_mixed([d]).matrix
     rec1 = ledger(w, fresh, maximally_mixed([d]), 1, 0)
-    inter = _evolve(w.matrix, fresh.matrix, inter)
+    inter = evolve(w.matrix, fresh.matrix, inter)
     steps.append(
         ScenarioStep("A", "use1", rec1, {"delta_I": rec1.delta_i, "S_cat": s_cat})
     )
@@ -281,7 +275,7 @@ def depletion_demo(d: int, seed: int = 0, identity_maps: bool = False) -> Scenar
     rec2 = ledger(
         UnitaryOperator(u2, full_dims), fresh, DensityOperator(inter, [reg, d]), 1, 1
     )
-    out = _evolve(u2, fresh.matrix, inter)
+    out = evolve(u2, fresh.matrix, inter)
     i_a1a2 = mutual_information_matrix(out, full_dims, [0], [1])
     steps.append(
         ScenarioStep("A", "use2", rec2, {"I(A1:A2)": i_a1a2, "bound": bound})
@@ -323,14 +317,11 @@ def absorption_check(
         )
         if dec > best_dec:
             best_dec, best_gamma = dec, gamma
-    psi = purify(best_gamma)
-    rho_ab = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    # purification layout is (system, mirror); the channel acts on the system
-    out = sum(
-        np.kron(k, np.eye(d)) @ rho_ab @ dagger(np.kron(k, np.eye(d)))
-        for k in channel.kraus
-    )
-    inc = von_neumann(DensityOperator(out, [channel.dim_out, d]))
+    # purification layout is (system, mirror); swapping the factors to put the
+    # mirror first as the reference leaves the entropy unchanged
+    mirrored = purify(best_gamma).amplitudes.reshape(d, d).T.reshape(-1)
+    out = channel.extended_apply_matrix(np.outer(mirrored, mirrored.conj()), d)
+    inc = von_neumann(DensityOperator(out, [d, channel.dim_out]))
     return AbsorptionReport(
         max_local_decrease=best_dec,
         min_global_increase_at_max=inc,
@@ -385,19 +376,14 @@ def cq_free_randomness(d: int, seed: int = 0) -> FreeRandomnessReport:
 
     z, x = clock_matrix(d), shift_matrix(d)
     dims = [d, d, d]  # input, memory A2, source B
-    stage1 = np.zeros((d * d, d * d), dtype=complex)
-    stage2 = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[k, k] = 1.0
-        stage1 += np.kron(np.linalg.matrix_power(z, k), e)
-        stage2 += np.kron(np.linalg.matrix_power(x, k), e)
+    stage1 = controlled([np.linalg.matrix_power(z, k) for k in range(d)])
+    stage2 = controlled([np.linalg.matrix_power(x, k) for k in range(d)])
     u = embed_operator(stage2, dims, [0, 1]) @ embed_operator(stage1, dims, [0, 2])
     u = UnitaryOperator(u, dims)
 
     rho = plus_state(d).density()
     rec = ledger(u, rho, intermediate, 1, 1)
-    out_full = _evolve(u.matrix, rho.matrix, inter)
+    out_full = evolve(u.matrix, rho.matrix, inter)
     out = ptrace_matrix(out_full, dims, [0])
     deviation = trace_distance(out, np.eye(d) / d)
     return FreeRandomnessReport(
@@ -436,7 +422,7 @@ def initialization_scenario(d: int, seed: int = 0) -> ScenarioTrace:
 
     rho_pure = hilbert.basis_state(d, 1).density()
     rec = ledger(u, rho_pure, inter, 1, 1)
-    out = _evolve(u.matrix, rho_pure.matrix, inter.matrix)
+    out = evolve(u.matrix, rho_pure.matrix, inter.matrix)
     marg = {
         "I(A':B)": mutual_information_matrix(out, dims, [1], [2]),
         "D(out_A, |0><0|)": trace_distance(
@@ -447,7 +433,7 @@ def initialization_scenario(d: int, seed: int = 0) -> ScenarioTrace:
 
     rho_mm = maximally_mixed([d])
     rec = ledger(u, rho_mm, inter, 1, 1)
-    out = _evolve(u.matrix, rho_mm.matrix, inter.matrix)
+    out = evolve(u.matrix, rho_mm.matrix, inter.matrix)
     marg = {
         "delta_I": rec.delta_i,
         "D(out_A, |0><0|)": trace_distance(
@@ -457,7 +443,7 @@ def initialization_scenario(d: int, seed: int = 0) -> ScenarioTrace:
     steps.append(ScenarioStep("A", "mixed-input", rec, marg))
 
     # reference-extended run with a maximally entangled input
-    gamma = hilbert.canonical_operators(d).max_entangled
+    gamma = hilbert.StateVector(max_entangled(d), [d, d])
     full_dims = [d] + dims
     u_ext = UnitaryOperator(embed_operator(u.matrix, full_dims, [1, 2, 3]), full_dims)
     rec = ledger(u_ext, gamma.density(), inter, 2, 1)

@@ -429,3 +429,36 @@ def test_recovery_across_certified_instances():
     ]
     for inst in full_support:
         assert recovery_defect(inst, n_samples=6, seed=2) <= 1e-9
+
+
+def test_empty_cut_rejected():
+    u = haar_unitary(4, 0, [2, 2])
+    assert is_catalysis_unitary(u, cut=[0]).defect > 1.0
+    with pytest.raises(ValueError, match="at least one subsystem"):
+        is_catalysis_unitary(u, cut=[])
+
+
+def test_ledger_enforces_tolerance(monkeypatch):
+    monkeypatch.setattr(cat, "LEDGER_TOL", -1.0)
+    before = len(cat.ledger_log())
+    with pytest.raises(CertificationError, match="information balance"):
+        ledger(UnitaryOperator(np.eye(4), [2, 2]), MM2, MM2, 1, 0)
+    assert len(cat.ledger_log()) == before
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [[], np.eye(2), np.ones((1, 2, 2, 2)), [np.eye(2) / np.sqrt(2), np.eye(3) / np.sqrt(2)]],
+    ids=["empty", "2-D", "4-D", "mixed-shapes"],
+)
+def test_kraus_channel_rejects_malformed_stacks(ops):
+    with pytest.raises(ValueError, match="equal-shape matrices"):
+        KrausChannel(ops)
+
+
+def test_kraus_channel_stores_one_stack():
+    iso = hl.haar_unitary_matrix(4, 2)[:, :3]  # isometry C^3 -> C^2 ⊗ C^2
+    chan = KrausChannel(iso.reshape(2, 2, 3))
+    assert np.asarray(chan.kraus).shape == (2, 2, 3)
+    assert (chan.dim_in, chan.dim_out, len(chan.kraus)) == (3, 2, 2)
+    assert not chan.kraus.flags.writeable

@@ -237,3 +237,11 @@ def test_determinism_identical_seeds(tmp_path):
     ja = strip_timestamps(json.load(open(ta)))
     jb = strip_timestamps(json.load(open(tb)))
     assert json.dumps(ja, sort_keys=True) == json.dumps(jb, sort_keys=True)
+
+
+def test_verify_empty_cut_usage_error(tmp_path):
+    write_operator(tmp_path / "haar.json", hl.haar_unitary_matrix(4, 0), [2, 2])
+    res = run_cli("verify", str(tmp_path / "haar.json"), "--cut", "")
+    assert res.returncode == 2
+    assert "at least one subsystem" in res.stderr
+    assert "PASS" not in res.stdout

@@ -260,3 +260,17 @@ def _refined(inst):
         [projs[i] for i in order],
         [mults[i] for i in order],
     )
+
+
+def test_ea_gradient_matches_finite_differences_on_complex_channels():
+    rng = np.random.default_rng(29)
+    h = 1e-5
+    for seed in range(6):
+        chan = cat.random_channel(3, 1 + seed % 3, seed)  # dense complex Kraus operators
+        el = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        _, g = opt.ea_objective_gradient(chan, el)
+        dl = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        fp, _ = opt.ea_objective_gradient(chan, el + h * dl)
+        fm, _ = opt.ea_objective_gradient(chan, el - h * dl)
+        fd = (fp - fm) / (2 * h)
+        assert abs(fd - 2 * np.real(np.vdot(g, dl))) <= 1e-5 * max(1.0, abs(fd))
