@@ -8,6 +8,12 @@ form, executes the induced channel, decomposes it into uniform sub-catalyses,
 keeps the mutual-information ledger of every transition, and builds the
 correlation recovery unitary.
 
+Certification is exact and deterministic: no input is sampled.  The catalyst
+output is linear in the input, sum_xz rho_xz S[x, z] with the transfer slices
+S[x, z] = Tr_A U(|x><z| ⊗ sigma)U† built in one contraction, and it is
+input-independent iff S[x, z] = delta_xz ref (ref: the output at the maximally
+mixed input); ``max_deviation`` = max_xz ||S[x, z] - delta_xz ref||_1.
+
 A certified :class:`CatalysisInstance` is immutable and may be shared across
 threads; the only module-level mutable state is the ledger log, guarded by a
 lock.
@@ -42,7 +48,6 @@ from .hilbert import (
     ptrace_matrix,
     ptranspose_matrix,
     purify,
-    random_density,
     trace_distance,
     unitarity_defect,
 )
@@ -93,11 +98,43 @@ class CompatibilityVerdict:
     entropy_gap: float
 
 
-def _split_dims(u: UnitaryOperator, a_count: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _require_catalysis_unitary(u: UnitaryOperator, a_count: int) -> CatalysisVerdict:
+    tv = is_catalysis_unitary(u, cut=range(a_count))
+    if not tv.verdict:
+        raise CertificationError(
+            f"not a catalysis unitary: partial-transpose defect {tv.defect:.3e}"
+        )
+    return tv
+
+
+def _transfer_slices(u: np.ndarray, sigma: np.ndarray, da: int, db: int) -> np.ndarray:
+    """Transfer tensor S[x, z] = Tr_A U(|x><z| ⊗ sigma)U† as a (da, da, db, db)
+    stack, in one contraction; the catalyst output for input rho is
+    sum_xz rho_xz S[x, z]."""
+    d = da * db
+    ut = u.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(d, d)  # [(x, b), (a, y)]
+    left = (ut.reshape(d * da, db) @ sigma).reshape(d, d)  # [(x, b), (a, w)]
+    return (left @ ut.conj().T).reshape(da, db, da, db).transpose(0, 2, 1, 3)
+
+
+def _transfer(
+    u: UnitaryOperator, sigma: DensityOperator, a_count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer slices of (u, sigma) and their diagonal mean, the catalyst
+    output at the maximally mixed input."""
     dims = u.layout.dims
     if not 1 <= a_count < len(dims):
         raise ValueError(f"a_count {a_count} invalid for layout {dims}")
-    return dims[:a_count], dims[a_count:]
+    if sigma.dim != int(np.prod(dims[a_count:])):
+        raise ValueError("catalyst dimension does not match the B side of u")
+    da = int(np.prod(dims[:a_count]))
+    s = _transfer_slices(u.matrix, sigma.matrix, da, sigma.dim)
+    return s, np.trace(s) / da
+
+
+def _compatibility(out: np.ndarray, sigma: DensityOperator) -> CompatibilityVerdict:
+    gap = von_neumann(DensityOperator(out, sigma.layout)) - von_neumann(sigma)
+    return CompatibilityVerdict(verdict=abs(gap) <= COMPAT_ENTROPY_TOL, entropy_gap=gap)
 
 
 def check_compatibility(
@@ -106,39 +143,13 @@ def check_compatibility(
     """A catalyst is compatible with a catalysis unitary iff its entropy is
     preserved for the maximally mixed input.  Raises if ``u`` is not a
     catalysis unitary to begin with."""
-    a_dims, b_dims = _split_dims(u, a_count)
-    if sigma.dim != int(np.prod(b_dims)):
-        raise ValueError("catalyst dimension does not match the B side of u")
-    tv = is_catalysis_unitary(u, cut=range(a_count))
-    if not tv.verdict:
-        raise CertificationError(
-            f"not a catalysis unitary: partial-transpose defect {tv.defect:.3e}"
-        )
-    da = int(np.prod(a_dims))
-    out = ptrace_matrix(evolve(u.matrix, np.eye(da) / da, sigma.matrix), [da, sigma.dim], [1])
-    gap = von_neumann(DensityOperator(out, b_dims)) - von_neumann(sigma)
-    return CompatibilityVerdict(verdict=abs(gap) <= COMPAT_ENTROPY_TOL, entropy_gap=gap)
+    _, out = _transfer(u, sigma, a_count)
+    _require_catalysis_unitary(u, a_count)
+    return _compatibility(out, sigma)
 
 
 # ---------------------------------------------------------------------------
-# exhaustive verification and the canonicalizing rotation
-
-
-def _sample_inputs(da: int, n_samples: int, seed) -> list[np.ndarray]:
-    """Haar pure states, the maximally mixed state, computational basis states
-    and a few random mixed states; spanning sets certify the linear condition."""
-    rng = hilbert._rng(seed)
-    states: list[np.ndarray] = [np.eye(da) / da]
-    for i in range(da):
-        e = np.zeros((da, da), dtype=complex)
-        e[i, i] = 1.0
-        states.append(e)
-    for _ in range(n_samples):
-        v = haar_state(da, rng).amplitudes
-        states.append(np.outer(v, v.conj()))
-    for _ in range(max(1, n_samples // 4)):
-        states.append(random_density([da], max(1, da // 2), rng).matrix)
-    return states
+# exact verification and the canonicalizing rotation
 
 
 def _group_spectrum(vals: np.ndarray, group_tol: float) -> list[list[int]]:
@@ -181,6 +192,7 @@ def _matching_unitary(sigma_m: np.ndarray, xi_m: np.ndarray, group_tol: float) -
 class ExhaustiveReport:
     max_deviation: float
     implied_v: UnitaryOperator | None  # None when the spectra cannot be matched
+    output: np.ndarray  # catalyst output, the same for every input when certified
 
 
 def verify_catalysis_exhaustive(
@@ -191,24 +203,21 @@ def verify_catalysis_exhaustive(
     a_count: int = 1,
     group_tol: float = GROUP_TOL,
 ) -> ExhaustiveReport:
-    """Sample inputs and measure how far the B-side output strays from the
-    maximally-mixed-input output; a true catalysis gives zero.  Also returns
-    the unitary mapping the catalyst onto that common output."""
-    a_dims, b_dims = _split_dims(u, a_count)
-    da = int(np.prod(a_dims))
-    db = int(np.prod(b_dims))
-    if sigma.dim != db:
-        raise ValueError("catalyst dimension does not match the B side of u")
-    ref = ptrace_matrix(evolve(u.matrix, np.eye(da) / da, sigma.matrix), [da, db], [1])
-    dev = 0.0
-    for rho in _sample_inputs(da, n_samples, seed):
-        out = ptrace_matrix(evolve(u.matrix, rho, sigma.matrix), [da, db], [1])
-        dev = max(dev, trace_distance(out, ref))
+    """Exact check that the B-side output does not depend on the input:
+    ``max_deviation`` = max_xz ||S[x, z] - delta_xz ref||_1 over the transfer
+    slices, ref the maximally-mixed-input output; a true catalysis gives zero,
+    and for any input the trace distance of its output from ref is at most
+    da/2 times it.  Also returns ref and the unitary mapping the catalyst
+    onto it.  ``n_samples`` and ``seed`` do not affect the result."""
+    s, ref = _transfer(u, sigma, a_count)
+    dev = s - np.eye(len(s))[:, :, None, None] * ref
+    max_dev = float(np.linalg.svd(dev, compute_uv=False).sum(axis=-1).max())
     try:
-        v = UnitaryOperator(_matching_unitary(sigma.matrix, ref, group_tol), b_dims)
+        v = UnitaryOperator(_matching_unitary(sigma.matrix, ref, group_tol),
+                            u.layout.dims[a_count:])
     except CertificationError:
         v = None
-    return ExhaustiveReport(max_deviation=dev, implied_v=v)
+    return ExhaustiveReport(max_deviation=max_dev, implied_v=v, output=ref)
 
 
 # ---------------------------------------------------------------------------
@@ -271,48 +280,34 @@ def canonical_form(
     u: UnitaryOperator,
     sigma: DensityOperator,
     a_count: int = 1,
-    n_samples: int = 16,
     seed: int = 7,
     classical: bool = False,
     group_tol: float = GROUP_TOL,
 ) -> CatalysisInstance:
-    """Certify (u, sigma) and return the instance carrying the rotation V that
-    makes the catalyst exactly preserved."""
-    tv = is_catalysis_unitary(u, cut=range(a_count))
-    if not tv.verdict:
-        raise CertificationError(
-            f"not a catalysis unitary: partial-transpose defect {tv.defect:.3e}"
-        )
-    comp = check_compatibility(u, sigma, a_count)
+    """Certify (u, sigma) exactly and return the instance carrying the rotation
+    V that makes the catalyst exactly preserved; ``seed`` is only recorded."""
+    tv = _require_catalysis_unitary(u, a_count)
+    rep = verify_catalysis_exhaustive(u, sigma, a_count=a_count, group_tol=group_tol)
+    comp = _compatibility(rep.output, sigma)
     if not comp.verdict:
         raise CertificationError(
             f"catalyst incompatible: entropy gap {comp.entropy_gap:.3e} bits"
         )
-    rep = verify_catalysis_exhaustive(u, sigma, n_samples, seed, a_count, group_tol)
     if rep.max_deviation > TOL_STATE:
         raise CertificationError(
             f"output depends on the input: max deviation {rep.max_deviation:.3e}"
         )
     if rep.implied_v is None:
         raise CertificationError("output spectrum does not match the catalyst")
-    inst = CatalysisInstance(
-        unitary=u,
-        sigma=sigma,
-        a_count=a_count,
-        canonical_v=rep.implied_v,
-        defect=tv.defect,
-        entropy_gap=comp.entropy_gap,
-        max_deviation=rep.max_deviation,
-        seed=seed,
-        classical=classical,
-    )
     # postcondition: the canonical unitary preserves sigma itself
-    uc = inst.canonical_unitary()
-    for rho in _sample_inputs(inst.a_dim, 4, seed + 1):
-        out = ptrace_matrix(evolve(uc.matrix, rho, sigma.matrix), [inst.a_dim, inst.b_dim], [1])
-        if trace_distance(out, sigma.matrix) > TOL_STATE:
-            raise CertificationError("canonical form failed to preserve the catalyst")
-    return inst
+    v = rep.implied_v.matrix
+    if trace_distance(dagger(v) @ rep.output @ v, sigma.matrix) > TOL_STATE:
+        raise CertificationError("canonical form failed to preserve the catalyst")
+    return CatalysisInstance(
+        unitary=u, sigma=sigma, a_count=a_count, canonical_v=rep.implied_v,
+        defect=tv.defect, entropy_gap=comp.entropy_gap,
+        max_deviation=rep.max_deviation, seed=seed, classical=classical,
+    )
 
 
 def implement_channel(inst: CatalysisInstance, rho: DensityOperator) -> DensityOperator:
@@ -335,6 +330,11 @@ def _sandwich(ops: np.ndarray, m: np.ndarray, ref_dim: int) -> np.ndarray:
     left = ops[:, None] @ m.reshape(ref_dim, q, ref_dim * q)
     both = left.reshape(n, ref_dim * p * ref_dim, q) @ ops.conj().transpose(0, 2, 1)
     return both.reshape(n, ref_dim * p, ref_dim * p).sum(axis=0)
+
+
+def _choi_vectors(ops: np.ndarray) -> np.ndarray:
+    """Rows sum_i |i> ⊗ K|i> of a Kraus stack; the Choi matrix is rows.T @ rows.conj()."""
+    return ops.transpose(0, 2, 1).reshape(len(ops), -1)
 
 
 @dataclass(frozen=True)
@@ -390,7 +390,7 @@ class KrausChannel:
 
     def choi(self) -> np.ndarray:
         """J = sum_ij |i><j| ⊗ Phi(|i><j|), reference factor first."""
-        vecs = self.kraus.transpose(0, 2, 1).reshape(len(self.kraus), -1)  # sum_i |i> ⊗ K|i>
+        vecs = _choi_vectors(self.kraus)
         return vecs.T @ vecs.conj()
 
 
@@ -438,19 +438,20 @@ def random_channel(d: int, kraus_rank: int, seed) -> KrausChannel:
 
 
 def channel_to_kraus(inst: CatalysisInstance, tol: float = 1e-12) -> KrausChannel:
-    """Minimal Kraus form of the induced channel, from the eigendecomposition
-    of its Choi matrix (weighted <b|U|catalyst-eigenvector> blocks collapse to
-    the Choi rank)."""
+    """Minimal Kraus form of the induced channel: the weighted
+    <b|U|catalyst-eigenvector> blocks collapse to the Choi rank through one SVD
+    of their Choi vectors, whose right singular vectors are the Choi
+    eigenvectors."""
     da, db = inst.a_dim, inst.b_dim
     svals, svecs = eigh_desc(inst.sigma.matrix)
     keep = svals > tol
     chis = svecs[:, keep] * np.sqrt(svals[keep])
     um = inst.unitary.matrix.reshape(da, db, da, db)
     raw = np.einsum("abcd,dk->kbac", um, chis).reshape(-1, da, da)  # sqrt(s_k) <b|U|chi_k>
-    vals, vecs = eigh_desc(KrausChannel(raw).choi())
-    keep = vals > 1e-10
-    vecs = vecs[:, keep].T.reshape(-1, da, da).transpose(0, 2, 1)  # Choi vectors are (in, out)
-    return KrausChannel(np.sqrt(vals[keep])[:, None, None] * vecs)
+    _, sv, vh = np.linalg.svd(_choi_vectors(raw), full_matrices=False)
+    keep = sv**2 > 1e-10
+    vecs = vh[keep].reshape(-1, da, da).transpose(0, 2, 1)  # Choi vectors are (in, out)
+    return KrausChannel(sv[keep][:, None, None] * vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +497,6 @@ def decompose_subcatalyses(
             UnitaryOperator(sub_u, list(inst.a_dims) + [r]),
             maximally_mixed([r]),
             a_count=inst.a_count,
-            n_samples=4,
             seed=inst.seed + idx + 1,
             classical=inst.classical,
         )

@@ -129,11 +129,14 @@ def cmd_verify(args) -> int:
     if args.sigma_file:
         sm, slayout = _load_operator(args.sigma_file)
         sigma = hilbert.DensityOperator(sm, slayout)
+        # the catalysis checks take the system side as the leading subsystems
+        dims = u.layout.dims
+        front = cut + [i for i in range(len(dims)) if i not in cut]
+        u = hilbert.UnitaryOperator(hilbert.permute_subsystems(u.matrix, dims, front),
+                                    [dims[i] for i in front])
         try:
             comp = catalysis.check_compatibility(u, sigma, a_count=len(cut))
-            rep = catalysis.verify_catalysis_exhaustive(
-                u, sigma, n_samples=args.samples, seed=args.seed, a_count=len(cut)
-            )
+            rep = catalysis.verify_catalysis_exhaustive(u, sigma, a_count=len(cut))
             report.update(
                 {
                     "compatible": comp.verdict,
@@ -496,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--layout", default=None, help="comma-separated dims override")
     sp.add_argument("--cut", default="0", help="comma-separated system-side indices")
     sp.add_argument("--sigma-file", default=None)
-    sp.add_argument("--samples", type=int, default=16)
     common(sp)
     sp.set_defaults(func=cmd_verify)
 

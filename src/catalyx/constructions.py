@@ -80,7 +80,7 @@ def conserved_optimal_catalyst(r) -> DensityOperator:
     return DensityOperator(np.diag(diag.astype(complex)), [len(diag)])
 
 
-def dephasing_catalysis(r, certify_samples: int = 8) -> CatalysisInstance:
+def dephasing_catalysis(r) -> CatalysisInstance:
     """Exact computational-basis dephasing on dimension ||r||^2 driven by a
     catalyst with degeneracy vector r.
 
@@ -112,9 +112,7 @@ def dephasing_catalysis(r, certify_samples: int = 8) -> CatalysisInstance:
         s_m += rm * rm
         offset += rm
     sigma = conserved_optimal_catalyst(r)
-    return canonical_form(
-        UnitaryOperator(u, [big_d, b_dim]), sigma, n_samples=certify_samples
-    )
+    return canonical_form(UnitaryOperator(u, [big_d, b_dim]), sigma)
 
 
 # ---------------------------------------------------------------------------

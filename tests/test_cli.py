@@ -245,3 +245,36 @@ def test_verify_empty_cut_usage_error(tmp_path):
     assert res.returncode == 2
     assert "at least one subsystem" in res.stderr
     assert "PASS" not in res.stdout
+
+
+def _write_dephasing_pair(tmp_path, swap):
+    """Files of the dephasing(1, 2) catalysis, party-swapped (layout [3, 5],
+    system side last) when ``swap`` is set."""
+    from catalyx import catalysis, constructions
+
+    inst = constructions.dephasing_catalysis([1, 2])
+    u = catalysis.party_swap(inst.unitary, 1) if swap else inst.unitary
+    write_operator(tmp_path / "u.json", u.matrix, list(u.layout.dims))
+    hl.save_json(str(tmp_path / "sigma.json"), hl.operator_to_payload(inst.sigma))
+    return str(tmp_path / "u.json"), str(tmp_path / "sigma.json")
+
+
+def test_verify_trailing_cut_with_catalyst(tmp_path):
+    u_file, sigma_file = _write_dephasing_pair(tmp_path, swap=True)
+    out = tmp_path / "v.json"
+    res = run_cli("verify", u_file, "--cut", "1", "--sigma-file", sigma_file,
+                  "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    rep = json.load(open(out))
+    assert rep["pass"] is True and rep["compatible"] is True
+    assert rep["max_deviation"] <= 1e-12
+
+
+def test_tol_override_reaches_exact_check(tmp_path):
+    u_file, sigma_file = _write_dephasing_pair(tmp_path, swap=False)
+    res = run_cli("verify", u_file, "--sigma-file", sigma_file)
+    assert res.returncode == 0, res.stderr
+    res = run_cli("verify", u_file, "--sigma-file", sigma_file,
+                  "--tol-override", "state=1e-20")
+    assert res.returncode == 1
+    assert "FAIL" in res.stdout
