@@ -15,8 +15,9 @@ input-independent iff S[x, z] = delta_xz ref (ref: the output at the maximally
 mixed input); ``max_deviation`` = max_xz ||S[x, z] - delta_xz ref||_1.
 
 A certified :class:`CatalysisInstance` is immutable and may be shared across
-threads; the only module-level mutable state is the ledger log, guarded by a
-lock.
+threads.  Module-level mutable state: the ledger log, guarded by a lock, and
+the tolerances (``LEDGER_TOL`` here, the rest in :mod:`hilbert`), read at call
+time and rebound only by the CLI's ``--tol-override``.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ import numpy as np
 from . import hilbert
 from .entropy import mutual_information_matrix, von_neumann
 from .hilbert import (
-    GROUP_TOL,
-    TOL_STATE,
-    TOL_UNITARY,
     DensityOperator,
     StateVector,
     UnitaryOperator,
@@ -80,7 +78,7 @@ def is_catalysis_unitary(u: UnitaryOperator, cut: Sequence[int] = (0,)) -> Catal
         raise ValueError("cut must leave at least one subsystem untransposed")
     pt = ptranspose_matrix(u.matrix, u.layout.dims, cut)
     defect = unitarity_defect(pt)
-    return CatalysisVerdict(verdict=defect <= TOL_UNITARY, defect=defect)
+    return CatalysisVerdict(verdict=defect <= hilbert.TOL_UNITARY, defect=defect)
 
 
 def party_swap(u: UnitaryOperator, a_count: int) -> UnitaryOperator:
@@ -152,35 +150,23 @@ def check_compatibility(
 # exact verification and the canonicalizing rotation
 
 
-def _group_spectrum(vals: np.ndarray, group_tol: float) -> list[list[int]]:
-    """Group indices of a descending spectrum by relative gap (zeros included)."""
-    scale = max(abs(vals[0]), 1.0) if vals.size else 1.0
-    groups = [[0]]
-    for i in range(1, len(vals)):
-        if vals[groups[-1][-1]] - vals[i] < group_tol * scale:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
 def _polar_unitary(m: np.ndarray) -> np.ndarray:
     uu, _, vv = np.linalg.svd(m)
     return uu @ vv
 
 
-def _matching_unitary(sigma_m: np.ndarray, xi_m: np.ndarray, group_tol: float) -> np.ndarray:
+def _matching_unitary(sigma_m: np.ndarray, xi_m: np.ndarray) -> np.ndarray:
     """Unitary V with V sigma V† = xi, built by matching eigenspaces of equal
-    eigenvalue and fixing each block by the polar factor closest to identity."""
+    eigenvalue (the full spectrum, zeros included) and fixing each block by the
+    polar factor closest to identity."""
     sv, svec = eigh_desc(sigma_m)
     xv, xvec = eigh_desc(xi_m)
     if np.max(np.abs(sv - xv)) > 1e-7:
         raise CertificationError(
             "output spectrum differs from the catalyst spectrum; no canonicalizing V"
         )
-    groups = _group_spectrum(sv, group_tol)
     v = np.zeros_like(sigma_m)
-    for g in groups:
+    for g in hilbert.group_spectrum(sv):
         b = svec[:, g]
         c = xvec[:, g]
         q = _polar_unitary(dagger(c) @ b)
@@ -201,7 +187,6 @@ def verify_catalysis_exhaustive(
     n_samples: int = 64,
     seed: int = 0,
     a_count: int = 1,
-    group_tol: float = GROUP_TOL,
 ) -> ExhaustiveReport:
     """Exact check that the B-side output does not depend on the input:
     ``max_deviation`` = max_xz ||S[x, z] - delta_xz ref||_1 over the transfer
@@ -213,8 +198,7 @@ def verify_catalysis_exhaustive(
     dev = s - np.eye(len(s))[:, :, None, None] * ref
     max_dev = float(np.linalg.svd(dev, compute_uv=False).sum(axis=-1).max())
     try:
-        v = UnitaryOperator(_matching_unitary(sigma.matrix, ref, group_tol),
-                            u.layout.dims[a_count:])
+        v = UnitaryOperator(_matching_unitary(sigma.matrix, ref), u.layout.dims[a_count:])
     except CertificationError:
         v = None
     return ExhaustiveReport(max_deviation=max_dev, implied_v=v, output=ref)
@@ -282,18 +266,17 @@ def canonical_form(
     a_count: int = 1,
     seed: int = 7,
     classical: bool = False,
-    group_tol: float = GROUP_TOL,
 ) -> CatalysisInstance:
     """Certify (u, sigma) exactly and return the instance carrying the rotation
     V that makes the catalyst exactly preserved; ``seed`` is only recorded."""
     tv = _require_catalysis_unitary(u, a_count)
-    rep = verify_catalysis_exhaustive(u, sigma, a_count=a_count, group_tol=group_tol)
+    rep = verify_catalysis_exhaustive(u, sigma, a_count=a_count)
     comp = _compatibility(rep.output, sigma)
     if not comp.verdict:
         raise CertificationError(
             f"catalyst incompatible: entropy gap {comp.entropy_gap:.3e} bits"
         )
-    if rep.max_deviation > TOL_STATE:
+    if rep.max_deviation > hilbert.TOL_STATE:
         raise CertificationError(
             f"output depends on the input: max deviation {rep.max_deviation:.3e}"
         )
@@ -301,7 +284,7 @@ def canonical_form(
         raise CertificationError("output spectrum does not match the catalyst")
     # postcondition: the canonical unitary preserves sigma itself
     v = rep.implied_v.matrix
-    if trace_distance(dagger(v) @ rep.output @ v, sigma.matrix) > TOL_STATE:
+    if trace_distance(dagger(v) @ rep.output @ v, sigma.matrix) > hilbert.TOL_STATE:
         raise CertificationError("canonical form failed to preserve the catalyst")
     return CatalysisInstance(
         unitary=u, sigma=sigma, a_count=a_count, canonical_v=rep.implied_v,
@@ -461,7 +444,6 @@ def channel_to_kraus(inst: CatalysisInstance, tol: float = 1e-12) -> KrausChanne
 def decompose_subcatalyses(
     inst: CatalysisInstance,
     projectors: Sequence[np.ndarray] | None = None,
-    group_tol: float = GROUP_TOL,
 ) -> tuple[tuple[float, CatalysisInstance], ...]:
     """Split a catalysis along the catalyst's eigenspace projectors (or a
     finer orthogonal family) into sub-catalyses with uniform catalysts.
@@ -473,8 +455,7 @@ def decompose_subcatalyses(
     da, db = inst.a_dim, inst.b_dim
     sig = inst.sigma.matrix
     if projectors is None:
-        dec = hilbert.eigenspace_decompose(inst.sigma, group_tol)
-        projectors = dec.projectors
+        projectors = hilbert.eigenspace_decompose(inst.sigma).projectors
     out = []
     eye_a = np.eye(da)
     for idx, pi in enumerate(projectors):
@@ -491,7 +472,7 @@ def decompose_subcatalyses(
         basis = vecs[:, :r]  # isometry onto supp(Pi)
         emb = np.kron(eye_a, basis)
         sub_u = dagger(emb) @ uc @ emb
-        if unitarity_defect(sub_u) > TOL_UNITARY:
+        if unitarity_defect(sub_u) > hilbert.TOL_UNITARY:
             raise CertificationError(f"restricted block {idx} is not unitary")
         sub = canonical_form(
             UnitaryOperator(sub_u, list(inst.a_dims) + [r]),
@@ -602,7 +583,7 @@ def ledger(
     int_dims = [dims[i] for i in a2 + b]
     sigma_b = ptrace_matrix(intermediate.matrix, int_dims, range(n_a2, len(int_dims)))
     tau_b = ptrace_matrix(tau, dims, b)
-    if trace_distance(tau_b, sigma_b) > TOL_STATE:
+    if trace_distance(tau_b, sigma_b) > hilbert.TOL_STATE:
         raise CertificationError(
             "catalyst altered: the transition is not a catalysis "
             f"(deviation {trace_distance(tau_b, sigma_b):.3e})"

@@ -28,14 +28,15 @@ EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_USAGE = 2
 
+# each tolerance has one home, which every use reads at call time
 _TOL_NAMES = {
-    "unitary": "TOL_UNITARY",
-    "herm": "TOL_HERM",
-    "psd": "TOL_PSD",
-    "state": "TOL_STATE",
-    "norm": "TOL_NORM",
-    "group": "GROUP_TOL",
-    "ledger": "LEDGER_TOL",
+    "unitary": (hilbert, "TOL_UNITARY"),
+    "herm": (hilbert, "TOL_HERM"),
+    "psd": (hilbert, "TOL_PSD"),
+    "state": (hilbert, "TOL_STATE"),
+    "norm": (hilbert, "TOL_NORM"),
+    "group": (hilbert, "GROUP_TOL"),
+    "ledger": (catalysis, "LEDGER_TOL"),
 }
 
 
@@ -56,8 +57,7 @@ class RunConfig:
         }
 
 
-def _apply_tol_overrides(pairs: list[str]) -> dict:
-    applied = {}
+def _apply_tol_overrides(pairs: list[str]) -> None:
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"tolerance override must be name=value, got {pair!r}")
@@ -67,13 +67,7 @@ def _apply_tol_overrides(pairs: list[str]) -> dict:
             raise ValueError(
                 f"unknown tolerance {name!r}; valid: {sorted(_TOL_NAMES)}"
             )
-        value = float(raw)
-        attr = _TOL_NAMES[name]
-        for mod in (hilbert, entropy, catalysis, constructions, scenarios, optimize):
-            if hasattr(mod, attr):
-                setattr(mod, attr, value)
-        applied[name] = value
-    return applied
+        setattr(*_TOL_NAMES[name], float(raw))
 
 
 def _emit(report: dict, cfg: RunConfig) -> None:
@@ -168,7 +162,7 @@ def cmd_entropy(args) -> int:
         m, layout = hilbert.payload_to_matrix(payload)
         rho = hilbert.DensityOperator(m, layout)
     alphas = [float(a) for a in args.alpha.replace(",", " ").split()]
-    report = entropy.entropy_report(rho, alphas, args.group_tol).to_json_dict()
+    report = entropy.entropy_report(rho, alphas).to_json_dict()
     _emit(report, cfg)
     print(
         f"entropy: vn = {report['vn']:.6f} bits, "
@@ -505,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("entropy", help="entropy families of a state file")
     sp.add_argument("state_file")
     sp.add_argument("--alpha", default="0.5,2")
-    sp.add_argument("--group-tol", type=float, default=hilbert.GROUP_TOL)
     common(sp)
     sp.set_defaults(func=cmd_entropy)
 
@@ -549,9 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # overrides last for this run only, also when main is called in-process
+    saved = [(home, getattr(*home)) for home in _TOL_NAMES.values()]
     try:
-        if args.tol_override:
-            _apply_tol_overrides(args.tol_override)
+        _apply_tol_overrides(args.tol_override)
         return args.func(args)
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
@@ -559,6 +553,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        for home, value in saved:
+            setattr(*home, value)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import hilbert
 from .catalysis import CatalysisInstance, canonical_form
 from .entropy import DegeneracyVector
 from .hilbert import (
@@ -126,9 +125,7 @@ class MaxExtractionResult:
     register_dim: int         # R = lcm of the squared multiplicities
 
 
-def max_extraction_catalysis(
-    sigma: DensityOperator, group_tol: float = hilbert.GROUP_TOL
-) -> MaxExtractionResult:
+def max_extraction_catalysis(sigma: DensityOperator) -> MaxExtractionResult:
     """Catalysis that extracts the full degeneracy-aware entropy of ``sigma``
     when fed the returned maximally entangled input.
 
@@ -138,7 +135,7 @@ def max_extraction_catalysis(
     matching discrete displacement on the i-th eigenspace of the catalyst.
     The output spectrum is {lambda_i / r_i}, each with multiplicity r_i^2.
     """
-    dec = eigenspace_decompose(sigma, group_tol)
+    dec = eigenspace_decompose(sigma)
     n = len(dec.eigenvalues)
     big_r = math.lcm(*[m * m for m in dec.multiplicities])
     if big_r > EXTRACTION_REGISTER_CAP:

@@ -14,9 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import hilbert
 from .hilbert import (
-    GROUP_TOL,
-    TOL_PSD,
     DensityOperator,
     EigenspaceDecomposition,
     eigenspace_decompose,
@@ -37,7 +36,7 @@ def _spectrum(state) -> np.ndarray:
             raise ValueError("negative probabilities")
         if abs(p.sum() - 1.0) > 1e-7:
             raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-    return p[p > TOL_PSD]
+    return p[p > hilbert.TOL_PSD]
 
 
 def _clip_zero(v: float) -> float:
@@ -117,8 +116,8 @@ def renyi_divergence(p, q, alpha: float) -> float:
     q = np.asarray(q, dtype=float).reshape(-1)
     if p.shape != q.shape:
         raise ValueError("distributions must have equal length")
-    support = p > TOL_PSD
-    if np.any(q[support] <= TOL_PSD):
+    support = p > hilbert.TOL_PSD
+    if np.any(q[support] <= hilbert.TOL_PSD):
         raise ValueError("q must be positive on the support of p")
     ps, qs = p[support], q[support]
     if math.isinf(alpha):
@@ -163,11 +162,11 @@ class DegeneracyVector:
         return len(self.r)
 
 
-def _as_decomposition(sigma, group_tol: float = GROUP_TOL) -> EigenspaceDecomposition:
+def _as_decomposition(sigma) -> EigenspaceDecomposition:
     if isinstance(sigma, EigenspaceDecomposition):
         return sigma
     if isinstance(sigma, DensityOperator):
-        return eigenspace_decompose(sigma, group_tol)
+        return eigenspace_decompose(sigma)
     raise TypeError(f"expected DensityOperator or EigenspaceDecomposition, got {type(sigma)}")
 
 
@@ -273,12 +272,8 @@ class EntropyReport:
         }
 
 
-def entropy_report(
-    sigma: DensityOperator,
-    alphas: Sequence[float] = (0.5, 2.0),
-    group_tol: float = GROUP_TOL,
-) -> EntropyReport:
-    dec = eigenspace_decompose(sigma, group_tol)
+def entropy_report(sigma: DensityOperator, alphas: Sequence[float] = (0.5, 2.0)) -> EntropyReport:
+    dec = eigenspace_decompose(sigma)
     return EntropyReport(
         vn=von_neumann(sigma),
         renyi={a: renyi(sigma, a) for a in alphas},

@@ -17,7 +17,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # Numerical tolerances used across the package.  Double precision leaves at
-# least six digits of headroom at total dimension <= ~100.
+# least six digits of headroom at total dimension <= ~100.  This is their only
+# definition: every use reads them (as ``hilbert.X`` outside this module) at
+# call time, so rebinding one here, as ``--tol-override`` does, reaches all.
 TOL_UNITARY = 1e-9     # Frobenius norm of U†U - 1
 TOL_HERM = 1e-9        # Frobenius norm of M - M†
 TOL_PSD = 1e-10        # eigenvalue floor; smaller magnitudes count as zero
@@ -139,20 +141,21 @@ class DensityOperator:
             raise ValueError("density matrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > 100 * TOL_NORM:
             raise ValueError(f"density matrix trace {np.trace(m)} != 1")
-        lo = float(np.linalg.eigvalsh(m).min())
-        if lo < -10 * TOL_PSD:
-            raise ValueError(f"density matrix has negative eigenvalue {lo}")
+        vals = np.linalg.eigvalsh(m)
+        if vals[0] < -10 * TOL_PSD:
+            raise ValueError(f"density matrix has negative eigenvalue {vals[0]}")
         object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "_spectrum", _freeze(np.clip(vals[::-1], 0.0, None)))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues sorted descending, clipped at zero."""
-        vals = np.linalg.eigvalsh(self.matrix)[::-1]
-        return np.clip(vals, 0.0, None)
+        """Eigenvalues sorted descending, clipped at zero (read-only; kept
+        from validation)."""
+        return self._spectrum
 
 
 @dataclass(frozen=True)
@@ -217,7 +220,10 @@ class EigenspaceDecomposition:
                 if np.linalg.norm(projs[i] @ projs[j]) > 1e-7:
                     raise ValueError(f"projectors {i},{j} not orthogonal")
         total = sum(v * r for v, r in zip(vals, mult))
-        if abs(total - 1.0) > 1e-7:
+        # eigenvalues at or below TOL_PSD count as zero, so the space the
+        # projectors leave out may hold up to TOL_PSD per dimension
+        missing = (projs[0].shape[0] - sum(mult)) * TOL_PSD if projs else 0.0
+        if not -1e-7 - missing <= total - 1.0 <= 1e-7:
             raise ValueError(f"sum of eigenvalue*multiplicity = {total} != 1")
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "projectors", projs)
@@ -374,29 +380,33 @@ def eigh_desc(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], vecs[:, order]
 
 
-def eigenspace_decompose(
-    op: DensityOperator, group_tol: float = GROUP_TOL, zero_tol: float = TOL_PSD
-) -> EigenspaceDecomposition:
-    """Group the spectrum of ``op`` into eigenspaces.
-
-    Adjacent eigenvalues closer than ``group_tol * max(lambda)`` merge into one
-    eigenspace; eigenvalues below ``zero_tol`` are dropped.  Floating-point
-    spectra of structurally degenerate states need this deliberate grouping.
-    """
-    vals, vecs = eigh_desc(op.matrix)
-    keep = vals > zero_tol
-    vals, vecs = vals[keep], vecs[:, keep]
-    if vals.size == 0:
-        raise ValueError("state has no support above the zero tolerance")
-    gap = group_tol * vals[0]
+def group_spectrum(vals: np.ndarray) -> list[list[int]]:
+    """Index groups of a descending spectrum: adjacent eigenvalues closer than
+    ``GROUP_TOL * vals[0]`` fall into one group."""
+    gap = GROUP_TOL * vals[0]
     groups: list[list[int]] = [[0]]
     for i in range(1, len(vals)):
         if vals[groups[-1][-1]] - vals[i] < gap:
             groups[-1].append(i)
         else:
             groups.append([i])
+    return groups
+
+
+def eigenspace_decompose(op: DensityOperator) -> EigenspaceDecomposition:
+    """Group the spectrum of ``op`` into eigenspaces.
+
+    Eigenvalues at or below ``TOL_PSD`` are dropped; the rest group as in
+    :func:`group_spectrum`.  Floating-point spectra of structurally
+    degenerate states need this deliberate grouping.
+    """
+    vals, vecs = eigh_desc(op.matrix)
+    keep = vals > TOL_PSD
+    vals, vecs = vals[keep], vecs[:, keep]
+    if vals.size == 0:
+        raise ValueError("state has no support above the zero tolerance")
     eigenvalues, projectors = [], []
-    for g in groups:
+    for g in group_spectrum(vals):
         eigenvalues.append(float(np.mean(vals[g])))
         block = vecs[:, g]
         projectors.append(block @ dagger(block))

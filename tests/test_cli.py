@@ -278,3 +278,56 @@ def test_tol_override_reaches_exact_check(tmp_path):
                   "--tol-override", "state=1e-20")
     assert res.returncode == 1
     assert "FAIL" in res.stdout
+
+
+def _write_raw_density(path, matrix):
+    """Operator payload written without validation, so it may break a tolerance."""
+    m = np.asarray(matrix, dtype=complex)
+    hl.save_json(str(path), {"dims": [len(m)], "re": m.real.tolist(), "im": m.imag.tolist()})
+
+
+@pytest.mark.parametrize(
+    "override, matrix, key, default, overridden",
+    [
+        # two eigenvalues 2e-4 apart merge once the relative gap is 1e-2
+        ("group=1e-2", np.diag([0.5, 0.25 + 1e-4, 0.25 - 1e-4]), "catalytic_vn", 1.5, 2.0),
+        # an eigenvalue of 1e-5 counts as zero for both max entropies
+        ("psd=1e-3", np.diag([0.6, 0.4 - 1e-5, 1e-5]), "catalytic_max", np.log2(3), 1.0),
+        # exit codes: rejected at load time (2) until the tolerance is raised
+        ("herm=1e-6", [[0.5, 1e-8], [0.0, 0.5]], None, 2, 0),
+        ("norm=1e-8", np.diag([0.5, 0.5 + 5e-8]), None, 2, 0),
+        # selftest runs the ledger, which fails every transition below zero
+        ("ledger=-1", None, None, 0, 1),
+    ],
+    ids=["group", "psd", "herm", "norm", "ledger"],
+)
+def test_tol_override_reaches_every_use(tmp_path, override, matrix, key, default, overridden):
+    if matrix is None:
+        args = ["selftest"]
+    else:
+        _write_raw_density(tmp_path / "rho.json", matrix)
+        args = ["entropy", str(tmp_path / "rho.json"), "--out", str(tmp_path / "rep.json")]
+
+    def outcome(*extra):
+        res = run_cli(*args, *extra)
+        if key is None:
+            return res.returncode
+        assert res.returncode == 0, res.stderr
+        return json.load(open(tmp_path / "rep.json"))[key]
+
+    assert outcome() == pytest.approx(default)
+    assert outcome("--tol-override", override) == pytest.approx(overridden)
+
+
+def test_tol_override_lasts_one_run(tmp_path, capsys):
+    from catalyx import cli
+
+    rho = hl.DensityOperator(np.diag([0.5, 0.25 + 1e-4, 0.25 - 1e-4]), [3])
+    hl.save_json(str(tmp_path / "near.json"), hl.operator_to_payload(rho))
+    before = hl.GROUP_TOL
+    assert cli.main(["entropy", str(tmp_path / "near.json"),
+                     "--tol-override", "group=1e-2"]) == 0
+    assert "catalytic_vn = 2.000000" in capsys.readouterr().out
+    assert hl.GROUP_TOL == before
+    assert cli.main(["entropy", str(tmp_path / "near.json")]) == 0
+    assert "catalytic_vn = 1.500000" in capsys.readouterr().out
