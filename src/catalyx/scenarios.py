@@ -17,7 +17,7 @@ import numpy as np
 
 from . import hilbert
 from .catalysis import KrausChannel, LedgerRecord, ledger
-from .constructions import initialization_classical, multiparty_unitary
+from .constructions import _check_total_dim, initialization_classical, multiparty_unitary
 from .entropy import mutual_information_matrix, von_neumann
 from .hilbert import (
     DensityOperator,
@@ -117,6 +117,11 @@ def multiparty_refuel(
     if d < 2 or rounds < 1:
         raise ValueError("need d >= 2 and rounds >= 1")
     reg_dim = d if classical else d * d
+    if reg_dim * d > REFUEL_DIM_CAP:
+        raise ValueError(
+            f"multiparty refuelling needs total dimension {reg_dim * d} for one round "
+            f"at d={d} > cap {REFUEL_DIM_CAP}"
+        )
     notices: list[str] = []
     max_rounds = rounds
     # fresh registers accumulate, so the joint state grows exponentially;
@@ -145,11 +150,10 @@ def multiparty_refuel(
     for turn in range(1, max_rounds + 1):
         actor = "A" if turn % 2 == 1 else "B"
         full_dims = [reg_dim] + inter_dims
-        u_full = embed_operator(turn_u.matrix, full_dims, [0, len(full_dims) - 1])
-        u_full = UnitaryOperator(u_full, full_dims)
+        on = [0, len(full_dims) - 1]  # the fresh register and the catalyst
         inter_rho = DensityOperator(inter, inter_dims)
-        rec = ledger(u_full, fresh, inter_rho, 1, len(inter_dims) - 1)
-        inter = evolve(u_full.matrix, fresh.matrix, inter)
+        rec = ledger(turn_u, fresh, inter_rho, 1, len(inter_dims) - 1, on=on)
+        inter = evolve(turn_u.matrix, fresh.matrix, inter, full_dims, on)
         inter_dims = full_dims
         reg_turn = [turn] + reg_turn
 
@@ -214,6 +218,8 @@ def conservation_law_check(
     dims = [int(x) for x in dims]
     if len(dims) != 4 or any(x > 3 for x in dims):
         raise ValueError("need four factors of dimension <= 3")
+    if n_samples < 1:
+        raise ValueError(f"conservation check needs n_samples >= 1, got {n_samples}")
     rng = hilbert._rng(seed)
     total = int(np.prod(dims))
     worst_res = 0.0
@@ -251,6 +257,7 @@ def depletion_demo(d: int, seed: int = 0, identity_maps: bool = False) -> Scenar
     """
     if d < 2:
         raise ValueError("need d >= 2")
+    _check_total_dim(d**5, "depletion demo")
     reg = d * d
     if identity_maps:
         w = UnitaryOperator(np.eye(reg * d), [reg, d])
@@ -271,11 +278,8 @@ def depletion_demo(d: int, seed: int = 0, identity_maps: bool = False) -> Scenar
     )
 
     full_dims = [reg, reg, d]
-    u2 = embed_operator(w.matrix, full_dims, [0, 2])
-    rec2 = ledger(
-        UnitaryOperator(u2, full_dims), fresh, DensityOperator(inter, [reg, d]), 1, 1
-    )
-    out = evolve(u2, fresh.matrix, inter)
+    rec2 = ledger(w, fresh, DensityOperator(inter, [reg, d]), 1, 1, on=[0, 2])
+    out = evolve(w.matrix, fresh.matrix, inter, full_dims, [0, 2])
     i_a1a2 = mutual_information_matrix(out, full_dims, [0], [1])
     steps.append(
         ScenarioStep("A", "use2", rec2, {"I(A1:A2)": i_a1a2, "bound": bound})
@@ -304,6 +308,8 @@ def absorption_check(
 ) -> AbsorptionReport:
     """Locate the sampled state whose entropy the channel decreases the most
     and check the purified (global) entropy increase dominates that decrease."""
+    if n_samples < 0:
+        raise ValueError(f"absorption check needs n_samples >= 0, got {n_samples}")
     d = channel.dim_in
     rng = hilbert._rng(seed)
     candidates = [maximally_mixed([d])]
@@ -400,6 +406,7 @@ def initialization_scenario(d: int, seed: int = 0) -> ScenarioTrace:
     (memory-catalyst correlation survives), maximally mixed input (entropy and
     intermediate correlation both drop by log2 d) and entangled input (both
     rise by log2 d)."""
+    _check_total_dim(d**4, "initialization scenario")
     gen = initialization_classical(d)
     u, inter = gen.unitary, gen.intermediate
     dims = list(u.layout.dims)
@@ -444,9 +451,7 @@ def initialization_scenario(d: int, seed: int = 0) -> ScenarioTrace:
 
     # reference-extended run with a maximally entangled input
     gamma = hilbert.StateVector(max_entangled(d), [d, d])
-    full_dims = [d] + dims
-    u_ext = UnitaryOperator(embed_operator(u.matrix, full_dims, [1, 2, 3]), full_dims)
-    rec = ledger(u_ext, gamma.density(), inter, 2, 1)
+    rec = ledger(u, gamma.density(), inter, 2, 1, on=[1, 2, 3])
     steps.append(ScenarioStep("A", "entangled-input", rec, {"delta_I": rec.delta_i}))
 
     return ScenarioTrace(

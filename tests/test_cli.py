@@ -331,3 +331,33 @@ def test_tol_override_lasts_one_run(tmp_path, capsys):
     assert hl.GROUP_TOL == before
     assert cli.main(["entropy", str(tmp_path / "near.json")]) == 0
     assert "catalytic_vn = 1.500000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("depletion", "--d", "12"), "depletion demo needs total dimension 248832"),
+        (("multiparty", "--d", "9", "--rounds", "1"), "multiparty refuelling needs total dimension"),
+    ],
+    ids=["depletion", "multiparty"],
+)
+def test_scenario_too_large_is_a_usage_error(args, message):
+    res = run_cli("scenario", *args)
+    assert res.returncode == 2
+    assert message in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("conservation", "--samples", "0"),
+        ("conservation", "--samples", "-3"),
+        ("absorption", "--d", "2", "--samples", "-1"),
+    ],
+    ids=["conservation0", "conservation-3", "absorption-1"],
+)
+def test_scenario_sample_count_is_checked(args):
+    res = run_cli("scenario", *args)
+    assert res.returncode == 2
+    assert "n_samples" in res.stderr
+    assert '"pass"' not in res.stdout

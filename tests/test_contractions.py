@@ -1,12 +1,15 @@
 """Property tests of the contraction layer: Kraus-channel maps and their
-adjoints, the Choi matrix, controlled unitaries and |Γ>."""
+adjoints, the Choi matrix, controlled unitaries, |Γ>, and evolution and
+ledgers with a unitary on a subset of the factors."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catalyx import constructions
 from catalyx import hilbert as hl
-from catalyx.catalysis import KrausChannel
+from catalyx.catalysis import KrausChannel, ledger
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -92,3 +95,129 @@ def test_max_entangled_matches_canonical_operators(d):
     gamma = hl.max_entangled(d)
     assert np.abs(gamma - hl.canonical_operators(d).max_entangled.amplitudes).max() <= 1e-15
     assert abs(np.linalg.norm(gamma) - 1.0) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# evolution on a subset of the factors
+
+
+def _embedded_evolve(u, rho, inter, dims, on):
+    big = hl.embed_operator(u, dims, on)
+    return big @ np.kron(rho, inter) @ hl.dagger(big)
+
+
+@SETTINGS
+@given(
+    st.lists(st.integers(1, 3), min_size=2, max_size=4),
+    st.data(),
+    st.integers(0, 2**32 - 1),
+)
+def test_evolve_on_factors_matches_embedding(dims, data, seed):
+    n = len(dims)
+    n_rho = data.draw(st.integers(1, n - 1))
+    on = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
+    rng = np.random.default_rng(seed)
+    rho = hl.random_density(dims[:n_rho], int(np.prod(dims[:n_rho])), rng).matrix
+    inter = hl.random_density(dims[n_rho:], 1, rng).matrix
+    u = hl.haar_unitary_matrix(int(np.prod([dims[i] for i in on])), rng)
+    got = hl.evolve(u, rho, inter, dims, on)
+    assert np.abs(got - _embedded_evolve(u, rho, inter, dims, on)).max() <= 1e-12
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+def test_evolve_without_on_is_the_full_product(dims, seed):
+    rng = np.random.default_rng(seed)
+    rho = hl.random_density([2], 2, rng).matrix
+    inter = hl.random_density(dims, 1, rng).matrix
+    u = hl.haar_unitary_matrix(2 * int(np.prod(dims)), rng)
+    want = u @ np.kron(rho, inter) @ hl.dagger(u)
+    assert np.array_equal(hl.evolve(u, rho, inter), want)
+    assert np.array_equal(hl.evolve(u, rho, inter, [2] + dims), want)
+
+
+def _record(rec):
+    return np.array([rec.i_before, rec.i_after, rec.s_in, rec.s_out, rec.residual])
+
+
+def _assert_same_ledger(u, rho, inter, n_a1, n_a2, on):
+    dims = rho.layout.dims + inter.layout.dims
+    big = hl.UnitaryOperator(hl.embed_operator(u.matrix, dims, on), dims)
+    got = ledger(u, rho, inter, n_a1, n_a2, on=on)
+    want = ledger(big, rho, inter, n_a1, n_a2)
+    assert np.abs(_record(got) - _record(want)).max() <= 1e-12
+
+
+@st.composite
+def catalytic_transitions(draw):
+    """A transition that returns the catalyst B: B is classical in the
+    intermediate (Σ_b p_b ω_b ⊗ |b><b|) and the unitary is controlled on B,
+    acting on a random subset of the A1/A2 factors, with its own factors in
+    a random order."""
+    a1 = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    a2 = draw(st.lists(st.integers(1, 3), max_size=1))
+    db = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_a = len(a1) + len(a2)
+    targets = draw(st.permutations(range(n_a)))[: draw(st.integers(1, n_a))]
+    dims = a1 + a2 + [db]
+    dt = int(np.prod([dims[i] for i in targets]))
+    small = hl.controlled([hl.haar_unitary_matrix(dt, rng) for _ in range(db)])
+    small_dims = [dims[i] for i in targets] + [db]
+    perm = draw(st.permutations(range(len(small_dims))))
+    on = [(list(targets) + [n_a])[k] for k in perm]
+    u = hl.UnitaryOperator(
+        hl.permute_subsystems(small, small_dims, perm), [small_dims[k] for k in perm]
+    )
+    da2 = int(np.prod(a2)) if a2 else 1
+    p = rng.dirichlet(np.ones(db))
+    inter = sum(
+        np.kron(pb * hl.random_density([da2], da2, rng).matrix, np.diag(np.eye(db)[b]))
+        for b, pb in enumerate(p)
+    )
+    rho = hl.random_density(a1, int(np.prod(a1)), rng)
+    return u, rho, hl.DensityOperator(inter, a2 + [db]), len(a1), len(a2), on
+
+
+@SETTINGS
+@given(catalytic_transitions())
+def test_ledger_on_factors_matches_embedding(transition):
+    _assert_same_ledger(*transition)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_ledger_on_factors_matches_embedding_multiparty(d):
+    # the second use of the depletion protocol: the catalyst is correlated
+    # with the memory register A2 left by the first use
+    w = constructions.multiparty_unitary(d)
+    fresh = hl.plus_state(d * d).density()
+    mm = hl.maximally_mixed([d])
+    inter = hl.DensityOperator(hl.evolve(w.matrix, fresh.matrix, mm.matrix), [d * d, d])
+    _assert_same_ledger(w, fresh, inter, 1, 1, [0, 2])
+
+
+@pytest.mark.parametrize("r", [(1, 2), (2, 1)])
+def test_ledger_on_factors_matches_embedding_dephasing(r):
+    inst = constructions.dephasing_catalysis(r)
+    u, da, db = inst.canonical_unitary(), inst.a_dim, inst.b_dim
+    rho = hl.random_density([da], da, 7)
+    first = hl.evolve(u.matrix, hl.random_density([da], 2, 8).matrix, inst.sigma.matrix)
+    inter = hl.DensityOperator(first, [da, db])
+    _assert_same_ledger(u, rho, inter, 1, 1, [0, 2])
+    # the fresh input on a second factor that the unitary does not touch
+    rho2 = hl.random_density([2, da], 3, 9)
+    _assert_same_ledger(u, rho2, inst.sigma, 2, 0, [1, 2])
+
+
+def test_on_mismatching_the_unitary_layout_is_rejected():
+    w = constructions.multiparty_unitary(2)  # layout [4, 2]
+    fresh = hl.plus_state(4).density()
+    inter = hl.maximally_mixed([4, 2])
+    with pytest.raises(ValueError, match="does not match"):
+        ledger(w, fresh, inter, 1, 1, on=[0, 1])  # dims there are [4, 4]
+    with pytest.raises(ValueError, match="does not match"):
+        ledger(w, fresh, inter, 1, 1, on=[2, 0])  # [2, 4]: right dims, wrong order
+    with pytest.raises(ValueError):
+        ledger(w, fresh, inter, 1, 1, on=[0, 0])
+    with pytest.raises(ValueError):
+        hl.evolve(w.matrix, fresh.matrix, inter.matrix, [4, 4, 2], [0, 1])

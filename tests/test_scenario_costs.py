@@ -1,0 +1,100 @@
+"""Cost guards of the scenario transitions: each ledger marginal is
+diagonalized once, local unitaries are never embedded at full dimension, and
+scenario sizes are checked before anything is allocated."""
+
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from catalyx import constructions
+from catalyx import hilbert as hl
+from catalyx import scenarios as sc
+from catalyx.catalysis import initialization_channel, ledger
+
+
+def _catalyx_modules():
+    return [m for name, m in sys.modules.items() if name.split(".")[0] == "catalyx"]
+
+
+def test_ledger_diagonalizes_each_marginal_once(monkeypatch):
+    # second use of the depletion protocol at d = 2: A1 = 4, A2 = 4, B = 2
+    w = constructions.multiparty_unitary(2)
+    fresh = hl.plus_state(4).density()
+    inter = hl.DensityOperator(
+        hl.evolve(w.matrix, fresh.matrix, hl.maximally_mixed([2]).matrix), [4, 2]
+    )
+    sizes = Counter()
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(m):
+        sizes[m.shape[0]] += 1
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    ledger(w, fresh, inter, 1, 1, on=[0, 2])
+    assert sizes == {
+        32: 1,  # tau
+        16: 1,  # tau_A1A2
+        4: 1,  # sigma_A2
+        2: 3,  # tau_B, sigma_B and tau_B - sigma_B of the catalyst check
+    }
+
+
+@pytest.mark.parametrize(
+    "run, small_dim",
+    [
+        (lambda: sc.initialization_scenario(5), 125),
+        (lambda: sc.multiparty_refuel(2, 4), 8),
+        (lambda: sc.depletion_demo(3), 27),
+    ],
+    ids=["initialization5", "refuel2x4", "depletion3"],
+)
+def test_scenarios_apply_only_the_small_unitary(monkeypatch, run, small_dim):
+    embedded, checked = [], []
+    embed, defect = hl.embed_operator, hl.unitarity_defect
+
+    def recording_embed(op, full_dims, positions):
+        embedded.append(int(np.prod(full_dims)))
+        return embed(op, full_dims, positions)
+
+    def recording_defect(m):
+        checked.append(m.shape[0])
+        return defect(m)
+
+    for module in _catalyx_modules():
+        if hasattr(module, "embed_operator"):
+            monkeypatch.setattr(module, "embed_operator", recording_embed)
+        if hasattr(module, "unitarity_defect"):
+            monkeypatch.setattr(module, "unitarity_defect", recording_defect)
+    trace = run()
+    assert embedded == []
+    assert max(checked) <= small_dim
+    assert all(s.ledger.residual <= 1e-8 for s in trace.steps if s.ledger)
+
+
+def test_scenario_sizes_are_checked_before_allocation(monkeypatch):
+    with pytest.raises(ValueError, match="depletion demo needs total dimension 248832"):
+        sc.depletion_demo(12)
+    with pytest.raises(ValueError, match="multiparty refuelling needs total dimension 729"):
+        sc.multiparty_refuel(9, 1)
+    sc.multiparty_refuel(9, 1, classical=True)  # 81 fits the refuel cap
+    # initialization at d = 5 needs 625; lower the cap instead of allocating
+    # the d = 9 state the default cap rejects
+    monkeypatch.setattr(constructions, "DIMENSION_CAP", 600)
+    with pytest.raises(ValueError, match="initialization scenario needs total dimension 625"):
+        sc.initialization_scenario(5)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_conservation_needs_a_sample(n):
+    with pytest.raises(ValueError, match="n_samples >= 1"):
+        sc.conservation_law_check(n_samples=n)
+
+
+def test_absorption_rejects_negative_samples():
+    with pytest.raises(ValueError, match="n_samples >= 0"):
+        sc.absorption_check(initialization_channel(2), n_samples=-1)
+    # zero samples checks the maximally mixed candidate only
+    assert sc.absorption_check(initialization_channel(2), n_samples=0).ok
