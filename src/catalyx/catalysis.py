@@ -585,8 +585,11 @@ def ledger(
                 f"{[dims[i] for i in on]} at {list(on)}"
             )
     n = len(dims)
-    if not (0 <= n_a1 and 0 <= n_a2 and n_a1 + n_a2 < n):
-        raise ValueError("invalid subsystem split")
+    if not (0 <= n_a1 and 0 <= n_a2 and 0 < n_a1 + n_a2 < n):
+        raise ValueError(
+            f"invalid subsystem split n_a1={n_a1}, n_a2={n_a2} of {n} subsystems: "
+            "A1 ⊗ A2 and B must each hold at least one"
+        )
     a1 = list(range(n_a1))
     a2 = list(range(n_a1, n_a1 + n_a2))
     b = list(range(n_a1 + n_a2, n))

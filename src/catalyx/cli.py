@@ -432,7 +432,7 @@ def cmd_optimize(args) -> int:
         raise ValueError(f"unknown target {args.target!r}; valid: ea, global, local")
     _emit({"result": res.to_json_dict()}, cfg)
     print(headline)
-    return EXIT_OK
+    return EXIT_OK if res.converged else EXIT_SEMANTIC
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,15 @@ entanglement-assisted classical capacity.
 Reported optima are certified feasible lower bounds: the argmax is an explicit
 state and the value is its exact objective.  Restarts run independently and
 reduce deterministically (max value, ties to the lowest restart index).
+
+Entropy production is maximized on the pure face only.  For rho = sum_i p_i
+psi_i and the cq state omega = sum_i p_i |i><i| x Phi(psi_i), at every
+alpha in {1/2, 1, 2, inf}: S_alpha(Phi(rho)) <= S_alpha(omega) <= S_alpha(p)
++ max_i S_alpha(Phi(psi_i)), and S_alpha(rho) = S_alpha(p), so the production
+of rho never exceeds that of its best eigenvector.  The ascent therefore runs
+over unit vectors, where the input entropy vanishes.  The min-entropy
+objective is not smooth: at alpha=inf the smooth alpha=2 ascent runs and the
+exact min-entropy of its argmax is reported.
 """
 
 from __future__ import annotations
@@ -64,10 +73,6 @@ def _entropy_derivative(m: np.ndarray, alpha: float) -> np.ndarray:
     vals = np.clip(vals, _EIG_FLOOR, None)
     if alpha == 1.0:
         diag = -(np.log2(vals) + 1.0 / _LN2)
-    elif math.isinf(alpha):
-        # subgradient of -log2(lambda_max)
-        diag = np.zeros_like(vals)
-        diag[-1] = -1.0 / (vals[-1] * _LN2)
     else:
         tr = (vals**alpha).sum()
         diag = (alpha / ((1.0 - alpha) * _LN2 * tr)) * vals ** (alpha - 1.0)
@@ -127,35 +132,46 @@ def _project_tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - (np.vdot(v, g)) * v
 
 
-def _polish_pure(
-    value: Callable[[np.ndarray], float],
-    v: np.ndarray,
-    rng: np.random.Generator,
-    rounds: int = 60,
-) -> tuple[np.ndarray, float]:
-    """Local exhaustive polish by shrinking random perturbations; used for the
-    non-smooth min-entropy objective."""
-    best, fbest = v, value(v)
-    radius = 0.1
-    for _ in range(rounds):
-        improved = False
-        for _ in range(12):
-            cand = _sphere_retract(best + radius * (
-                rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
-            ))
-            fc = value(cand)
-            if fc > fbest + 1e-14:
-                best, fbest = cand, fc
-                improved = True
-        if not improved:
-            radius *= 0.5
-            if radius < 1e-9:
-                break
-    return best, fbest
-
-
 # ---------------------------------------------------------------------------
 # entropy production
+
+
+def _pure_ascent(
+    apply: Callable[[np.ndarray], np.ndarray],
+    adjoint: Callable[[np.ndarray], np.ndarray],
+    dim: int,
+    alpha: float,
+    restarts: int,
+    seed: int,
+    max_iter: int,
+    tol_grad: float,
+) -> OptimizationResult:
+    """Maximize S_alpha(apply(psi psi†)) over unit vectors psi of length dim;
+    at alpha=inf the alpha=2 ascent runs and its argmax is scored exactly."""
+    alpha = _check_alpha(alpha)
+    smooth = 2.0 if math.isinf(alpha) else alpha
+
+    def value_grad(v: np.ndarray):
+        out = apply(np.outer(v, v.conj()))
+        g = 2.0 * adjoint(_entropy_derivative(out, smooth)) @ v
+        return _renyi_of_matrix(out, smooth), _project_tangent(v, g)
+
+    rng = hilbert._rng(seed)
+    best = None
+    total_iter = 0
+    for _ in range(restarts):
+        v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v, f, its, gnorm, conv = _ascend(value_grad, v0, _sphere_retract, max_iter, tol_grad)
+        total_iter += its
+        if best is None or f > best[1] + 1e-15:
+            best = (v, f, gnorm, conv)
+    v, f, gnorm, conv = best
+    if math.isinf(alpha):
+        f = _renyi_of_matrix(apply(np.outer(v, v.conj())), alpha)
+    return OptimizationResult(
+        value=f, argmax=v, argmax_kind="pure", iterations=total_iter,
+        restarts=restarts, converged=conv, gradient_norm_at_end=gnorm,
+    )
 
 
 def max_entropy_production_global(
@@ -169,39 +185,11 @@ def max_entropy_production_global(
     """Maximize S_alpha((I x Phi)(psi)) over pure psi on reference x input
     with matching dimensions (pure inputs suffice for the maximum, and a
     reference of the input dimension exhausts the Schmidt rank)."""
-    alpha = _check_alpha(alpha)
     d = chan.dim_in
-    dim = d * d
-
-    def value_only(v: np.ndarray) -> float:
-        rho = np.outer(v, v.conj())
-        out = chan.extended_apply_matrix(rho, d)
-        return _renyi_of_matrix(out, alpha)  # pure input has zero entropy
-
-    def value_grad(v: np.ndarray):
-        rho = np.outer(v, v.conj())
-        out = chan.extended_apply_matrix(rho, d)
-        f = _renyi_of_matrix(out, alpha)
-        dmat = _entropy_derivative(out, alpha)
-        g = 2.0 * chan.extended_adjoint_matrix(dmat, d) @ v
-        return f, _project_tangent(v, g)
-
-    rng = hilbert._rng(seed)
-    best = None
-    total_iter = 0
-    for rs in range(restarts):
-        v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v, f, its, gnorm, conv = _ascend(value_grad, v0, _sphere_retract, max_iter, tol_grad)
-        if math.isinf(alpha):
-            v, f = _polish_pure(value_only, v, rng)
-            gnorm, conv = 0.0, True
-        total_iter += its
-        if best is None or f > best[1] + 1e-15:
-            best = (v, f, gnorm, conv)
-    v, f, gnorm, conv = best
-    return OptimizationResult(
-        value=f, argmax=v, argmax_kind="pure", iterations=total_iter,
-        restarts=restarts, converged=conv, gradient_norm_at_end=gnorm,
+    return _pure_ascent(
+        lambda m: chan.extended_apply_matrix(m, d),
+        lambda m: chan.extended_adjoint_matrix(m, d),
+        d * d, alpha, restarts, seed, max_iter, tol_grad,
     )
 
 
@@ -213,50 +201,11 @@ def max_entropy_production_local(
     max_iter: int = 2000,
     tol_grad: float = 1e-9,
 ) -> OptimizationResult:
-    """Maximize S_alpha(Phi(rho)) - S_alpha(rho) over mixed states via the
-    factor parameterization rho = L L† / Tr(L L†)."""
-    alpha = _check_alpha(alpha)
-    d = chan.dim_in
-
-    def rho_of(el: np.ndarray) -> np.ndarray:
-        m = el @ dagger(el)
-        return m / np.trace(m).real
-
-    def value_only_vec(v: np.ndarray) -> float:
-        el = v.reshape(d, d)
-        rho = rho_of(el)
-        return _renyi_of_matrix(chan.apply_matrix(rho), alpha) - _renyi_of_matrix(rho, alpha)
-
-    def value_grad(v: np.ndarray):
-        el = v.reshape(d, d)
-        t = np.trace(el @ dagger(el)).real
-        rho = (el @ dagger(el)) / t
-        out = chan.apply_matrix(rho)
-        f = _renyi_of_matrix(out, alpha) - _renyi_of_matrix(rho, alpha)
-        gmat = chan.adjoint_matrix(_entropy_derivative(out, alpha)) - _entropy_derivative(
-            rho, alpha
-        )
-        grad_l = ((gmat - np.trace(gmat @ rho).real * np.eye(d)) @ el) / t
-        return f, grad_l.reshape(-1)
-
-    rng = hilbert._rng(seed)
-    best = None
-    total_iter = 0
-    for rs in range(restarts):
-        v0 = (rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d))
-        v, f, its, gnorm, conv = _ascend(value_grad, v0, _sphere_retract, max_iter, tol_grad)
-        if math.isinf(alpha):
-            v, f = _polish_pure(value_only_vec, v, rng)
-            gnorm, conv = 0.0, True
-        total_iter += its
-        if best is None or f > best[1] + 1e-15:
-            best = (v, f, gnorm, conv)
-    v, f, gnorm, conv = best
-    el = v.reshape(d, d)
-    rho = rho_of(el)
-    return OptimizationResult(
-        value=f, argmax=rho, argmax_kind="mixed", iterations=total_iter,
-        restarts=restarts, converged=conv, gradient_norm_at_end=gnorm,
+    """Maximize S_alpha(Phi(rho)) - S_alpha(rho) over input states; pure
+    inputs suffice (module docstring), so the argmax is a state vector."""
+    return _pure_ascent(
+        chan.apply_matrix, chan.adjoint_matrix,
+        chan.dim_in, alpha, restarts, seed, max_iter, tol_grad,
     )
 
 

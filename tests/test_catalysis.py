@@ -351,6 +351,11 @@ def test_ledger_rejects_catalyst_alteration():
         ledger(SWAP2, hl.basis_state(2, 0).density(), MM2, 1, 0)
 
 
+def test_ledger_rejects_empty_a1_a2_split():
+    with pytest.raises(ValueError, match=r"invalid subsystem split n_a1=0, n_a2=0 of 1"):
+        ledger(UnitaryOperator(np.eye(2), [2]), DensityOperator(np.eye(1), [1]), MM2, 0, 0)
+
+
 def test_ledger_log_accumulates():
     before = len(cat.ledger_log())
     ledger(UnitaryOperator(np.eye(4), [2, 2]), MM2, MM2, 1, 0)

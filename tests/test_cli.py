@@ -155,6 +155,21 @@ def test_optimize_unknown_channel():
     assert res.returncode == 2
 
 
+def test_optimize_not_converged_exits_one(tmp_path, monkeypatch, capsys):
+    from catalyx import cli, optimize
+
+    stalled = optimize.OptimizationResult(
+        value=0.5, argmax=np.array([1.0, 0.0], dtype=complex), argmax_kind="pure",
+        iterations=2000, restarts=1, converged=False, gradient_norm_at_end=1.5,
+    )
+    monkeypatch.setattr(optimize, "max_entropy_production_local", lambda *a, **k: stalled)
+    out = tmp_path / "report.json"
+    assert cli.main(["optimize", "local", "--channel", "dephasing2",
+                     "--out", str(out)]) == 1
+    assert "S_prod_local = 0.500000 bits" in capsys.readouterr().out
+    assert json.load(open(out))["result"]["converged"] is False
+
+
 def test_selftest():
     res = run_cli("selftest")
     assert res.returncode == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalyx import catalysis as cat
 from catalyx import constructions as con
@@ -112,6 +114,64 @@ def test_min_entropy_objective_runs():
     res = opt.max_entropy_production_global(cat.dephasing_channel(2), math.inf,
                                             restarts=4, seed=2)
     assert res.value == pytest.approx(1.0, abs=1e-4)
+
+
+LOCAL_OPTIMA = [
+    (cat.dephasing_channel(2), 1.0),
+    (cat.dephasing_channel(3), math.log2(3)),
+    (cat.erasure_channel(2), 1.0),
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("chan, optimum", LOCAL_OPTIMA, ids=["dephasing2", "dephasing3", "erasure2"])
+def test_local_half_reaches_the_optimum(chan, optimum, seed):
+    res = opt.max_entropy_production_local(chan, 0.5, restarts=1, seed=seed)
+    assert res.converged and res.iterations <= 200  # cost guard
+    assert res.value == pytest.approx(optimum, abs=1e-6)
+    assert res.argmax_kind == "pure" and res.argmax.shape == (chan.dim_in,)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_global_min_entropy_weyl_twirl3(seed):
+    res = opt.max_entropy_production_global(cat.weyl_twirl_channel(3), math.inf,
+                                            restarts=2, seed=seed)
+    assert res.value == pytest.approx(2 * math.log2(3), abs=1e-6)
+
+
+@pytest.mark.parametrize("target", ["global", "local"])
+def test_min_entropy_is_read_at_the_collision_argmax(target):
+    chan = cat.random_channel(3, 2, 11)
+    run = getattr(opt, f"max_entropy_production_{target}")
+    inf, two = run(chan, math.inf, restarts=2, seed=5), run(chan, 2.0, restarts=2, seed=5)
+    assert np.array_equal(inf.argmax, two.argmax)
+    assert (inf.iterations, inf.converged) == (two.iterations, two.converged)
+    v = inf.argmax
+    out = (chan.extended_apply_matrix(np.outer(v, v.conj()), 3) if target == "global"
+           else chan.apply_matrix(np.outer(v, v.conj())))
+    assert inf.value == pytest.approx(ent.min_entropy(np.linalg.eigvalsh(out)), abs=1e-12)
+    assert inf.value <= two.value + 1e-12
+
+
+def _spectral_renyi(m, alpha):
+    return ent.renyi(np.clip(np.linalg.eigvalsh(m), 0.0, None), alpha)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(d=st.integers(2, 4), rank=st.integers(1, 4), mix=st.integers(2, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_pure_inputs_dominate_local_production(d, rank, mix, seed):
+    """S_a(Phi(rho)) - S_a(rho) <= max_i S_a(Phi(psi_i)) over the eigenvectors
+    psi_i of rho: the lemma that confines the local ascent to pure inputs."""
+    chan = cat.random_channel(d, rank, seed)
+    rho = random_density([d], min(mix, d), seed + 1).matrix
+    _, vecs = np.linalg.eigh(rho)
+    for alpha in opt.SUPPORTED_ALPHAS:
+        mixed = _spectral_renyi(chan.apply_matrix(rho), alpha) - _spectral_renyi(rho, alpha)
+        best_pure = max(
+            _spectral_renyi(chan.apply_matrix(np.outer(v, v.conj())), alpha) for v in vecs.T
+        )
+        assert mixed <= best_pure + 1e-12
 
 
 def test_unsupported_alpha_rejected():
