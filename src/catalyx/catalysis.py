@@ -184,8 +184,6 @@ class ExhaustiveReport:
 def verify_catalysis_exhaustive(
     u: UnitaryOperator,
     sigma: DensityOperator,
-    n_samples: int = 64,
-    seed: int = 0,
     a_count: int = 1,
 ) -> ExhaustiveReport:
     """Exact check that the B-side output does not depend on the input:
@@ -193,7 +191,7 @@ def verify_catalysis_exhaustive(
     slices, ref the maximally-mixed-input output; a true catalysis gives zero,
     and for any input the trace distance of its output from ref is at most
     da/2 times it.  Also returns ref and the unitary mapping the catalyst
-    onto it.  ``n_samples`` and ``seed`` do not affect the result."""
+    onto it."""
     s, ref = _transfer(u, sigma, a_count)
     dev = s - np.eye(len(s))[:, :, None, None] * ref
     max_dev = float(np.linalg.svd(dev, compute_uv=False).sum(axis=-1).max())
@@ -559,8 +557,9 @@ def ledger(
     n_a1: int,
     n_a2: int,
     on: Sequence[int] | None = None,
-) -> LedgerRecord:
-    """Execute one catalytic transition and record its information balance.
+) -> tuple[LedgerRecord, DensityOperator]:
+    """Execute one catalytic transition, record its information balance and
+    return the record with the evolved state τ (layout ``dims`` below).
 
     The transition acts on A1 ⊗ A2 ⊗ B in layout order: the first ``n_a1``
     subsystems are the fresh input (state ``rho``), the next ``n_a2`` carry
@@ -572,7 +571,8 @@ def ledger(
     embedded operator is never built.
 
     τ, τ_A1A2 and τ_B are each formed and diagonalized once; S(τ) comes from
-    the evolved state itself, so the residual checks the evolution.
+    the evolved state itself, so the residual checks the evolution, and τ
+    comes back validated, spectrum included, for the next transition.
     """
     if on is None:
         dims = u.layout.dims
@@ -620,7 +620,8 @@ def ledger(
         i_before = (s_a2 + von_neumann(marginal(intermediate.matrix, int_dims, b_int))
                     - von_neumann(intermediate))
     s_out = von_neumann(marginal(tau, dims, a1 + a2))
-    i_after = s_out + von_neumann(tau_b) - von_neumann(DensityOperator(tau, dims))
+    tau = DensityOperator(tau, dims)
+    i_after = s_out + von_neumann(tau_b) - von_neumann(tau)
 
     residual = abs((i_after - i_before) - (s_out - s_in))
     if residual > LEDGER_TOL:
@@ -631,12 +632,12 @@ def ledger(
                        residual=residual)
     with _LEDGER_LOCK:
         _LEDGER_LOG.append(rec)
-    return rec
+    return rec, tau
 
 
 def ledger_for_instance(inst: CatalysisInstance, rho: DensityOperator) -> LedgerRecord:
     """Ledger of a fresh-catalyst use of a certified instance."""
-    return ledger(inst.canonical_unitary(), rho, inst.sigma, inst.a_count, 0)
+    return ledger(inst.canonical_unitary(), rho, inst.sigma, inst.a_count, 0)[0]
 
 
 # ---------------------------------------------------------------------------

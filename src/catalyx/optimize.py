@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -67,16 +67,19 @@ def _renyi_of_matrix(m: np.ndarray, alpha: float) -> float:
     return renyi(vals / vals.sum(), alpha)
 
 
-def _entropy_derivative(m: np.ndarray, alpha: float) -> np.ndarray:
-    """Hermitian D with dS_alpha = Tr[D dM], eigenvalues floored for logs."""
+def _renyi_and_derivative(m: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
+    """S_alpha(M) and the Hermitian D with dS_alpha = Tr[D dM], both from one
+    eigendecomposition; eigenvalues are floored for the logs of D."""
     vals, vecs = np.linalg.eigh(m)
+    p = np.clip(vals, 0.0, None)
+    value = renyi(p / p.sum(), alpha)
     vals = np.clip(vals, _EIG_FLOOR, None)
     if alpha == 1.0:
         diag = -(np.log2(vals) + 1.0 / _LN2)
     else:
         tr = (vals**alpha).sum()
         diag = (alpha / ((1.0 - alpha) * _LN2 * tr)) * vals ** (alpha - 1.0)
-    return (vecs * diag) @ dagger(vecs)
+    return value, (vecs * diag) @ dagger(vecs)
 
 
 def global_production(
@@ -91,14 +94,18 @@ def global_production(
 # shared ascent loop
 
 
+def _sphere_retract(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
+
+
 def _ascend(
     value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x0: np.ndarray,
-    retract: Callable[[np.ndarray], np.ndarray],
     max_iter: int,
     tol_grad: float,
 ) -> tuple[np.ndarray, float, int, float, bool]:
-    x = retract(x0)
+    """Backtracking gradient ascent on the unit sphere from x0."""
+    x = _sphere_retract(x0)
     f, g = value_grad(x)
     step = 1.0
     it = 0
@@ -108,7 +115,7 @@ def _ascend(
             return x, f, it, gnorm, True
         moved = False
         for _ in range(40):
-            cand = retract(x + step * g)
+            cand = _sphere_retract(x + step * g)
             fc, gc = value_grad(cand)
             if fc > f + 1e-16:
                 x, f, g = cand, fc, gc
@@ -124,8 +131,23 @@ def _ascend(
     return x, f, it, float(np.linalg.norm(g)), False
 
 
-def _sphere_retract(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+def _best_ascent(
+    value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    starts: Iterable[np.ndarray],
+    max_iter: int,
+    tol_grad: float,
+) -> tuple[np.ndarray, float, int, float, bool]:
+    """Ascend from each start and keep the best (strictly better by 1e-15,
+    ties to the lowest index); iterations are summed over the starts."""
+    best = None
+    total_iter = 0
+    for x0 in starts:
+        x, f, its, gnorm, conv = _ascend(value_grad, x0, max_iter, tol_grad)
+        total_iter += its
+        if best is None or f > best[1] + 1e-15:
+            best = (x, f, gnorm, conv)
+    x, f, gnorm, conv = best
+    return x, f, total_iter, gnorm, conv
 
 
 def _project_tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -152,20 +174,13 @@ def _pure_ascent(
     smooth = 2.0 if math.isinf(alpha) else alpha
 
     def value_grad(v: np.ndarray):
-        out = apply(np.outer(v, v.conj()))
-        g = 2.0 * adjoint(_entropy_derivative(out, smooth)) @ v
-        return _renyi_of_matrix(out, smooth), _project_tangent(v, g)
+        s, dmat = _renyi_and_derivative(apply(np.outer(v, v.conj())), smooth)
+        g = 2.0 * adjoint(dmat) @ v
+        return s, _project_tangent(v, g)
 
     rng = hilbert._rng(seed)
-    best = None
-    total_iter = 0
-    for _ in range(restarts):
-        v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v, f, its, gnorm, conv = _ascend(value_grad, v0, _sphere_retract, max_iter, tol_grad)
-        total_iter += its
-        if best is None or f > best[1] + 1e-15:
-            best = (v, f, gnorm, conv)
-    v, f, gnorm, conv = best
+    starts = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(restarts))
+    v, f, total_iter, gnorm, conv = _best_ascent(value_grad, starts, max_iter, tol_grad)
     if math.isinf(alpha):
         f = _renyi_of_matrix(apply(np.outer(v, v.conj())), alpha)
     return OptimizationResult(
@@ -228,23 +243,13 @@ def ea_objective_gradient(chan: KrausChannel, el: np.ndarray) -> tuple[float, np
     d = chan.dim_in
     t = np.trace(el @ dagger(el)).real
     rho = (el @ dagger(el)) / t
-    out = chan.apply_matrix(rho)
-    gram = chan.complementary_matrix(rho)
-    f = (
-        _renyi_of_matrix(rho, 1.0)
-        + _renyi_of_matrix(out, 1.0)
-        - _renyi_of_matrix(gram, 1.0)
-    )
-    gvals, gvecs = np.linalg.eigh(gram)
-    gvals = np.clip(gvals, _EIG_FLOOR, None)
-    log_gram = (gvecs * (np.log2(gvals) + 1.0 / _LN2)) @ dagger(gvecs)
-    # sum_ij log_gram[i, j] K_i† K_j, the adjoint of the complementary map
-    grad_exch = np.einsum("ij,ioa,job->ab", log_gram, chan.kraus.conj(), chan.kraus)
-    gmat = (
-        _entropy_derivative(rho, 1.0)
-        + chan.adjoint_matrix(_entropy_derivative(out, 1.0))
-        + grad_exch
-    )
+    s_in, d_in = _renyi_and_derivative(rho, 1.0)
+    s_out, d_out = _renyi_and_derivative(chan.apply_matrix(rho), 1.0)
+    s_exch, d_exch = _renyi_and_derivative(chan.complementary_matrix(rho), 1.0)
+    f = s_in + s_out - s_exch
+    # -sum_ij D_G[i, j] K_i† K_j: minus the adjoint of the complementary map
+    grad_exch = -np.einsum("ij,ioa,job->ab", d_exch, chan.kraus.conj(), chan.kraus)
+    gmat = d_in + chan.adjoint_matrix(d_out) + grad_exch
     gmat = 0.5 * (gmat + dagger(gmat))
     grad_l = ((gmat - np.trace(gmat @ rho).real * np.eye(d)) @ el) / t
     return f, grad_l
@@ -271,14 +276,7 @@ def ea_capacity(
     starts = [np.eye(d, dtype=complex).reshape(-1)]
     for _ in range(restarts - 1):
         starts.append(rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d))
-    best = None
-    total_iter = 0
-    for v0 in starts:
-        v, f, its, gnorm, conv = _ascend(value_grad, v0, _sphere_retract, max_iter, tol)
-        total_iter += its
-        if best is None or f > best[1] + 1e-15:
-            best = (v, f, gnorm, conv)
-    v, f, gnorm, conv = best
+    v, f, total_iter, gnorm, conv = _best_ascent(value_grad, starts, max_iter, tol)
     el = v.reshape(d, d)
     rho = el @ dagger(el)
     rho = rho / np.trace(rho).real

@@ -3,8 +3,10 @@ randomness source, absorption bounds, the 4-partite conservation identity and
 free-randomness accounting for classically correlated intermediates.
 
 Every step that touches a catalyst goes through :func:`catalyx.catalysis.ledger`,
-so the information-balance identity is enforced on each transition.  Scenarios
-take explicit seeds and echo them in the trace for reproducibility.
+so the information-balance identity is enforced on each transition.  Each
+transition is evolved once, inside the ledger, and the scenario reads its
+marginals from the evolved state the ledger returns.  Scenarios take explicit
+seeds and echo them in the trace for reproducibility.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .hilbert import (
     clock_matrix,
     controlled,
     embed_operator,
-    evolve,
     haar_state,
     max_entangled,
     maximally_mixed,
@@ -141,36 +142,31 @@ def multiparty_refuel(
     else:
         turn_u = multiparty_unitary(d)
 
-    inter = maximally_mixed([d]).matrix
-    inter_dims: list[int] = [d]
+    inter = maximally_mixed([d])
     reg_turn: list[int] = []  # turn number of each register in layout order
     steps: list[ScenarioStep] = []
     fresh = plus_state(reg_dim).density()
 
     for turn in range(1, max_rounds + 1):
         actor = "A" if turn % 2 == 1 else "B"
-        full_dims = [reg_dim] + inter_dims
-        on = [0, len(full_dims) - 1]  # the fresh register and the catalyst
-        inter_rho = DensityOperator(inter, inter_dims)
-        rec = ledger(turn_u, fresh, inter_rho, 1, len(inter_dims) - 1, on=on)
-        inter = evolve(turn_u.matrix, fresh.matrix, inter, full_dims, on)
-        inter_dims = full_dims
+        n_inter = len(inter.layout.dims)
+        on = [0, n_inter]  # the fresh register and the catalyst
+        rec, inter = ledger(turn_u, fresh, inter, 1, n_inter - 1, on=on)
         reg_turn = [turn] + reg_turn
 
         a_regs = [i for i, t in enumerate(reg_turn) if t % 2 == 1]
         b_regs = [i for i, t in enumerate(reg_turn) if t % 2 == 0]
-        c_idx = len(inter_dims) - 1
+        tau, tau_dims = inter.matrix, inter.layout.dims
+        c_idx = len(tau_dims) - 1
         marg = {
-            "S(C)": von_neumann(
-                DensityOperator(ptrace_matrix(inter, inter_dims, [c_idx]), [d])
-            ),
-            "I(A:C)": mutual_information_matrix(inter, inter_dims, a_regs, [c_idx])
+            "S(C)": von_neumann(DensityOperator(ptrace_matrix(tau, tau_dims, [c_idx]), [d])),
+            "I(A:C)": mutual_information_matrix(tau, tau_dims, a_regs, [c_idx])
             if a_regs
             else 0.0,
         }
         if b_regs:
-            marg["I(B:C)"] = mutual_information_matrix(inter, inter_dims, b_regs, [c_idx])
-        tau_ac = ptrace_matrix(inter, inter_dims, a_regs + [c_idx]) if a_regs else None
+            marg["I(B:C)"] = mutual_information_matrix(tau, tau_dims, b_regs, [c_idx])
+        tau_ac = ptrace_matrix(tau, tau_dims, a_regs + [c_idx]) if a_regs else None
         if tau_ac is not None:
             dim_ac = tau_ac.shape[0]
             marg["D(tau_AC, mm)"] = trace_distance(tau_ac, np.eye(dim_ac) / dim_ac)
@@ -179,7 +175,7 @@ def multiparty_refuel(
     if classical and max_rounds >= 2:
         # deviation of the joint two-turn output from the ideal product of
         # independent dephasings (which maps |+> ⊗ |+> to 1/d ⊗ 1/d)
-        joint = ptrace_matrix(inter, inter_dims, [0, 1])
+        joint = ptrace_matrix(inter.matrix, inter.layout.dims, [0, 1])
         ideal = np.eye(reg_dim * reg_dim) / (reg_dim * reg_dim)
         steps.append(
             ScenarioStep(
@@ -270,17 +266,13 @@ def depletion_demo(d: int, seed: int = 0, identity_maps: bool = False) -> Scenar
 
     fresh = plus_state(reg).density()
     steps = []
-    inter = maximally_mixed([d]).matrix
-    rec1 = ledger(w, fresh, maximally_mixed([d]), 1, 0)
-    inter = evolve(w.matrix, fresh.matrix, inter)
+    rec1, inter = ledger(w, fresh, maximally_mixed([d]), 1, 0)
     steps.append(
         ScenarioStep("A", "use1", rec1, {"delta_I": rec1.delta_i, "S_cat": s_cat})
     )
 
-    full_dims = [reg, reg, d]
-    rec2 = ledger(w, fresh, DensityOperator(inter, [reg, d]), 1, 1, on=[0, 2])
-    out = evolve(w.matrix, fresh.matrix, inter, full_dims, [0, 2])
-    i_a1a2 = mutual_information_matrix(out, full_dims, [0], [1])
+    rec2, out = ledger(w, fresh, inter, 1, 1, on=[0, 2])
+    i_a1a2 = mutual_information_matrix(out.matrix, out.layout.dims, [0], [1])
     steps.append(
         ScenarioStep("A", "use2", rec2, {"I(A1:A2)": i_a1a2, "bound": bound})
     )
@@ -388,9 +380,8 @@ def cq_free_randomness(d: int, seed: int = 0) -> FreeRandomnessReport:
     u = UnitaryOperator(u, dims)
 
     rho = plus_state(d).density()
-    rec = ledger(u, rho, intermediate, 1, 1)
-    out_full = evolve(u.matrix, rho.matrix, inter)
-    out = ptrace_matrix(out_full, dims, [0])
+    rec, tau = ledger(u, rho, intermediate, 1, 1)
+    out = ptrace_matrix(tau.matrix, dims, [0])
     deviation = trace_distance(out, np.eye(d) / d)
     return FreeRandomnessReport(
         free_bits=free, erasure_deviation=deviation, ledger_record=rec
@@ -428,30 +419,28 @@ def initialization_scenario(d: int, seed: int = 0) -> ScenarioTrace:
     )
 
     rho_pure = hilbert.basis_state(d, 1).density()
-    rec = ledger(u, rho_pure, inter, 1, 1)
-    out = evolve(u.matrix, rho_pure.matrix, inter.matrix)
+    rec, tau = ledger(u, rho_pure, inter, 1, 1)
     marg = {
-        "I(A':B)": mutual_information_matrix(out, dims, [1], [2]),
+        "I(A':B)": mutual_information_matrix(tau.matrix, dims, [1], [2]),
         "D(out_A, |0><0|)": trace_distance(
-            ptrace_matrix(out, dims, [0]), hilbert.basis_state(d, 0).density().matrix
+            ptrace_matrix(tau.matrix, dims, [0]), hilbert.basis_state(d, 0).density().matrix
         ),
     }
     steps.append(ScenarioStep("A", "pure-input", rec, marg))
 
     rho_mm = maximally_mixed([d])
-    rec = ledger(u, rho_mm, inter, 1, 1)
-    out = evolve(u.matrix, rho_mm.matrix, inter.matrix)
+    rec, tau = ledger(u, rho_mm, inter, 1, 1)
     marg = {
         "delta_I": rec.delta_i,
         "D(out_A, |0><0|)": trace_distance(
-            ptrace_matrix(out, dims, [0]), hilbert.basis_state(d, 0).density().matrix
+            ptrace_matrix(tau.matrix, dims, [0]), hilbert.basis_state(d, 0).density().matrix
         ),
     }
     steps.append(ScenarioStep("A", "mixed-input", rec, marg))
 
     # reference-extended run with a maximally entangled input
     gamma = hilbert.StateVector(max_entangled(d), [d, d])
-    rec = ledger(u, gamma.density(), inter, 2, 1, on=[1, 2, 3])
+    rec, _ = ledger(u, gamma.density(), inter, 2, 1, on=[1, 2, 3])
     steps.append(ScenarioStep("A", "entangled-input", rec, {"delta_I": rec.delta_i}))
 
     return ScenarioTrace(

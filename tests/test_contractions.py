@@ -143,9 +143,11 @@ def _record(rec):
 def _assert_same_ledger(u, rho, inter, n_a1, n_a2, on):
     dims = rho.layout.dims + inter.layout.dims
     big = hl.UnitaryOperator(hl.embed_operator(u.matrix, dims, on), dims)
-    got = ledger(u, rho, inter, n_a1, n_a2, on=on)
-    want = ledger(big, rho, inter, n_a1, n_a2)
+    got, got_tau = ledger(u, rho, inter, n_a1, n_a2, on=on)
+    want, want_tau = ledger(big, rho, inter, n_a1, n_a2)
     assert np.abs(_record(got) - _record(want)).max() <= 1e-12
+    assert got_tau.layout.dims == want_tau.layout.dims == tuple(dims)
+    assert np.abs(got_tau.matrix - want_tau.matrix).max() <= 1e-12
 
 
 @st.composite
@@ -207,6 +209,19 @@ def test_ledger_on_factors_matches_embedding_dephasing(r):
     # the fresh input on a second factor that the unitary does not touch
     rho2 = hl.random_density([2, da], 3, 9)
     _assert_same_ledger(u, rho2, inst.sigma, 2, 0, [1, 2])
+
+
+def test_ledger_returns_the_state_it_evolved():
+    w = constructions.multiparty_unitary(2)
+    fresh = hl.plus_state(4).density()
+    mm = hl.maximally_mixed([2])
+    _, tau = ledger(w, fresh, mm, 1, 0)
+    assert tau.layout.dims == (4, 2)
+    assert np.array_equal(tau.matrix, hl.evolve(w.matrix, fresh.matrix, mm.matrix, [4, 2]))
+    _, tau2 = ledger(w, fresh, tau, 1, 1, on=[0, 2])
+    assert tau2.layout.dims == (4, 4, 2)
+    want = hl.evolve(w.matrix, fresh.matrix, tau.matrix, [4, 4, 2], [0, 2])
+    assert np.array_equal(tau2.matrix, want)
 
 
 def test_on_mismatching_the_unitary_layout_is_rejected():

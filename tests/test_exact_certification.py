@@ -71,9 +71,6 @@ def test_verdict_does_not_depend_on_seed():
         assert inst.max_deviation == insts[0].max_deviation
         assert inst.entropy_gap == insts[0].entropy_gap
         assert np.array_equal(inst.canonical_v.matrix, insts[0].canonical_v.matrix)
-    reps = [cat.verify_catalysis_exhaustive(u, sigma, n_samples=n, seed=s)
-            for n, s in [(1, 0), (64, 9), (200, 3)]]
-    assert len({r.max_deviation for r in reps}) == 1
 
 
 def test_certified_instance_output_is_input_independent():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -67,6 +68,52 @@ def test_ea_gradient_matches_finite_differences():
         fd = (fp - fm) / (2 * h)
         analytic = 2 * np.real(np.vdot(g, dl))
         assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(fd))
+
+
+def _count_eigensolves(monkeypatch):
+    counts = Counter()
+
+    def counting(name, solver):
+        def call(m, *args, **kwargs):
+            counts[name] += 1
+            return solver(m, *args, **kwargs)
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return counts
+
+
+def test_ea_gradient_costs_three_eigendecompositions(monkeypatch):
+    chan = cat.random_channel(3, 2, 4)
+    el = np.eye(3, dtype=complex) + 0.3 * np.ones((3, 3))
+    counts = _count_eigensolves(monkeypatch)
+    opt.ea_objective_gradient(chan, el)  # on rho, Phi(rho) and the exchange Gram
+    assert counts == {"eigh": 3}
+
+
+@pytest.mark.parametrize("alpha", opt.SUPPORTED_ALPHAS)
+@pytest.mark.parametrize("kind", ["global", "local"])
+def test_pure_ascent_evaluation_costs_one_eigendecomposition(monkeypatch, kind, alpha):
+    captured = []
+
+    def first_start_only(value_grad, x0, max_iter, tol_grad):
+        captured.append(value_grad)
+        return x0 / np.linalg.norm(x0), 0.0, 0, 0.0, True
+
+    monkeypatch.setattr(opt, "_ascend", first_start_only)
+    chan = cat.dephasing_channel(3)
+    if kind == "global":
+        opt.max_entropy_production_global(chan, alpha, restarts=1)
+        dim = 9  # reference x input
+    else:
+        opt.max_entropy_production_local(chan, alpha, restarts=1)
+        dim = 3
+    (value_grad,) = captured
+    v = np.arange(1.0, dim + 1) + 0.5j
+    counts = _count_eigensolves(monkeypatch)
+    value_grad(v / np.linalg.norm(v))
+    assert counts == {"eigh": 1}
 
 
 # ---------------------------------------------------------------------------

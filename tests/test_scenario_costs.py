@@ -1,6 +1,7 @@
-"""Cost guards of the scenario transitions: each ledger marginal is
-diagonalized once, local unitaries are never embedded at full dimension, and
-scenario sizes are checked before anything is allocated."""
+"""Cost guards of the scenario transitions: each transition is evolved once,
+inside the ledger, each ledger marginal is diagonalized once, local unitaries
+are never embedded at full dimension, and scenario sizes are checked before
+anything is allocated."""
 
 import sys
 from collections import Counter
@@ -8,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from catalyx import catalysis as cat
 from catalyx import constructions
 from catalyx import hilbert as hl
 from catalyx import scenarios as sc
@@ -72,6 +74,50 @@ def test_scenarios_apply_only_the_small_unitary(monkeypatch, run, small_dim):
     assert embedded == []
     assert max(checked) <= small_dim
     assert all(s.ledger.residual <= 1e-8 for s in trace.steps if s.ledger)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: sc.multiparty_refuel(2, 4),
+        lambda: sc.multiparty_refuel(3, 2, classical=True),
+        lambda: sc.depletion_demo(3),
+        lambda: sc.cq_free_randomness(3),
+        lambda: sc.initialization_scenario(3),
+    ],
+    ids=["refuel2x4", "refuel3x2-classical", "depletion3", "cq_free3", "initialization3"],
+)
+def test_each_transition_is_evolved_once_inside_the_ledger(monkeypatch, run):
+    evolved = []
+    evolve = hl.evolve
+
+    def counting(*args, **kwargs):
+        evolved.append(1)
+        return evolve(*args, **kwargs)
+
+    for module in _catalyx_modules():
+        if hasattr(module, "evolve"):
+            monkeypatch.setattr(module, "evolve", counting)
+    before = len(cat.ledger_log())
+    run()
+    assert len(evolved) == len(cat.ledger_log()) - before > 0
+
+
+def test_refuel_diagonalizes_its_128_dimensional_state_once(monkeypatch):
+    sizes = Counter()
+    solvers = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh")}
+
+    def counting(solver):
+        def call(m, *args, **kwargs):
+            sizes[m.shape[0]] += 1
+            return solver(m, *args, **kwargs)
+        return call
+
+    for name, solver in solvers.items():
+        monkeypatch.setattr(np.linalg, name, counting(solver))
+    sc.multiparty_refuel(2, 4)
+    # τ after turn 3, validated in that turn's ledger and reused by turn 4
+    assert sizes[128] == 1
 
 
 def test_scenario_sizes_are_checked_before_allocation(monkeypatch):
