@@ -5,7 +5,7 @@ for every input) precisely when its partial transpose over the system side is
 again unitary.  This module certifies that property, checks compatibility of a
 given catalyst, rotates the unitary into the canonical catalyst-preserving
 form, executes the induced channel, decomposes it into uniform sub-catalyses,
-keeps the mutual-information ledger of every transition, and builds the
+checks the mutual-information ledger of every transition, and builds the
 correlation recovery unitary.
 
 Certification is exact and deterministic: no input is sampled.  The catalyst
@@ -15,14 +15,14 @@ input-independent iff S[x, z] = delta_xz ref (ref: the output at the maximally
 mixed input); ``max_deviation`` = max_xz ||S[x, z] - delta_xz ref||_1.
 
 A certified :class:`CatalysisInstance` is immutable and may be shared across
-threads.  Module-level mutable state: the ledger log, guarded by a lock, and
-the tolerances (``LEDGER_TOL`` here, the rest in :mod:`hilbert`), read at call
-time and rebound only by the CLI's ``--tol-override``.
+threads.  Module-level mutable state: only the tolerances (``LEDGER_TOL``
+here, the rest in :mod:`hilbert`), read at call time and rebound only by the
+CLI's ``--tol-override``.  Each ledger record goes back to its caller; none is
+kept here.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -404,13 +404,6 @@ def initialization_channel(d: int) -> KrausChannel:
     return KrausChannel([np.outer(np.eye(d)[0], e) for e in np.eye(d)])
 
 
-def random_unitary_channel(probs: Sequence[float], unitaries: Sequence[np.ndarray]) -> KrausChannel:
-    p = np.asarray(probs, dtype=float)
-    if abs(p.sum() - 1.0) > 1e-9 or p.min() < 0:
-        raise ValueError("probabilities must be nonnegative and sum to 1")
-    return KrausChannel([np.sqrt(w) * np.asarray(u) for w, u in zip(p, unitaries) if w > 0])
-
-
 def random_channel(d: int, kraus_rank: int, seed) -> KrausChannel:
     """Haar-random Stinespring isometry cut into Kraus blocks."""
     big = hilbert.haar_unitary_matrix(d * kraus_rank, seed)
@@ -536,74 +529,51 @@ class LedgerRecord:
         }
 
 
-_LEDGER_LOCK = threading.Lock()
-_LEDGER_LOG: list[LedgerRecord] = []
-
-
-def ledger_log() -> tuple[LedgerRecord, ...]:
-    with _LEDGER_LOCK:
-        return tuple(_LEDGER_LOG)
-
-
-def reset_ledger_log() -> None:
-    with _LEDGER_LOCK:
-        _LEDGER_LOG.clear()
-
-
 def ledger(
     u: UnitaryOperator,
     rho: DensityOperator,
     intermediate: DensityOperator,
-    n_a1: int,
     n_a2: int,
     on: Sequence[int] | None = None,
 ) -> tuple[LedgerRecord, DensityOperator]:
     """Execute one catalytic transition, record its information balance and
-    return the record with the evolved state τ (layout ``dims`` below).
+    return the record with the evolved state τ.
 
-    The transition acts on A1 ⊗ A2 ⊗ B in layout order: the first ``n_a1``
-    subsystems are the fresh input (state ``rho``), the next ``n_a2`` carry
-    the stored correlations with the catalyst (``intermediate`` lives on
-    A2 ⊗ B), and the rest is the catalyst itself, whose marginal must come
-    back unchanged.  Without ``on``, ``u`` spans that whole layout.  With
-    ``on``, the layout is ``rho.layout`` followed by ``intermediate.layout``
-    and ``u`` acts only on its factors ``on`` (in that order), so the
-    embedded operator is never built.
+    The transition acts on ρ's factors followed by the intermediate's: A1 is
+    exactly ρ's factors (the fresh input), the first ``n_a2`` factors of the
+    intermediate (A2) carry the stored correlations with the catalyst, and
+    the rest (B) is the catalyst itself, whose marginal must come back
+    unchanged.  τ has this layout.  Without ``on``, ``u`` acts on the whole
+    space; with ``on``, only on those factors (in that order), so the
+    embedded operator is never built and any other factor, a reference for
+    instance, rides along untouched.
 
     τ, τ_A1A2 and τ_B are each formed and diagonalized once; S(τ) comes from
     the evolved state itself, so the residual checks the evolution, and τ
     comes back validated, spectrum included, for the next transition.
     """
-    if on is None:
-        dims = u.layout.dims
-    else:
-        dims = rho.layout.dims + intermediate.layout.dims
+    dims = rho.layout.dims + intermediate.layout.dims
+    if on is not None:
         on = SubsystemLayout(dims).check_indices(on)
         if u.layout.dims != tuple(dims[i] for i in on):
             raise ValueError(
                 f"unitary layout {u.layout.dims} does not match dimensions "
                 f"{[dims[i] for i in on]} at {list(on)}"
             )
-    n = len(dims)
-    if not (0 <= n_a1 and 0 <= n_a2 and 0 < n_a1 + n_a2 < n):
+    int_dims = intermediate.layout.dims
+    if not 0 <= n_a2 < len(int_dims):
         raise ValueError(
-            f"invalid subsystem split n_a1={n_a1}, n_a2={n_a2} of {n} subsystems: "
-            "A1 ⊗ A2 and B must each hold at least one"
+            f"invalid split n_a2={n_a2} of the intermediate's {len(int_dims)} "
+            "subsystems: B must hold at least one"
         )
-    a1 = list(range(n_a1))
-    a2 = list(range(n_a1, n_a1 + n_a2))
-    b = list(range(n_a1 + n_a2, n))
-    if rho.dim != int(np.prod([dims[i] for i in a1], dtype=int)):
-        raise ValueError("input state does not match the A1 dimensions")
-    if intermediate.dim != int(np.prod([dims[i] for i in a2 + b], dtype=int)):
-        raise ValueError("intermediate does not match the A2 ⊗ B dimensions")
+    n_a = len(rho.layout) + n_a2
+    b = list(range(n_a, len(dims)))
+    b_int = list(range(n_a2, len(int_dims)))
 
     def marginal(m, m_dims, keep):
         return DensityOperator(ptrace_matrix(m, m_dims, keep), [m_dims[i] for i in keep])
 
     tau = evolve(u.matrix, rho.matrix, intermediate.matrix, dims, on)
-    int_dims = [dims[i] for i in a2 + b]
-    b_int = list(range(n_a2, len(int_dims)))
     tau_b = marginal(tau, dims, b)
     deviation = trace_distance(tau_b, ptrace_matrix(intermediate.matrix, int_dims, b_int))
     if deviation > hilbert.TOL_STATE:
@@ -619,7 +589,7 @@ def ledger(
         s_in += s_a2
         i_before = (s_a2 + von_neumann(marginal(intermediate.matrix, int_dims, b_int))
                     - von_neumann(intermediate))
-    s_out = von_neumann(marginal(tau, dims, a1 + a2))
+    s_out = von_neumann(marginal(tau, dims, range(n_a)))
     tau = DensityOperator(tau, dims)
     i_after = s_out + von_neumann(tau_b) - von_neumann(tau)
 
@@ -630,14 +600,12 @@ def ledger(
         )
     rec = LedgerRecord(i_before=i_before, i_after=i_after, s_in=s_in, s_out=s_out,
                        residual=residual)
-    with _LEDGER_LOCK:
-        _LEDGER_LOG.append(rec)
     return rec, tau
 
 
 def ledger_for_instance(inst: CatalysisInstance, rho: DensityOperator) -> LedgerRecord:
     """Ledger of a fresh-catalyst use of a certified instance."""
-    return ledger(inst.canonical_unitary(), rho, inst.sigma, inst.a_count, 0)[0]
+    return ledger(inst.canonical_unitary(), rho, inst.sigma, 0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .hilbert import (
     EigenspaceDecomposition,
     StateVector,
     UnitaryOperator,
+    basis_permutation,
     clock_matrix,
     controlled,
     eigenspace_decompose,
@@ -180,7 +181,6 @@ class GeneralizedCatalysis:
 
     unitary: UnitaryOperator
     intermediate: DensityOperator
-    n_a1: int  # leading subsystems forming the fresh input
     n_a2: int  # subsystems of the intermediate on the near side
 
 
@@ -193,20 +193,14 @@ def initialization_classical(d: int) -> GeneralizedCatalysis:
     if d < 3 or d % 2 == 0:
         raise ValueError("initialization with a classical intermediate needs odd d >= 3")
     inv2 = pow(2, -1, d)
-    u = np.zeros((d**3, d**3), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                k = ((a - b) * inv2) % d
-                out = (((c - b) % d) * d + (c + k) % d) * d + k
-                u[out, (a * d + b) * d + c] = 1.0
-    inter = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        inter[i * d + i, i * d + i] = 1.0 / d
+
+    def image(a, b, c):
+        k = (a - b) * inv2  # every digit is taken mod d
+        return c - b, c + k, k
+
     return GeneralizedCatalysis(
-        unitary=UnitaryOperator(u, [d, d, d]),
-        intermediate=DensityOperator(inter, [d, d]),
-        n_a1=1,
+        unitary=UnitaryOperator(basis_permutation([d, d, d], image), [d, d, d]),
+        intermediate=DensityOperator(np.diag(np.eye(d).reshape(-1)) / d, [d, d]),
         n_a2=1,
     )
 
@@ -225,22 +219,7 @@ def initialization_masking(m: int) -> GeneralizedCatalysis:
     if m < 2:
         raise ValueError("masking initialization needs m >= 2")
     _check_total_dim(m**6, "masking initialization")
-    dim = m**6
-    u = np.zeros((dim, dim), dtype=complex)
-    def idx(t):
-        out = 0
-        for x in t:
-            out = out * m + x
-        return out
-    for a in range(m):
-        for b in range(m):
-            for p in range(m):
-                for q in range(m):
-                    for s in range(m):
-                        for t in range(m):
-                            src = idx((a, b, p, q, s, t))
-                            dst = idx((q, s, b, (a + t) % m, p, t))
-                            u[dst, src] = 1.0
+    u = basis_permutation([m] * 6, lambda a, b, p, q, s, t: (q, s, b, a + t, p, t))
     pair = max_entangled(m)
     pair_rho = np.outer(pair, pair.conj())
     # intermediate layout (A1, A2, B2, B1); the pair couples A2 and B2
@@ -248,7 +227,6 @@ def initialization_masking(m: int) -> GeneralizedCatalysis:
     return GeneralizedCatalysis(
         unitary=UnitaryOperator(u, [m] * 6),
         intermediate=DensityOperator(inter, [m] * 4),
-        n_a1=2,
         n_a2=2,
     )
 

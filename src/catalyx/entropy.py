@@ -129,10 +129,6 @@ def renyi_divergence(p, q, alpha: float) -> float:
     return float(np.log2((ps**alpha * qs ** (1.0 - alpha)).sum()) / (alpha - 1.0))
 
 
-def kl_divergence(p, q) -> float:
-    return renyi_divergence(p, q, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # degeneracy-aware (catalytic) quantities
 
@@ -153,10 +149,6 @@ class DegeneracyVector:
     @property
     def norm2sq(self) -> int:
         return sum(x * x for x in self.r)
-
-    @property
-    def norm2(self) -> float:
-        return math.sqrt(self.norm2sq)
 
     def __len__(self) -> int:
         return len(self.r)

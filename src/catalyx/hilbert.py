@@ -47,20 +47,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubsystemLayout:
-    """Ordered subsystem dimensions (with optional labels) tagging an operator."""
+    """Ordered subsystem dimensions tagging an operator."""
 
     dims: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
 
-    def __init__(self, dims: Iterable[int], labels: Iterable[str] | None = None):
+    def __init__(self, dims: Iterable[int]):
         dims = tuple(int(d) for d in dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-        labels = tuple(labels) if labels is not None else None
-        if labels is not None and len(labels) != len(dims):
-            raise ValueError("labels must match dims in length")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def total_dim(self) -> int:
@@ -79,15 +74,10 @@ class SubsystemLayout:
         return idx
 
     def select(self, indices: Sequence[int]) -> "SubsystemLayout":
-        idx = self.check_indices(indices)
-        labels = tuple(self.labels[i] for i in idx) if self.labels else None
-        return SubsystemLayout([self.dims[i] for i in idx], labels)
+        return SubsystemLayout([self.dims[i] for i in self.check_indices(indices)])
 
     def concat(self, other: "SubsystemLayout") -> "SubsystemLayout":
-        labels = None
-        if self.labels is not None and other.labels is not None:
-            labels = self.labels + other.labels
-        return SubsystemLayout(self.dims + other.dims, labels)
+        return SubsystemLayout(self.dims + other.dims)
 
 
 def _as_layout(layout) -> SubsystemLayout:
@@ -450,8 +440,7 @@ def purify(sigma: DensityOperator) -> StateVector:
     # (root ⊗ 1) |Γ⟩ has amplitudes root[b, c] at basis index b*d + c
     amps = root.reshape(-1)
     amps = amps / np.linalg.norm(amps)
-    layout = SubsystemLayout([d, d], None)
-    return StateVector(amps, layout)
+    return StateVector(amps, [d, d])
 
 
 def hermitian_eigvalsh(m: np.ndarray) -> np.ndarray:
@@ -497,30 +486,36 @@ def clock_matrix(d: int) -> np.ndarray:
     return np.diag(omega ** np.arange(d))
 
 
+def basis_permutation(dims: Sequence[int], image) -> np.ndarray:
+    """Permutation unitary sum_x |image(x)><x| on the product basis of ``dims``.
+
+    ``image`` takes one digit array per factor (all basis states at once, in
+    layout order) and returns the image digits, each reduced mod its factor's
+    dimension."""
+    dims = tuple(int(d) for d in dims)
+    digits = np.indices(dims).reshape(len(dims), -1)
+    dst = np.ravel_multi_index(tuple(image(*digits)), dims, mode="wrap")
+    u = np.zeros((dst.size, dst.size), dtype=complex)
+    u[dst, np.arange(dst.size)] = 1.0
+    if np.count_nonzero(u.any(axis=1)) != dst.size:
+        raise ValueError("image is not a permutation of the basis")
+    return u
+
+
 def shift_matrix(d: int) -> np.ndarray:
-    x = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        x[(k + 1) % d, k] = 1.0
-    return x
-
-
-def weyl_matrix(d: int, a: int, b: int) -> np.ndarray:
-    """X^a Z^b; the d^2 of them are orthogonal: Tr(W†W') = d δ."""
-    return np.linalg.matrix_power(shift_matrix(d), a % d) @ np.linalg.matrix_power(
-        clock_matrix(d), b % d
-    )
+    return basis_permutation([d], lambda k: (k + 1,))
 
 
 def weyl_set(d: int) -> list[np.ndarray]:
-    return [weyl_matrix(d, a, b) for a in range(d) for b in range(d)]
+    """X^a Z^b at index a d + b; the d^2 of them are orthogonal: Tr(W†W') = d δ."""
+    x, z = shift_matrix(d), clock_matrix(d)
+    xs = [np.linalg.matrix_power(x, a) for a in range(d)]
+    zs = [np.linalg.matrix_power(z, b) for b in range(d)]
+    return [xa @ zb for xa in xs for zb in zs]
 
 
 def swap_matrix(d: int) -> np.ndarray:
-    f = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            f[j * d + i, i * d + j] = 1.0
-    return f
+    return basis_permutation([d, d], lambda i, j: (j, i))
 
 
 def fourier_matrix(d: int) -> np.ndarray:
@@ -660,13 +655,18 @@ def payload_to_state(payload: dict) -> StateVector:
     return StateVector(re + 1j * im, layout)
 
 
-def save_json(path: str, payload: dict) -> None:
-    """Atomic JSON write (temp file + rename)."""
+def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` unchanged (no newline translation) to a temp file, then
+    rename it over ``path``."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    with open(tmp, "w", newline="") as fh:
+        fh.write(text)
     os.replace(tmp, path)
+
+
+def save_json(path: str, payload: dict) -> None:
+    """Atomic JSON write."""
+    _write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def load_json(path: str) -> dict:

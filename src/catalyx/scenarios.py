@@ -26,7 +26,6 @@ from .hilbert import (
     UnitaryOperator,
     clock_matrix,
     controlled,
-    embed_operator,
     haar_state,
     max_entangled,
     maximally_mixed,
@@ -34,8 +33,8 @@ from .hilbert import (
     ptrace_matrix,
     purify,
     random_density,
-    shift_matrix,
     trace_distance,
+    weyl_set,
 )
 
 
@@ -151,7 +150,7 @@ def multiparty_refuel(
         actor = "A" if turn % 2 == 1 else "B"
         n_inter = len(inter.layout.dims)
         on = [0, n_inter]  # the fresh register and the catalyst
-        rec, inter = ledger(turn_u, fresh, inter, 1, n_inter - 1, on=on)
+        rec, inter = ledger(turn_u, fresh, inter, n_inter - 1, on=on)
         reg_turn = [turn] + reg_turn
 
         a_regs = [i for i, t in enumerate(reg_turn) if t % 2 == 1]
@@ -266,12 +265,12 @@ def depletion_demo(d: int, seed: int = 0, identity_maps: bool = False) -> Scenar
 
     fresh = plus_state(reg).density()
     steps = []
-    rec1, inter = ledger(w, fresh, maximally_mixed([d]), 1, 0)
+    rec1, inter = ledger(w, fresh, maximally_mixed([d]), 0)
     steps.append(
         ScenarioStep("A", "use1", rec1, {"delta_I": rec1.delta_i, "S_cat": s_cat})
     )
 
-    rec2, out = ledger(w, fresh, inter, 1, 1, on=[0, 2])
+    rec2, out = ledger(w, fresh, inter, 1, on=[0, 2])
     i_a1a2 = mutual_information_matrix(out.matrix, out.layout.dims, [0], [1])
     steps.append(
         ScenarioStep("A", "use2", rec2, {"I(A1:A2)": i_a1a2, "bound": bound})
@@ -366,22 +365,14 @@ def cq_free_randomness(d: int, seed: int = 0) -> FreeRandomnessReport:
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    inter = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        inter[i * d + i, i * d + i] = 1.0 / d
-    intermediate = DensityOperator(inter, [d, d])
+    intermediate = DensityOperator(np.diag(np.eye(d).reshape(-1)) / d, [d, d])
     free = free_randomness(intermediate, 1)
 
-    z, x = clock_matrix(d), shift_matrix(d)
-    dims = [d, d, d]  # input, memory A2, source B
-    stage1 = controlled([np.linalg.matrix_power(z, k) for k in range(d)])
-    stage2 = controlled([np.linalg.matrix_power(x, k) for k in range(d)])
-    u = embed_operator(stage2, dims, [0, 1]) @ embed_operator(stage1, dims, [0, 2])
-    u = UnitaryOperator(u, dims)
-
+    # X^a Z^b on the input when the memory A2 reads a and the source B reads b
+    u = UnitaryOperator(controlled(weyl_set(d)), [d, d, d])
     rho = plus_state(d).density()
-    rec, tau = ledger(u, rho, intermediate, 1, 1)
-    out = ptrace_matrix(tau.matrix, dims, [0])
+    rec, tau = ledger(u, rho, intermediate, 1)
+    out = ptrace_matrix(tau.matrix, tau.layout.dims, [0])
     deviation = trace_distance(out, np.eye(d) / d)
     return FreeRandomnessReport(
         free_bits=free, erasure_deviation=deviation, ledger_record=rec
@@ -419,7 +410,7 @@ def initialization_scenario(d: int, seed: int = 0) -> ScenarioTrace:
     )
 
     rho_pure = hilbert.basis_state(d, 1).density()
-    rec, tau = ledger(u, rho_pure, inter, 1, 1)
+    rec, tau = ledger(u, rho_pure, inter, gen.n_a2)
     marg = {
         "I(A':B)": mutual_information_matrix(tau.matrix, dims, [1], [2]),
         "D(out_A, |0><0|)": trace_distance(
@@ -429,7 +420,7 @@ def initialization_scenario(d: int, seed: int = 0) -> ScenarioTrace:
     steps.append(ScenarioStep("A", "pure-input", rec, marg))
 
     rho_mm = maximally_mixed([d])
-    rec, tau = ledger(u, rho_mm, inter, 1, 1)
+    rec, tau = ledger(u, rho_mm, inter, gen.n_a2)
     marg = {
         "delta_I": rec.delta_i,
         "D(out_A, |0><0|)": trace_distance(
@@ -440,7 +431,7 @@ def initialization_scenario(d: int, seed: int = 0) -> ScenarioTrace:
 
     # reference-extended run with a maximally entangled input
     gamma = hilbert.StateVector(max_entangled(d), [d, d])
-    rec, _ = ledger(u, gamma.density(), inter, 2, 1, on=[1, 2, 3])
+    rec, _ = ledger(u, gamma.density(), inter, gen.n_a2, on=[1, 2, 3])
     steps.append(ScenarioStep("A", "entangled-input", rec, {"delta_I": rec.delta_i}))
 
     return ScenarioTrace(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -131,6 +132,36 @@ def test_max_extraction_register_cap():
 def test_initialization_classical_rejects_even():
     with pytest.raises(ValueError):
         con.initialization_classical(4)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_initialization_classical_matches_its_loop(d):
+    # (a, b, c) -> (c - b, c + k, k), k = (a - b) / 2 mod d
+    inv2 = pow(2, -1, d)
+    u = np.zeros((d**3, d**3), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                k = ((a - b) * inv2) % d
+                u[(((c - b) % d) * d + (c + k) % d) * d + k, (a * d + b) * d + c] = 1.0
+    gen = con.initialization_classical(d)
+    assert np.array_equal(gen.unitary.matrix, u)
+    inter = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        inter[i * d + i, i * d + i] = 1.0 / d
+    assert np.array_equal(gen.intermediate.matrix, inter)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_initialization_masking_matches_its_loop(m):
+    # (a, b, p, q, s, t) -> (q, s, b, a + t mod m, p, t)
+    def idx(digits):
+        return sum(x * m ** (5 - k) for k, x in enumerate(digits))
+
+    u = np.zeros((m**6, m**6), dtype=complex)
+    for a, b, p, q, s, t in itertools.product(range(m), repeat=6):
+        u[idx((q, s, b, (a + t) % m, p, t)), idx((a, b, p, q, s, t))] = 1.0
+    assert np.array_equal(con.initialization_masking(m).unitary.matrix, u)
 
 
 def test_initialization_classical_d3():

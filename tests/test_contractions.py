@@ -140,11 +140,11 @@ def _record(rec):
     return np.array([rec.i_before, rec.i_after, rec.s_in, rec.s_out, rec.residual])
 
 
-def _assert_same_ledger(u, rho, inter, n_a1, n_a2, on):
+def _assert_same_ledger(u, rho, inter, n_a2, on):
     dims = rho.layout.dims + inter.layout.dims
     big = hl.UnitaryOperator(hl.embed_operator(u.matrix, dims, on), dims)
-    got, got_tau = ledger(u, rho, inter, n_a1, n_a2, on=on)
-    want, want_tau = ledger(big, rho, inter, n_a1, n_a2)
+    got, got_tau = ledger(u, rho, inter, n_a2, on=on)
+    want, want_tau = ledger(big, rho, inter, n_a2)
     assert np.abs(_record(got) - _record(want)).max() <= 1e-12
     assert got_tau.layout.dims == want_tau.layout.dims == tuple(dims)
     assert np.abs(got_tau.matrix - want_tau.matrix).max() <= 1e-12
@@ -178,7 +178,7 @@ def catalytic_transitions(draw):
         for b, pb in enumerate(p)
     )
     rho = hl.random_density(a1, int(np.prod(a1)), rng)
-    return u, rho, hl.DensityOperator(inter, a2 + [db]), len(a1), len(a2), on
+    return u, rho, hl.DensityOperator(inter, a2 + [db]), len(a2), on
 
 
 @SETTINGS
@@ -195,7 +195,7 @@ def test_ledger_on_factors_matches_embedding_multiparty(d):
     fresh = hl.plus_state(d * d).density()
     mm = hl.maximally_mixed([d])
     inter = hl.DensityOperator(hl.evolve(w.matrix, fresh.matrix, mm.matrix), [d * d, d])
-    _assert_same_ledger(w, fresh, inter, 1, 1, [0, 2])
+    _assert_same_ledger(w, fresh, inter, 1, [0, 2])
 
 
 @pytest.mark.parametrize("r", [(1, 2), (2, 1)])
@@ -205,20 +205,20 @@ def test_ledger_on_factors_matches_embedding_dephasing(r):
     rho = hl.random_density([da], da, 7)
     first = hl.evolve(u.matrix, hl.random_density([da], 2, 8).matrix, inst.sigma.matrix)
     inter = hl.DensityOperator(first, [da, db])
-    _assert_same_ledger(u, rho, inter, 1, 1, [0, 2])
+    _assert_same_ledger(u, rho, inter, 1, [0, 2])
     # the fresh input on a second factor that the unitary does not touch
     rho2 = hl.random_density([2, da], 3, 9)
-    _assert_same_ledger(u, rho2, inst.sigma, 2, 0, [1, 2])
+    _assert_same_ledger(u, rho2, inst.sigma, 0, [1, 2])
 
 
 def test_ledger_returns_the_state_it_evolved():
     w = constructions.multiparty_unitary(2)
     fresh = hl.plus_state(4).density()
     mm = hl.maximally_mixed([2])
-    _, tau = ledger(w, fresh, mm, 1, 0)
+    _, tau = ledger(w, fresh, mm, 0)
     assert tau.layout.dims == (4, 2)
     assert np.array_equal(tau.matrix, hl.evolve(w.matrix, fresh.matrix, mm.matrix, [4, 2]))
-    _, tau2 = ledger(w, fresh, tau, 1, 1, on=[0, 2])
+    _, tau2 = ledger(w, fresh, tau, 1, on=[0, 2])
     assert tau2.layout.dims == (4, 4, 2)
     want = hl.evolve(w.matrix, fresh.matrix, tau.matrix, [4, 4, 2], [0, 2])
     assert np.array_equal(tau2.matrix, want)
@@ -229,10 +229,10 @@ def test_on_mismatching_the_unitary_layout_is_rejected():
     fresh = hl.plus_state(4).density()
     inter = hl.maximally_mixed([4, 2])
     with pytest.raises(ValueError, match="does not match"):
-        ledger(w, fresh, inter, 1, 1, on=[0, 1])  # dims there are [4, 4]
+        ledger(w, fresh, inter, 1, on=[0, 1])  # dims there are [4, 4]
     with pytest.raises(ValueError, match="does not match"):
-        ledger(w, fresh, inter, 1, 1, on=[2, 0])  # [2, 4]: right dims, wrong order
+        ledger(w, fresh, inter, 1, on=[2, 0])  # [2, 4]: right dims, wrong order
     with pytest.raises(ValueError):
-        ledger(w, fresh, inter, 1, 1, on=[0, 0])
+        ledger(w, fresh, inter, 1, on=[0, 0])
     with pytest.raises(ValueError):
         hl.evolve(w.matrix, fresh.matrix, inter.matrix, [4, 4, 2], [0, 1])

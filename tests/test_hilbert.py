@@ -269,6 +269,35 @@ def test_swap_action():
     assert np.allclose(f @ v, w)
 
 
+@pytest.mark.parametrize("d", range(1, 8))
+def test_basis_permutations_match_their_loops(d):
+    # loop references: X|k> = |k+1 mod d>, F|i, j> = |j, i>
+    x = np.zeros((d, d), dtype=complex)
+    f = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        x[(i + 1) % d, i] = 1.0
+        for j in range(d):
+            f[j * d + i, i * d + j] = 1.0
+    assert np.array_equal(hl.shift_matrix(d), x)
+    assert np.array_equal(hl.swap_matrix(d), f)
+
+
+def test_basis_permutation_rejects_a_non_bijection():
+    with pytest.raises(ValueError, match="not a permutation"):
+        hl.basis_permutation([2, 3], lambda i, j: (i, 0 * j))
+
+
+@pytest.mark.parametrize("d", range(2, 6))
+def test_controlled_weyl_set_is_the_two_controlled_stages(d):
+    # on (input, a, b): Z^b controlled on b, then X^a controlled on a
+    z, x = hl.clock_matrix(d), hl.shift_matrix(d)
+    stage1 = hl.controlled([np.linalg.matrix_power(z, k) for k in range(d)])
+    stage2 = hl.controlled([np.linalg.matrix_power(x, k) for k in range(d)])
+    dims = [d, d, d]
+    two = hl.embed_operator(stage2, dims, [0, 1]) @ hl.embed_operator(stage1, dims, [0, 2])
+    assert np.array_equal(hl.controlled(hl.weyl_set(d)), two)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 

@@ -35,7 +35,7 @@ def test_ledger_diagonalizes_each_marginal_once(monkeypatch):
         return eigvalsh(m)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    ledger(w, fresh, inter, 1, 1, on=[0, 2])
+    ledger(w, fresh, inter, 1, on=[0, 2])
     assert sizes == {
         32: 1,  # tau
         16: 1,  # tau_A1A2
@@ -88,19 +88,21 @@ def test_scenarios_apply_only_the_small_unitary(monkeypatch, run, small_dim):
     ids=["refuel2x4", "refuel3x2-classical", "depletion3", "cq_free3", "initialization3"],
 )
 def test_each_transition_is_evolved_once_inside_the_ledger(monkeypatch, run):
-    evolved = []
-    evolve = hl.evolve
+    calls = Counter()
 
-    def counting(*args, **kwargs):
-        evolved.append(1)
-        return evolve(*args, **kwargs)
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
 
-    for module in _catalyx_modules():
-        if hasattr(module, "evolve"):
-            monkeypatch.setattr(module, "evolve", counting)
-    before = len(cat.ledger_log())
+    for name, fn in (("evolve", hl.evolve), ("ledger", cat.ledger)):
+        wrapped = counting(name, fn)
+        for module in _catalyx_modules():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrapped)
     run()
-    assert len(evolved) == len(cat.ledger_log()) - before > 0
+    assert calls["evolve"] == calls["ledger"] > 0
 
 
 def test_refuel_diagonalizes_its_128_dimensional_state_once(monkeypatch):
