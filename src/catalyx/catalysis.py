@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import hilbert
-from .entropy import von_neumann
+from .entropy import mutual_information, von_neumann
 from .hilbert import (
     DensityOperator,
     StateVector,
@@ -42,6 +42,7 @@ from .hilbert import (
     haar_state,
     max_entangled,
     maximally_mixed,
+    partial_trace,
     permute_subsystems,
     ptrace_matrix,
     ptranspose_matrix,
@@ -550,7 +551,8 @@ def ledger(
 
     τ, τ_A1A2 and τ_B are each formed and diagonalized once; S(τ) comes from
     the evolved state itself, so the residual checks the evolution, and τ
-    comes back validated, spectrum included, for the next transition.
+    comes back validated, spectrum and marginals included, for the next
+    transition, whose σ_A2 and σ_B are then read from it.
     """
     dims = rho.layout.dims + intermediate.layout.dims
     if on is not None:
@@ -570,12 +572,8 @@ def ledger(
     b = list(range(n_a, len(dims)))
     b_int = list(range(n_a2, len(int_dims)))
 
-    def marginal(m, m_dims, keep):
-        return DensityOperator(ptrace_matrix(m, m_dims, keep), [m_dims[i] for i in keep])
-
-    tau = evolve(u.matrix, rho.matrix, intermediate.matrix, dims, on)
-    tau_b = marginal(tau, dims, b)
-    deviation = trace_distance(tau_b, ptrace_matrix(intermediate.matrix, int_dims, b_int))
+    tau = DensityOperator(evolve(u.matrix, rho.matrix, intermediate.matrix, dims, on), dims)
+    deviation = trace_distance(partial_trace(tau, b), partial_trace(intermediate, b_int))
     if deviation > hilbert.TOL_STATE:
         raise CertificationError(
             "catalyst altered: the transition is not a catalysis "
@@ -585,13 +583,10 @@ def ledger(
     s_in = von_neumann(rho)
     i_before = 0.0
     if n_a2:
-        s_a2 = von_neumann(marginal(intermediate.matrix, int_dims, range(n_a2)))
-        s_in += s_a2
-        i_before = (s_a2 + von_neumann(marginal(intermediate.matrix, int_dims, b_int))
-                    - von_neumann(intermediate))
-    s_out = von_neumann(marginal(tau, dims, range(n_a)))
-    tau = DensityOperator(tau, dims)
-    i_after = s_out + von_neumann(tau_b) - von_neumann(tau)
+        s_in += von_neumann(partial_trace(intermediate, range(n_a2)))
+        i_before = mutual_information(intermediate, range(n_a2), b_int)
+    s_out = von_neumann(partial_trace(tau, range(n_a)))
+    i_after = mutual_information(tau, range(n_a), b)
 
     residual = abs((i_after - i_before) - (s_out - s_in))
     if residual > LEDGER_TOL:

@@ -20,7 +20,6 @@ from .hilbert import (
     EigenspaceDecomposition,
     eigenspace_decompose,
     partial_trace,
-    ptrace_matrix,
 )
 
 _ALPHA_SNAP = 1e-9
@@ -80,32 +79,20 @@ def max_entropy(state) -> float:
     return renyi(state, 0.0)
 
 
-def subsystem_entropy(rho: DensityOperator, indices: Sequence[int]) -> float:
-    return von_neumann(partial_trace(rho, indices))
-
-
 def mutual_information(rho: DensityOperator, part_x: Sequence[int], part_y: Sequence[int]) -> float:
-    """I(X:Y) = S(X) + S(Y) - S(XY) for a bipartition covering the layout."""
+    """I(X:Y) = S(X) + S(Y) - S(XY) between two disjoint, non-empty groups of
+    subsystems; subsystems outside both groups are traced out first."""
     x = rho.layout.check_indices(part_x)
     y = rho.layout.check_indices(part_y)
+    if not x or not y:
+        raise ValueError(f"parts must be non-empty: {x} and {y}")
     if set(x) & set(y):
         raise ValueError(f"parts overlap: {x} and {y}")
-    if set(x) | set(y) != set(range(len(rho.layout))):
-        raise ValueError("parts must cover the layout")
-    if not x or not y:
-        return 0.0
-    return subsystem_entropy(rho, x) + subsystem_entropy(rho, y) - von_neumann(rho)
-
-
-def mutual_information_matrix(m: np.ndarray, dims, part_x, part_y) -> float:
-    """Mutual information between two index groups of a raw density matrix;
-    subsystems outside both groups are traced out first."""
-    keep = sorted(set(part_x) | set(part_y))
-    sub = ptrace_matrix(m, dims, keep)
-    sub_dims = [dims[i] for i in keep]
+    keep = sorted(x + y)
+    xy = partial_trace(rho, keep)
     pos = {k: i for i, k in enumerate(keep)}
-    rho = DensityOperator(sub, sub_dims)
-    return mutual_information(rho, [pos[i] for i in part_x], [pos[i] for i in part_y])
+    s_x, s_y = (von_neumann(partial_trace(xy, [pos[i] for i in part])) for part in (x, y))
+    return s_x + s_y - von_neumann(xy)
 
 
 def renyi_divergence(p, q, alpha: float) -> float:

@@ -3,8 +3,10 @@ transpose, spectral analysis, purification, canonical operators and seeded
 random sampling.
 
 All values are immutable after construction and every operation is a pure
-function, so everything here is safe to call concurrently.  Randomness enters
-only through explicit seeds.
+function, so everything here is safe to call concurrently.  A density
+operator keeps the marginals :func:`partial_trace` has taken of it in a
+private memo written once per key: two racing threads compute equal values,
+so no lock is needed.  Randomness enters only through explicit seeds.
 """
 
 from __future__ import annotations
@@ -138,6 +140,7 @@ class DensityOperator:
         object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "_spectrum", _freeze(np.clip(vals[::-1], 0.0, None)))
+        object.__setattr__(self, "_marginals", {})
 
     @property
     def dim(self) -> int:
@@ -306,10 +309,7 @@ def ptrace_matrix(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np
     """Partial trace of a raw matrix, keeping subsystems ``keep`` in layout order."""
     dims = [int(d) for d in dims]
     n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    for k in keep:
-        if not 0 <= k < n:
-            raise ValueError(f"subsystem index {k} out of range")
+    keep = sorted(SubsystemLayout(dims).check_indices(keep))
     drop = [i for i in range(n) if i not in keep]
     t = m.reshape(dims + dims)
     for offset, i in enumerate(drop):
@@ -320,23 +320,28 @@ def ptrace_matrix(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np
 
 
 def partial_trace(op: DensityOperator, keep: Sequence[int]) -> DensityOperator:
-    """Marginal of ``op`` on the subsystems in ``keep`` (original order kept)."""
-    keep = sorted(op.layout.check_indices(keep))
-    m = ptrace_matrix(op.matrix, op.layout.dims, keep)
-    return DensityOperator(m, op.layout.select(keep))
+    """Marginal of ``op`` on the subsystems in ``keep`` (original order kept).
+
+    Each marginal is built and validated once and kept on ``op``; a later
+    call with the same subsystems returns it, and ``keep`` naming every
+    factor returns ``op`` itself."""
+    keep = tuple(sorted(op.layout.check_indices(keep)))
+    if len(keep) == len(op.layout):
+        return op
+    memo = op._marginals
+    if keep not in memo:
+        m = DensityOperator(ptrace_matrix(op.matrix, op.layout.dims, keep), op.layout.select(keep))
+        memo.setdefault(keep, m)  # write once: a racing thread's equal value may win
+    return memo[keep]
 
 
 def ptranspose_matrix(m: np.ndarray, dims: Sequence[int], subsystems: Sequence[int]) -> np.ndarray:
     """Transpose applied only on the index pairs of the chosen subsystems."""
     dims = [int(d) for d in dims]
     n = len(dims)
-    subsystems = sorted(set(int(s) for s in subsystems))
-    for s in subsystems:
-        if not 0 <= s < n:
-            raise ValueError(f"subsystem index {s} out of range")
     t = m.reshape(dims + dims)
     perm = list(range(2 * n))
-    for s in subsystems:
+    for s in SubsystemLayout(dims).check_indices(subsystems):
         perm[s], perm[n + s] = perm[n + s], perm[s]
     d = int(np.prod(dims))
     return t.transpose(perm).reshape(d, d)
@@ -346,7 +351,6 @@ def partial_transpose(op, subsystems: Sequence[int]) -> np.ndarray:
     """Partial transpose of a tagged operator; the result is a raw matrix
     since it is in general neither unitary nor PSD."""
     if isinstance(op, (DensityOperator, UnitaryOperator)):
-        op.layout.check_indices(subsystems)
         return ptranspose_matrix(op.matrix, op.layout.dims, subsystems)
     raise TypeError(f"cannot partial-transpose {type(op).__name__}")
 

@@ -5,8 +5,10 @@ free-randomness accounting for classically correlated intermediates.
 Every step that touches a catalyst goes through :func:`catalyx.catalysis.ledger`,
 so the information-balance identity is enforced on each transition.  Each
 transition is evolved once, inside the ledger, and the scenario reads its
-marginals from the evolved state the ledger returns.  Scenarios take explicit
-seeds and echo them in the trace for reproducibility.
+marginals from the evolved state the ledger returns, through
+``partial_trace`` and ``mutual_information``, which reuse each marginal the
+ledger took.  Scenarios take explicit seeds and echo them in the trace for
+reproducibility.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from . import hilbert
 from .catalysis import KrausChannel, LedgerRecord, ledger
 from .constructions import _check_total_dim, initialization_classical, multiparty_unitary
-from .entropy import mutual_information_matrix, von_neumann
+from .entropy import mutual_information, von_neumann
 from .hilbert import (
     DensityOperator,
     UnitaryOperator,
@@ -29,6 +31,7 @@ from .hilbert import (
     haar_state,
     max_entangled,
     maximally_mixed,
+    partial_trace,
     plus_state,
     ptrace_matrix,
     purify,
@@ -155,26 +158,22 @@ def multiparty_refuel(
 
         a_regs = [i for i, t in enumerate(reg_turn) if t % 2 == 1]
         b_regs = [i for i, t in enumerate(reg_turn) if t % 2 == 0]
-        tau, tau_dims = inter.matrix, inter.layout.dims
-        c_idx = len(tau_dims) - 1
+        c_idx = len(inter.layout) - 1
         marg = {
-            "S(C)": von_neumann(DensityOperator(ptrace_matrix(tau, tau_dims, [c_idx]), [d])),
-            "I(A:C)": mutual_information_matrix(tau, tau_dims, a_regs, [c_idx])
-            if a_regs
-            else 0.0,
+            "S(C)": von_neumann(partial_trace(inter, [c_idx])),
+            "I(A:C)": mutual_information(inter, a_regs, [c_idx]) if a_regs else 0.0,
         }
         if b_regs:
-            marg["I(B:C)"] = mutual_information_matrix(tau, tau_dims, b_regs, [c_idx])
-        tau_ac = ptrace_matrix(tau, tau_dims, a_regs + [c_idx]) if a_regs else None
-        if tau_ac is not None:
-            dim_ac = tau_ac.shape[0]
-            marg["D(tau_AC, mm)"] = trace_distance(tau_ac, np.eye(dim_ac) / dim_ac)
+            marg["I(B:C)"] = mutual_information(inter, b_regs, [c_idx])
+        if a_regs:
+            tau_ac = partial_trace(inter, a_regs + [c_idx])
+            marg["D(tau_AC, mm)"] = trace_distance(tau_ac, np.eye(tau_ac.dim) / tau_ac.dim)
         steps.append(ScenarioStep(actor, f"turn{turn}", rec, marg))
 
     if classical and max_rounds >= 2:
         # deviation of the joint two-turn output from the ideal product of
         # independent dephasings (which maps |+> ⊗ |+> to 1/d ⊗ 1/d)
-        joint = ptrace_matrix(inter.matrix, inter.layout.dims, [0, 1])
+        joint = partial_trace(inter, [0, 1])
         ideal = np.eye(reg_dim * reg_dim) / (reg_dim * reg_dim)
         steps.append(
             ScenarioStep(
@@ -220,15 +219,19 @@ def conservation_law_check(
     worst_res = 0.0
     worst_ineq = 0.0
     w_i, x_i, y_i, z_i = 0, 1, 2, 3
+
+    def marginal(rho, keep):
+        # from the raw pure state: validating it would diagonalize the full
+        # dimension once per sample, where only these marginals are needed
+        return DensityOperator(ptrace_matrix(rho, dims, keep), [dims[i] for i in keep])
+
     for _ in range(n_samples):
         v = haar_state(total, rng).amplitudes
         rho = np.outer(v, v.conj())
-        s_y = von_neumann(
-            DensityOperator(ptrace_matrix(rho, dims, [y_i]), [dims[y_i]])
-        )
-        i_xy = mutual_information_matrix(rho, dims, [x_i], [y_i])
-        i_ywz = mutual_information_matrix(rho, dims, [y_i], [w_i, z_i])
-        i_yz = mutual_information_matrix(rho, dims, [y_i], [z_i])
+        s_y = von_neumann(marginal(rho, [y_i]))
+        i_xy = mutual_information(marginal(rho, [x_i, y_i]), [0], [1])
+        i_ywz = mutual_information(marginal(rho, [w_i, y_i, z_i]), [1], [0, 2])
+        i_yz = mutual_information(marginal(rho, [y_i, z_i]), [0], [1])
         worst_res = max(worst_res, abs(2 * s_y - i_xy - i_ywz))
         worst_ineq = max(worst_ineq, i_xy + i_yz - 2 * s_y)
     return ConservationReport(
@@ -271,7 +274,7 @@ def depletion_demo(d: int, seed: int = 0, identity_maps: bool = False) -> Scenar
     )
 
     rec2, out = ledger(w, fresh, inter, 1, on=[0, 2])
-    i_a1a2 = mutual_information_matrix(out.matrix, out.layout.dims, [0], [1])
+    i_a1a2 = mutual_information(out, [0], [1])
     steps.append(
         ScenarioStep("A", "use2", rec2, {"I(A1:A2)": i_a1a2, "bound": bound})
     )
@@ -332,18 +335,9 @@ def absorption_check(
 
 def free_randomness(intermediate: DensityOperator, n_a2: int) -> float:
     """2 S(B) - I(A2:B) for an intermediate on A2 ⊗ B in layout order."""
-    dims = intermediate.layout.dims
-    b = list(range(n_a2, len(dims)))
-    s_b = von_neumann(
-        DensityOperator(
-            ptrace_matrix(intermediate.matrix, dims, b), [dims[i] for i in b]
-        )
-    )
-    i_ab = (
-        mutual_information_matrix(intermediate.matrix, dims, list(range(n_a2)), b)
-        if n_a2
-        else 0.0
-    )
+    b = range(n_a2, len(intermediate.layout))
+    s_b = von_neumann(partial_trace(intermediate, b))
+    i_ab = mutual_information(intermediate, range(n_a2), b) if n_a2 else 0.0
     return 2 * s_b - i_ab
 
 
@@ -372,8 +366,7 @@ def cq_free_randomness(d: int, seed: int = 0) -> FreeRandomnessReport:
     u = UnitaryOperator(controlled(weyl_set(d)), [d, d, d])
     rho = plus_state(d).density()
     rec, tau = ledger(u, rho, intermediate, 1)
-    out = ptrace_matrix(tau.matrix, tau.layout.dims, [0])
-    deviation = trace_distance(out, np.eye(d) / d)
+    deviation = trace_distance(partial_trace(tau, [0]), np.eye(d) / d)
     return FreeRandomnessReport(
         free_bits=free, erasure_deviation=deviation, ledger_record=rec
     )
@@ -391,12 +384,11 @@ def initialization_scenario(d: int, seed: int = 0) -> ScenarioTrace:
     _check_total_dim(d**4, "initialization scenario")
     gen = initialization_classical(d)
     u, inter = gen.unitary, gen.intermediate
-    dims = list(u.layout.dims)
     steps = []
 
     # catalyst marginal of the intermediate
-    sigma_b = ptrace_matrix(inter.matrix, inter.layout.dims, [1])
-    i_before = mutual_information_matrix(inter.matrix, inter.layout.dims, [0], [1])
+    sigma_b = partial_trace(inter, [1])
+    i_before = mutual_information(inter, [0], [1])
     steps.append(
         ScenarioStep(
             "setup",
@@ -412,9 +404,9 @@ def initialization_scenario(d: int, seed: int = 0) -> ScenarioTrace:
     rho_pure = hilbert.basis_state(d, 1).density()
     rec, tau = ledger(u, rho_pure, inter, gen.n_a2)
     marg = {
-        "I(A':B)": mutual_information_matrix(tau.matrix, dims, [1], [2]),
+        "I(A':B)": mutual_information(tau, [1], [2]),
         "D(out_A, |0><0|)": trace_distance(
-            ptrace_matrix(tau.matrix, dims, [0]), hilbert.basis_state(d, 0).density().matrix
+            partial_trace(tau, [0]), hilbert.basis_state(d, 0).density().matrix
         ),
     }
     steps.append(ScenarioStep("A", "pure-input", rec, marg))
@@ -424,7 +416,7 @@ def initialization_scenario(d: int, seed: int = 0) -> ScenarioTrace:
     marg = {
         "delta_I": rec.delta_i,
         "D(out_A, |0><0|)": trace_distance(
-            ptrace_matrix(tau.matrix, dims, [0]), hilbert.basis_state(d, 0).density().matrix
+            partial_trace(tau, [0]), hilbert.basis_state(d, 0).density().matrix
         ),
     }
     steps.append(ScenarioStep("A", "mixed-input", rec, marg))

@@ -177,7 +177,7 @@ def test_initialization_classical_d3():
         assert (
             trace_distance(ptrace_matrix(out, dims, [2]), np.eye(3) / 3) <= 1e-10
         )
-    i_ab = ent.mutual_information_matrix(inter.matrix, [3, 3], [0], [1])
+    i_ab = ent.mutual_information(inter, [0], [1])
     assert i_ab == pytest.approx(math.log2(3))
     sig_b = ptrace_matrix(inter.matrix, [3, 3], [1])
     assert trace_distance(sig_b, np.eye(3) / 3) <= 1e-12
@@ -209,9 +209,7 @@ def test_initialization_masking(m):
             assert np.trace(target @ target).real == pytest.approx(1.0)  # pure
         assert trace_distance(out_a, target) <= 1e-10  # fixed
         assert trace_distance(ptrace_matrix(out, dims, [4, 5]), mm) <= 1e-10
-    i_ab = ent.mutual_information_matrix(
-        inter.matrix, [m] * 4, [0, 1], [2, 3]
-    )
+    i_ab = ent.mutual_information(inter, [0, 1], [2, 3])
     assert i_ab == pytest.approx(math.log2(m * m))
     sig_b = ptrace_matrix(inter.matrix, [m] * 4, [2, 3])
     assert trace_distance(sig_b, mm) <= 1e-12
@@ -298,7 +296,7 @@ def test_multiparty_depletes_plus_state():
     # full correlation with the catalyst: I(A:C) = 2 bits
     u = inst.unitary.matrix
     full = u @ np.kron(plus_state(4).density().matrix, np.eye(2) / 2) @ u.conj().T
-    i_ac = ent.mutual_information_matrix(full, [4, 2], [0], [1])
+    i_ac = ent.mutual_information(DensityOperator(full, [4, 2]), [0], [1])
     assert i_ac == pytest.approx(2.0, abs=1e-9)
     marg = ptrace_matrix(full, [4, 2], [1])
     assert trace_distance(marg, np.eye(2) / 2) <= 1e-12

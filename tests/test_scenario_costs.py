@@ -1,6 +1,7 @@
 """Cost guards of the scenario transitions: each transition is evolved once,
-inside the ledger, each ledger marginal is diagonalized once, local unitaries
-are never embedded at full dimension, and scenario sizes are checked before
+inside the ledger, each marginal of a state is diagonalized once (a later
+transition or reading takes it from the state's memo), local unitaries are
+never embedded at full dimension, and scenario sizes are checked before
 anything is allocated."""
 
 import sys
@@ -105,7 +106,8 @@ def test_each_transition_is_evolved_once_inside_the_ledger(monkeypatch, run):
     assert calls["evolve"] == calls["ledger"] > 0
 
 
-def test_refuel_diagonalizes_its_128_dimensional_state_once(monkeypatch):
+def _spectrum_sizes(monkeypatch, run):
+    """Run ``run`` and count the Hermitian eigensolver calls by matrix size."""
     sizes = Counter()
     solvers = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh")}
 
@@ -117,9 +119,44 @@ def test_refuel_diagonalizes_its_128_dimensional_state_once(monkeypatch):
 
     for name, solver in solvers.items():
         monkeypatch.setattr(np.linalg, name, counting(solver))
-    sc.multiparty_refuel(2, 4)
+    run()
+    return sizes
+
+
+def test_refuel_diagonalizes_its_128_dimensional_state_once(monkeypatch):
+    sizes = _spectrum_sizes(monkeypatch, lambda: sc.multiparty_refuel(2, 4))
     # τ after turn 3, validated in that turn's ledger and reused by turn 4
     assert sizes[128] == 1
+    # every spectrum from 64 up once: turn 3's τ_A1A2 (64) is turn 4's σ_A2,
+    # read from the marginal memo
+    assert {n: c for n, c in sizes.items() if n >= 64} == {64: 1, 128: 1, 256: 1, 512: 1}
+
+
+def test_depletion_diagonalizes_the_second_output_once(monkeypatch):
+    # the ledger's τ_A1A2 (81) is the state of the reported I(A1:A2)
+    sizes = _spectrum_sizes(monkeypatch, lambda: sc.depletion_demo(3))
+    assert sizes[81] == 1
+
+
+def test_conservation_never_validates_the_joint_state(monkeypatch):
+    run = lambda: sc.conservation_law_check(n_samples=3, dims=(3, 3, 3, 3))
+    sizes = _spectrum_sizes(monkeypatch, run)
+    assert max(sizes) <= 27
+    assert sum(sizes.values()) == 10 * 3
+
+
+def test_ledger_record_does_not_depend_on_the_marginal_memo():
+    # turn 2 of the refuelling protocol at d = 2, on a memo-warm τ and on a
+    # cold copy of it
+    w = constructions.multiparty_unitary(2)
+    fresh = hl.plus_state(4).density()
+    _, tau = ledger(w, fresh, hl.maximally_mixed([2]), 0)
+    assert tau._marginals  # warmed by the first ledger
+    cold = hl.DensityOperator(tau.matrix, tau.layout)
+    warm_rec, warm_tau = ledger(w, fresh, tau, 1, on=[0, 2])
+    cold_rec, cold_tau = ledger(w, fresh, cold, 1, on=[0, 2])
+    assert warm_rec == cold_rec
+    assert np.array_equal(warm_tau.matrix, cold_tau.matrix)
 
 
 def test_scenario_sizes_are_checked_before_allocation(monkeypatch):
