@@ -412,14 +412,14 @@ def random_channel(d: int, kraus_rank: int, seed) -> KrausChannel:
     return KrausChannel(v.reshape(kraus_rank, d, d))
 
 
-def channel_to_kraus(inst: CatalysisInstance, tol: float = 1e-12) -> KrausChannel:
+def channel_to_kraus(inst: CatalysisInstance) -> KrausChannel:
     """Minimal Kraus form of the induced channel: the weighted
     <b|U|catalyst-eigenvector> blocks collapse to the Choi rank through one SVD
     of their Choi vectors, whose right singular vectors are the Choi
     eigenvectors."""
     da, db = inst.a_dim, inst.b_dim
     svals, svecs = eigh_desc(inst.sigma.matrix)
-    keep = svals > tol
+    keep = svals > 1e-12
     chis = svecs[:, keep] * np.sqrt(svals[keep])
     um = inst.unitary.matrix.reshape(da, db, da, db)
     raw = np.einsum("abcd,dk->kbac", um, chis).reshape(-1, da, da)  # sqrt(s_k) <b|U|chi_k>
@@ -435,23 +435,25 @@ def channel_to_kraus(inst: CatalysisInstance, tol: float = 1e-12) -> KrausChanne
 
 def decompose_subcatalyses(
     inst: CatalysisInstance,
-    projectors: Sequence[np.ndarray] | None = None,
+    bases: Sequence[np.ndarray] | None = None,
 ) -> tuple[tuple[float, CatalysisInstance], ...]:
-    """Split a catalysis along the catalyst's eigenspace projectors (or a
-    finer orthogonal family) into sub-catalyses with uniform catalysts.
+    """Split a catalysis along orthonormal bases of the catalyst's eigenspaces
+    (or of a finer orthogonal family), each a (d, r) matrix, into
+    sub-catalyses with uniform catalysts.
 
-    Each block of the canonical unitary must commute with 1 ⊗ Pi; the blocks
+    Each block of the canonical unitary must commute with 1 ⊗ V V†; the blocks
     are unitary on their supports and the weights lambda_i r_i sum to one.
     """
     uc = inst.canonical_unitary().matrix
     da, db = inst.a_dim, inst.b_dim
     sig = inst.sigma.matrix
-    if projectors is None:
-        projectors = hilbert.eigenspace_decompose(inst.sigma).projectors
+    if bases is None:
+        bases = hilbert.eigenspace_decompose(inst.sigma).bases
     out = []
     eye_a = np.eye(da)
-    for idx, pi in enumerate(projectors):
-        pi = np.asarray(pi, dtype=complex)
+    for idx, basis in enumerate(bases):
+        basis = np.asarray(basis, dtype=complex)
+        pi = basis @ dagger(basis)
         big = np.kron(eye_a, pi)
         if np.linalg.norm(uc @ big - big @ uc) > 1e-7:
             raise CertificationError(
@@ -459,10 +461,8 @@ def decompose_subcatalyses(
                 "the pair is not a compatible catalysis at this refinement"
             )
         weight = float(np.trace(pi @ sig).real)
-        vals, vecs = eigh_desc(pi)
-        r = int(round(np.trace(pi).real))
-        basis = vecs[:, :r]  # isometry onto supp(Pi)
-        emb = np.kron(eye_a, basis)
+        r = basis.shape[1]
+        emb = np.kron(eye_a, basis)  # isometry onto A ⊗ span(V)
         sub_u = dagger(emb) @ uc @ emb
         if unitarity_defect(sub_u) > hilbert.TOL_UNITARY:
             raise CertificationError(f"restricted block {idx} is not unitary")
@@ -496,7 +496,7 @@ def classical_catalysis(
     u = UnitaryOperator(controlled(unitaries), [da, db])
     inst = canonical_form(u, sigma, seed=seed, classical=True)
     # the natural refinement: every catalyst basis state is preserved alone
-    dec = decompose_subcatalyses(inst, projectors=[np.diag(e) for e in np.eye(db)])
+    dec = decompose_subcatalyses(inst, bases=np.split(np.eye(db), db, axis=1))
     return replace(inst, decomposition=dec)
 
 
@@ -615,16 +615,11 @@ class CostBoundReport:
 
 
 def cost_bound_check(
-    inst: CatalysisInstance,
-    n_samples: int = 16,
-    seed: int = 3,
-    classical: bool | None = None,
+    inst: CatalysisInstance, n_samples: int = 16, seed: int = 3
 ) -> CostBoundReport:
     """The catalyst entropy must dominate half the maximal global entropy
     variance of the induced channel (the full variance for a classical
     catalyst)."""
-    if classical is None:
-        classical = inst.classical
     chan = channel_to_kraus(inst)
     da = inst.a_dim
     rng = hilbert._rng(seed)
@@ -641,7 +636,7 @@ def cost_bound_check(
             - von_neumann(DensityOperator(rho, [da, da]))
         )
         best = max(best, prod)
-    factor = 1.0 if classical else 0.5
+    factor = 1.0 if inst.classical else 0.5
     lhs = von_neumann(inst.sigma)
     rhs = factor * best
     return CostBoundReport(lhs=lhs, rhs=rhs, ok=lhs >= rhs - 1e-7)

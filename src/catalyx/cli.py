@@ -291,6 +291,8 @@ SCENARIO_NAMES = (
     "cq_free",
     "initialization",
 )
+# the scenarios whose report is a trace, the only output --format csv changes
+TRACE_SCENARIOS = ("multiparty", "depletion", "initialization")
 
 
 def cmd_scenario(args) -> int:
@@ -345,7 +347,7 @@ def cmd_scenario(args) -> int:
         )
         return EXIT_OK if ok else EXIT_SEMANTIC
     elif name == "cq_free":
-        rep = scenarios.cq_free_randomness(args.d, seed=args.seed)
+        rep = scenarios.cq_free_randomness(args.d)
         ok = rep.erasure_deviation <= hilbert.TOL_STATE
         _emit(
             {
@@ -406,18 +408,16 @@ def cmd_optimize(args) -> int:
     )
     chan = _named_channel(args.channel)
     alpha = math.inf if args.alpha == "inf" else float(args.alpha)
+    # without --restarts the ascents keep their own default
+    runs = {} if args.restarts is None else {"restarts": args.restarts}
     if args.target == "ea":
         res = optimize.ea_capacity(chan, seed=args.seed)
         headline = f"C_EA = {res.value:.6f} bits"
     elif args.target == "global":
-        res = optimize.max_entropy_production_global(
-            chan, alpha, restarts=args.restarts, seed=args.seed
-        )
+        res = optimize.max_entropy_production_global(chan, alpha, seed=args.seed, **runs)
         headline = f"S_prod_global = {res.value:.6f} bits"
     else:  # argparse admits only ea, global and local
-        res = optimize.max_entropy_production_local(
-            chan, alpha, restarts=args.restarts, seed=args.seed
-        )
+        res = optimize.max_entropy_production_local(chan, alpha, seed=args.seed, **runs)
         headline = f"S_prod_local = {res.value:.6f} bits"
     _emit({"result": res.to_json_dict()}, cfg)
     print(headline)
@@ -517,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--channel", required=True,
                     help="named channel like dephasing2 or a unitary JSON file")
     sp.add_argument("--alpha", default="1")
-    sp.add_argument("--restarts", type=int, default=16)
+    sp.add_argument("--restarts", type=int, default=None,
+                    help="ascent restarts (global and local only)")
     common(sp)
     sp.set_defaults(func=cmd_optimize)
 
@@ -528,12 +529,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _reject_idle_flags(args) -> None:
+    """Refuse a flag the command would accept but ignore."""
+    if args.format == "csv" and not (
+        args.command == "scenario" and args.name in TRACE_SCENARIOS
+    ):
+        raise ValueError(
+            "--format csv applies only to the trace scenarios "
+            f"({', '.join(TRACE_SCENARIOS)})"
+        )
+    if args.command == "optimize" and args.target == "ea" and args.restarts is not None:
+        raise ValueError("--restarts applies only to optimize global and local")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # overrides last for this run only, also when main is called in-process
     saved = [(home, getattr(*home)) for home in _TOL_NAMES.values()]
     try:
+        _reject_idle_flags(args)
         _apply_tol_overrides(args.tol_override)
         return args.func(args)
     except CertificationError as exc:

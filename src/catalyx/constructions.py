@@ -25,7 +25,6 @@ from .hilbert import (
     clock_matrix,
     controlled,
     eigenspace_decompose,
-    eigh_desc,
     fourier_matrix,
     kron_all,
     max_entangled,
@@ -56,18 +55,11 @@ def degeneracy_decomposition(r) -> EigenspaceDecomposition:
     eigenvalue r_i/||r||^2 on a contiguous block of size r_i (blocks reported
     in descending eigenvalue order)."""
     r = _as_degeneracy(r)
-    n2 = r.norm2sq
-    dim = sum(r.r)
-    blocks = []
-    offset = 0
-    for ri in r.r:
-        p = np.zeros((dim, dim), dtype=complex)
-        p[offset : offset + ri, offset : offset + ri] = np.eye(ri)
-        blocks.append((ri / n2, p, ri))
-        offset += ri
-    blocks.sort(key=lambda b: -b[0])
+    eye = np.eye(sum(r.r))
+    starts = np.cumsum((0,) + r.r[:-1])
+    blocks = sorted(zip(r.r, starts), key=lambda b: -b[0])
     return EigenspaceDecomposition(
-        [b[0] for b in blocks], [b[1] for b in blocks], [b[2] for b in blocks]
+        [ri / r.norm2sq for ri, _ in blocks], [eye[:, s : s + ri] for ri, s in blocks]
     )
 
 
@@ -148,12 +140,8 @@ def max_extraction_catalysis(sigma: DensityOperator) -> MaxExtractionResult:
     _check_total_dim(n * big_r * db, "maximal-extraction construction")
     zn = clock_matrix(n)
     u = np.zeros((n * big_r * db, n * big_r * db), dtype=complex)
-    support = np.zeros((db, db), dtype=complex)
-    for i, (ri, pi) in enumerate(zip(dec.multiplicities, dec.projectors)):
+    for i, (ri, basis) in enumerate(zip(dec.multiplicities, dec.bases)):
         v_i = np.linalg.matrix_power(zn, i + 1)
-        _, vecs = eigh_desc(pi)
-        basis = vecs[:, :ri]
-        support += pi
         block = big_r // (ri * ri)
         for j, w in enumerate(weyl_set(ri)):
             p_j = np.zeros((big_r, big_r), dtype=complex)
@@ -162,7 +150,7 @@ def max_extraction_catalysis(sigma: DensityOperator) -> MaxExtractionResult:
             u += kron_all([v_i, p_j, w_emb])
     # act as the identity on the catalyst's kernel so u is unitary even for
     # rank-deficient catalysts
-    kernel = np.eye(db) - support
+    kernel = np.eye(db) - sum(b @ b.conj().T for b in dec.bases)
     if np.linalg.norm(kernel) > 1e-12:
         u += kron_all([np.eye(n), np.eye(big_r), kernel])
     inst = canonical_form(UnitaryOperator(u, [n, big_r, db]), sigma, a_count=2)
@@ -330,11 +318,10 @@ def thermal_levels(r, e_inf: float) -> list[float]:
     return [float(e_inf - np.log2(ri)) for ri in r.r]
 
 
-def gibbs_populations(r, e_inf: float, beta: float = math.log(2.0)) -> np.ndarray:
-    """Per-state populations of the thermal state over ``thermal_levels``."""
+def gibbs_populations(r, e_inf: float) -> np.ndarray:
+    """Per-state populations of the thermal state at beta = ln 2 over
+    ``thermal_levels``."""
     r = _as_degeneracy(r)
     energies = thermal_levels(r, e_inf)
-    weights = np.concatenate(
-        [np.full(ri, math.exp(-beta * e)) for ri, e in zip(r.r, energies)]
-    )
+    weights = np.concatenate([np.full(ri, 2.0**-e) for ri, e in zip(r.r, energies)])
     return weights / weights.sum()

@@ -178,7 +178,8 @@ class UnitaryOperator:
 
 @dataclass(frozen=True)
 class EigenspaceDecomposition:
-    """Distinct eigenvalues with their eigenspace projectors and multiplicities.
+    """Distinct eigenvalues, each with an orthonormal basis of its eigenspace:
+    a read-only (d, r_i) matrix whose columns span it.
 
     ``eigenspace_decompose`` always produces strictly descending eigenvalues;
     decompositions imposed by a conservation law may repeat an eigenvalue
@@ -186,52 +187,33 @@ class EigenspaceDecomposition:
     """
 
     eigenvalues: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...]
-    multiplicities: tuple[int, ...]
+    bases: tuple[np.ndarray, ...]
 
-    def __init__(self, eigenvalues, projectors, multiplicities=None):
+    def __init__(self, eigenvalues, bases):
         vals = tuple(float(v) for v in eigenvalues)
-        projs = tuple(_freeze(np.asarray(p, dtype=complex)) for p in projectors)
-        if multiplicities is None:
-            multiplicities = [np.trace(p).real for p in projs]
-        mult = []
-        for r in multiplicities:
-            rounded = int(round(float(r)))
-            if abs(float(r) - rounded) > 1e-6 or rounded < 1:
-                raise ValueError(f"projector trace {r} is not a positive integer")
-            mult.append(rounded)
-        if not (len(vals) == len(projs) == len(mult)):
-            raise ValueError("eigenvalues, projectors, multiplicities length mismatch")
+        bases = tuple(_freeze(np.asarray(b, dtype=complex)) for b in bases)
+        if not bases or len(vals) != len(bases):
+            raise ValueError("need at least one eigenvalue, each with one eigenspace basis")
+        if any(b.ndim != 2 or b.shape[1] < 1 for b in bases):
+            raise ValueError("each eigenspace basis must be a (d, r) matrix with r >= 1")
         if any(vals[i] < vals[i + 1] - 1e-12 for i in range(len(vals) - 1)):
             raise ValueError("eigenvalues must be non-increasing")
-        for i, p in enumerate(projs):
-            if np.linalg.norm(p - dagger(p)) > TOL_HERM:
-                raise ValueError(f"projector {i} not Hermitian")
-            if np.linalg.norm(p @ p - p) > 1e-7:
-                raise ValueError(f"projector {i} not idempotent")
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if np.linalg.norm(projs[i] @ projs[j]) > 1e-7:
-                    raise ValueError(f"projectors {i},{j} not orthogonal")
-        total = sum(v * r for v, r in zip(vals, mult))
+        stacked = np.hstack(bases)  # raises unless every basis has d rows
+        d, rank = stacked.shape
+        if np.linalg.norm(dagger(stacked) @ stacked - np.eye(rank)) > 1e-7:
+            raise ValueError("eigenspace bases are not orthonormal")
+        total = sum(v * b.shape[1] for v, b in zip(vals, bases))
         # eigenvalues at or below TOL_PSD count as zero, so the space the
-        # projectors leave out may hold up to TOL_PSD per dimension
-        missing = (projs[0].shape[0] - sum(mult)) * TOL_PSD if projs else 0.0
+        # bases leave out may hold up to TOL_PSD per dimension
+        missing = (d - rank) * TOL_PSD
         if not -1e-7 - missing <= total - 1.0 <= 1e-7:
             raise ValueError(f"sum of eigenvalue*multiplicity = {total} != 1")
         object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "projectors", projs)
-        object.__setattr__(self, "multiplicities", tuple(mult))
+        object.__setattr__(self, "bases", bases)
 
     @property
-    def rank(self) -> int:
-        return sum(self.multiplicities)
-
-    def reconstruct(self) -> np.ndarray:
-        return sum(v * p for v, p in zip(self.eigenvalues, self.projectors))
-
-    def support_projector(self) -> np.ndarray:
-        return sum(self.projectors)
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(b.shape[1] for b in self.bases)
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +409,10 @@ def eigenspace_decompose(op: DensityOperator) -> EigenspaceDecomposition:
     vals, vecs = vals[keep], vecs[:, keep]
     if vals.size == 0:
         raise ValueError("state has no support above the zero tolerance")
-    eigenvalues, projectors = [], []
-    for g in group_spectrum(vals):
-        eigenvalues.append(float(np.mean(vals[g])))
-        block = vecs[:, g]
-        projectors.append(block @ dagger(block))
-    return EigenspaceDecomposition(eigenvalues, projectors)
+    groups = group_spectrum(vals)
+    return EigenspaceDecomposition(
+        [float(np.mean(vals[g])) for g in groups], [vecs[:, g] for g in groups]
+    )
 
 
 def purify(sigma: DensityOperator) -> StateVector:
@@ -587,9 +567,9 @@ def haar_state(d: int, seed, layout=None) -> StateVector:
     return StateVector(v / np.linalg.norm(v), layout if layout is not None else [d])
 
 
-def random_density(dims, rank: int, seed, equal_weights: bool = False) -> DensityOperator:
+def random_density(dims, rank: int, seed) -> DensityOperator:
     """Random density operator of the given rank: Haar orthonormal vectors
-    combined with uniform-simplex (or equal) weights."""
+    combined with uniform-simplex weights."""
     layout = _as_layout(dims)
     d = layout.total_dim
     if not 1 <= rank <= d:
@@ -597,10 +577,7 @@ def random_density(dims, rank: int, seed, equal_weights: bool = False) -> Densit
     rng = _rng(seed)
     u = haar_unitary_matrix(d, rng)
     vecs = u[:, :rank]
-    if equal_weights:
-        w = np.full(rank, 1.0 / rank)
-    else:
-        w = rng.dirichlet(np.ones(rank))
+    w = rng.dirichlet(np.ones(rank))
     m = (vecs * w) @ dagger(vecs)
     return DensityOperator(m, layout)
 

@@ -31,6 +31,10 @@ from .hilbert import dagger, eigenspace_decompose
 _LN2 = math.log(2.0)
 _EIG_FLOOR = 1e-18
 SUPPORTED_ALPHAS = (0.5, 1.0, 2.0, math.inf)
+# iteration budget and gradient-norm stop of the pure-input and capacity ascents
+_PURE_MAX_ITER, _PURE_TOL_GRAD = 2000, 1e-9
+_EA_MAX_ITER, _EA_TOL_GRAD = 4000, 1e-7
+_TRADEOFF_SLACK = 1e-4
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,11 @@ def _check_alpha(alpha: float) -> float:
     if alpha not in SUPPORTED_ALPHAS:
         raise ValueError(f"alpha must be one of {SUPPORTED_ALPHAS}, got {alpha}")
     return float(alpha)
+
+
+def _check_restarts(restarts: int) -> None:
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
 
 
 def _renyi_of_matrix(m: np.ndarray, alpha: float) -> float:
@@ -165,12 +174,11 @@ def _pure_ascent(
     alpha: float,
     restarts: int,
     seed: int,
-    max_iter: int,
-    tol_grad: float,
 ) -> OptimizationResult:
     """Maximize S_alpha(apply(psi psi†)) over unit vectors psi of length dim;
     at alpha=inf the alpha=2 ascent runs and its argmax is scored exactly."""
     alpha = _check_alpha(alpha)
+    _check_restarts(restarts)
     smooth = 2.0 if math.isinf(alpha) else alpha
 
     def value_grad(v: np.ndarray):
@@ -180,7 +188,9 @@ def _pure_ascent(
 
     rng = hilbert._rng(seed)
     starts = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(restarts))
-    v, f, total_iter, gnorm, conv = _best_ascent(value_grad, starts, max_iter, tol_grad)
+    v, f, total_iter, gnorm, conv = _best_ascent(
+        value_grad, starts, _PURE_MAX_ITER, _PURE_TOL_GRAD
+    )
     if math.isinf(alpha):
         f = _renyi_of_matrix(apply(np.outer(v, v.conj())), alpha)
     return OptimizationResult(
@@ -190,12 +200,7 @@ def _pure_ascent(
 
 
 def max_entropy_production_global(
-    chan: KrausChannel,
-    alpha: float = 1.0,
-    restarts: int = 16,
-    seed: int = 0,
-    max_iter: int = 2000,
-    tol_grad: float = 1e-9,
+    chan: KrausChannel, alpha: float = 1.0, restarts: int = 16, seed: int = 0
 ) -> OptimizationResult:
     """Maximize S_alpha((I x Phi)(psi)) over pure psi on reference x input
     with matching dimensions (pure inputs suffice for the maximum, and a
@@ -204,23 +209,18 @@ def max_entropy_production_global(
     return _pure_ascent(
         lambda m: chan.extended_apply_matrix(m, d),
         lambda m: chan.extended_adjoint_matrix(m, d),
-        d * d, alpha, restarts, seed, max_iter, tol_grad,
+        d * d, alpha, restarts, seed,
     )
 
 
 def max_entropy_production_local(
-    chan: KrausChannel,
-    alpha: float = 1.0,
-    restarts: int = 16,
-    seed: int = 0,
-    max_iter: int = 2000,
-    tol_grad: float = 1e-9,
+    chan: KrausChannel, alpha: float = 1.0, restarts: int = 16, seed: int = 0
 ) -> OptimizationResult:
     """Maximize S_alpha(Phi(rho)) - S_alpha(rho) over input states; pure
     inputs suffice (module docstring), so the argmax is a state vector."""
     return _pure_ascent(
         chan.apply_matrix, chan.adjoint_matrix,
-        chan.dim_in, alpha, restarts, seed, max_iter, tol_grad,
+        chan.dim_in, alpha, restarts, seed,
     )
 
 
@@ -255,16 +255,11 @@ def ea_objective_gradient(chan: KrausChannel, el: np.ndarray) -> tuple[float, np
     return f, grad_l
 
 
-def ea_capacity(
-    chan: KrausChannel,
-    tol: float = 1e-7,
-    seed: int = 0,
-    restarts: int = 4,
-    max_iter: int = 4000,
-) -> OptimizationResult:
+def ea_capacity(chan: KrausChannel, seed: int = 0, restarts: int = 4) -> OptimizationResult:
     """Maximize the quantum mutual information over input states.  The
     objective is concave in rho, so ascent from a full-rank start converges to
     the global maximum; the value is still certified as a feasible point."""
+    _check_restarts(restarts)
     d = chan.dim_in
 
     def value_grad(v: np.ndarray):
@@ -276,7 +271,7 @@ def ea_capacity(
     starts = [np.eye(d, dtype=complex).reshape(-1)]
     for _ in range(restarts - 1):
         starts.append(rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d))
-    v, f, total_iter, gnorm, conv = _best_ascent(value_grad, starts, max_iter, tol)
+    v, f, total_iter, gnorm, conv = _best_ascent(value_grad, starts, _EA_MAX_ITER, _EA_TOL_GRAD)
     el = v.reshape(d, d)
     rho = el @ dagger(el)
     rho = rho / np.trace(rho).real
@@ -300,9 +295,7 @@ class TradeoffReport:
     ok_vn: bool         # lhs <= rhs_vn + slack
 
 
-def tradeoff_check(
-    inst: CatalysisInstance, seed: int = 0, slack: float = 1e-4
-) -> TradeoffReport:
+def tradeoff_check(inst: CatalysisInstance, seed: int = 0) -> TradeoffReport:
     """Check 2 log2 d - C_EA(Phi) <= catalytic min-entropy of the catalyst.
 
     The capacity is a certified lower bound, making the left side an upper
@@ -331,5 +324,5 @@ def tradeoff_check(
         rhs_vn = catalytic_entropy(dec)
     return TradeoffReport(
         lhs=lhs, rhs=rhs, rhs_vn=rhs_vn, capacity=cap,
-        ok=lhs <= rhs + slack, ok_vn=lhs <= rhs_vn + slack,
+        ok=lhs <= rhs + _TRADEOFF_SLACK, ok_vn=lhs <= rhs_vn + _TRADEOFF_SLACK,
     )

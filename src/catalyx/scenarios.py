@@ -348,7 +348,7 @@ class FreeRandomnessReport:
     ledger_record: LedgerRecord
 
 
-def cq_free_randomness(d: int, seed: int = 0) -> FreeRandomnessReport:
+def cq_free_randomness(d: int) -> FreeRandomnessReport:
     """A randomness source fully known to its user still works.
 
     The intermediate (1/d) sum |i><i| ⊗ |i><i| keeps 2 S(B) - I(A2:B) = log2 d
@@ -359,6 +359,7 @@ def cq_free_randomness(d: int, seed: int = 0) -> FreeRandomnessReport:
     """
     if d < 2:
         raise ValueError("need d >= 2")
+    _check_total_dim(d**3, "cq_free randomness")
     intermediate = DensityOperator(np.diag(np.eye(d).reshape(-1)) / d, [d, d])
     free = free_randomness(intermediate, 1)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalyx import catalysis as cat
 from catalyx import hilbert as hl
@@ -89,6 +91,38 @@ def test_closure_dagger_and_party_swap():
         swapped = party_swap(u, inst.a_count)
         b_count = len(u.layout.dims) - inst.a_count
         assert is_catalysis_unitary(swapped, cut=range(b_count)).verdict
+
+
+@st.composite
+def cut_unitaries(draw):
+    """(U, a_count): 2-4 factors of dimension 1-3, the leading a_count of them
+    the system, and U either Haar or a catalysis unitary controlled on a Haar
+    basis of the other factors."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    a_count = draw(st.integers(1, len(dims) - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d_a, d_b = int(np.prod(dims[:a_count])), int(np.prod(dims[a_count:]))
+    if draw(st.booleans()):
+        m = hl.haar_unitary_matrix(d_a * d_b, rng)
+    else:
+        family = [hl.haar_unitary_matrix(d_a, rng) for _ in range(d_b)]
+        m = hl.controlled(family, hl.haar_unitary_matrix(d_b, rng))
+    return UnitaryOperator(m, dims), a_count
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(cut_unitaries())
+def test_partial_transpose_defect_is_invariant_under_inverse_and_party_swap(case):
+    # (U†)^T_A = (U^T_A)† and ||X X† - 1||_F = ||X† X - 1||_F for every square X
+    u, a_count = case
+    verdict = is_catalysis_unitary(u, cut=range(a_count))
+    inverse = is_catalysis_unitary(UnitaryOperator(hl.dagger(u.matrix), u.layout),
+                                   cut=range(a_count))
+    swapped = is_catalysis_unitary(party_swap(u, a_count),
+                                   cut=range(len(u.layout) - a_count))
+    for other in (inverse, swapped):
+        assert abs(other.defect - verdict.defect) <= 1e-10
+        assert other.verdict == verdict.verdict
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +294,10 @@ def test_decompose_pure_catalyst_single_block():
 
 def test_decompose_rejects_noncommuting_refinement():
     inst = classical_catalysis([0.5, 0.5], [np.eye(2), clock_matrix(2)])
-    plus = plus_state(2).density().matrix
-    minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+    plus = np.array([[1.0], [1.0]]) / np.sqrt(2)
+    minus = np.array([[1.0], [-1.0]]) / np.sqrt(2)
     with pytest.raises(CertificationError, match="eigenspace 0"):
-        decompose_subcatalyses(inst, projectors=[plus, minus])
+        decompose_subcatalyses(inst, bases=[plus, minus])
 
 
 def test_eigenspace_projections_are_compatible_catalysts():
@@ -277,8 +311,8 @@ def test_eigenspace_projections_are_compatible_catalysts():
     inst = canonical_form(UnitaryOperator(u, [2, 3]), sigma)
     uc = inst.canonical_unitary()
     dec = hl.eigenspace_decompose(sigma)
-    for pi, r in zip(dec.projectors, dec.multiplicities):
-        v = check_compatibility(uc, DensityOperator(pi / r, [3]))
+    for basis, r in zip(dec.bases, dec.multiplicities):
+        v = check_compatibility(uc, DensityOperator(basis @ basis.conj().T / r, [3]))
         assert v.verdict
 
 

@@ -376,3 +376,29 @@ def test_scenario_sample_count_is_checked(args):
     assert res.returncode == 2
     assert "n_samples" in res.stderr
     assert '"pass"' not in res.stdout
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("optimize", "global", "--channel", "dephasing2", "--restarts", "0"), "restarts"),
+        (("optimize", "local", "--channel", "dephasing2", "--restarts", "-1"), "restarts"),
+        (("optimize", "ea", "--channel", "dephasing2", "--restarts", "4"), "--restarts"),
+        (("scenario", "conservation", "--samples", "2", "--format", "csv"), "--format csv"),
+        (("scenario", "absorption", "--samples", "2", "--format", "csv"), "--format csv"),
+        (("scenario", "cq_free", "--format", "csv"), "--format csv"),
+        (("optimize", "ea", "--channel", "dephasing2", "--format", "csv"), "--format csv"),
+        (("construct", "conserved_optimal", "--r", "1,3", "--format", "csv"), "--format csv"),
+        (("selftest", "--format", "csv"), "--format csv"),
+        # refused before the file is read
+        (("verify", "missing.json", "--format", "csv"), "--format csv"),
+        (("entropy", "missing.json", "--format", "csv"), "--format csv"),
+    ],
+)
+def test_ignored_or_invalid_flags_are_usage_errors(args, flag, tmp_path, capsys):
+    from catalyx import cli
+
+    out = tmp_path / "out"
+    assert cli.main([*args, "--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()  # rejected before any work

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -115,6 +116,31 @@ def test_max_extraction_pure_catalyst_trivial():
     res = con.max_extraction_catalysis(hl.basis_state(2, 0).density())
     rec = cat.ledger_for_instance(res.instance, res.input_state.density())
     assert rec.delta_i == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "build, sizes",
+    [
+        # σ's own eigh, then the two spectra of the canonicalizing rotation
+        (lambda: con.max_extraction_catalysis(
+            DensityOperator(np.diag([0.5, 0.25, 0.25]), [3])), {3: 3}),
+        # the canonicalizing rotation only: the refinement is given as
+        # computational basis columns (the size-1 calls certify the blocks)
+        (lambda: cat.classical_catalysis([0.4, 0.3, 0.2, 0.1], hl.weyl_set(2)), {4: 2}),
+    ],
+    ids=["max_extraction", "classical4"],
+)
+def test_eigenspace_bases_are_never_recomputed(monkeypatch, build, sizes):
+    counts = Counter()
+    eigh = np.linalg.eigh
+
+    def counting(m, *args, **kwargs):
+        counts[m.shape[0]] += 1
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    build()
+    assert {n: c for n, c in counts.items() if n > 1} == sizes
 
 
 def test_max_extraction_register_cap():
@@ -343,9 +369,7 @@ def test_angular_momentum_catalyst(l_max, value):
         # the maximally mixed state under the same blocks extracts less
         dim = (l_max + 1) ** 2
         mixed_dec = hl.EigenspaceDecomposition(
-            [1 / dim] * len(r),
-            con.degeneracy_decomposition(r).projectors,
-            r,
+            [1 / dim] * len(r), con.degeneracy_decomposition(r).bases
         )
         assert res.s_cat > ent.catalytic_entropy(mixed_dec) + 1e-6
 

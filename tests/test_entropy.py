@@ -189,15 +189,8 @@ def test_divergence_form():
     # the optimal catalyst makes the divergence vanish for every alpha
     r = (1, 3)
     n2 = 10
-    dim = 4
-    projs = []
-    off = 0
-    for ri in r:
-        p = np.zeros((dim, dim), dtype=complex)
-        p[off : off + ri, off : off + ri] = np.eye(ri)
-        projs.append(p)
-        off += ri
-    opt = EigenspaceDecomposition([3 / n2, 1 / n2], projs[::-1], [3, 1])
+    eye = np.eye(4)
+    opt = EigenspaceDecomposition([3 / n2, 1 / n2], [eye[:, 1:], eye[:, :1]])
     for alpha in (0.5, 1.0, 2.0, math.inf):
         res = ent.catalytic_renyi_divergence_form(opt, alpha)
         assert res.value == pytest.approx(math.log2(10))

@@ -120,6 +120,25 @@ def test_pure_ascent_evaluation_costs_one_eigendecomposition(monkeypatch, kind, 
 # entropy production
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda chan, n: opt.max_entropy_production_global(chan, restarts=n),
+        lambda chan, n: opt.max_entropy_production_local(chan, restarts=n),
+        lambda chan, n: opt.ea_capacity(chan, restarts=n),
+    ],
+    ids=["global", "local", "ea"],
+)
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_an_ascent_needs_a_start(monkeypatch, run, restarts):
+    def no_work(*args):
+        raise AssertionError("ascent ran")
+
+    monkeypatch.setattr(opt, "_ascend", no_work)
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        run(cat.dephasing_channel(2), restarts)
+
+
 def test_global_dephasing_reaches_log_d():
     res = opt.max_entropy_production_global(cat.dephasing_channel(2), 1.0, seed=0)
     assert res.value == pytest.approx(1.0, abs=1e-6)
@@ -350,23 +369,16 @@ def test_production_never_exceeds_catalytic_renyi():
 def _refined(inst):
     """Eigenspace data of the stored refinement (classical catalyses store
     basis blocks in layout order)."""
-    values, projs, mults = [], [], []
-    dim = inst.b_dim
+    values, bases = [], []
+    eye = np.eye(inst.b_dim)
     off = 0
     for w, sub in inst.decomposition:
         r = sub.b_dim
-        p = np.zeros((dim, dim), dtype=complex)
-        p[off : off + r, off : off + r] = np.eye(r)
         values.append(w / r)
-        projs.append(p)
-        mults.append(r)
+        bases.append(eye[:, off : off + r])
         off += r
     order = np.argsort(values)[::-1]
-    return (
-        [values[i] for i in order],
-        [projs[i] for i in order],
-        [mults[i] for i in order],
-    )
+    return [values[i] for i in order], [bases[i] for i in order]
 
 
 def test_ea_gradient_matches_finite_differences_on_complex_channels():

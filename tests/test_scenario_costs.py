@@ -170,6 +170,10 @@ def test_scenario_sizes_are_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(constructions, "DIMENSION_CAP", 600)
     with pytest.raises(ValueError, match="initialization scenario needs total dimension 625"):
         sc.initialization_scenario(5)
+    # cq_free builds d^3-dimensional operators
+    monkeypatch.setattr(constructions, "DIMENSION_CAP", 26)
+    with pytest.raises(ValueError, match="cq_free randomness needs total dimension 27"):
+        sc.cq_free_randomness(3)
 
 
 @pytest.mark.parametrize("n", [0, -3])

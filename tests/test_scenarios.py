@@ -190,7 +190,7 @@ def test_absorption_random_channel_sweep():
 
 def test_cq_free_randomness_values():
     for d, bits in ((2, 1.0), (3, math.log2(3)), (4, 2.0)):
-        rep = sc.cq_free_randomness(d, seed=0)
+        rep = sc.cq_free_randomness(d)
         assert rep.free_bits == pytest.approx(bits, abs=1e-9)
         assert rep.erasure_deviation <= 1e-9
         assert rep.ledger_record.residual <= 1e-8

@@ -14,14 +14,9 @@ def random_decomposition(rng):
     pairs = sorted(
         ((w / r, r) for w, r in zip(weights, mult)), key=lambda t: -t[0]
     )
-    dim = sum(r for _, r in pairs)
-    projs, values, mults = [], [], []
-    off = 0
-    for v, r in pairs:
-        p = np.zeros((dim, dim), dtype=complex)
-        p[off : off + r, off : off + r] = np.eye(r)
-        projs.append(p)
-        values.append(v)
-        mults.append(r)
+    eye = np.eye(sum(r for _, r in pairs))
+    bases, off = [], 0
+    for _, r in pairs:
+        bases.append(eye[:, off : off + r])
         off += r
-    return EigenspaceDecomposition(values, projs, mults)
+    return EigenspaceDecomposition([v for v, _ in pairs], bases)
