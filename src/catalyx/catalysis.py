@@ -44,7 +44,7 @@ from .hilbert import (
     maximally_mixed,
     partial_trace,
     permute_subsystems,
-    ptrace_matrix,
+    ptrace_matrix,  # unused here; bench/tests traces calls through this binding
     ptranspose_matrix,
     purify,
     trace_distance,
@@ -296,9 +296,9 @@ def implement_channel(inst: CatalysisInstance, rho: DensityOperator) -> DensityO
     """Apply the induced channel: Tr_B U (rho ⊗ sigma) U†."""
     if rho.dim != inst.a_dim:
         raise ValueError(f"input dimension {rho.dim} != system dimension {inst.a_dim}")
-    full = evolve(inst.unitary.matrix, rho.matrix, inst.sigma.matrix)
-    out = ptrace_matrix(full, [inst.a_dim, inst.b_dim], [0])
-    return DensityOperator(out, rho.layout)
+    x = evolve(inst.unitary.matrix, np.kron(rho.factor(), inst.sigma.factor()))
+    # rows (a, b) of the evolved factor regrouped as (a, (b, k)): Tr_B's factor
+    return DensityOperator.from_factor(x.reshape(inst.a_dim, -1), rho.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +549,13 @@ def ledger(
     embedded operator is never built and any other factor, a reference for
     instance, rides along untouched.
 
-    τ, τ_A1A2 and τ_B are each formed and diagonalized once; S(τ) comes from
-    the evolved state itself, so the residual checks the evolution, and τ
-    comes back validated, spectrum and marginals included, for the next
-    transition, whose σ_A2 and σ_B are then read from it.
+    The transition evolves the factor X_ρ ⊗ X_int (see
+    :meth:`DensityOperator.factor`) in one GEMM, and τ comes back held as
+    the evolved factor, so no D×D matrix is formed.  Each spectrum, of τ,
+    τ_A1A2 and τ_B, comes once from the smaller side of its cut; S(τ) is read
+    from the evolved factor's Gram matrix, so the residual checks the
+    evolution.  τ comes back validated, spectrum and marginals included, for
+    the next transition, whose σ_A2 and σ_B are then read from it.
     """
     dims = rho.layout.dims + intermediate.layout.dims
     if on is not None:
@@ -572,7 +575,8 @@ def ledger(
     b = list(range(n_a, len(dims)))
     b_int = list(range(n_a2, len(int_dims)))
 
-    tau = DensityOperator(evolve(u.matrix, rho.matrix, intermediate.matrix, dims, on), dims)
+    x = evolve(u.matrix, np.kron(rho.factor(), intermediate.factor()), dims, on)
+    tau = DensityOperator.from_factor(x, dims)
     deviation = trace_distance(partial_trace(tau, b), partial_trace(intermediate, b_int))
     if deviation > hilbert.TOL_STATE:
         raise CertificationError(
@@ -668,15 +672,15 @@ def recovery_defect(inst: CatalysisInstance, n_samples: int = 8, seed: int = 5) 
     rec = recovery_unitary(inst)
     uc = inst.canonical_unitary()
     da, db = inst.a_dim, inst.b_dim
-    psi = purify(inst.sigma)
-    sigma_bc = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    psi = purify(inst.sigma).amplitudes
     rng = hilbert._rng(seed)
     full_dims = [da, db, db]  # A, B, C
     worst = 0.0
     for _ in range(n_samples):
-        v = haar_state(da, rng).amplitudes
-        kappa = np.outer(v, v.conj())
-        lhs = evolve(uc.matrix, kappa, sigma_bc, full_dims, [0, 1])
-        rhs = evolve(rec.matrix, kappa, sigma_bc, full_dims, [0, 2])
-        worst = max(worst, trace_distance(lhs, rhs))
+        v = np.kron(haar_state(da, rng).amplitudes, psi)
+        lhs = evolve(uc.matrix, v, full_dims, [0, 1])
+        rhs = evolve(rec.matrix, v, full_dims, [0, 2])
+        # between pure states the trace distance is the norm of the part of
+        # one orthogonal to the other
+        worst = max(worst, float(np.linalg.norm(rhs - lhs * np.vdot(lhs, rhs))))
     return worst

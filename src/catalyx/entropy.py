@@ -92,7 +92,8 @@ def mutual_information(rho: DensityOperator, part_x: Sequence[int], part_y: Sequ
     xy = partial_trace(rho, keep)
     pos = {k: i for i, k in enumerate(keep)}
     s_x, s_y = (von_neumann(partial_trace(xy, [pos[i] for i in part])) for part in (x, y))
-    return s_x + s_y - von_neumann(xy)
+    # nonnegative by subadditivity: clip float noise as the entropies do
+    return _clip_zero(s_x + s_y - von_neumann(xy))
 
 
 def renyi_divergence(p, q, alpha: float) -> float:

@@ -4,9 +4,10 @@ random sampling.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to call concurrently.  A density
-operator keeps the marginals :func:`partial_trace` has taken of it in a
-private memo written once per key: two racing threads compute equal values,
-so no lock is needed.  Randomness enters only through explicit seeds.
+operator keeps what is computed from it (the marginals :func:`partial_trace`
+has taken of it, its factor or its matrix) in private memos written once
+each: two racing threads compute equal values, so no lock is needed.
+Randomness enters only through explicit seeds.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class SubsystemLayout:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -113,15 +114,23 @@ class StateVector:
         return self.amplitudes.shape[0]
 
     def density(self) -> "DensityOperator":
-        v = self.amplitudes
-        return DensityOperator(np.outer(v, v.conj()), self.layout)
+        """|v><v|, held as its rank-1 factor."""
+        return DensityOperator.from_factor(self.amplitudes[:, None], self.layout)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian, PSD, trace-one matrix with a subsystem layout."""
+    """Hermitian, PSD, trace-one matrix with a subsystem layout.
 
-    matrix: np.ndarray
+    A state is held either as its matrix or, through :meth:`from_factor`, as
+    a factor X (D×r) with ρ = XX†.  A factor-held state never forms its D×D
+    matrix unless ``.matrix`` is read (it is then built once and kept): its
+    spectrum comes from the smaller of X†X and XX†, and its marginals are
+    factor-held too.  Everything computed from a state is kept on it, written
+    once: the spectrum, the marginals, and the factor or matrix it was not
+    given as.
+    """
+
     layout: SubsystemLayout
 
     def __init__(self, matrix, layout):
@@ -134,17 +143,60 @@ class DensityOperator:
             raise ValueError("density matrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > 100 * TOL_NORM:
             raise ValueError(f"density matrix trace {np.trace(m)} != 1")
-        vals = hermitian_eigvalsh(m)
+        self._keep_validated(layout, hermitian_eigvalsh(m), m, None)
+
+    @classmethod
+    def from_factor(cls, factor, layout) -> "DensityOperator":
+        """The state XX† held as its factor X, a (D, r) matrix."""
+        layout = _as_layout(layout)
+        x = np.asarray(factor, dtype=complex)
+        d = layout.total_dim
+        if x.ndim != 2 or x.shape[0] != d or x.shape[1] < 1:
+            raise ValueError(f"factor shape {x.shape} is not (D, r) for layout dim {d}")
+        gram = dagger(x) @ x if x.shape[1] <= d else x @ dagger(x)
+        trace = np.trace(gram).real  # = ||X||_F^2
+        if abs(trace - 1.0) > 100 * TOL_NORM:
+            raise ValueError(f"density matrix trace {trace} != 1")
+        op = object.__new__(cls)
+        op._keep_validated(layout, hermitian_eigvalsh(gram), None, x)
+        return op
+
+    def _keep_validated(self, layout, vals, matrix, factor) -> None:
+        """Check the ascending spectrum ``vals`` (zeros beyond it are implied)
+        against the PSD floor and keep it, padded and descending."""
         if vals[0] < -10 * TOL_PSD:
             raise ValueError(f"density matrix has negative eigenvalue {vals[0]}")
-        object.__setattr__(self, "matrix", _freeze(m))
+        spectrum = np.zeros(layout.total_dim)
+        spectrum[: vals.size] = np.clip(vals[::-1], 0.0, None)
         object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "_spectrum", _freeze(np.clip(vals[::-1], 0.0, None)))
+        object.__setattr__(self, "_matrix", None if matrix is None else _freeze(matrix))
+        object.__setattr__(self, "_factor", None if factor is None else _freeze(factor))
+        object.__setattr__(self, "_factor_held", factor is not None)
+        object.__setattr__(self, "_spectrum", _freeze(spectrum))
         object.__setattr__(self, "_marginals", {})
 
     @property
+    def matrix(self) -> np.ndarray:
+        """The D×D matrix (read-only); a factor-held state builds it on first
+        read and keeps it."""
+        if self._matrix is None:
+            x = self._factor
+            object.__setattr__(self, "_matrix", _freeze(x @ dagger(x)))
+        return self._matrix
+
+    def factor(self) -> np.ndarray:
+        """A factor X with ρ = XX† (read-only).  A state held as its matrix
+        computes it once, from ``eigh``, as the eigenvectors whose eigenvalues
+        exceed ``TOL_PSD``, each scaled by the root of its eigenvalue."""
+        if self._factor is None:
+            vals, vecs = np.linalg.eigh(self._matrix)
+            keep = vals > TOL_PSD
+            object.__setattr__(self, "_factor", _freeze(vecs[:, keep] * np.sqrt(vals[keep])))
+        return self._factor
+
+    @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.layout.total_dim
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues sorted descending, clipped at zero (read-only; kept
@@ -257,21 +309,20 @@ def controlled(unitaries: Sequence[np.ndarray], basis: np.ndarray | None = None)
 
 def evolve(
     u: np.ndarray,
-    rho: np.ndarray,
-    inter: np.ndarray,
+    x: np.ndarray,
     dims: Sequence[int] | None = None,
     on: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """U (rho ⊗ inter) U† with ``u`` acting on the factors ``on`` of ``dims``
-    (every factor, in order, when ``on`` is omitted).
+    """(U ⊗ 1) X with ``u`` acting on the factors ``on`` of ``dims`` (every
+    factor, in order, when ``on`` is omitted), for a state vector or a factor
+    X (D×r, ρ = XX†); evolving the factor evolves ρ to UρU†.
 
-    The embedded operator is never built: rows are permuted to (on, rest) and
-    columns to (rest, on), so ``u`` and ``u†`` each act in one GEMM of
-    D² d_u flops, and the inverse permutation restores the layout.
+    The embedded operator is never built: rows are permuted to (on, rest),
+    so ``u`` acts in one GEMM of D·r·d_u flops, and the inverse permutation
+    restores the layout.
     """
-    t = np.kron(rho, inter)
-    d = t.shape[0]
-    dims = [d] if dims is None else [int(x) for x in dims]
+    d = x.shape[0]
+    dims = [d] if dims is None else [int(k) for k in dims]
     n = len(dims)
     on = list(range(n)) if on is None else list(SubsystemLayout(dims).check_indices(on))
     du = math.prod(dims[i] for i in on)
@@ -279,12 +330,11 @@ def evolve(
         raise ValueError(f"operator of shape {u.shape} does not act on the factors {on} "
                          f"of dims {dims} (state dimension {d})")
     rest = [i for i in range(n) if i not in on]
-    axes = on + rest + [n + i for i in rest + on]
-    shape = dims + dims
-    t = t.reshape(shape).transpose(axes).reshape(du, -1)
-    t = (u @ t).reshape(-1, du) @ dagger(u)
-    inverse = sorted(range(2 * n), key=axes.__getitem__)
-    return t.reshape([shape[a] for a in axes]).transpose(inverse).reshape(d, d)
+    axes = on + rest + [n]
+    shape = dims + [-1]
+    t = x.reshape(shape).transpose(axes).reshape(du, -1)
+    t = (u @ t).reshape([dims[i] for i in on + rest] + [-1])
+    return t.transpose(sorted(range(n + 1), key=axes.__getitem__)).reshape(x.shape)
 
 
 def ptrace_matrix(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -304,15 +354,26 @@ def ptrace_matrix(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np
 def partial_trace(op: DensityOperator, keep: Sequence[int]) -> DensityOperator:
     """Marginal of ``op`` on the subsystems in ``keep`` (original order kept).
 
-    Each marginal is built and validated once and kept on ``op``; a later
-    call with the same subsystems returns it, and ``keep`` naming every
-    factor returns ``op`` itself."""
+    The marginal of a factor-held state is factor-held: X reshaped and
+    transposed to (d_keep, d_rest·r), so its spectrum comes from the smaller
+    side of the cut.  Each marginal is built and validated once and kept on
+    ``op``; a later call with the same subsystems returns it, and ``keep``
+    naming every factor returns ``op`` itself."""
     keep = tuple(sorted(op.layout.check_indices(keep)))
     if len(keep) == len(op.layout):
         return op
     memo = op._marginals
     if keep not in memo:
-        m = DensityOperator(ptrace_matrix(op.matrix, op.layout.dims, keep), op.layout.select(keep))
+        dims = op.layout.dims
+        layout = op.layout.select(keep)
+        # the form the state was given in picks the path, so a state given as
+        # its matrix keeps exact dense marginals after its factor is computed
+        if op._factor_held:
+            rest = [i for i in range(len(dims)) if i not in keep]
+            x = op._factor.reshape(dims + (-1,)).transpose(list(keep) + rest + [len(dims)])
+            m = DensityOperator.from_factor(x.reshape(layout.total_dim, -1), layout)
+        else:
+            m = DensityOperator(ptrace_matrix(op.matrix, dims, keep), layout)
         memo.setdefault(keep, m)  # write once: a racing thread's equal value may win
     return memo[keep]
 

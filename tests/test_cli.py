@@ -127,6 +127,22 @@ def test_scenario_multiparty(tmp_path):
     assert len(trace["steps"]) == 2
 
 
+def test_scenario_multiparty_prints_no_negative_zero(tmp_path):
+    # I(A:C) vanishes after turn 2; float noise must not print it as -0
+    out = tmp_path / "trace.json"
+    res = run_cli(
+        "scenario", "multiparty", "--d", "3", "--rounds", "2", "--out", str(out)
+    )
+    assert res.returncode == 0
+    assert "I(A:C) = 0.000000 bits after round 2" in res.stdout
+    assert "-0.000000" not in res.stdout
+    steps = json.load(open(out))["trace"]["steps"]
+    for step in steps:
+        for key, value in step["marginals"].items():
+            if key.startswith("I("):
+                assert value >= 0.0, (step["operation"], key, value)
+
+
 def test_scenario_csv_format(tmp_path):
     out = tmp_path / "trace.csv"
     res = run_cli(

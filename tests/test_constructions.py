@@ -1,9 +1,9 @@
 import itertools
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
+from util import count_eigensolves
 
 from catalyx import catalysis as cat
 from catalyx import constructions as con
@@ -131,16 +131,9 @@ def test_max_extraction_pure_catalyst_trivial():
     ids=["max_extraction", "classical4"],
 )
 def test_eigenspace_bases_are_never_recomputed(monkeypatch, build, sizes):
-    counts = Counter()
-    eigh = np.linalg.eigh
-
-    def counting(m, *args, **kwargs):
-        counts[m.shape[0]] += 1
-        return eigh(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    counts = count_eigensolves(monkeypatch)
     build()
-    assert {n: c for n, c in counts.items() if n > 1} == sizes
+    assert {n: c for (solver, n), c in counts.items() if solver == "eigh" and n > 1} == sizes
 
 
 def test_max_extraction_register_cap():

@@ -101,11 +101,6 @@ def test_max_entangled_matches_canonical_operators(d):
 # evolution on a subset of the factors
 
 
-def _embedded_evolve(u, rho, inter, dims, on):
-    big = hl.embed_operator(u, dims, on)
-    return big @ np.kron(rho, inter) @ hl.dagger(big)
-
-
 @SETTINGS
 @given(
     st.lists(st.integers(1, 3), min_size=2, max_size=4),
@@ -114,26 +109,25 @@ def _embedded_evolve(u, rho, inter, dims, on):
 )
 def test_evolve_on_factors_matches_embedding(dims, data, seed):
     n = len(dims)
-    n_rho = data.draw(st.integers(1, n - 1))
     on = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
+    r = data.draw(st.integers(1, 3))
     rng = np.random.default_rng(seed)
-    rho = hl.random_density(dims[:n_rho], int(np.prod(dims[:n_rho])), rng).matrix
-    inter = hl.random_density(dims[n_rho:], 1, rng).matrix
+    x = _complex(rng, int(np.prod(dims)), r)
     u = hl.haar_unitary_matrix(int(np.prod([dims[i] for i in on])), rng)
-    got = hl.evolve(u, rho, inter, dims, on)
-    assert np.abs(got - _embedded_evolve(u, rho, inter, dims, on)).max() <= 1e-12
+    got = hl.evolve(u, x, dims, on)
+    assert np.abs(got - hl.embed_operator(u, dims, on) @ x).max() <= 1e-12
+    # a state vector evolves as a one-column factor
+    assert np.abs(hl.evolve(u, x[:, 0], dims, on) - got[:, 0]).max() <= 1e-12
 
 
 @SETTINGS
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 2**32 - 1))
 def test_evolve_without_on_is_the_full_product(dims, seed):
     rng = np.random.default_rng(seed)
-    rho = hl.random_density([2], 2, rng).matrix
-    inter = hl.random_density(dims, 1, rng).matrix
+    x = _complex(rng, 2 * int(np.prod(dims)), 2)
     u = hl.haar_unitary_matrix(2 * int(np.prod(dims)), rng)
-    want = u @ np.kron(rho, inter) @ hl.dagger(u)
-    assert np.array_equal(hl.evolve(u, rho, inter), want)
-    assert np.array_equal(hl.evolve(u, rho, inter, [2] + dims), want)
+    assert np.array_equal(hl.evolve(u, x), u @ x)
+    assert np.array_equal(hl.evolve(u, x, [2] + dims), u @ x)
 
 
 def _record(rec):
@@ -194,7 +188,8 @@ def test_ledger_on_factors_matches_embedding_multiparty(d):
     w = constructions.multiparty_unitary(d)
     fresh = hl.plus_state(d * d).density()
     mm = hl.maximally_mixed([d])
-    inter = hl.DensityOperator(hl.evolve(w.matrix, fresh.matrix, mm.matrix), [d * d, d])
+    x = hl.evolve(w.matrix, np.kron(fresh.factor(), mm.factor()))
+    inter = hl.DensityOperator.from_factor(x, [d * d, d])
     _assert_same_ledger(w, fresh, inter, 1, [0, 2])
 
 
@@ -203,8 +198,9 @@ def test_ledger_on_factors_matches_embedding_dephasing(r):
     inst = constructions.dephasing_catalysis(r)
     u, da, db = inst.canonical_unitary(), inst.a_dim, inst.b_dim
     rho = hl.random_density([da], da, 7)
-    first = hl.evolve(u.matrix, hl.random_density([da], 2, 8).matrix, inst.sigma.matrix)
-    inter = hl.DensityOperator(first, [da, db])
+    # an intermediate held as its matrix: the ledger takes its factor from eigh
+    first = np.kron(hl.random_density([da], 2, 8).matrix, inst.sigma.matrix)
+    inter = hl.DensityOperator(u.matrix @ first @ hl.dagger(u.matrix), [da, db])
     _assert_same_ledger(u, rho, inter, 1, [0, 2])
     # the fresh input on a second factor that the unitary does not touch
     rho2 = hl.random_density([2, da], 3, 9)
@@ -217,11 +213,16 @@ def test_ledger_returns_the_state_it_evolved():
     mm = hl.maximally_mixed([2])
     _, tau = ledger(w, fresh, mm, 0)
     assert tau.layout.dims == (4, 2)
-    assert np.array_equal(tau.matrix, hl.evolve(w.matrix, fresh.matrix, mm.matrix, [4, 2]))
+    want = hl.evolve(w.matrix, np.kron(fresh.factor(), mm.factor()), [4, 2])
+    assert np.array_equal(tau.factor(), want)
     _, tau2 = ledger(w, fresh, tau, 1, on=[0, 2])
     assert tau2.layout.dims == (4, 4, 2)
-    want = hl.evolve(w.matrix, fresh.matrix, tau.matrix, [4, 4, 2], [0, 2])
-    assert np.array_equal(tau2.matrix, want)
+    want = hl.evolve(w.matrix, np.kron(fresh.factor(), tau.factor()), [4, 4, 2], [0, 2])
+    assert np.array_equal(tau2.factor(), want)
+    # the evolved factor holds the evolved state: U(ρ ⊗ σ)U†
+    u = hl.embed_operator(w.matrix, [4, 4, 2], [0, 2])
+    dense = u @ np.kron(fresh.matrix, tau.matrix) @ hl.dagger(u)
+    assert np.abs(tau2.matrix - dense).max() <= 1e-15
 
 
 def test_on_mismatching_the_unitary_layout_is_rejected():
@@ -235,4 +236,4 @@ def test_on_mismatching_the_unitary_layout_is_rejected():
     with pytest.raises(ValueError):
         ledger(w, fresh, inter, 1, on=[0, 0])
     with pytest.raises(ValueError):
-        hl.evolve(w.matrix, fresh.matrix, inter.matrix, [4, 4, 2], [0, 1])
+        hl.evolve(w.matrix, np.kron(fresh.factor(), inter.factor()), [4, 4, 2], [0, 1])

@@ -16,7 +16,7 @@ SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
 
 def _output(u, rho, sigma, da, db):
     """Catalyst output Tr_A U(rho ⊗ sigma)U† by direct evolution."""
-    return hl.ptrace_matrix(hl.evolve(u, rho, sigma), [da, db], [1])
+    return hl.ptrace_matrix(u @ np.kron(rho, sigma) @ hl.dagger(u), [da, db], [1])
 
 
 def _sampled_inputs(da, rng):

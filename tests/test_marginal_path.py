@@ -2,10 +2,9 @@
 
 A state built as ``DensityOperator(ptrace_matrix(...))`` outside it is
 validated and diagonalized apart from the marginal memo, so the same
-spectrum is computed twice.  The one exception is the conservation check,
-which must not validate its pure joint state.  This test parses the package
-source and rejects every other such call, and any module that defines a
-second mutual-information or subsystem-entropy helper.
+spectrum is computed twice.  This test parses the package source and rejects
+every such call, and any module that defines a second mutual-information or
+subsystem-entropy helper.
 """
 
 import ast
@@ -14,7 +13,7 @@ from pathlib import Path
 import catalyx
 
 SOURCES = sorted(Path(catalyx.__file__).parent.glob("*.py"))
-RAW_MARGINAL_HOMES = {"hilbert.partial_trace", "scenarios.conservation_law_check"}
+RAW_MARGINAL_HOMES = {"hilbert.partial_trace"}
 DELETED = {"mutual_information_matrix", "subsystem_entropy"}
 
 

@@ -1,8 +1,10 @@
 """Property tests of the marginal path: the raw partial trace and partial
 transpose against einsum references, the marginal memo of
-``hilbert.partial_trace``, and mutual information between any two groups
-against a dense numpy reference."""
+``hilbert.partial_trace``, factor-held states and their marginals against
+the dense path, and mutual information between any two groups against a
+dense numpy reference."""
 
+import itertools
 import string
 import sys
 import threading
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalyx import hilbert as hl
-from catalyx.entropy import mutual_information
+from catalyx.entropy import mutual_information, von_neumann
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -110,6 +112,60 @@ def test_mutual_information_matches_dense_reference(rho, data):
             - _vn(_einsum_ptrace(rho.matrix, dims, sorted(x + y))))
     assert abs(mutual_information(rho, x, y) - want) <= 1e-9
     assert mutual_information(rho, y, x) == mutual_information(rho, x, y)
+
+
+@st.composite
+def factor_states(draw):
+    """A factor-held state of rank 1 to D on 2-4 factors of dimension 1-3."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    d = int(np.prod(dims))
+    rank = draw(st.integers(1, d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    return hl.DensityOperator.from_factor(x / np.linalg.norm(x), dims)
+
+
+@SETTINGS
+@given(factor_states())
+def test_factor_held_marginals_match_the_dense_path(rho):
+    dims = list(rho.layout.dims)
+    x = rho.factor()
+    dense = x @ x.conj().T
+    assert np.abs(rho.eigenvalues() - np.linalg.eigvalsh(dense)[::-1]).max() <= 1e-12
+    for k in range(1, len(dims) + 1):
+        for keep in itertools.combinations(range(len(dims)), k):
+            want = hl.ptrace_matrix(dense, dims, keep)
+            marginal = hl.partial_trace(rho, keep)
+            assert np.abs(marginal.matrix - want).max() <= 1e-12
+            assert abs(von_neumann(marginal) - _vn(want)) <= 1e-12
+
+
+@SETTINGS
+@given(factor_states(), st.sampled_from([1 + 1e-6, 1 - 1e-6]))
+def test_factor_with_trace_off_is_rejected(rho, scale):
+    with pytest.raises(ValueError, match="trace"):
+        hl.DensityOperator.from_factor(np.sqrt(scale) * rho.factor(), rho.layout)
+
+
+@SETTINGS
+@given(states())
+def test_dense_state_factor_reproduces_it_and_is_kept(rho):
+    x = rho.factor()
+    assert rho.factor() is x
+    assert np.abs(x @ x.conj().T - rho.matrix).max() <= 1e-12
+    assert x.shape[1] == np.count_nonzero(rho.eigenvalues() > hl.TOL_PSD)
+
+
+def test_factor_shape_is_checked():
+    for bad in (np.ones(4) / 2, np.ones((3, 1)), np.ones((4, 0))):
+        with pytest.raises(ValueError, match="factor shape"):
+            hl.DensityOperator.from_factor(bad, [2, 2])
+
+
+def test_dense_factor_reads_the_psd_floor_at_call_time(monkeypatch):
+    rho = hl.DensityOperator(np.diag([0.7, 0.2, 0.1]), [3])
+    monkeypatch.setattr(hl, "TOL_PSD", 0.15)
+    assert rho.factor().shape == (3, 2)
 
 
 def test_racing_threads_get_the_one_kept_marginal():

@@ -1,14 +1,16 @@
 """Cost guards of the scenario transitions: each transition is evolved once,
-inside the ledger, each marginal of a state is diagonalized once (a later
-transition or reading takes it from the state's memo), local unitaries are
-never embedded at full dimension, and scenario sizes are checked before
-anything is allocated."""
+inside the ledger, on the factor of its state, so no spectrum is solved on a
+matrix larger than the smaller side of its cut; each marginal of a state is
+diagonalized once (a later transition or reading takes it from the state's
+memo), local unitaries are never embedded at full dimension, and scenario
+sizes are checked before anything is allocated."""
 
 import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+from util import count_eigensolves
 
 from catalyx import catalysis as cat
 from catalyx import constructions
@@ -22,26 +24,19 @@ def _catalyx_modules():
 
 
 def test_ledger_diagonalizes_each_marginal_once(monkeypatch):
-    # second use of the depletion protocol at d = 2: A1 = 4, A2 = 4, B = 2
+    # second use of the depletion protocol at d = 2: A1 = 4, A2 = 4, B = 2,
+    # on the rank-2 intermediate the first use leaves
     w = constructions.multiparty_unitary(2)
     fresh = hl.plus_state(4).density()
-    inter = hl.DensityOperator(
-        hl.evolve(w.matrix, fresh.matrix, hl.maximally_mixed([2]).matrix), [4, 2]
-    )
-    sizes = Counter()
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(m):
-        sizes[m.shape[0]] += 1
-        return eigvalsh(m)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    x = hl.evolve(w.matrix, np.kron(fresh.factor(), hl.maximally_mixed([2]).factor()))
+    inter = hl.DensityOperator.from_factor(x, [4, 2])
+    counts = count_eigensolves(monkeypatch)
     ledger(w, fresh, inter, 1, on=[0, 2])
-    assert sizes == {
-        32: 1,  # tau
-        16: 1,  # tau_A1A2
-        4: 1,  # sigma_A2
-        2: 3,  # tau_B, sigma_B and tau_B - sigma_B of the catalyst check
+    assert counts == {
+        ("eigvalsh", 4): 2,  # sigma_A2 and tau_A1A2 (16-dimensional, rank 4)
+        # tau (32-dimensional, rank 2), tau_B, sigma_B and tau_B - sigma_B of
+        # the catalyst check
+        ("eigvalsh", 2): 4,
     }
 
 
@@ -106,43 +101,30 @@ def test_each_transition_is_evolved_once_inside_the_ledger(monkeypatch, run):
     assert calls["evolve"] == calls["ledger"] > 0
 
 
-def _spectrum_sizes(monkeypatch, run):
-    """Run ``run`` and count the Hermitian eigensolver calls by matrix size."""
-    sizes = Counter()
-    solvers = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh")}
-
-    def counting(solver):
-        def call(m, *args, **kwargs):
-            sizes[m.shape[0]] += 1
-            return solver(m, *args, **kwargs)
-        return call
-
-    for name, solver in solvers.items():
-        monkeypatch.setattr(np.linalg, name, counting(solver))
-    run()
-    return sizes
-
-
-def test_refuel_diagonalizes_its_128_dimensional_state_once(monkeypatch):
-    sizes = _spectrum_sizes(monkeypatch, lambda: sc.multiparty_refuel(2, 4))
-    # τ after turn 3, validated in that turn's ledger and reused by turn 4
-    assert sizes[128] == 1
-    # every spectrum from 64 up once: turn 3's τ_A1A2 (64) is turn 4's σ_A2,
-    # read from the marginal memo
-    assert {n: c for n, c in sizes.items() if n >= 64} == {64: 1, 128: 1, 256: 1, 512: 1}
-
-
-def test_depletion_diagonalizes_the_second_output_once(monkeypatch):
-    # the ledger's τ_A1A2 (81) is the state of the reported I(A1:A2)
-    sizes = _spectrum_sizes(monkeypatch, lambda: sc.depletion_demo(3))
-    assert sizes[81] == 1
+@pytest.mark.parametrize(
+    "run, largest",
+    [
+        # joint states of dimension 512, 625 and 243, of rank at most 2, 25 and 3
+        (lambda: sc.multiparty_refuel(2, 4), 32),
+        (lambda: sc.initialization_scenario(5), 25),
+        (lambda: sc.depletion_demo(3), 9),
+    ],
+    ids=["refuel2x4", "initialization5", "depletion3"],
+)
+def test_no_spectrum_is_solved_above_the_smaller_side_of_its_cut(monkeypatch, run, largest):
+    counts = count_eigensolves(monkeypatch)
+    trace = run()
+    assert max(n for _, n in counts) == largest
+    assert all(s.ledger.residual <= 1e-8 for s in trace.steps if s.ledger)
 
 
 def test_conservation_never_validates_the_joint_state(monkeypatch):
-    run = lambda: sc.conservation_law_check(n_samples=3, dims=(3, 3, 3, 3))
-    sizes = _spectrum_sizes(monkeypatch, run)
-    assert max(sizes) <= 27
-    assert sum(sizes.values()) == 10 * 3
+    counts = count_eigensolves(monkeypatch)
+    sc.conservation_law_check(n_samples=3, dims=(3, 3, 3, 3))
+    assert max(n for _, n in counts) <= 9
+    # per sample: the rank-1 joint state's 1x1 Gram matrix, then S(X), S(Y),
+    # S(Z), S(XY), S(YZ), S(WZ) and S(WYZ) once each
+    assert sum(counts.values()) <= 8 * 3
 
 
 def test_ledger_record_does_not_depend_on_the_marginal_memo():
@@ -152,10 +134,11 @@ def test_ledger_record_does_not_depend_on_the_marginal_memo():
     fresh = hl.plus_state(4).density()
     _, tau = ledger(w, fresh, hl.maximally_mixed([2]), 0)
     assert tau._marginals  # warmed by the first ledger
-    cold = hl.DensityOperator(tau.matrix, tau.layout)
+    cold = hl.DensityOperator.from_factor(tau.factor(), tau.layout)
     warm_rec, warm_tau = ledger(w, fresh, tau, 1, on=[0, 2])
     cold_rec, cold_tau = ledger(w, fresh, cold, 1, on=[0, 2])
     assert warm_rec == cold_rec
+    assert np.array_equal(warm_tau.factor(), cold_tau.factor())
     assert np.array_equal(warm_tau.matrix, cold_tau.matrix)
 
 

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+from collections import Counter
+
 import numpy as np
 
 from catalyx.hilbert import EigenspaceDecomposition
@@ -20,3 +22,20 @@ def random_decomposition(rng):
         bases.append(eye[:, off : off + r])
         off += r
     return EigenspaceDecomposition([v for v, _ in pairs], bases)
+
+
+def count_eigensolves(monkeypatch):
+    """Count every later Hermitian eigensolver call, ``np.linalg.eigh`` and
+    ``np.linalg.eigvalsh``, in the returned ``Counter`` keyed by
+    (solver, matrix size)."""
+    counts = Counter()
+
+    def counting(name, solver):
+        def call(m, *args, **kwargs):
+            counts[name, m.shape[0]] += 1
+            return solver(m, *args, **kwargs)
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return counts
