@@ -361,10 +361,6 @@ class KrausChannel:
         """(I ⊗ Phi)(rho) for rho on reference ⊗ input."""
         return _sandwich(self.kraus, rho, ref_dim)
 
-    def extended_adjoint_matrix(self, m: np.ndarray, ref_dim: int) -> np.ndarray:
-        """(I ⊗ Phi†)(m) for m on reference ⊗ output."""
-        return _sandwich(self.kraus.conj().transpose(0, 2, 1), m, ref_dim)
-
     def complementary_matrix(self, rho: np.ndarray) -> np.ndarray:
         """Complementary output G_ij = Tr[K_i rho K_j†]; it shares its spectrum
         with the channel-plus-purification output, so S((Phi x I)(psi_rho)) = S(G)."""

@@ -407,7 +407,8 @@ def cmd_optimize(args) -> int:
         args.seed, args.out, args.format,
     )
     chan = _named_channel(args.channel)
-    alpha = math.inf if args.alpha == "inf" else float(args.alpha)
+    alpha = "1" if args.alpha is None else args.alpha  # None: not given
+    alpha = math.inf if alpha == "inf" else float(alpha)
     # without --restarts the ascents keep their own default
     runs = {} if args.restarts is None else {"restarts": args.restarts}
     if args.target == "ea":
@@ -516,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("target", choices=("ea", "global", "local"))
     sp.add_argument("--channel", required=True,
                     help="named channel like dephasing2 or a unitary JSON file")
-    sp.add_argument("--alpha", default="1")
+    sp.add_argument("--alpha", default=None,
+                    help="Renyi order, default 1 (global and local only)")
     sp.add_argument("--restarts", type=int, default=None,
                     help="ascent restarts (global and local only)")
     common(sp)
@@ -538,8 +540,10 @@ def _reject_idle_flags(args) -> None:
             "--format csv applies only to the trace scenarios "
             f"({', '.join(TRACE_SCENARIOS)})"
         )
-    if args.command == "optimize" and args.target == "ea" and args.restarts is not None:
-        raise ValueError("--restarts applies only to optimize global and local")
+    if args.command == "optimize" and args.target == "ea":
+        for flag in ("alpha", "restarts"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} applies only to optimize global and local")
 
 
 def main(argv=None) -> int:

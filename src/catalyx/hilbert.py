@@ -153,7 +153,7 @@ class DensityOperator:
         d = layout.total_dim
         if x.ndim != 2 or x.shape[0] != d or x.shape[1] < 1:
             raise ValueError(f"factor shape {x.shape} is not (D, r) for layout dim {d}")
-        gram = dagger(x) @ x if x.shape[1] <= d else x @ dagger(x)
+        gram, _ = smaller_gram(x)
         trace = np.trace(gram).real  # = ||X||_F^2
         if abs(trace - 1.0) > 100 * TOL_NORM:
             raise ValueError(f"density matrix trace {trace} != 1")
@@ -486,6 +486,13 @@ def purify(sigma: DensityOperator) -> StateVector:
     amps = root.reshape(-1)
     amps = amps / np.linalg.norm(amps)
     return StateVector(amps, [d, d])
+
+
+def smaller_gram(x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The smaller of X†X and XX† (X†X on a tie), which share their nonzero
+    spectrum, and whether it is X†X."""
+    inner = x.shape[1] <= x.shape[0]
+    return (dagger(x) @ x if inner else x @ dagger(x)), inner
 
 
 def hermitian_eigvalsh(m: np.ndarray) -> np.ndarray:

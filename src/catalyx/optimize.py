@@ -29,6 +29,7 @@ from .entropy import catalytic_entropy, catalytic_min_entropy, renyi
 from .hilbert import dagger, eigenspace_decompose
 
 _LN2 = math.log(2.0)
+_EPS = float(np.finfo(float).eps)
 _EIG_FLOOR = 1e-18
 SUPPORTED_ALPHAS = (0.5, 1.0, 2.0, math.inf)
 # iteration budget and gradient-norm stop of the pure-input and capacity ascents
@@ -78,7 +79,9 @@ def _renyi_of_matrix(m: np.ndarray, alpha: float) -> float:
 
 def _renyi_and_derivative(m: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
     """S_alpha(M) and the Hermitian D with dS_alpha = Tr[D dM], both from one
-    eigendecomposition; eigenvalues are floored for the logs of D."""
+    eigendecomposition; eigenvalues are floored for the logs and powers of D,
+    and zero eigenvalues add nothing to its trace normalization, so X†X and
+    XX† give the same D X."""
     vals, vecs = np.linalg.eigh(m)
     p = np.clip(vals, 0.0, None)
     value = renyi(p / p.sum(), alpha)
@@ -86,7 +89,7 @@ def _renyi_and_derivative(m: np.ndarray, alpha: float) -> tuple[float, np.ndarra
     if alpha == 1.0:
         diag = -(np.log2(vals) + 1.0 / _LN2)
     else:
-        tr = (vals**alpha).sum()
+        tr = (p**alpha).sum()
         diag = (alpha / ((1.0 - alpha) * _LN2 * tr)) * vals ** (alpha - 1.0)
     return value, (vecs * diag) @ dagger(vecs)
 
@@ -113,7 +116,12 @@ def _ascend(
     max_iter: int,
     tol_grad: float,
 ) -> tuple[np.ndarray, float, int, float, bool]:
-    """Backtracking gradient ascent on the unit sphere from x0."""
+    """Backtracking gradient ascent on the unit sphere from x0.
+
+    The line search halves the step until a move gains, and stops (a stall)
+    once the first-order gain step·‖g‖² is at or below the rounding of f,
+    where a gain could not be told from noise.  The ascent converges when
+    ‖g‖ <= tol_grad, or when it stalls with ‖g‖ <= 1e3·tol_grad."""
     x = _sphere_retract(x0)
     f, g = value_grad(x)
     step = 1.0
@@ -122,20 +130,16 @@ def _ascend(
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol_grad:
             return x, f, it, gnorm, True
-        moved = False
-        for _ in range(40):
+        rounding = 4.0 * _EPS * max(1.0, abs(f))
+        while step * gnorm**2 > rounding:
             cand = _sphere_retract(x + step * g)
             fc, gc = value_grad(cand)
             if fc > f + 1e-16:
                 x, f, g = cand, fc, gc
                 step *= 1.6
-                moved = True
                 break
             step *= 0.5
-            if step < 1e-14:
-                break
-        if not moved:
-            gnorm = float(np.linalg.norm(g))
+        else:
             return x, f, it, gnorm, gnorm <= 1e3 * tol_grad
     return x, f, it, float(np.linalg.norm(g)), False
 
@@ -168,31 +172,45 @@ def _project_tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _pure_ascent(
-    apply: Callable[[np.ndarray], np.ndarray],
-    adjoint: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    alpha: float,
-    restarts: int,
-    seed: int,
+    chan: KrausChannel, ref: int, alpha: float, restarts: int, seed: int
 ) -> OptimizationResult:
-    """Maximize S_alpha(apply(psi psi†)) over unit vectors psi of length dim;
-    at alpha=inf the alpha=2 ascent runs and its argmax is scored exactly."""
+    """Maximize S_alpha((1_ref x Phi)(psi psi†)) over unit vectors psi on
+    reference x input; at alpha=inf the alpha=2 ascent runs and its argmax is
+    scored exactly.
+
+    Each evaluation forms the Kraus factor X, whose columns are
+    (1 x K_i) psi, so the output is XX†: one matmul on psi as a (ref, d_in)
+    matrix.  The entropy and its derivative come from one eigendecomposition
+    of the smaller of X†X and XX†, and the gradient is 2 sum_i (1 x K_i†) z_i
+    with Z = X f'(X†X) = f'(XX†) X."""
     alpha = _check_alpha(alpha)
     _check_restarts(restarts)
     smooth = 2.0 if math.isinf(alpha) else alpha
+    n, d_out, d_in = chan.kraus.shape
+    # kcat[a, b n + i] = K_i[b, a], so psi as a (ref, d_in) matrix times kcat
+    # is X with its (ref d_out, n) shape read row-major
+    kcat = np.ascontiguousarray(chan.kraus.transpose(2, 1, 0).reshape(d_in, d_out * n))
+    kcat_h = dagger(kcat).copy()
+
+    def factor(v: np.ndarray) -> np.ndarray:
+        return (v.reshape(ref, d_in) @ kcat).reshape(ref * d_out, n)
 
     def value_grad(v: np.ndarray):
-        s, dmat = _renyi_and_derivative(apply(np.outer(v, v.conj())), smooth)
-        g = 2.0 * adjoint(dmat) @ v
+        x = factor(v)
+        gram, inner = hilbert.smaller_gram(x)
+        s, dmat = _renyi_and_derivative(gram, smooth)
+        z = x @ dmat if inner else dmat @ x
+        g = 2.0 * (z.reshape(ref, d_out * n) @ kcat_h).reshape(-1)
         return s, _project_tangent(v, g)
 
     rng = hilbert._rng(seed)
+    dim = ref * d_in
     starts = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(restarts))
     v, f, total_iter, gnorm, conv = _best_ascent(
         value_grad, starts, _PURE_MAX_ITER, _PURE_TOL_GRAD
     )
     if math.isinf(alpha):
-        f = _renyi_of_matrix(apply(np.outer(v, v.conj())), alpha)
+        f = _renyi_of_matrix(hilbert.smaller_gram(factor(v))[0], alpha)
     return OptimizationResult(
         value=f, argmax=v, argmax_kind="pure", iterations=total_iter,
         restarts=restarts, converged=conv, gradient_norm_at_end=gnorm,
@@ -205,12 +223,7 @@ def max_entropy_production_global(
     """Maximize S_alpha((I x Phi)(psi)) over pure psi on reference x input
     with matching dimensions (pure inputs suffice for the maximum, and a
     reference of the input dimension exhausts the Schmidt rank)."""
-    d = chan.dim_in
-    return _pure_ascent(
-        lambda m: chan.extended_apply_matrix(m, d),
-        lambda m: chan.extended_adjoint_matrix(m, d),
-        d * d, alpha, restarts, seed,
-    )
+    return _pure_ascent(chan, chan.dim_in, alpha, restarts, seed)
 
 
 def max_entropy_production_local(
@@ -218,10 +231,7 @@ def max_entropy_production_local(
 ) -> OptimizationResult:
     """Maximize S_alpha(Phi(rho)) - S_alpha(rho) over input states; pure
     inputs suffice (module docstring), so the argmax is a state vector."""
-    return _pure_ascent(
-        chan.apply_matrix, chan.adjoint_matrix,
-        chan.dim_in, alpha, restarts, seed,
-    )
+    return _pure_ascent(chan, 1, alpha, restarts, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,8 @@ def test_scenario_sample_count_is_checked(args):
         # refused before the file is read
         (("verify", "missing.json", "--format", "csv"), "--format csv"),
         (("entropy", "missing.json", "--format", "csv"), "--format csv"),
+        # ea has no Renyi order, so no value of --alpha is read
+        (("optimize", "ea", "--channel", "dephasing2", "--alpha", "7"), "--alpha"),
     ],
 )
 def test_ignored_or_invalid_flags_are_usage_errors(args, flag, tmp_path, capsys):

@@ -30,18 +30,13 @@ def _complex(rng, *shape):
 
 
 @SETTINGS
-@given(channels(), st.integers(1, 3))
-def test_adjoint_duality(chan_rng, ref_dim):
+@given(channels())
+def test_adjoint_duality(chan_rng):
     chan, rng = chan_rng
     rho = hl.random_density([chan.dim_in], chan.dim_in, rng).matrix
     m = _complex(rng, chan.dim_out, chan.dim_out)
     lhs = np.trace(chan.apply_matrix(rho) @ m)
     assert abs(lhs - np.trace(rho @ chan.adjoint_matrix(m))) <= 1e-12
-    rho_ext = hl.random_density([ref_dim * chan.dim_in], ref_dim, rng).matrix
-    m_ext = _complex(rng, ref_dim * chan.dim_out, ref_dim * chan.dim_out)
-    lhs = np.trace(chan.extended_apply_matrix(rho_ext, ref_dim) @ m_ext)
-    rhs = np.trace(rho_ext @ chan.extended_adjoint_matrix(m_ext, ref_dim))
-    assert abs(lhs - rhs) <= 1e-12
 
 
 @SETTINGS

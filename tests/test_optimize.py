@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from util import count_eigensolves
+from util import count_eigensolves, count_evaluations
 
 from catalyx import catalysis as cat
 from catalyx import constructions as con
@@ -79,29 +79,81 @@ def test_ea_gradient_costs_three_eigendecompositions(monkeypatch):
     assert counts == {("eigh", 3): 2, ("eigh", 2): 1}
 
 
-@pytest.mark.parametrize("alpha", opt.SUPPORTED_ALPHAS)
-@pytest.mark.parametrize("kind", ["global", "local"])
-def test_pure_ascent_evaluation_costs_one_eigendecomposition(monkeypatch, kind, alpha):
+def _objective(target, chan, alpha):
+    """The objective the entropy-production ascent hands to ``_ascend``."""
     captured = []
 
     def first_start_only(value_grad, x0, max_iter, tol_grad):
         captured.append(value_grad)
         return x0 / np.linalg.norm(x0), 0.0, 0, 0.0, True
 
-    monkeypatch.setattr(opt, "_ascend", first_start_only)
-    chan = cat.dephasing_channel(3)
-    if kind == "global":
-        opt.max_entropy_production_global(chan, alpha, restarts=1)
-        dim = 9  # reference x input
-    else:
-        opt.max_entropy_production_local(chan, alpha, restarts=1)
-        dim = 3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opt, "_ascend", first_start_only)
+        getattr(opt, f"max_entropy_production_{target}")(chan, alpha, restarts=1)
     (value_grad,) = captured
+    return value_grad
+
+
+@pytest.mark.parametrize("alpha", opt.SUPPORTED_ALPHAS)
+@pytest.mark.parametrize("kind", ["global", "local"])
+def test_pure_ascent_evaluation_costs_one_eigendecomposition(monkeypatch, kind, alpha):
+    value_grad = _objective(kind, cat.dephasing_channel(3), alpha)
+    dim = 9 if kind == "global" else 3  # reference x input
     v = np.arange(1.0, dim + 1) + 0.5j
     counts = count_eigensolves(monkeypatch)
     value_grad(v / np.linalg.norm(v))
-    # on the output, as large as the input here: dephasing keeps the dimension
-    assert counts == {("eigh", dim): 1}
+    # on the Gram matrix of the Kraus factor: its rank 3 is the smaller side
+    # of the output, 3x3 local and 9x9 global
+    assert counts == {("eigh", 3): 1}
+
+
+@st.composite
+def _factor_cases(draw, target, side):
+    """A random channel whose Kraus rank n is at most ("inner") or above
+    ("outer") the output dimension ref d_out of the ascent's objective, and a
+    seed for its inputs.  A one-dimensional input has no tangent direction,
+    and a single Kraus operator keeps every output pure, so neither occurs."""
+    d_in, d_out = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    out = (d_in if target == "global" else 1) * d_out
+    n = draw(st.integers(2, out) if side == "inner"
+             else st.integers(out + 1, out + 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    iso = hl.haar_unitary_matrix(n * d_out, seed)[:, :d_in]
+    return cat.KrausChannel(iso.reshape(n, d_out, d_in)), np.random.default_rng(seed)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("side", ["inner", "outer"])
+@pytest.mark.parametrize("target", ["global", "local"])
+def test_factor_objective_matches_the_dense_output(target, side, alpha):
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(_factor_cases(target, side))
+    def check(case):
+        chan, rng = case
+        ref = chan.dim_in if target == "global" else 1
+        value_grad = _objective(target, chan, alpha)
+        v = rng.standard_normal(ref * chan.dim_in) + 1j * rng.standard_normal(ref * chan.dim_in)
+        v /= np.linalg.norm(v)
+        f, g = value_grad(v)
+        dense = chan.extended_apply_matrix(np.outer(v, v.conj()), ref)
+        assert abs(f - opt._renyi_of_matrix(dense, alpha)) <= 1e-12
+        # central difference along a random unit tangent direction
+        t = rng.standard_normal(v.size) + 1j * rng.standard_normal(v.size)
+        t -= np.vdot(v, t) * v
+        t /= np.linalg.norm(t)
+        h = 1e-5
+        fd = (value_grad(opt._sphere_retract(v + h * t))[0]
+              - value_grad(opt._sphere_retract(v - h * t))[0]) / (2 * h)
+        assert abs(fd - np.real(np.vdot(g, t))) <= 1e-6 * np.linalg.norm(g)
+
+    check()
+
+
+def test_line_search_stops_where_rounding_starts(monkeypatch):
+    counts = count_evaluations(monkeypatch)
+    res = opt.max_entropy_production_global(cat.dephasing_channel(2), 1.0, restarts=2, seed=0)
+    assert res.converged
+    assert counts["evaluations"] <= 2 * counts["iterations"]
 
 
 # ---------------------------------------------------------------------------

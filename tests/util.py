@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 
+from catalyx import optimize
 from catalyx.hilbert import EigenspaceDecomposition
 
 
@@ -38,4 +39,24 @@ def count_eigensolves(monkeypatch):
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return counts
+
+
+def count_evaluations(monkeypatch):
+    """Count the objective evaluations and the iterations of every later
+    ``optimize._ascend`` call, in the returned ``Counter`` under
+    "evaluations" and "iterations"."""
+    counts = Counter()
+    ascend = optimize._ascend
+
+    def counting(value_grad, x0, max_iter, tol_grad):
+        def counted(x):
+            counts["evaluations"] += 1
+            return value_grad(x)
+
+        out = ascend(counted, x0, max_iter, tol_grad)
+        counts["iterations"] += out[2]
+        return out
+
+    monkeypatch.setattr(optimize, "_ascend", counting)
     return counts
