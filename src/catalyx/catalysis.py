@@ -240,8 +240,9 @@ class CatalysisInstance:
         return int(np.prod(self.b_dims))
 
     def canonical_unitary(self) -> UnitaryOperator:
-        da = self.a_dim
-        m = np.kron(np.eye(da), dagger(self.canonical_v.matrix)) @ self.unitary.matrix
+        """(1 ⊗ V†) U, with V† applied to the catalyst rows of U in one GEMM."""
+        vdag = dagger(self.canonical_v.matrix)
+        m = evolve(vdag, self.unitary.matrix, [self.a_dim, self.b_dim], [1])
         return UnitaryOperator(m, self.unitary.layout)
 
     def to_bundle(self, unitary_file: str, sigma_file: str, timestamp: str = "") -> dict:
@@ -409,20 +410,29 @@ def random_channel(d: int, kraus_rank: int, seed) -> KrausChannel:
 
 
 def channel_to_kraus(inst: CatalysisInstance) -> KrausChannel:
-    """Minimal Kraus form of the induced channel: the weighted
-    <b|U|catalyst-eigenvector> blocks collapse to the Choi rank through one SVD
-    of their Choi vectors, whose right singular vectors are the Choi
-    eigenvectors."""
+    """Minimal Kraus form of the induced channel.
+
+    With σ = Σ_k χ_k χ_k† (the columns χ_k of ``inst.sigma.factor()``, kept on
+    the state), the operators <b|U|χ_k> are a Kraus form; stack their Choi
+    vectors as the rows of R, so the Choi matrix is R^T R̄.  One ``eigh`` of
+    the smaller of RR† and R†R (:func:`hilbert.smaller_gram`) gives the
+    minimal form, with one operator per eigenvalue λ > 1e-10: the Choi vector
+    u†R for an eigenvector u of RR†, or √λ v† for an eigenvector v of R†R.
+    Neither divides by anything."""
     da, db = inst.a_dim, inst.b_dim
-    svals, svecs = eigh_desc(inst.sigma.matrix)
-    keep = svals > 1e-12
-    chis = svecs[:, keep] * np.sqrt(svals[keep])
-    um = inst.unitary.matrix.reshape(da, db, da, db)
-    raw = np.einsum("abcd,dk->kbac", um, chis).reshape(-1, da, da)  # sqrt(s_k) <b|U|chi_k>
-    _, sv, vh = np.linalg.svd(_choi_vectors(raw), full_matrices=False)
-    keep = sv**2 > 1e-10
-    vecs = vh[keep].reshape(-1, da, da).transpose(0, 2, 1)  # Choi vectors are (in, out)
-    return KrausChannel(sv[keep][:, None, None] * vecs)
+    chis = inst.sigma.factor()
+    d = da * db
+    # R[(k, b), (c, a)] = <a, b|U|c, χ_k>: Choi vectors are (in, out)
+    raw = (inst.unitary.matrix.reshape(d * da, db) @ chis).reshape(da, db, da, -1)
+    r = raw.transpose(3, 1, 2, 0).reshape(-1, da * da)
+    gram, inner = hilbert.smaller_gram(r)
+    vals, vecs = np.linalg.eigh(gram)
+    keep = vals > 1e-10
+    if inner:
+        choi = np.sqrt(vals[keep])[:, None] * dagger(vecs[:, keep])
+    else:
+        choi = dagger(vecs[:, keep]) @ r
+    return KrausChannel(choi.reshape(-1, da, da).transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -439,31 +449,39 @@ def decompose_subcatalyses(
 
     Each block of the canonical unitary must commute with 1 ⊗ V V†; the blocks
     are unitary on their supports and the weights lambda_i r_i sum to one.
+    Neither 1 ⊗ V V† nor the isometry 1 ⊗ V is built: V V† acts on the
+    catalyst index of the rows and of the columns, and the restriction
+    V† U_c V contracts both catalyst indices with V.
     """
     uc = inst.canonical_unitary().matrix
     da, db = inst.a_dim, inst.b_dim
+    d = da * db
+    by_col_b = uc.reshape(d * da, db)  # rows (a, b, a'), columns b'
     sig = inst.sigma.matrix
     if bases is None:
         bases = hilbert.eigenspace_decompose(inst.sigma).bases
     out = []
-    eye_a = np.eye(da)
     for idx, basis in enumerate(bases):
         basis = np.asarray(basis, dtype=complex)
         pi = basis @ dagger(basis)
-        big = np.kron(eye_a, pi)
-        if np.linalg.norm(uc @ big - big @ uc) > 1e-7:
+        right = (by_col_b @ pi).reshape(d, d)  # U_c (1 ⊗ Π)
+        left = evolve(pi, uc, [da, db], [1])   # (1 ⊗ Π) U_c
+        if np.linalg.norm(right - left) > 1e-7:
             raise CertificationError(
                 f"unitary does not commute with catalyst eigenspace {idx}; "
                 "the pair is not a compatible catalysis at this refinement"
             )
         weight = float(np.trace(pi @ sig).real)
         r = basis.shape[1]
-        emb = np.kron(eye_a, basis)  # isometry onto A ⊗ span(V)
-        sub_u = dagger(emb) @ uc @ emb
-        if unitarity_defect(sub_u) > hilbert.TOL_UNITARY:
-            raise CertificationError(f"restricted block {idx} is not unitary")
+        # rows (a, b), columns (a', j) -> rows (a, i), columns (a', j)
+        cols = (by_col_b @ basis).reshape(da, db, da * r)
+        sub_u = (dagger(basis) @ cols).reshape(da * r, da * r)
+        try:
+            sub_u = UnitaryOperator(sub_u, list(inst.a_dims) + [r])
+        except ValueError as exc:
+            raise CertificationError(f"restricted block {idx}: {exc}") from exc
         sub = canonical_form(
-            UnitaryOperator(sub_u, list(inst.a_dims) + [r]),
+            sub_u,
             maximally_mixed([r]),
             a_count=inst.a_count,
             seed=inst.seed + idx + 1,
@@ -650,7 +668,7 @@ def recovery_unitary(inst: CatalysisInstance) -> UnitaryOperator:
     """Partial transpose of the canonical unitary over the catalyst side,
     acting on system ⊗ purifier: it reproduces the catalysis evolution on
     A ⊗ C, so hidden correlations can always be undone from the purifier."""
-    if np.linalg.matrix_rank(inst.sigma.matrix, tol=1e-10) < inst.b_dim:
+    if np.count_nonzero(inst.sigma.eigenvalues() > 1e-10) < inst.b_dim:
         raise CertificationError(
             "recovery requires a full-support catalyst (purifier padding by "
             "zero eigenvalues is rejected)"

@@ -29,7 +29,6 @@ from .hilbert import (
     kron_all,
     max_entangled,
     maximally_mixed,
-    permute_subsystems,
     weyl_set,
 )
 
@@ -88,22 +87,23 @@ def dephasing_catalysis(r) -> CatalysisInstance:
     b_dim = sum(r.r)
     _check_total_dim(big_d * b_dim, "dephasing construction")
     z = clock_matrix(big_d)
-    zpow = [np.linalg.matrix_power(z, k) for k in range(big_d + max(r.r) ** 2 + 1)]
-    u = np.zeros((big_d * b_dim, big_d * b_dim), dtype=complex)
+    zdiag = [np.diagonal(np.linalg.matrix_power(z, k)) for k in range(big_d)]
+    # every term is diagonal on the system, so U = sum_p |p><p| ⊗ M_p with
+    # M_p[m_i, m_j] the coefficient times the p-th entry of the clock power
+    blocks = np.zeros((big_d, b_dim, b_dim), dtype=complex)
     s_m = 0
     offset = 0
     for rm in r.r:
         omega = np.exp(2j * np.pi / rm)
         for i in range(rm):
             for j in range(1, rm + 1):
-                dyad = np.zeros((b_dim, b_dim), dtype=complex)
-                dyad[offset + i, offset + j - 1] = 1.0
-                u += (omega ** (i * j) / np.sqrt(rm)) * np.kron(
-                    zpow[(s_m + i * rm + j) % big_d], dyad
-                )
+                blocks[:, offset + i, offset + j - 1] = (
+                    omega ** (i * j) / np.sqrt(rm)
+                ) * zdiag[(s_m + i * rm + j) % big_d]
         s_m += rm * rm
         offset += rm
     sigma = conserved_optimal_catalyst(r)
+    u = controlled(blocks, control_first=True)
     return canonical_form(UnitaryOperator(u, [big_d, b_dim]), sigma)
 
 
@@ -139,20 +139,22 @@ def max_extraction_catalysis(sigma: DensityOperator) -> MaxExtractionResult:
     db = sigma.dim
     _check_total_dim(n * big_r * db, "maximal-extraction construction")
     zn = clock_matrix(n)
-    u = np.zeros((n * big_r * db, n * big_r * db), dtype=complex)
+    # every term is diagonal on label ⊗ register, so U has one catalyst block
+    # per (label, register) basis state; adding the terms in (i, j) order
+    # fixes the rounding of each block
+    blocks = np.zeros((n, big_r, db, db), dtype=complex)
     for i, (ri, basis) in enumerate(zip(dec.multiplicities, dec.bases)):
-        v_i = np.linalg.matrix_power(zn, i + 1)
+        v_i = np.diagonal(np.linalg.matrix_power(zn, i + 1))
         block = big_r // (ri * ri)
         for j, w in enumerate(weyl_set(ri)):
-            p_j = np.zeros((big_r, big_r), dtype=complex)
-            p_j[j * block : (j + 1) * block, j * block : (j + 1) * block] = np.eye(block)
             w_emb = basis @ w @ basis.conj().T
-            u += kron_all([v_i, p_j, w_emb])
+            blocks[:, j * block : (j + 1) * block] += v_i[:, None, None, None] * w_emb
     # act as the identity on the catalyst's kernel so u is unitary even for
     # rank-deficient catalysts
     kernel = np.eye(db) - sum(b @ b.conj().T for b in dec.bases)
     if np.linalg.norm(kernel) > 1e-12:
-        u += kron_all([np.eye(n), np.eye(big_r), kernel])
+        blocks += kernel
+    u = controlled(blocks.reshape(n * big_r, db, db), control_first=True)
     inst = canonical_form(UnitaryOperator(u, [n, big_r, db]), sigma, a_count=2)
     psi = StateVector(max_entangled(n * big_r), [n, big_r, n, big_r])
     return MaxExtractionResult(instance=inst, input_state=psi, register_dim=big_r)
@@ -280,9 +282,7 @@ def multiparty_unitary(d: int) -> UnitaryOperator:
     if d < 2:
         raise ValueError("need d >= 2")
     _check_total_dim(d**3, "multiparty unitary")
-    # controlled() puts the control factor last; this layout has it first
-    u = permute_subsystems(controlled(weyl_set(d)), [d, d * d], [1, 0])
-    return UnitaryOperator(u, [d * d, d])
+    return UnitaryOperator(controlled(weyl_set(d), control_first=True), [d * d, d])
 
 
 def multiparty_instance(d: int) -> CatalysisInstance:

@@ -297,14 +297,36 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def controlled(unitaries: Sequence[np.ndarray], basis: np.ndarray | None = None) -> np.ndarray:
-    """Sum_x U_x ⊗ |b_x><b_x| with the control factor last; the columns of
-    ``basis`` are the control vectors (the computational basis if omitted)."""
-    b = np.eye(len(unitaries)) if basis is None else np.asarray(basis)
-    return sum(
-        np.kron(np.asarray(ux, dtype=complex), np.outer(b[:, x], b[:, x].conj()))
-        for x, ux in enumerate(unitaries)
-    )
+def controlled(
+    unitaries: Sequence[np.ndarray],
+    basis: np.ndarray | None = None,
+    control_first: bool = False,
+) -> np.ndarray:
+    """Sum_x U_x ⊗ |b_x><b_x| with the control factor last (first, as
+    Sum_x |x><x| ⊗ U_x, with ``control_first``); the columns of ``basis`` are
+    the control vectors (the computational basis if omitted).
+
+    No Kronecker product is formed.  In the computational basis each block
+    U_x is written into its place; another basis adds the entries
+    U_x[i, j] (|b_x><b_x|)[k, l] one x after another.  Both add into zeros,
+    so the result equals the Kronecker sum bit for bit (a signed zero comes
+    out as 0.0)."""
+    us = np.asarray(unitaries, dtype=complex)
+    n, d = us.shape[:2]
+    out = np.zeros((d * n, d * n), dtype=complex)
+    if basis is None:
+        x = np.arange(n)
+        if control_first:
+            out.reshape(n, d, n, d)[x, :, x] += us
+        else:
+            out.reshape(d, n, d, n)[:, x, :, x] += us
+        return out
+    if control_first:
+        raise ValueError("a control basis other than the computational one needs the control last")
+    t = out.reshape(d, n, d, n)
+    for ux, bx in zip(us, np.asarray(basis).T):
+        t += ux[:, None, :, None] * np.outer(bx, bx.conj())[None, :, None, :]
+    return out
 
 
 def evolve(

@@ -300,6 +300,14 @@ def test_decompose_rejects_noncommuting_refinement():
         decompose_subcatalyses(inst, bases=[plus, minus])
 
 
+def test_decompose_names_a_restricted_block_that_is_not_unitary():
+    inst = classical_catalysis([0.5, 0.5], [np.eye(2), clock_matrix(2)])
+    # a scaled basis vector commutes with U but restricts it to 1.01 U_1
+    bases = [np.array([[1.0], [0.0]]), np.array([[0.0], [1.01]])]
+    with pytest.raises(CertificationError, match="restricted block 1"):
+        decompose_subcatalyses(inst, bases=bases)
+
+
 def test_eigenspace_projections_are_compatible_catalysts():
     sigma = DensityOperator(np.diag([0.5, 0.25, 0.25]), [3])
     u = np.zeros((6, 6), dtype=complex)

@@ -80,8 +80,14 @@ def test_controlled_matches_kron_sum(d, da, seed, fourier):
     )
     got = hl.controlled(us, basis) if fourier else hl.controlled(us)
     assert got.shape == (da * d, da * d)
-    assert np.abs(got - want).max() <= 1e-14
+    assert got.tobytes() == want.tobytes()
     assert hl.unitarity_defect(got) <= 1e-12
+    if fourier:
+        with pytest.raises(ValueError, match="control last"):
+            hl.controlled(us, basis, control_first=True)
+    else:
+        first = sum(np.kron(np.outer(e, e), u) for e, u in zip(basis, us))
+        assert hl.controlled(us, control_first=True).tobytes() == first.tobytes()
 
 
 @SETTINGS

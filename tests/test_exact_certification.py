@@ -1,6 +1,6 @@
 """Exact certification: the transfer tensor against direct evolution, seed
 independence of the verdict, soundness against a sampled reference check, and
-the minimal Kraus form from one SVD."""
+the minimal Kraus form from the smaller Gram side of its Choi vectors."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -121,8 +121,13 @@ def test_minimal_kraus_form_keeps_the_choi_matrix():
         _controlled_instance(3, 2, 2),
         cat.classical_catalysis([0.6, 0.4], [hl.haar_unitary_matrix(3, s) for s in (5, 6)]),
     ]
+    sides = set()
     for inst in insts:
         want = _raw_kraus(inst).choi()
         chan = cat.channel_to_kraus(inst)
         assert np.abs(chan.choi() - want).max() <= 1e-12
         assert len(chan.kraus) == int((np.linalg.eigvalsh(want) > 1e-10).sum())
+        # Choi vectors against their length d_A^2: which Gram side is smaller
+        n_vectors = inst.sigma.factor().shape[1] * inst.b_dim
+        sides.add(np.sign(n_vectors - inst.a_dim**2))
+    assert sides == {-1, 1}

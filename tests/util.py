@@ -60,3 +60,17 @@ def count_evaluations(monkeypatch):
 
     monkeypatch.setattr(optimize, "_ascend", counting)
     return counts
+
+
+def count_krons(monkeypatch):
+    """Count every later ``np.kron`` call in the returned ``Counter``, keyed
+    by the shapes of its two operands."""
+    counts = Counter()
+    kron = np.kron
+
+    def counting(a, b):
+        counts[np.shape(a), np.shape(b)] += 1
+        return kron(a, b)
+
+    monkeypatch.setattr(np, "kron", counting)
+    return counts
