@@ -402,6 +402,30 @@ def initialization_channel(d: int) -> KrausChannel:
     return KrausChannel([np.outer(np.eye(d)[0], e) for e in np.eye(d)])
 
 
+def werner_holevo_channel(d: int) -> KrausChannel:
+    """rho -> (Tr rho - rho^T) / (d - 1), with Kraus operators
+    (|i><j| - |j><i|) / sqrt(d - 1) for i < j.  Unital; at d = 3 it is not
+    catalytic (``kraus_products_rank``), at d = 2 it is a unitary conjugation."""
+    if d < 2:
+        raise ValueError(f"need d >= 2, got {d}")
+    e = np.eye(d)
+    return KrausChannel([(np.outer(e[i], e[j]) - np.outer(e[j], e[i])) / np.sqrt(d - 1)
+                         for i in range(d) for j in range(i + 1, d)])
+
+
+def kraus_products_rank(chan: KrausChannel) -> tuple[int, int]:
+    """(dimension of span{K_i† K_j}, Kraus rank k); any Kraus form gives the
+    same pair.  A factorizable channel whose K_i† K_j are linearly independent
+    is a unitary conjugation (Haagerup–Musat, Commun. Math. Phys. 303, 2011),
+    and every catalytic channel is factorizable; so a full span of k² with
+    k > 1 proves the channel is not catalytic.  A smaller span decides nothing."""
+    ops = chan.kraus
+    n = len(ops)
+    products = np.einsum("iba,jbc->ijac", ops.conj(), ops).reshape(n * n, -1)
+    return (int(np.linalg.matrix_rank(products)),
+            int(np.linalg.matrix_rank(ops.reshape(n, -1))))
+
+
 def random_channel(d: int, kraus_rank: int, seed) -> KrausChannel:
     """Haar-random Stinespring isometry cut into Kraus blocks."""
     big = hilbert.haar_unitary_matrix(d * kraus_rank, seed)

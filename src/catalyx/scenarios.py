@@ -203,13 +203,17 @@ class ConservationReport:
     max_residual: float
     max_inequality_violation: float
     samples: int
+    ok: bool
 
 
 def conservation_law_check(
     seed: int = 0, n_samples: int = 100, dims: Sequence[int] = (2, 2, 2, 2)
 ) -> ConservationReport:
     """For Haar random 4-partite pure states on W, X, Y, Z check the identity
-    2 S(Y) = I(X:Y) + I(Y:WZ) and the weaker 2 S(Y) >= I(X:Y) + I(Y:Z)."""
+    2 S(Y) = I(X:Y) + I(Y:WZ) and the weaker 2 S(Y) >= I(X:Y) + I(Y:Z).
+
+    Sampling is sound here: both hold for every pure state, so each sample
+    fully tests the code and no maximum over states is being estimated."""
     dims = [int(x) for x in dims]
     if len(dims) != 4 or any(x > 3 for x in dims):
         raise ValueError("need four factors of dimension <= 3")
@@ -234,7 +238,8 @@ def conservation_law_check(
         worst_res = max(worst_res, abs(2 * s_y - i_xy - i_ywz))
         worst_ineq = max(worst_ineq, i_xy + i_yz - 2 * s_y)
     return ConservationReport(
-        max_residual=worst_res, max_inequality_violation=worst_ineq, samples=n_samples
+        max_residual=worst_res, max_inequality_violation=worst_ineq, samples=n_samples,
+        ok=worst_res <= 1e-9 and worst_ineq <= 1e-9,
     )
 
 
@@ -300,7 +305,11 @@ def absorption_check(
     channel: KrausChannel, n_samples: int = 32, seed: int = 0
 ) -> AbsorptionReport:
     """Locate the sampled state whose entropy the channel decreases the most
-    and check the purified (global) entropy increase dominates that decrease."""
+    and check the purified (global) entropy increase dominates that decrease.
+
+    Sampling is sound here: Araki–Lieb gives S(RB) >= S(R) - S(B) state by
+    state, so each sample fully tests the code and no maximum over states is
+    being estimated."""
     if n_samples < 0:
         raise ValueError(f"absorption check needs n_samples >= 0, got {n_samples}")
     d = channel.dim_in

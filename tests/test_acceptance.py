@@ -447,6 +447,7 @@ def test_criterion_10_conservation_identity():
         rep = sc.conservation_law_check(seed=5, n_samples=100, dims=(2, 2, 2, 2))
         assert rep.max_residual <= 1e-9
         assert rep.max_inequality_violation <= 1e-9
+        assert rep.ok
 
     run_criterion(10, "four-partite conservation identity", body)
 
@@ -521,3 +522,21 @@ def test_criterion_12_determinism(tmp_path):
         assert outputs[0] == outputs[1]
 
     run_criterion(12, "seeded determinism", body)
+
+
+# ---------------------------------------------------------------------------
+# 13. a unital channel that is not catalytic
+
+
+def test_criterion_13_unital_channel_not_catalytic():
+    def body():
+        wh = cat.werner_holevo_channel(3)
+        assert np.abs(wh.apply_matrix(np.eye(3)) - np.eye(3)).max() <= 1e-12
+        # Kraus rank 3 and all 9 products K_i†K_j independent: a factorizable
+        # channel of this kind is a unitary conjugation, so this one is not
+        # factorizable, hence not catalytic
+        assert cat.kraus_products_rank(wh) == (9, 3)
+        # on a catalytic channel the witness is inconclusive, as it must be
+        assert cat.kraus_products_rank(cat.dephasing_channel(3)) == (3, 3)
+
+    run_criterion(13, "a unital channel that is not catalytic", body)

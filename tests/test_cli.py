@@ -411,11 +411,27 @@ def test_scenario_sample_count_is_checked(args):
         (("entropy", "missing.json", "--format", "csv"), "--format csv"),
         # ea has no Renyi order, so no value of --alpha is read
         (("optimize", "ea", "--channel", "dephasing2", "--alpha", "7"), "--alpha"),
+        # each kind accepts only the flags it reads
+        (("scenario", "depletion", "--d", "2", "--samples", "3"), "--samples"),
+        (("scenario", "depletion", "--d", "2", "--rounds", "9"), "--rounds"),
+        (("scenario", "depletion", "--d", "2", "--classical"), "--classical"),
+        (("construct", "dephasing_degeneracy", "--r", "1,3", "--d", "9"), "--d"),
+        (("construct", "dephasing_degeneracy", "--r", "1,3", "--m", "5"), "--m"),
+        (("construct", "dephasing_degeneracy", "--r", "1,3", "--lM", "4"), "--lM"),
+        (("construct", "thermal_levels", "--r", "1,2", "--sigma-file", "f.json"), "--sigma-file"),
+        (("scenario", "cq_free", "--d", "2", "--channel", "erasure2"), "--channel"),
+        (("selftest", "--out", "x"), "--out"),
+        # one catalyst source, not two; SIGMA names a catalyst file that exists
+        (("construct", "max_extraction", "--r", "1,2", "--sigma-file", "SIGMA"), "--sigma-file"),
+        (("optimize", "ea", "--channel", "dephasing2", "--format", "json"), "--format"),
     ],
 )
 def test_ignored_or_invalid_flags_are_usage_errors(args, flag, tmp_path, capsys):
     from catalyx import cli
 
+    sigma = tmp_path / "sigma.json"
+    hl.save_json(str(sigma), hl.operator_to_payload(hl.maximally_mixed([2])))
+    args = [str(sigma) if a == "SIGMA" else a for a in args]
     out = tmp_path / "out"
     assert cli.main([*args, "--out", str(out)]) == 2
     assert flag in capsys.readouterr().err
