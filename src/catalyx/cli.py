@@ -115,6 +115,16 @@ def _flag(*names: str, **spec) -> tuple[tuple[str, ...], dict]:
     return names, spec
 
 
+@dataclass(frozen=True)
+class _OneOf:
+    """Flags that exclude each other; one of them must be given if
+    ``required``.  argparse sees a flag as given only when its value is not
+    its default object, so an optional member needs ``default=None``."""
+
+    flags: tuple
+    required: bool = True
+
+
 OUT = _flag("--out", default=None)
 SIGMA_FILE = _flag("--sigma-file", default=None)
 
@@ -241,10 +251,10 @@ def _thermal_levels(args):
 R = _flag("--r", default="", help="degeneracy vector, e.g. 1,3")
 D3 = _flag("--d", type=int, default=3)
 
-# kind -> (handler, the flags it reads); a list is a required choice of one
+# kind -> (handler, the flags it reads); a _OneOf holds flags that exclude each other
 CONSTRUCT = {
     "dephasing_degeneracy": (_dephasing_degeneracy, (R,)),
-    "max_extraction": (_max_extraction, ([R, SIGMA_FILE],)),
+    "max_extraction": (_max_extraction, (_OneOf((R, SIGMA_FILE)),)),
     "initialization_classical": (_initialization_classical, (D3,)),
     "initialization_masking": (_initialization_masking, (_flag("--m", type=int, default=2),)),
     "double_random": (_double_random, (D3,)),
@@ -319,7 +329,7 @@ def _depletion(args):
 
 
 def _absorption(args):
-    chan = _named_channel(args.channel or f"initialization{args.d}")
+    chan = _named_channel(args.channel or f"initialization{2 if args.d is None else args.d}")
     rep = scenarios.absorption_check(chan, n_samples=args.samples, seed=args.seed)
     fields = {"max_local_decrease": rep.max_local_decrease,
               "min_global_increase_at_max": rep.min_global_increase_at_max}
@@ -353,8 +363,9 @@ SCENARIO = {
         FORMAT)),
     "conservation": (_conservation, (SAMPLES,)),
     "depletion": (_depletion, (D2, FORMAT)),
-    "absorption": (_absorption, (
-        D2, SAMPLES, _flag("--channel", default=None, help="default initialization<d>"))),
+    "absorption": (_absorption, (SAMPLES, _OneOf((
+        _flag("--d", type=int, default=None, help="default 2, for initialization<d>"),
+        _flag("--channel", default=None, help="default initialization<d>")), required=False))),
     "cq_free": (_cq_free, (D2,)),
     "initialization": (_initialization_scenario, (D2, FORMAT)),
 }
@@ -517,9 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add(sub, name: str, flags, func, **kw) -> None:
         sp = sub.add_parser(name, parents=[shared], **kw)
         for flag in flags:
-            if isinstance(flag, list):
-                group = sp.add_mutually_exclusive_group(required=True)
-                for names, spec in flag:
+            if isinstance(flag, _OneOf):
+                group = sp.add_mutually_exclusive_group(required=flag.required)
+                for names, spec in flag.flags:
                     group.add_argument(*names, **spec)
             else:
                 sp.add_argument(*flag[0], **flag[1])

@@ -25,17 +25,22 @@ from .hilbert import (
 _ALPHA_SNAP = 1e-9
 
 
+def _checked(p: np.ndarray) -> np.ndarray:
+    """``p``, after checking that each distribution along its last axis is
+    one: no entry below -1e-9 and a sum within 1e-7 of one."""
+    if p.size and p.min() < -1e-9:
+        raise ValueError("negative probabilities")
+    for total in p.sum(-1).flat:
+        if abs(total - 1.0) > 1e-7:
+            raise ValueError(f"probabilities sum to {total}, not 1")
+    return p
+
+
 def _spectrum(state) -> np.ndarray:
     """Probability vector of a density operator, spectrum list or distribution."""
     if isinstance(state, DensityOperator):
-        p = state.eigenvalues()
-    else:
-        p = np.asarray(state, dtype=float).reshape(-1)
-        if p.size and p.min() < -1e-9:
-            raise ValueError("negative probabilities")
-        if abs(p.sum() - 1.0) > 1e-7:
-            raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-    return p[p > hilbert.TOL_PSD]
+        return state.eigenvalues()
+    return _checked(np.asarray(state, dtype=float).reshape(-1))
 
 
 def _clip_zero(v: float) -> float:
@@ -43,10 +48,45 @@ def _clip_zero(v: float) -> float:
     return 0.0 if -1e-9 < v <= 0.0 else v
 
 
+def _shannon_bits(p: np.ndarray):
+    """-Σ q log2 q over the entries q > ``TOL_PSD`` of the distribution ``p``
+    (a float), or of each distribution along the last axis of a stack ``p``
+    (an array of floats).
+
+    The kept entries of a distribution are summed in order as one run, so a
+    stack gives, bit for bit, what each distribution gives alone; summing
+    whole rows with zeros left in would group the pairwise summation of a
+    long spectrum differently.  When every distribution of a stack keeps
+    equally many entries, one reduction serves them all."""
+    keep = p > hilbert.TOL_PSD
+    q = p[keep]
+    terms = q * np.log2(q)
+    if p.ndim == 1:
+        return _clip_zero(float(-terms.sum()))
+    counts = keep.sum(-1).reshape(-1)
+    if (counts == counts[0]).all():
+        sums = terms.reshape(counts.size, counts[0]).sum(-1)
+    else:
+        ends = np.cumsum(counts)
+        sums = [terms[end - m : end].sum() for m, end in zip(counts, ends)]
+    return np.array([_clip_zero(float(-s)) for s in sums]).reshape(p.shape[:-1])
+
+
 def shannon(p) -> float:
     """Shannon entropy in bits with the 0 log 0 = 0 convention."""
-    q = _spectrum(p)
-    return _clip_zero(float(-(q * np.log2(q)).sum())) if q.size else 0.0
+    return _shannon_bits(_spectrum(p))
+
+
+def shannon_rows(p) -> np.ndarray:
+    """Shannon entropies in bits of the distributions along the last axis of
+    ``p``, an array of shape (..., k) with at least two axes, as an array of
+    shape (...).  Each is, bit for bit, what :func:`shannon` gives that
+    distribution alone; ``shannon_rows(factor_spectrum(x))`` gives the von
+    Neumann entropies of a stack of factor-held states."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim < 2:
+        raise ValueError(f"need a stack of distributions, got shape {p.shape}")
+    return _shannon_bits(_checked(p))
 
 
 def von_neumann(rho: DensityOperator | Sequence[float]) -> float:
@@ -60,12 +100,13 @@ def renyi(state, alpha: float) -> float:
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     p = _spectrum(state)
+    if abs(alpha - 1.0) <= _ALPHA_SNAP:
+        return _shannon_bits(p)
+    p = p[p > hilbert.TOL_PSD]
     if p.size == 0:
         return 0.0
     if math.isinf(alpha):
         return _clip_zero(float(-np.log2(p.max())))
-    if abs(alpha - 1.0) <= _ALPHA_SNAP:
-        return _clip_zero(float(-(p * np.log2(p)).sum()))
     if alpha <= _ALPHA_SNAP:
         return float(np.log2(p.size))
     return _clip_zero(float(np.log2((p**alpha).sum()) / (1.0 - alpha)))

@@ -143,7 +143,7 @@ class DensityOperator:
             raise ValueError("density matrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > 100 * TOL_NORM:
             raise ValueError(f"density matrix trace {np.trace(m)} != 1")
-        self._keep_validated(layout, hermitian_eigvalsh(m), m, None)
+        self._keep(layout, _validated_spectrum(hermitian_eigvalsh(m), d), m, None)
 
     @classmethod
     def from_factor(cls, factor, layout) -> "DensityOperator":
@@ -153,21 +153,12 @@ class DensityOperator:
         d = layout.total_dim
         if x.ndim != 2 or x.shape[0] != d or x.shape[1] < 1:
             raise ValueError(f"factor shape {x.shape} is not (D, r) for layout dim {d}")
-        gram, _ = smaller_gram(x)
-        trace = np.trace(gram).real  # = ||X||_F^2
-        if abs(trace - 1.0) > 100 * TOL_NORM:
-            raise ValueError(f"density matrix trace {trace} != 1")
         op = object.__new__(cls)
-        op._keep_validated(layout, hermitian_eigvalsh(gram), None, x)
+        op._keep(layout, factor_spectrum(x), None, x)
         return op
 
-    def _keep_validated(self, layout, vals, matrix, factor) -> None:
-        """Check the ascending spectrum ``vals`` (zeros beyond it are implied)
-        against the PSD floor and keep it, padded and descending."""
-        if vals[0] < -10 * TOL_PSD:
-            raise ValueError(f"density matrix has negative eigenvalue {vals[0]}")
-        spectrum = np.zeros(layout.total_dim)
-        spectrum[: vals.size] = np.clip(vals[::-1], 0.0, None)
+    def _keep(self, layout, spectrum, matrix, factor) -> None:
+        """Keep a validated spectrum with the form the state was given in."""
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "_matrix", None if matrix is None else _freeze(matrix))
         object.__setattr__(self, "_factor", None if factor is None else _freeze(factor))
@@ -373,6 +364,19 @@ def ptrace_matrix(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np
     return t.reshape(dk, dk)
 
 
+def factor_marginal(x: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """A factor of the marginal on the subsystems ``keep`` (ascending) of the
+    state XX† on ``dims`` held as its factor X (D×r): X with its rows
+    regrouped as (keep, rest) and reshaped to (d_keep, d_rest·r).  Leading
+    axes of ``x`` index a stack of factors, each traced alone."""
+    b = x.ndim - 2
+    n = len(dims)
+    rest = [i for i in range(n) if i not in keep]
+    axes = list(range(b)) + [b + i for i in (*keep, *rest)] + [b + n]
+    t = x.reshape(x.shape[:b] + tuple(dims) + (-1,)).transpose(axes)
+    return t.reshape(x.shape[:b] + (math.prod(dims[i] for i in keep), -1))
+
+
 def partial_trace(op: DensityOperator, keep: Sequence[int]) -> DensityOperator:
     """Marginal of ``op`` on the subsystems in ``keep`` (original order kept).
 
@@ -391,9 +395,7 @@ def partial_trace(op: DensityOperator, keep: Sequence[int]) -> DensityOperator:
         # the form the state was given in picks the path, so a state given as
         # its matrix keeps exact dense marginals after its factor is computed
         if op._factor_held:
-            rest = [i for i in range(len(dims)) if i not in keep]
-            x = op._factor.reshape(dims + (-1,)).transpose(list(keep) + rest + [len(dims)])
-            m = DensityOperator.from_factor(x.reshape(layout.total_dim, -1), layout)
+            m = DensityOperator.from_factor(factor_marginal(op._factor, dims, keep), layout)
         else:
             m = DensityOperator(ptrace_matrix(op.matrix, dims, keep), layout)
         memo.setdefault(keep, m)  # write once: a racing thread's equal value may win
@@ -512,18 +514,47 @@ def purify(sigma: DensityOperator) -> StateVector:
 
 def smaller_gram(x: np.ndarray) -> tuple[np.ndarray, bool]:
     """The smaller of X†X and XX† (X†X on a tie), which share their nonzero
-    spectrum, and whether it is X†X."""
-    inner = x.shape[1] <= x.shape[0]
-    return (dagger(x) @ x if inner else x @ dagger(x)), inner
+    spectrum, and whether it is X†X.  Leading axes of ``x`` index a stack of
+    factors of one shape, each with its own Gram matrix."""
+    inner = x.shape[-1] <= x.shape[-2]
+    xh = x.conj().swapaxes(-1, -2)
+    return (xh @ x if inner else x @ xh), inner
 
 
 def hermitian_eigvalsh(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix.  One whose imaginary part
-    is exactly zero (as kron and matmul of real data leave it) goes to the
-    real symmetric solver, about 4x faster than the complex one at D = 625."""
+    """Ascending eigenvalues of a Hermitian matrix, or of each matrix of a
+    stack (..., k, k) in one solver call.  A matrix, or a whole stack, whose
+    imaginary part is exactly zero (as kron and matmul of real data leave it)
+    goes to the real symmetric solver, about 4x faster than the complex one
+    at D = 625."""
     if m.dtype.kind == "c" and not np.count_nonzero(m.imag):
         m = m.real
     return np.linalg.eigvalsh(m)
+
+
+def _validated_spectrum(vals: np.ndarray, dim: int) -> np.ndarray:
+    """The spectrum of a state of dimension ``dim`` from its ascending
+    eigenvalues ``vals`` (zeros beyond them are implied), checked against the
+    PSD floor and returned padded, descending and clipped at zero.  Leading
+    axes index a stack of spectra, each checked alone."""
+    low = min(vals[..., 0].flat)
+    if low < -10 * TOL_PSD:
+        raise ValueError(f"density matrix has negative eigenvalue {low}")
+    spectrum = np.zeros(vals.shape[:-1] + (dim,))
+    spectrum[..., : vals.shape[-1]] = np.clip(vals[..., ::-1], 0.0, None)
+    return spectrum
+
+
+def factor_spectrum(x: np.ndarray) -> np.ndarray:
+    """The validated spectrum (see :func:`_validated_spectrum`) of the state
+    XX† held as its factor X (D×r), from the smaller Gram side of X after
+    checking that its trace ||X||_F^2 is one.  Leading axes of ``x`` index a
+    stack of factors: one solver call gives all their spectra."""
+    gram, _ = smaller_gram(x)
+    for trace in gram.trace(axis1=-2, axis2=-1).real.flat:  # = ||X||_F^2
+        if abs(trace - 1.0) > 100 * TOL_NORM:
+            raise ValueError(f"density matrix trace {trace} != 1")
+    return _validated_spectrum(hermitian_eigvalsh(gram), x.shape[-2])
 
 
 def trace_distance(a: DensityOperator | np.ndarray, b: DensityOperator | np.ndarray) -> float:

@@ -424,6 +424,9 @@ def test_scenario_sample_count_is_checked(args):
         # one catalyst source, not two; SIGMA names a catalyst file that exists
         (("construct", "max_extraction", "--r", "1,2", "--sigma-file", "SIGMA"), "--sigma-file"),
         (("optimize", "ea", "--channel", "dephasing2", "--format", "json"), "--format"),
+        # a named channel fixes its own dimension, so --d would be ignored
+        (("scenario", "absorption", "--channel", "erasure2", "--d", "5", "--samples", "1"),
+         "argument --d: not allowed with argument --channel"),
     ],
 )
 def test_ignored_or_invalid_flags_are_usage_errors(args, flag, tmp_path, capsys):

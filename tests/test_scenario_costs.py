@@ -118,13 +118,17 @@ def test_no_spectrum_is_solved_above_the_smaller_side_of_its_cut(monkeypatch, ru
     assert all(s.ledger.residual <= 1e-8 for s in trace.steps if s.ledger)
 
 
-def test_conservation_never_validates_the_joint_state(monkeypatch):
-    counts = count_eigensolves(monkeypatch)
-    sc.conservation_law_check(n_samples=3, dims=(3, 3, 3, 3))
-    assert max(n for _, n in counts) <= 9
-    # per sample: the rank-1 joint state's 1x1 Gram matrix, then S(X), S(Y),
-    # S(Z), S(XY), S(YZ), S(WZ) and S(WYZ) once each
-    assert sum(counts.values()) <= 8 * 3
+def test_conservation_never_validates_the_joint_state():
+    for n in (1, 3, 40):
+        with pytest.MonkeyPatch.context() as mp:
+            counts = count_eigensolves(mp)
+            sc.conservation_law_check(n_samples=n, dims=(3, 3, 3, 3))
+        assert max(k for _, k in counts) <= 9
+        # per sample at most the rank-1 joint state's 1x1 Gram matrix, then
+        # S(X), S(Y), S(Z), S(XY), S(YZ), S(WZ) and S(WYZ) once each
+        assert sum(counts.values()) <= 8 * n
+        # and at most as many solver calls whatever the sample count
+        assert counts.calls <= 8
 
 
 def test_ledger_record_does_not_depend_on_the_marginal_memo():

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -26,14 +27,18 @@ def random_decomposition(rng):
 
 
 def count_eigensolves(monkeypatch):
-    """Count every later Hermitian eigensolver call, ``np.linalg.eigh`` and
-    ``np.linalg.eigvalsh``, in the returned ``Counter`` keyed by
-    (solver, matrix size)."""
+    """Count every later Hermitian eigensolve by ``np.linalg.eigh`` or
+    ``np.linalg.eigvalsh`` in the returned ``Counter``, keyed by (solver,
+    matrix size): a call on a stack (..., k, k) counts as one solve of size k
+    per matrix.  The number of solver calls is kept in its ``calls``
+    attribute."""
     counts = Counter()
+    counts.calls = 0
 
     def counting(name, solver):
         def call(m, *args, **kwargs):
-            counts[name, m.shape[0]] += 1
+            counts[name, m.shape[-1]] += math.prod(m.shape[:-2])
+            counts.calls += 1
             return solver(m, *args, **kwargs)
         return call
 
