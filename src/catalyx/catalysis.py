@@ -440,9 +440,9 @@ def channel_to_kraus(inst: CatalysisInstance) -> KrausChannel:
     the state), the operators <b|U|χ_k> are a Kraus form; stack their Choi
     vectors as the rows of R, so the Choi matrix is R^T R̄.  One ``eigh`` of
     the smaller of RR† and R†R (:func:`hilbert.smaller_gram`) gives the
-    minimal form, with one operator per eigenvalue λ > 1e-10: the Choi vector
-    u†R for an eigenvector u of RR†, or √λ v† for an eigenvector v of R†R.
-    Neither divides by anything."""
+    minimal form, with one operator per eigenvalue λ > ``hilbert.TOL_PSD``:
+    the Choi vector u†R for an eigenvector u of RR†, or √λ v† for an
+    eigenvector v of R†R.  Neither divides by anything."""
     da, db = inst.a_dim, inst.b_dim
     chis = inst.sigma.factor()
     d = da * db
@@ -451,7 +451,7 @@ def channel_to_kraus(inst: CatalysisInstance) -> KrausChannel:
     r = raw.transpose(3, 1, 2, 0).reshape(-1, da * da)
     gram, inner = hilbert.smaller_gram(r)
     vals, vecs = np.linalg.eigh(gram)
-    keep = vals > 1e-10
+    keep = vals > hilbert.TOL_PSD
     if inner:
         choi = np.sqrt(vals[keep])[:, None] * dagger(vecs[:, keep])
     else:
@@ -692,7 +692,7 @@ def recovery_unitary(inst: CatalysisInstance) -> UnitaryOperator:
     """Partial transpose of the canonical unitary over the catalyst side,
     acting on system ⊗ purifier: it reproduces the catalysis evolution on
     A ⊗ C, so hidden correlations can always be undone from the purifier."""
-    if np.count_nonzero(inst.sigma.eigenvalues() > 1e-10) < inst.b_dim:
+    if np.count_nonzero(inst.sigma.eigenvalues() > hilbert.TOL_PSD) < inst.b_dim:
         raise CertificationError(
             "recovery requires a full-support catalyst (purifier padding by "
             "zero eigenvalues is rejected)"

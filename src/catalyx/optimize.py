@@ -35,6 +35,9 @@ SUPPORTED_ALPHAS = (0.5, 1.0, 2.0, math.inf)
 # iteration budget and gradient-norm stop of the pure-input and capacity ascents
 _PURE_MAX_ITER, _PURE_TOL_GRAD = 2000, 1e-9
 _EA_MAX_ITER, _EA_TOL_GRAD = 4000, 1e-7
+# a move is accepted when it gains more than _ACCEPT_GAIN; a restart replaces
+# the best so far when it is higher by more than _TIE_MARGIN
+_ACCEPT_GAIN, _TIE_MARGIN = 1e-16, 1e-15
 _TRADEOFF_SLACK = 1e-4
 
 
@@ -118,6 +121,9 @@ def _ascend(
 ) -> tuple[np.ndarray, float, int, float, bool]:
     """Backtracking gradient ascent on the unit sphere from x0.
 
+    After an accepted move s = x' − x, with gradient change y = g' − g, the
+    next trial step is the Barzilai–Borwein ratio ‖s‖² / (−Re⟨s, y⟩); a move
+    that shows no curvature (−Re⟨s, y⟩ <= 0) grows the step by 1.6 instead.
     The line search halves the step until a move gains, and stops (a stall)
     once the first-order gain step·‖g‖² is at or below the rounding of f,
     where a gain could not be told from noise.  The ascent converges when
@@ -134,9 +140,11 @@ def _ascend(
         while step * gnorm**2 > rounding:
             cand = _sphere_retract(x + step * g)
             fc, gc = value_grad(cand)
-            if fc > f + 1e-16:
+            if fc > f + _ACCEPT_GAIN:
+                s = cand - x
+                curv = -np.vdot(s, gc - g).real
+                step = np.vdot(s, s).real / curv if curv > 0 else 1.6 * step
                 x, f, g = cand, fc, gc
-                step *= 1.6
                 break
             step *= 0.5
         else:
@@ -150,14 +158,15 @@ def _best_ascent(
     max_iter: int,
     tol_grad: float,
 ) -> tuple[np.ndarray, float, int, float, bool]:
-    """Ascend from each start and keep the best (strictly better by 1e-15,
-    ties to the lowest index); iterations are summed over the starts."""
+    """Ascend from each start and keep the best (strictly better by
+    _TIE_MARGIN, ties to the lowest index); iterations are summed over the
+    starts."""
     best = None
     total_iter = 0
     for x0 in starts:
         x, f, its, gnorm, conv = _ascend(value_grad, x0, max_iter, tol_grad)
         total_iter += its
-        if best is None or f > best[1] + 1e-15:
+        if best is None or f > best[1] + _TIE_MARGIN:
             best = (x, f, gnorm, conv)
     x, f, gnorm, conv = best
     return x, f, total_iter, gnorm, conv

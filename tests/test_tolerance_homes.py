@@ -8,7 +8,12 @@ use.  This test parses the package source and rejects both forms.
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import catalyx
+from catalyx import catalysis as cat
+from catalyx import hilbert as hl
 
 HOMES = {
     "TOL_UNITARY": "hilbert",
@@ -61,3 +66,19 @@ def test_each_tolerance_defined_once_in_its_home():
                         assert HOMES[t.id] == path.stem, f"{t.id} assigned in {path.stem}"
                         counts[t.id] += 1
     assert counts == dict.fromkeys(HOMES, 1)
+
+
+def test_psd_override_moves_kraus_and_recovery_cuts(monkeypatch):
+    """A catalyst eigenvalue of 1e-9 is support at the default ``TOL_PSD``
+    and zero under 1e-8: the Kraus-rank cut of ``channel_to_kraus`` and the
+    full-support test of ``recovery_unitary`` both follow the override."""
+    inst = cat.classical_catalysis([1 - 1e-9, 1e-9], [np.eye(2), hl.clock_matrix(2)])
+    # the factor is taken once, at the default, so only the Kraus cut can move
+    assert inst.sigma.factor().shape == (2, 2)
+    assert len(cat.channel_to_kraus(inst).kraus) == 2
+    cat.recovery_unitary(inst)
+
+    monkeypatch.setattr(hl, "TOL_PSD", 1e-8)
+    assert len(cat.channel_to_kraus(inst).kraus) == 1
+    with pytest.raises(cat.CertificationError, match="full-support"):
+        cat.recovery_unitary(inst)
