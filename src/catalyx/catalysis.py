@@ -32,7 +32,6 @@ from . import hilbert
 from .entropy import mutual_information, von_neumann
 from .hilbert import (
     DensityOperator,
-    StateVector,
     SubsystemLayout,
     UnitaryOperator,
     controlled,
@@ -306,15 +305,6 @@ def implement_channel(inst: CatalysisInstance, rho: DensityOperator) -> DensityO
 # Kraus form
 
 
-def _sandwich(ops: np.ndarray, m: np.ndarray, ref_dim: int) -> np.ndarray:
-    """sum_k (1_ref ⊗ A_k) m (1_ref ⊗ A_k)† for a stack ``ops`` of shape (n, p, q)
-    and ``m`` on reference ⊗ q-dimensional space."""
-    n, p, q = ops.shape
-    left = ops[:, None] @ m.reshape(ref_dim, q, ref_dim * q)
-    both = left.reshape(n, ref_dim * p * ref_dim, q) @ ops.conj().transpose(0, 2, 1)
-    return both.reshape(n, ref_dim * p, ref_dim * p).sum(axis=0)
-
-
 def _choi_vectors(ops: np.ndarray) -> np.ndarray:
     """Rows sum_i |i> ⊗ K|i> of a Kraus stack; the Choi matrix is rows.T @ rows.conj()."""
     return ops.transpose(0, 2, 1).reshape(len(ops), -1)
@@ -339,6 +329,10 @@ class KrausChannel:
         if np.linalg.norm(comp - np.eye(ops.shape[2])) > 1e-7:
             raise ValueError("Kraus operators do not satisfy completeness")
         object.__setattr__(self, "kraus", hilbert._freeze(ops))
+        # the GEMM operands Vᵀ and conj(V) of the isometry V = sum_i K_i ⊗ |i>
+        v_t = hilbert._freeze(ops.transpose(2, 1, 0).reshape(ops.shape[2], -1))
+        object.__setattr__(self, "_isometry_t", v_t)
+        object.__setattr__(self, "_isometry_conj", hilbert._freeze(dagger(v_t)))
 
     @property
     def dim_out(self) -> int:
@@ -349,23 +343,29 @@ class KrausChannel:
         return self.kraus.shape[2]
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
-        return _sandwich(self.kraus, rho, 1)
+        """Phi(rho) = sum_i K_i rho K_i† of an operator rho."""
+        return (self.kraus @ rho @ self.kraus.conj().transpose(0, 2, 1)).sum(axis=0)
 
-    def adjoint_matrix(self, m: np.ndarray) -> np.ndarray:
-        """Phi†(m) = sum_k K_k† m K_k."""
-        return _sandwich(self.kraus.conj().transpose(0, 2, 1), m, 1)
+    def stinespring(self, x: np.ndarray, ref: int = 1) -> np.ndarray:
+        """Y = [(1_ref ⊗ K_i) X]: the columns (j, i), i fastest, hold
+        (1_ref ⊗ K_i) applied to column j of a factor X (ref·d_in × r), in one
+        GEMM against the Stinespring isometry.  YY† = (1_ref ⊗ Phi)(XX†), and
+        Y regrouped as (ref·d_out·r, n) has the Gram matrix Phi_c(XX†)ᵀ of the
+        complementary channel, G_ij = Tr[K_i XX† K_j†]."""
+        n, d_out, d_in = self.kraus.shape
+        r = x.shape[1]
+        rows = x.reshape(ref, d_in, r).transpose(0, 2, 1).reshape(ref * r, d_in)
+        y = (rows @ self._isometry_t).reshape(ref, r, d_out, n)
+        return y.transpose(0, 2, 1, 3).reshape(ref * d_out, r * n)
 
-    def apply(self, rho: DensityOperator) -> DensityOperator:
-        return DensityOperator(self.apply_matrix(rho.matrix), [self.dim_out])
-
-    def extended_apply_matrix(self, rho: np.ndarray, ref_dim: int) -> np.ndarray:
-        """(I ⊗ Phi)(rho) for rho on reference ⊗ input."""
-        return _sandwich(self.kraus, rho, ref_dim)
-
-    def complementary_matrix(self, rho: np.ndarray) -> np.ndarray:
-        """Complementary output G_ij = Tr[K_i rho K_j†]; it shares its spectrum
-        with the channel-plus-purification output, so S((Phi x I)(psi_rho)) = S(G)."""
-        return np.einsum("iab,jab->ij", self.kraus @ rho, self.kraus.conj())
+    def stinespring_adjoint(self, z: np.ndarray, ref: int = 1) -> np.ndarray:
+        """sum_i (1_ref ⊗ K_i†) Z_i for Z shaped as :meth:`stinespring`'s
+        output, Z_i its columns (j, i) over j: the adjoint of that map."""
+        n, d_out, d_in = self.kraus.shape
+        r = z.shape[1] // n
+        rows = z.reshape(ref, d_out, r, n).transpose(0, 2, 1, 3).reshape(ref * r, d_out * n)
+        x = (rows @ self._isometry_conj).reshape(ref, r, d_in)
+        return x.transpose(0, 2, 1).reshape(ref * d_in, r)
 
     def choi(self) -> np.ndarray:
         """J = sum_ij |i><j| ⊗ Phi(|i><j|), reference factor first."""
@@ -665,18 +665,15 @@ def cost_bound_check(
     chan = channel_to_kraus(inst)
     da = inst.a_dim
     rng = hilbert._rng(seed)
-    best = 0.0
-    gamma = StateVector(max_entangled(da), [da, da]).density().matrix
-    candidates = [gamma, np.eye(da * da) / (da * da)]
+    # candidates on reference ⊗ system as factors: |Γ>, 1/da² and Haar states
+    candidates = [max_entangled(da)[:, None], np.eye(da * da) / da]
     for _ in range(n_samples):
-        v = haar_state(da * da, rng).amplitudes
-        candidates.append(np.outer(v, v.conj()))
-    for rho in candidates:
-        out = chan.extended_apply_matrix(rho, da)
-        prod = abs(
-            von_neumann(DensityOperator(out, [da, da]))
-            - von_neumann(DensityOperator(rho, [da, da]))
-        )
+        candidates.append(haar_state(da * da, rng).amplitudes[:, None])
+    best = 0.0
+    for x in candidates:
+        out = chan.stinespring(x, da)
+        prod = abs(von_neumann(hilbert.factor_spectrum(out))
+                   - von_neumann(hilbert.factor_spectrum(x)))
         best = max(best, prod)
     factor = 1.0 if inst.classical else 0.5
     lhs = von_neumann(inst.sigma)

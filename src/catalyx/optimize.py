@@ -30,7 +30,6 @@ from .hilbert import dagger, eigenspace_decompose
 
 _LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
-_EIG_FLOOR = 1e-18
 SUPPORTED_ALPHAS = (0.5, 1.0, 2.0, math.inf)
 # iteration budget and gradient-norm stop of the pure-input and capacity ascents
 _PURE_MAX_ITER, _PURE_TOL_GRAD = 2000, 1e-9
@@ -75,34 +74,46 @@ def _check_restarts(restarts: int) -> None:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
 
 
-def _renyi_of_matrix(m: np.ndarray, alpha: float) -> float:
-    vals = np.clip(np.linalg.eigvalsh(m), 0.0, None)
+def _renyi_of_factor(x: np.ndarray, alpha: float) -> float:
+    """S_alpha(XX†), normalized to unit trace, from the smaller Gram side of
+    the factor X."""
+    vals = np.clip(np.linalg.eigvalsh(hilbert.smaller_gram(x)[0]), 0.0, None)
     return renyi(vals / vals.sum(), alpha)
 
 
-def _renyi_and_derivative(m: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
-    """S_alpha(M) and the Hermitian D with dS_alpha = Tr[D dM], both from one
-    eigendecomposition; eigenvalues are floored for the logs and powers of D,
-    and zero eigenvalues add nothing to its trace normalization, so X†X and
-    XX† give the same D X."""
-    vals, vecs = np.linalg.eigh(m)
+def _pullback(x: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
+    """S_alpha(XX†) and its gradient D X in the factor X, with D the Hermitian
+    dS_alpha/d(XX†) (so dS = 2 Re⟨D X, dX⟩), from one ``eigh`` of the smaller
+    of X†X and XX†.  D lives on the support the value reads (eigenvalues
+    above ``hilbert.TOL_PSD``), and zero eigenvalues add nothing to its trace
+    normalization, so either Gram side gives the same D X."""
+    gram, inner = hilbert.smaller_gram(x)
+    vals, vecs = np.linalg.eigh(gram)
     p = np.clip(vals, 0.0, None)
     value = renyi(p / p.sum(), alpha)
-    vals = np.clip(vals, _EIG_FLOOR, None)
+    keep = vals > hilbert.TOL_PSD
+    diag = np.zeros_like(vals)
     if alpha == 1.0:
-        diag = -(np.log2(vals) + 1.0 / _LN2)
+        diag[keep] = -(np.log2(vals[keep]) + 1.0 / _LN2)
     else:
         tr = (p**alpha).sum()
-        diag = (alpha / ((1.0 - alpha) * _LN2 * tr)) * vals ** (alpha - 1.0)
-    return value, (vecs * diag) @ dagger(vecs)
+        diag[keep] = (alpha / ((1.0 - alpha) * _LN2 * tr)) * vals[keep] ** (alpha - 1.0)
+    dmat = (vecs * diag) @ dagger(vecs)
+    return value, (x @ dmat if inner else dmat @ x)
 
 
 def global_production(
     chan: KrausChannel, rho_ra: np.ndarray, ref_dim: int, alpha: float
 ) -> float:
-    """S_alpha((I x Phi)(rho)) - S_alpha(rho) for a state on reference x input."""
-    out = chan.extended_apply_matrix(rho_ra, ref_dim)
-    return _renyi_of_matrix(out, alpha) - _renyi_of_matrix(rho_ra, alpha)
+    """S_alpha((I x Phi)(rho)) - S_alpha(rho) for a state on reference x input.
+    One ``eigh`` of rho gives S_alpha(rho) and the factor X (the eigenvectors
+    above ``hilbert.TOL_PSD``, scaled by the roots of their eigenvalues) whose
+    Stinespring factor holds the output."""
+    vals, vecs = np.linalg.eigh(rho_ra)
+    keep = vals > hilbert.TOL_PSD
+    y = chan.stinespring(vecs[:, keep] * np.sqrt(vals[keep]), ref_dim)
+    p = np.clip(vals, 0.0, None)
+    return _renyi_of_factor(y, alpha) - renyi(p / p.sum(), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -187,39 +198,26 @@ def _pure_ascent(
     reference x input; at alpha=inf the alpha=2 ascent runs and its argmax is
     scored exactly.
 
-    Each evaluation forms the Kraus factor X, whose columns are
-    (1 x K_i) psi, so the output is XX†: one matmul on psi as a (ref, d_in)
-    matrix.  The entropy and its derivative come from one eigendecomposition
-    of the smaller of X†X and XX†, and the gradient is 2 sum_i (1 x K_i†) z_i
-    with Z = X f'(X†X) = f'(XX†) X."""
+    Each evaluation takes the entropy of the output YY† and its pull-back
+    Z = f'(YY†) Y from the Stinespring factor Y of psi (:func:`_pullback`);
+    the gradient is 2 ``chan.stinespring_adjoint(Z)``."""
     alpha = _check_alpha(alpha)
     _check_restarts(restarts)
     smooth = 2.0 if math.isinf(alpha) else alpha
-    n, d_out, d_in = chan.kraus.shape
-    # kcat[a, b n + i] = K_i[b, a], so psi as a (ref, d_in) matrix times kcat
-    # is X with its (ref d_out, n) shape read row-major
-    kcat = np.ascontiguousarray(chan.kraus.transpose(2, 1, 0).reshape(d_in, d_out * n))
-    kcat_h = dagger(kcat).copy()
-
-    def factor(v: np.ndarray) -> np.ndarray:
-        return (v.reshape(ref, d_in) @ kcat).reshape(ref * d_out, n)
 
     def value_grad(v: np.ndarray):
-        x = factor(v)
-        gram, inner = hilbert.smaller_gram(x)
-        s, dmat = _renyi_and_derivative(gram, smooth)
-        z = x @ dmat if inner else dmat @ x
-        g = 2.0 * (z.reshape(ref, d_out * n) @ kcat_h).reshape(-1)
+        s, z = _pullback(chan.stinespring(v[:, None], ref), smooth)
+        g = 2.0 * chan.stinespring_adjoint(z, ref)[:, 0]
         return s, _project_tangent(v, g)
 
     rng = hilbert._rng(seed)
-    dim = ref * d_in
+    dim = ref * chan.dim_in
     starts = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(restarts))
     v, f, total_iter, gnorm, conv = _best_ascent(
         value_grad, starts, _PURE_MAX_ITER, _PURE_TOL_GRAD
     )
     if math.isinf(alpha):
-        f = _renyi_of_matrix(hilbert.smaller_gram(factor(v))[0], alpha)
+        f = _renyi_of_factor(chan.stinespring(v[:, None], ref), alpha)
     return OptimizationResult(
         value=f, argmax=v, argmax_kind="pure", iterations=total_iter,
         restarts=restarts, converged=conv, gradient_norm_at_end=gnorm,
@@ -249,29 +247,26 @@ def max_entropy_production_local(
 
 def ea_objective(chan: KrausChannel, rho: np.ndarray) -> float:
     """Quantum mutual information I(rho, Phi) = S(rho) + S(Phi(rho)) - S_E,
-    with S_E the entropy of the complementary output."""
-    s_in = _renyi_of_matrix(rho, 1.0)
-    s_out = _renyi_of_matrix(chan.apply_matrix(rho), 1.0)
-    s_exch = _renyi_of_matrix(chan.complementary_matrix(rho), 1.0)
-    return s_in + s_out - s_exch
+    with S_E the entropy of the complementary output: the value of
+    :func:`ea_objective_gradient` at a factor L of rho (LL† = rho)."""
+    vals, vecs = np.linalg.eigh(rho)
+    return ea_objective_gradient(chan, vecs * np.sqrt(np.clip(vals, 0.0, None)))[0]
 
 
 def ea_objective_gradient(chan: KrausChannel, el: np.ndarray) -> tuple[float, np.ndarray]:
     """Value and Wirtinger gradient of the capacity objective in the factor
-    parameterization rho = L L† / Tr(L L†)."""
-    d = chan.dim_in
-    t = np.trace(el @ dagger(el)).real
-    rho = (el @ dagger(el)) / t
-    s_in, d_in = _renyi_and_derivative(rho, 1.0)
-    s_out, d_out = _renyi_and_derivative(chan.apply_matrix(rho), 1.0)
-    s_exch, d_exch = _renyi_and_derivative(chan.complementary_matrix(rho), 1.0)
-    f = s_in + s_out - s_exch
-    # -sum_ij D_G[i, j] K_i† K_j: minus the adjoint of the complementary map
-    grad_exch = -np.einsum("ij,ioa,job->ab", d_exch, chan.kraus.conj(), chan.kraus)
-    gmat = d_in + chan.adjoint_matrix(d_out) + grad_exch
-    gmat = 0.5 * (gmat + dagger(gmat))
-    grad_l = ((gmat - np.trace(gmat @ rho).real * np.eye(d)) @ el) / t
-    return f, grad_l
+    parameterization rho = L L† / Tr(L L†).  With X = L / ||L|| and Y its
+    Stinespring factor, rho = XX†, Phi(rho) = YY† and Y regrouped as (·, n)
+    holds the complementary output; the three entropies are pulled back to X,
+    and the gradient in L is the part of their sum orthogonal to X, / ||L||."""
+    t = np.sqrt(np.vdot(el, el).real)
+    x = el / t
+    y = chan.stinespring(x)
+    s_in, z_in = _pullback(x, 1.0)
+    s_out, z_out = _pullback(y, 1.0)
+    s_exch, z_exch = _pullback(y.reshape(-1, len(chan.kraus)), 1.0)
+    g = z_in + chan.stinespring_adjoint(z_out - z_exch.reshape(y.shape))
+    return s_in + s_out - s_exch, (g - np.vdot(x, g).real * x) / t
 
 
 def ea_capacity(chan: KrausChannel, seed: int = 0, restarts: int = 4) -> OptimizationResult:

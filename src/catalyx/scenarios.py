@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import hilbert
+from . import constructions, hilbert
 from .catalysis import KrausChannel, LedgerRecord, ledger
 from .constructions import _check_total_dim, initialization_classical, multiparty_unitary
 from .entropy import mutual_information, shannon_rows, von_neumann
@@ -35,7 +35,6 @@ from .hilbert import (
     maximally_mixed,
     partial_trace,
     plus_state,
-    purify,
     random_density,
     trace_distance,
     weyl_set,
@@ -227,8 +226,12 @@ def conservation_law_check(
         raise ValueError("need four factors of dimension <= 3")
     if n_samples < 1:
         raise ValueError(f"conservation check needs n_samples >= 1, got {n_samples}")
-    rng = hilbert._rng(seed)
     layout = hilbert.SubsystemLayout(dims)
+    # the stack holds n·D amplitudes: no more than the D×D state at the cap
+    entries, cap = n_samples * layout.total_dim, constructions.DIMENSION_CAP**2
+    if entries > cap:
+        raise ValueError(f"conservation check needs {entries} sampled amplitudes > cap {cap}")
+    rng = hilbert._rng(seed)
     z = rng.standard_normal((n_samples, 2, layout.total_dim))
     # each row normalized and checked as haar_state and StateVector do
     x = np.stack([
@@ -312,8 +315,12 @@ class AbsorptionReport:
 def absorption_check(
     channel: KrausChannel, n_samples: int = 32, seed: int = 0
 ) -> AbsorptionReport:
-    """Locate the sampled state whose entropy the channel decreases the most
-    and check the purified (global) entropy increase dominates that decrease.
+    """Locate the sampled state γ whose entropy the channel decreases the most
+    and check the global entropy increase S((1 ⊗ Phi)(ψ_γ)) of its
+    purification dominates that decrease.  Both are read from the Stinespring
+    factor Y of γ: Phi(γ) = YY†, and the global output has the spectrum of
+    the complementary output (Y regrouped as (·, n)), so no d²-dimensional
+    output is formed.
 
     Sampling is sound here: Araki–Lieb gives S(RB) >= S(R) - S(B) state by
     state, so each sample fully tests the code and no maximum over states is
@@ -326,18 +333,14 @@ def absorption_check(
     for i in range(n_samples):
         rank = 1 + int(rng.integers(d))
         candidates.append(random_density([d], rank, rng))
-    best_dec, best_gamma = -np.inf, candidates[0]
+    best_dec, best_y = -np.inf, None
     for gamma in candidates:
-        dec = von_neumann(gamma) - von_neumann(
-            DensityOperator(channel.apply_matrix(gamma.matrix), [channel.dim_out])
-        )
+        y = channel.stinespring(gamma.factor())
+        dec = von_neumann(gamma) - von_neumann(hilbert.factor_spectrum(y))
         if dec > best_dec:
-            best_dec, best_gamma = dec, gamma
-    # purification layout is (system, mirror); swapping the factors to put the
-    # mirror first as the reference leaves the entropy unchanged
-    mirrored = purify(best_gamma).amplitudes.reshape(d, d).T.reshape(-1)
-    out = channel.extended_apply_matrix(np.outer(mirrored, mirrored.conj()), d)
-    inc = von_neumann(DensityOperator(out, [d, channel.dim_out]))
+            best_dec, best_y = dec, y
+    exchange = best_y.reshape(-1, len(channel.kraus))
+    inc = von_neumann(hilbert.factor_spectrum(exchange))
     return AbsorptionReport(
         max_local_decrease=best_dec,
         min_global_increase_at_max=inc,

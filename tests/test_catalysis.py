@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from util import dense_renyi, kron_sum_output
 
 from catalyx import catalysis as cat
 from catalyx import hilbert as hl
@@ -425,6 +426,31 @@ def test_cost_bound_examples():
     assert rep.lhs == pytest.approx(1.0)
     assert rep.rhs == pytest.approx(1.0, abs=1e-7)  # classical factor is 1
     assert rep.ok
+
+
+@pytest.mark.parametrize("kind", ["dephasing", "classical", "controlled"])
+def test_cost_bound_matches_the_dense_reference(kind):
+    from catalyx.constructions import dephasing_catalysis
+
+    if kind == "dephasing":
+        inst = dephasing_catalysis([1, 2])
+    elif kind == "classical":
+        inst = classical_catalysis([0.6, 0.4], [np.eye(2), clock_matrix(2)])
+    else:
+        u = hl.controlled([haar_unitary(2, 11).matrix, haar_unitary(2, 12).matrix])
+        inst = canonical_form(UnitaryOperator(u, [2, 2]), maximally_mixed([2]))
+    rep = cost_bound_check(inst, n_samples=6, seed=4)
+    chan = channel_to_kraus(inst)
+    da = inst.a_dim
+    rng = hl._rng(4)
+    gamma = hl.max_entangled(da)
+    candidates = [np.outer(gamma, gamma.conj()), np.eye(da * da) / (da * da)]
+    for _ in range(6):
+        v = hl.haar_state(da * da, rng).amplitudes
+        candidates.append(np.outer(v, v.conj()))
+    best = max(abs(dense_renyi(kron_sum_output(chan, rho, da), 1.0) - dense_renyi(rho, 1.0))
+               for rho in candidates)
+    assert abs(rep.rhs - (1.0 if inst.classical else 0.5) * best) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from util import count_eigensolves
+from util import count_eigensolves, kron_sum_output
 
 from catalyx import catalysis as cat
 from catalyx import constructions as con
@@ -105,7 +105,7 @@ def test_max_extraction_output_spectrum():
     sigma = DensityOperator(np.diag([0.5, 0.25, 0.25]), [3])
     res = con.max_extraction_catalysis(sigma)
     chan = cat.channel_to_kraus(res.instance)
-    out = chan.extended_apply_matrix(res.input_state.density().matrix, res.instance.a_dim)
+    out = kron_sum_output(chan, res.input_state.density().matrix, res.instance.a_dim)
     vals = np.linalg.eigvalsh(out)
     vals = vals[vals > 1e-9]
     for v in vals:

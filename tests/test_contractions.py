@@ -1,11 +1,12 @@
-"""Property tests of the contraction layer: Kraus-channel maps and their
-adjoints, the Choi matrix, controlled unitaries, |Γ>, and evolution and
-ledgers with a unitary on a subset of the factors."""
+"""Property tests of the contraction layer: the Stinespring contraction of a
+Kraus channel and its adjoint, the Choi matrix, controlled unitaries, |Γ>,
+and evolution and ledgers with a unitary on a subset of the factors."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from util import kron_sum_output
 
 from catalyx import constructions
 from catalyx import hilbert as hl
@@ -30,23 +31,27 @@ def _complex(rng, *shape):
 
 
 @SETTINGS
-@given(channels())
-def test_adjoint_duality(chan_rng):
+@given(channels(), st.integers(1, 3), st.integers(1, 3))
+def test_adjoint_duality(chan_rng, ref, r):
     chan, rng = chan_rng
-    rho = hl.random_density([chan.dim_in], chan.dim_in, rng).matrix
-    m = _complex(rng, chan.dim_out, chan.dim_out)
-    lhs = np.trace(chan.apply_matrix(rho) @ m)
-    assert abs(lhs - np.trace(rho @ chan.adjoint_matrix(m))) <= 1e-12
+    x = _complex(rng, ref * chan.dim_in, r)
+    z = _complex(rng, ref * chan.dim_out, r * len(chan.kraus))
+    lhs = np.vdot(z, chan.stinespring(x, ref))
+    assert abs(lhs - np.vdot(chan.stinespring_adjoint(z, ref), x)) <= 1e-12
 
 
 @SETTINGS
-@given(channels(), st.integers(1, 3))
-def test_extended_apply_matches_kron_sum(chan_rng, ref_dim):
+@given(channels(), st.integers(1, 3), st.integers(1, 3))
+def test_stinespring_matches_kron_sum(chan_rng, ref, r):
     chan, rng = chan_rng
-    rho = hl.random_density([ref_dim * chan.dim_in], ref_dim, rng).matrix
-    eye = np.eye(ref_dim)
-    want = sum(np.kron(eye, k) @ rho @ hl.dagger(np.kron(eye, k)) for k in chan.kraus)
-    assert np.abs(chan.extended_apply_matrix(rho, ref_dim) - want).max() <= 1e-13
+    x = _complex(rng, ref * chan.dim_in, r)
+    y = chan.stinespring(x, ref)
+    assert y.shape == (ref * chan.dim_out, r * len(chan.kraus))
+    want = kron_sum_output(chan, x @ hl.dagger(x), ref)
+    assert np.abs(y @ hl.dagger(y) - want).max() <= 1e-12
+    # the columns (j, i) hold (1 ⊗ K_i) x_j
+    for i, k in enumerate(chan.kraus):
+        assert np.abs(y[:, i::len(chan.kraus)] - np.kron(np.eye(ref), k) @ x).max() <= 1e-13
 
 
 @SETTINGS
@@ -65,9 +70,40 @@ def test_choi_reproduces_channel(chan_rng):
 @given(channels())
 def test_complementary_output_is_kraus_gram(chan_rng):
     chan, rng = chan_rng
-    rho = hl.random_density([chan.dim_in], chan.dim_in, rng).matrix
-    want = [[np.trace(ki @ rho @ hl.dagger(kj)) for kj in chan.kraus] for ki in chan.kraus]
-    assert np.abs(chan.complementary_matrix(rho) - np.array(want)).max() <= 1e-13
+    rho = hl.random_density([chan.dim_in], chan.dim_in, rng)
+    want = [[np.trace(ki @ rho.matrix @ hl.dagger(kj)) for kj in chan.kraus]
+            for ki in chan.kraus]
+    w = chan.stinespring(rho.factor()).reshape(-1, len(chan.kraus))
+    assert np.abs(hl.dagger(w) @ w - np.array(want).T).max() <= 1e-13
+
+
+def test_every_channel_output_reads_the_stinespring_factor(monkeypatch):
+    from catalyx import optimize as opt
+    from catalyx import scenarios as sc
+    from catalyx.catalysis import cost_bound_check
+
+    calls = []
+    stinespring = KrausChannel.stinespring
+
+    def counting(self, x, ref=1):
+        calls.append(ref)
+        return stinespring(self, x, ref)
+
+    monkeypatch.setattr(KrausChannel, "stinespring", counting)
+    chan = KrausChannel(hl.haar_unitary_matrix(4, 3)[:, :2].reshape(2, 2, 2))
+    inst = constructions.dephasing_catalysis([2])
+    runs = {
+        "global": lambda: opt.max_entropy_production_global(chan, 1.0, restarts=1),
+        "local": lambda: opt.max_entropy_production_local(chan, 2.0, restarts=1),
+        "ea": lambda: opt.ea_capacity(chan, restarts=1),
+        "global_production": lambda: opt.global_production(chan, np.eye(4) / 4, 2, 1.0),
+        "absorption": lambda: sc.absorption_check(chan, n_samples=2),
+        "cost_bound": lambda: cost_bound_check(inst, n_samples=2),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert calls, name
 
 
 @SETTINGS

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from util import count_eigensolves, count_evaluations
+from util import count_eigensolves, count_evaluations, dense_renyi, kron_sum_output
 
 from catalyx import catalysis as cat
 from catalyx import constructions as con
@@ -75,7 +75,8 @@ def test_ea_gradient_costs_three_eigendecompositions(monkeypatch):
     el = np.eye(3, dtype=complex) + 0.3 * np.ones((3, 3))
     counts = count_eigensolves(monkeypatch)
     opt.ea_objective_gradient(chan, el)
-    # on rho and Phi(rho) (3x3 each) and on the exchange Gram (Kraus rank 2)
+    # on the Gram sides of rho and Phi(rho) (3x3 each) and on the exchange
+    # Gram (Kraus rank 2)
     assert counts == {("eigh", 3): 2, ("eigh", 2): 1}
 
 
@@ -135,8 +136,8 @@ def test_factor_objective_matches_the_dense_output(target, side, alpha):
         v = rng.standard_normal(ref * chan.dim_in) + 1j * rng.standard_normal(ref * chan.dim_in)
         v /= np.linalg.norm(v)
         f, g = value_grad(v)
-        dense = chan.extended_apply_matrix(np.outer(v, v.conj()), ref)
-        assert abs(f - opt._renyi_of_matrix(dense, alpha)) <= 1e-12
+        dense = kron_sum_output(chan, np.outer(v, v.conj()), ref)
+        assert abs(f - dense_renyi(dense, alpha)) <= 1e-12
         # central difference along a random unit tangent direction
         t = rng.standard_normal(v.size) + 1j * rng.standard_normal(v.size)
         t -= np.vdot(v, t) * v
@@ -268,6 +269,29 @@ def test_local_half_reaches_the_optimum(chan, optimum, seed):
     assert res.argmax_kind == "pure" and res.argmax.shape == (chan.dim_in,)
 
 
+@pytest.mark.parametrize("seed", [0, 19])
+def test_half_converges_where_every_output_is_pure(seed):
+    # the initialization channel keeps every output pure, so the objective is
+    # constant; the derivative lives on the output's support, and rounding in
+    # the null directions (λ^(-1/2) at λ ~ 1e-17) no longer reads as a gradient
+    res = opt.max_entropy_production_local(cat.initialization_channel(3), 0.5,
+                                           restarts=2, seed=seed)
+    assert res.converged and res.gradient_norm_at_end <= opt._PURE_TOL_GRAD
+    assert res.value == 0.0
+
+
+def test_entropy_pullback_vanishes_off_the_support():
+    # XX† = vv† + 1e-18 ww†: the tiny eigenvalue is below the support the
+    # value reads, so the pull-back D X has no component along w
+    v = np.array([1.0, 1.0j, 0.0]) / math.sqrt(2)
+    w = np.array([1.0, -1.0j, 0.0]) / math.sqrt(2)
+    x = np.stack([v, 1e-9 * w], axis=1)
+    for alpha in (0.5, 1.0, 2.0):
+        value, z = opt._pullback(x, alpha)
+        assert value == 0.0
+        assert np.abs(w.conj() @ z).max() <= 1e-15
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_global_min_entropy_weyl_twirl3(seed):
     res = opt.max_entropy_production_global(cat.weyl_twirl_channel(3), math.inf,
@@ -283,14 +307,9 @@ def test_min_entropy_is_read_at_the_collision_argmax(target):
     assert np.array_equal(inf.argmax, two.argmax)
     assert (inf.iterations, inf.converged) == (two.iterations, two.converged)
     v = inf.argmax
-    out = (chan.extended_apply_matrix(np.outer(v, v.conj()), 3) if target == "global"
-           else chan.apply_matrix(np.outer(v, v.conj())))
+    out = kron_sum_output(chan, np.outer(v, v.conj()), 3 if target == "global" else 1)
     assert inf.value == pytest.approx(ent.min_entropy(np.linalg.eigvalsh(out)), abs=1e-12)
     assert inf.value <= two.value + 1e-12
-
-
-def _spectral_renyi(m, alpha):
-    return ent.renyi(np.clip(np.linalg.eigvalsh(m), 0.0, None), alpha)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -303,9 +322,9 @@ def test_pure_inputs_dominate_local_production(d, rank, mix, seed):
     rho = random_density([d], min(mix, d), seed + 1).matrix
     _, vecs = np.linalg.eigh(rho)
     for alpha in opt.SUPPORTED_ALPHAS:
-        mixed = _spectral_renyi(chan.apply_matrix(rho), alpha) - _spectral_renyi(rho, alpha)
+        mixed = dense_renyi(chan.apply_matrix(rho), alpha) - dense_renyi(rho, alpha)
         best_pure = max(
-            _spectral_renyi(chan.apply_matrix(np.outer(v, v.conj())), alpha) for v in vecs.T
+            dense_renyi(chan.apply_matrix(np.outer(v, v.conj())), alpha) for v in vecs.T
         )
         assert mixed <= best_pure + 1e-12
 

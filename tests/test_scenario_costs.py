@@ -163,6 +163,21 @@ def test_scenario_sizes_are_checked_before_allocation(monkeypatch):
         sc.cq_free_randomness(3)
 
 
+def test_conservation_samples_are_checked_before_allocation(monkeypatch):
+    from catalyx import cli
+
+    # n·D amplitudes may not exceed the DIMENSION_CAP² entries of the largest
+    # state the cap allows; lower the cap instead of allocating
+    monkeypatch.setattr(constructions, "DIMENSION_CAP", 10)
+    sc.conservation_law_check(n_samples=6)  # 96 entries
+    with pytest.raises(ValueError, match="needs 112 sampled amplitudes > cap 100"):
+        sc.conservation_law_check(n_samples=7)
+    monkeypatch.undo()
+    # at the default cap the CLI refuses 10^8 samples (23.8 GiB of draws)
+    # with exit 2 before drawing
+    assert cli.main(["scenario", "conservation", "--samples", "100000000"]) == 2
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_conservation_needs_a_sample(n):
     with pytest.raises(ValueError, match="n_samples >= 1"):

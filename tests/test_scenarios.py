@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from util import dense_renyi, kron_sum_output
 
 from catalyx import catalysis as cat
+from catalyx import hilbert as hl
 from catalyx import scenarios as sc
 from catalyx.hilbert import DensityOperator, maximally_mixed
 
@@ -182,6 +184,30 @@ def test_absorption_random_channel_sweep():
         chan = cat.random_channel(d, k, int(rng.integers(1 << 30)))
         rep = sc.absorption_check(chan, n_samples=4, seed=i)
         assert rep.ok
+
+
+@pytest.mark.parametrize(
+    "chan, seed",
+    [(cat.random_channel(3, 2, 7), 0), (cat.dephasing_channel(2), 3),
+     (cat.initialization_channel(3), 1), (cat.random_channel(2, 3, 5), 2)],
+    ids=["random3x2", "dephasing2", "initialization3", "random2x3"],
+)
+def test_absorption_matches_the_dense_reference(chan, seed):
+    # the same candidates, their outputs as Kronecker sums, and the global
+    # increase read from the d²-dimensional output of a purification
+    rep = sc.absorption_check(chan, n_samples=12, seed=seed)
+    d = chan.dim_in
+    rng = hl._rng(seed)
+    candidates = [np.eye(d) / d]
+    for _ in range(12):
+        candidates.append(hl.random_density([d], 1 + int(rng.integers(d)), rng).matrix)
+    decs = [dense_renyi(g, 1.0) - dense_renyi(kron_sum_output(chan, g), 1.0) for g in candidates]
+    w, v = np.linalg.eigh(candidates[int(np.argmax(decs))])
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    psi = root.T.reshape(-1)  # Σ root[a, c] |c>|a>: the reference first
+    inc = dense_renyi(kron_sum_output(chan, np.outer(psi, psi.conj()), d), 1.0)
+    assert abs(rep.max_local_decrease - max(decs)) <= 1e-12
+    assert abs(rep.min_global_increase_at_max - inc) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 
-from catalyx import optimize
+from catalyx import entropy, optimize
 from catalyx.hilbert import EigenspaceDecomposition
 
 
@@ -79,3 +79,18 @@ def count_krons(monkeypatch):
 
     monkeypatch.setattr(np, "kron", counting)
     return counts
+
+
+def kron_sum_output(chan, rho, ref=1):
+    """(1_ref ⊗ Phi)(rho) as the dense sum Σ_i (1 ⊗ K_i) rho (1 ⊗ K_i)† of
+    Kronecker products: a reference that shares no code with the channel's
+    own contractions."""
+    eye = np.eye(ref)
+    return sum(np.kron(eye, k) @ rho @ np.kron(eye, k).conj().T for k in chan.kraus)
+
+
+def dense_renyi(m, alpha):
+    """S_alpha in bits of the PSD matrix ``m`` normalized to unit trace, from
+    all its eigenvalues."""
+    vals = np.clip(np.linalg.eigvalsh(m), 0.0, None)
+    return entropy.renyi(vals / vals.sum(), alpha)
