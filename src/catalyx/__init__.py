@@ -18,7 +18,6 @@ from .catalysis import (
     KrausChannel,
     LedgerRecord,
     canonical_form,
-    check_compatibility,
     classical_catalysis,
     implement_channel,
     is_catalysis_unitary,

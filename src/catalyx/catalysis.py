@@ -12,7 +12,11 @@ Certification is exact and deterministic: no input is sampled.  The catalyst
 output is linear in the input, sum_xz rho_xz S[x, z] with the transfer slices
 S[x, z] = Tr_A U(|x><z| ⊗ sigma)U† built in one contraction, and it is
 input-independent iff S[x, z] = delta_xz ref (ref: the output at the maximally
-mixed input); ``max_deviation`` = max_xz ||S[x, z] - delta_xz ref||_1.
+mixed input); ``max_deviation`` = max_xz ||S[x, z] - delta_xz ref||_1.  One
+pass over these slices (:func:`verify_catalysis_exhaustive`) also reads the
+compatibility entropy gap S(ref) - S(sigma) and the rotation of sigma onto
+ref.  The recovery check is exact too: it evolves one column per system basis
+state on each side.
 
 A certified :class:`CatalysisInstance` is immutable and may be shared across
 threads.  Module-level mutable state: only the tolerances (``LEDGER_TOL``
@@ -67,6 +71,15 @@ class CatalysisVerdict:
     verdict: bool
     defect: float
 
+    def require(self) -> CatalysisVerdict:
+        """This verdict, if the partial transpose is unitary; raises
+        :class:`CertificationError` otherwise."""
+        if not self.verdict:
+            raise CertificationError(
+                f"not a catalysis unitary: partial-transpose defect {self.defect:.3e}"
+            )
+        return self
+
 
 def is_catalysis_unitary(u: UnitaryOperator, cut: Sequence[int] = (0,)) -> CatalysisVerdict:
     """Test whether the partial transpose of ``u`` over the subsystems in
@@ -90,19 +103,20 @@ def party_swap(u: UnitaryOperator, a_count: int) -> UnitaryOperator:
     return UnitaryOperator(m, [u.layout.dims[p] for p in perm])
 
 
-@dataclass(frozen=True)
-class CompatibilityVerdict:
-    verdict: bool
-    entropy_gap: float
+# ---------------------------------------------------------------------------
+# the catalyst checks: one pass over the transfer tensor
 
 
-def _require_catalysis_unitary(u: UnitaryOperator, a_count: int) -> CatalysisVerdict:
-    tv = is_catalysis_unitary(u, cut=range(a_count))
-    if not tv.verdict:
-        raise CertificationError(
-            f"not a catalysis unitary: partial-transpose defect {tv.defect:.3e}"
-        )
-    return tv
+def system_dim(u: UnitaryOperator, sigma: DensityOperator, a_count: int) -> int:
+    """Dimension of the system side of ``u``, its leading ``a_count``
+    subsystems; raises ValueError unless that split is proper and ``sigma``
+    fits the rest."""
+    dims = u.layout.dims
+    if not 1 <= a_count < len(dims):
+        raise ValueError(f"a_count {a_count} invalid for layout {dims}")
+    if sigma.dim != int(np.prod(dims[a_count:])):
+        raise ValueError("catalyst dimension does not match the B side of u")
+    return int(np.prod(dims[:a_count]))
 
 
 def _transfer_slices(u: np.ndarray, sigma: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -113,41 +127,6 @@ def _transfer_slices(u: np.ndarray, sigma: np.ndarray, da: int, db: int) -> np.n
     ut = u.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(d, d)  # [(x, b), (a, y)]
     left = (ut.reshape(d * da, db) @ sigma).reshape(d, d)  # [(x, b), (a, w)]
     return (left @ ut.conj().T).reshape(da, db, da, db).transpose(0, 2, 1, 3)
-
-
-def _transfer(
-    u: UnitaryOperator, sigma: DensityOperator, a_count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transfer slices of (u, sigma) and their diagonal mean, the catalyst
-    output at the maximally mixed input."""
-    dims = u.layout.dims
-    if not 1 <= a_count < len(dims):
-        raise ValueError(f"a_count {a_count} invalid for layout {dims}")
-    if sigma.dim != int(np.prod(dims[a_count:])):
-        raise ValueError("catalyst dimension does not match the B side of u")
-    da = int(np.prod(dims[:a_count]))
-    s = _transfer_slices(u.matrix, sigma.matrix, da, sigma.dim)
-    return s, np.trace(s) / da
-
-
-def _compatibility(out: np.ndarray, sigma: DensityOperator) -> CompatibilityVerdict:
-    gap = von_neumann(DensityOperator(out, sigma.layout)) - von_neumann(sigma)
-    return CompatibilityVerdict(verdict=abs(gap) <= COMPAT_ENTROPY_TOL, entropy_gap=gap)
-
-
-def check_compatibility(
-    u: UnitaryOperator, sigma: DensityOperator, a_count: int = 1
-) -> CompatibilityVerdict:
-    """A catalyst is compatible with a catalysis unitary iff its entropy is
-    preserved for the maximally mixed input.  Raises if ``u`` is not a
-    catalysis unitary to begin with."""
-    _, out = _transfer(u, sigma, a_count)
-    _require_catalysis_unitary(u, a_count)
-    return _compatibility(out, sigma)
-
-
-# ---------------------------------------------------------------------------
-# exact verification and the canonicalizing rotation
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:
@@ -177,8 +156,14 @@ def _matching_unitary(sigma_m: np.ndarray, xi_m: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ExhaustiveReport:
     max_deviation: float
+    entropy_gap: float  # S(output) - S(sigma) in bits
     implied_v: UnitaryOperator | None  # None when the spectra cannot be matched
     output: np.ndarray  # catalyst output, the same for every input when certified
+
+    @property
+    def compatible(self) -> bool:
+        """The catalyst keeps its entropy at the maximally mixed input."""
+        return abs(self.entropy_gap) <= COMPAT_ENTROPY_TOL
 
 
 def verify_catalysis_exhaustive(
@@ -186,20 +171,25 @@ def verify_catalysis_exhaustive(
     sigma: DensityOperator,
     a_count: int = 1,
 ) -> ExhaustiveReport:
-    """Exact check that the B-side output does not depend on the input:
-    ``max_deviation`` = max_xz ||S[x, z] - delta_xz ref||_1 over the transfer
-    slices, ref the maximally-mixed-input output; a true catalysis gives zero,
-    and for any input the trace distance of its output from ref is at most
-    da/2 times it.  Also returns ref and the unitary mapping the catalyst
-    onto it."""
-    s, ref = _transfer(u, sigma, a_count)
-    dev = s - np.eye(len(s))[:, :, None, None] * ref
+    """Every check on the catalyst, from one transfer tensor.  The B-side
+    output does not depend on the input iff ``max_deviation`` =
+    max_xz ||S[x, z] - delta_xz ref||_1 over the transfer slices is zero, ref
+    the maximally-mixed-input output; for any input the trace distance of its
+    output from ref is at most da/2 times it.  The catalyst is compatible iff
+    ref has its entropy (``entropy_gap``).  Also returns ref and the unitary
+    mapping the catalyst onto it.  Whether ``u`` is a catalysis unitary at
+    all is :func:`is_catalysis_unitary`'s question."""
+    da = system_dim(u, sigma, a_count)
+    s = _transfer_slices(u.matrix, sigma.matrix, da, sigma.dim)
+    ref = np.trace(s) / da
+    dev = s - np.eye(da)[:, :, None, None] * ref
     max_dev = float(np.linalg.svd(dev, compute_uv=False).sum(axis=-1).max())
+    gap = von_neumann(DensityOperator(ref, sigma.layout)) - von_neumann(sigma)
     try:
         v = UnitaryOperator(_matching_unitary(sigma.matrix, ref), u.layout.dims[a_count:])
     except CertificationError:
         v = None
-    return ExhaustiveReport(max_deviation=max_dev, implied_v=v, output=ref)
+    return ExhaustiveReport(max_deviation=max_dev, entropy_gap=gap, implied_v=v, output=ref)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +258,11 @@ def canonical_form(
 ) -> CatalysisInstance:
     """Certify (u, sigma) exactly and return the instance carrying the rotation
     V that makes the catalyst exactly preserved; ``seed`` is only recorded."""
-    tv = _require_catalysis_unitary(u, a_count)
+    tv = is_catalysis_unitary(u, cut=range(a_count)).require()
     rep = verify_catalysis_exhaustive(u, sigma, a_count=a_count)
-    comp = _compatibility(rep.output, sigma)
-    if not comp.verdict:
+    if not rep.compatible:
         raise CertificationError(
-            f"catalyst incompatible: entropy gap {comp.entropy_gap:.3e} bits"
+            f"catalyst incompatible: entropy gap {rep.entropy_gap:.3e} bits"
         )
     if rep.max_deviation > hilbert.TOL_STATE:
         raise CertificationError(
@@ -287,7 +276,7 @@ def canonical_form(
         raise CertificationError("canonical form failed to preserve the catalyst")
     return CatalysisInstance(
         unitary=u, sigma=sigma, a_count=a_count, canonical_v=rep.implied_v,
-        defect=tv.defect, entropy_gap=comp.entropy_gap,
+        defect=tv.defect, entropy_gap=rep.entropy_gap,
         max_deviation=rep.max_deviation, seed=seed, classical=classical,
     )
 
@@ -700,22 +689,20 @@ def recovery_unitary(inst: CatalysisInstance) -> UnitaryOperator:
     return UnitaryOperator(m, uc.layout.dims)
 
 
-def recovery_defect(inst: CatalysisInstance, n_samples: int = 8, seed: int = 5) -> float:
-    """Max trace distance between evolving kappa ⊗ purification with U on the
-    system-catalyst cut and with the recovery unitary on the system-purifier
-    cut."""
+def recovery_defect(inst: CatalysisInstance) -> float:
+    """Exact recovery check.  The d_A columns |x> ⊗ psi_sigma (psi_sigma the
+    purification of the catalyst on B ⊗ C) are evolved once by U on A ⊗ B
+    (L) and once by the recovery unitary on A ⊗ C (R).  Returns the operator
+    norm ||R - e^{i phi} L||_2 at the phase of Tr L†R (1 when it vanishes):
+    it bounds the output trace distance of every input, entangled ones
+    included, and is zero exactly when recovery holds."""
     rec = recovery_unitary(inst)
     uc = inst.canonical_unitary()
     da, db = inst.a_dim, inst.b_dim
-    psi = purify(inst.sigma).amplitudes
-    rng = hilbert._rng(seed)
+    cols = np.kron(np.eye(da), purify(inst.sigma).amplitudes[:, None])
     full_dims = [da, db, db]  # A, B, C
-    worst = 0.0
-    for _ in range(n_samples):
-        v = np.kron(haar_state(da, rng).amplitudes, psi)
-        lhs = evolve(uc.matrix, v, full_dims, [0, 1])
-        rhs = evolve(rec.matrix, v, full_dims, [0, 2])
-        # between pure states the trace distance is the norm of the part of
-        # one orthogonal to the other
-        worst = max(worst, float(np.linalg.norm(rhs - lhs * np.vdot(lhs, rhs))))
-    return worst
+    lhs = evolve(uc.matrix, cols, full_dims, [0, 1])
+    rhs = evolve(rec.matrix, cols, full_dims, [0, 2])
+    overlap = np.vdot(lhs, rhs)
+    phase = overlap / abs(overlap) if overlap else 1.0
+    return float(np.linalg.norm(rhs - phase * lhs, 2))

@@ -78,7 +78,10 @@ def _apply_tol_overrides(pairs: list[str]) -> None:
             raise ValueError(
                 f"unknown tolerance {name!r}; valid: {sorted(_TOL_NAMES)}"
             )
-        setattr(*_TOL_NAMES[name], float(raw))
+        value = float(raw)
+        if math.isnan(value):
+            raise ValueError(f"tolerance {name!r} must be a number, got {raw!r}")
+        setattr(*_TOL_NAMES[name], value)
 
 
 def _write_and_print(text: str, cfg: RunConfig) -> None:
@@ -89,7 +92,7 @@ def _write_and_print(text: str, cfg: RunConfig) -> None:
 
 def _emit(report: dict, cfg: RunConfig) -> None:
     report = {"config": cfg.echo(), "timestamp": _timestamp(), **report}
-    _write_and_print(json.dumps(report, indent=1, sort_keys=True) + "\n", cfg)
+    _write_and_print(json.dumps(report, indent=1, sort_keys=True, allow_nan=False) + "\n", cfg)
 
 
 def _emit_csv(rows: list[list[str]], cfg: RunConfig) -> None:
@@ -151,12 +154,14 @@ def cmd_verify(args) -> int:
         front = cut + [i for i in range(len(dims)) if i not in cut]
         u = hilbert.UnitaryOperator(hilbert.permute_subsystems(u.matrix, dims, front),
                                     [dims[i] for i in front])
+        # a catalyst of the wrong size is a usage error, whatever the verdict
+        catalysis.system_dim(u, sigma, len(cut))
         try:
-            comp = catalysis.check_compatibility(u, sigma, a_count=len(cut))
-            rep = catalysis.verify_catalysis_exhaustive(u, sigma, a_count=len(cut))
-            report.update({"compatible": comp.verdict, "entropy_gap_bits": comp.entropy_gap,
+            verdict.require()
+            rep = catalysis.verify_catalysis_exhaustive(u, sigma, len(cut))
+            report.update({"compatible": rep.compatible, "entropy_gap_bits": rep.entropy_gap,
                            "max_deviation": rep.max_deviation})
-            ok = ok and comp.verdict and rep.max_deviation <= hilbert.TOL_STATE
+            ok = rep.compatible and rep.max_deviation <= hilbert.TOL_STATE
         except CertificationError as exc:
             report.update({"compatible": False, "error": str(exc)})
             ok = False

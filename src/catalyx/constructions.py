@@ -314,6 +314,8 @@ def angular_momentum_catalyst(l_max: int) -> AngularMomentumCatalyst:
 def thermal_levels(r, e_inf: float) -> list[float]:
     """Energy levels E_i = E_inf - log2 r_i; the Gibbs state at beta = ln 2
     over these levels, with degeneracy r_i, has the optimal-catalyst weights."""
+    if not math.isfinite(e_inf):
+        raise ValueError(f"e_inf must be finite, got {e_inf}")
     r = _as_degeneracy(r)
     return [float(e_inf - np.log2(ri)) for ri in r.r]
 

@@ -97,7 +97,7 @@ def von_neumann(rho: DensityOperator | Sequence[float]) -> float:
 def renyi(state, alpha: float) -> float:
     """Renyi entropy H_alpha in bits; alpha=1 is von Neumann, alpha=inf is
     -log2 max p, alpha=0 is log2 of the support size."""
-    if alpha < 0:
+    if not alpha >= 0:  # NaN too
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     p = _spectrum(state)
     if abs(alpha - 1.0) <= _ALPHA_SNAP:
@@ -139,7 +139,7 @@ def mutual_information(rho: DensityOperator, part_x: Sequence[int], part_y: Sequ
 
 def renyi_divergence(p, q, alpha: float) -> float:
     """D_alpha(p||q) = (1/(alpha-1)) log2 sum p^alpha q^(1-alpha) in bits."""
-    if alpha < 0:
+    if not alpha >= 0:  # NaN too
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     p = np.asarray(p, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)
@@ -216,7 +216,7 @@ def catalytic_renyi(dec, alpha: float) -> float:
     """(1/(1-alpha)) log2 sum_i lambda_i^alpha r_i^(2-alpha), with the limits
     alpha->1 (catalytic entropy), alpha->inf (-max log2 lambda_i/r_i) and
     alpha->0 (log2 sum r_i^2)."""
-    if alpha < 0:
+    if not alpha >= 0:  # NaN too
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     dec = _as_decomposition(dec)
     lam = np.asarray(dec.eigenvalues)

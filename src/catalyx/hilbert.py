@@ -767,8 +767,8 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def save_json(path: str, payload: dict) -> None:
-    """Atomic JSON write."""
-    _write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    """Atomic JSON write; NaN and infinities are refused, not written."""
+    _write_atomic(path, json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n")
 
 
 def load_json(path: str) -> dict:

@@ -15,7 +15,6 @@ from catalyx import entropy as ent
 from catalyx import hilbert as hl
 from catalyx import optimize as opt
 from catalyx import scenarios as sc
-from catalyx.catalysis import CertificationError
 from catalyx.hilbert import (
     DensityOperator,
     UnitaryOperator,
@@ -166,8 +165,8 @@ def test_criterion_02_condition_equivalence(instance_suite):
                 inst.unitary, inst.sigma, a_count=inst.a_count
             )
             assert rep.max_deviation <= 1e-9
-            comp = cat.check_compatibility(inst.unitary, inst.sigma, inst.a_count)
-            assert comp.verdict
+            assert cat.is_catalysis_unitary(inst.unitary, range(inst.a_count)).verdict
+            assert rep.compatible
 
         swap2 = UnitaryOperator(hl.swap_matrix(2), [2, 2])
         swap3 = UnitaryOperator(hl.swap_matrix(3), [3, 3])
@@ -199,11 +198,8 @@ def test_criterion_02_condition_equivalence(instance_suite):
         for u, sigma in broken:
             rep = cat.verify_catalysis_exhaustive(u, sigma)
             assert rep.max_deviation > 1e-9
-            try:
-                comp = cat.check_compatibility(u, sigma)
-                assert not comp.verdict
-            except CertificationError:
-                pass  # not even a catalysis unitary
+            # incompatible, unless not even a catalysis unitary
+            assert not rep.compatible or not cat.is_catalysis_unitary(u).verdict
 
     run_criterion(2, "catalysis-condition equivalence", body)
 

@@ -11,7 +11,6 @@ from catalyx.catalysis import (
     KrausChannel,
     canonical_form,
     channel_to_kraus,
-    check_compatibility,
     classical_catalysis,
     cost_bound_check,
     decompose_subcatalyses,
@@ -131,26 +130,29 @@ def test_partial_transpose_defect_is_invariant_under_inverse_and_party_swap(case
 
 
 def test_cnot_compatible_with_maximally_mixed():
-    v = check_compatibility(CNOT, MM2)
-    assert v.verdict and abs(v.entropy_gap) <= 1e-10
+    rep = verify_catalysis_exhaustive(CNOT, MM2)
+    assert rep.compatible and abs(rep.entropy_gap) <= 1e-10
 
 
 def test_cnot_rejects_pure_catalyst():
-    v = check_compatibility(CNOT, hl.basis_state(2, 0).density())
-    assert not v.verdict and v.entropy_gap > 0.5
+    rep = verify_catalysis_exhaustive(CNOT, hl.basis_state(2, 0).density())
+    assert not rep.compatible and rep.entropy_gap > 0.5
 
 
 def test_maximally_mixed_always_compatible():
     for inst in (cnot_instance(), controlled_family_instance(3, 2, 1)):
-        v = check_compatibility(
+        rep = verify_catalysis_exhaustive(
             inst.unitary, maximally_mixed([inst.b_dim]), a_count=inst.a_count
         )
-        assert v.verdict
+        assert rep.compatible
 
 
 def test_compatibility_requires_catalysis_unitary():
-    with pytest.raises(CertificationError):
-        check_compatibility(SWAP2, MM2)
+    # the swap keeps the maximally mixed catalyst's entropy, but it is no
+    # catalysis unitary, and certification says so before the catalyst checks
+    assert verify_catalysis_exhaustive(SWAP2, MM2).compatible
+    with pytest.raises(CertificationError, match="not a catalysis unitary"):
+        canonical_form(SWAP2, MM2)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +323,8 @@ def test_eigenspace_projections_are_compatible_catalysts():
     uc = inst.canonical_unitary()
     dec = hl.eigenspace_decompose(sigma)
     for basis, r in zip(dec.bases, dec.multiplicities):
-        v = check_compatibility(uc, DensityOperator(basis @ basis.conj().T / r, [3]))
-        assert v.verdict
+        rep = verify_catalysis_exhaustive(uc, DensityOperator(basis @ basis.conj().T / r, [3]))
+        assert rep.compatible
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +461,7 @@ def test_cost_bound_matches_the_dense_reference(kind):
 
 def test_recovery_cnot():
     inst = cnot_instance()
-    assert recovery_defect(inst, n_samples=8, seed=0) <= 1e-10
+    assert recovery_defect(inst) <= 1e-12
     rec = recovery_unitary(inst)
     assert np.allclose(rec.matrix, CNOT.matrix)  # X is symmetric
 
@@ -484,7 +486,7 @@ def test_recovery_dephasing_haar_inputs():
     from catalyx.constructions import dephasing_catalysis
 
     inst = dephasing_catalysis([2])
-    assert recovery_defect(inst, n_samples=20, seed=3) <= 1e-9
+    assert recovery_defect(inst) <= 1e-12
 
 
 def test_recovery_across_certified_instances():
@@ -497,7 +499,33 @@ def test_recovery_across_certified_instances():
         controlled_family_instance(2, 3, 6),
     ]
     for inst in full_support:
-        assert recovery_defect(inst, n_samples=6, seed=2) <= 1e-9
+        assert recovery_defect(inst) <= 1e-12
+
+
+def test_recovery_defect_is_exact_for_a_broken_recovery(monkeypatch):
+    # a phase e^{i theta} on one system basis state spoils the recovery: R = L D
+    inst = controlled_family_instance(3, 2, 4)
+    phases = np.ones(inst.a_dim, dtype=complex)
+    phases[1] = np.exp(2.0j)
+    good = recovery_unitary(inst)
+    broken = UnitaryOperator(good.matrix @ np.kron(np.diag(phases), np.eye(inst.b_dim)),
+                             good.layout)
+    monkeypatch.setattr(cat, "recovery_unitary", lambda _: broken)
+    c = phases.sum() / abs(phases.sum())
+    defect = recovery_defect(inst)
+    assert abs(defect - max(abs(1 - c), abs(phases[1] - c))) <= 1e-12
+    # it bounds the trace distance of every input; here, 64 Haar pure ones
+    dims = [inst.a_dim, inst.b_dim, inst.b_dim]  # A, B, C
+    lhs_op = hl.embed_operator(inst.canonical_unitary().matrix, dims, [0, 1])
+    rhs_op = hl.embed_operator(broken.matrix, dims, [0, 2])
+    psi = hl.purify(inst.sigma).amplitudes
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(64):
+        v = np.kron(hl.haar_state(inst.a_dim, rng).amplitudes, psi)
+        overlap = abs(np.vdot(lhs_op @ v, rhs_op @ v))
+        worst = max(worst, np.sqrt(max(0.0, 1.0 - overlap**2)))
+    assert 0.1 < worst <= defect
 
 
 def test_empty_cut_rejected():

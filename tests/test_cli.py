@@ -278,6 +278,17 @@ def test_verify_empty_cut_usage_error(tmp_path):
     assert "PASS" not in res.stdout
 
 
+def test_verify_wrong_catalyst_size_is_a_usage_error_before_the_verdict(tmp_path):
+    # the swap fails the partial-transpose test, but a catalyst that does not
+    # fit the B side is bad input whatever the verdict: exit 2, not 1
+    write_operator(tmp_path / "swap.json", hl.swap_matrix(2), [2, 2])
+    hl.save_json(str(tmp_path / "mm3.json"), hl.operator_to_payload(hl.maximally_mixed([3])))
+    res = run_cli("verify", str(tmp_path / "swap.json"), "--sigma-file", str(tmp_path / "mm3.json"))
+    assert res.returncode == 2
+    assert "catalyst dimension does not match the B side" in res.stderr
+    assert "FAIL" not in res.stdout
+
+
 def _write_dephasing_pair(tmp_path, swap):
     """Files of the dephasing(1, 2) catalysis, party-swapped (layout [3, 5],
     system side last) when ``swap`` is set."""
@@ -439,3 +450,29 @@ def test_ignored_or_invalid_flags_are_usage_errors(args, flag, tmp_path, capsys)
     assert cli.main([*args, "--out", str(out)]) == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()  # rejected before any work
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("entropy", "STATE", "--alpha", "0.5,nan"), "alpha must be nonnegative, got nan"),
+        (("construct", "thermal_levels", "--r", "1,2", "--e-inf", "nan"), "e_inf must be finite"),
+        # NaN would switch the unitarity check off: the file is not unitary
+        (("verify", "TWICE", "--tol-override", "unitary=nan"), "tolerance 'unitary'"),
+        (("entropy", "STATE", "--tol-override", "ledger=NaN"), "tolerance 'ledger'"),
+    ],
+    ids=["alpha", "e_inf", "unitary", "ledger"],
+)
+def test_nan_inputs_are_usage_errors(args, message, tmp_path, capsys):
+    from catalyx import cli
+
+    files = {"STATE": tmp_path / "state.json", "TWICE": tmp_path / "twice.json"}
+    hl.save_json(str(files["STATE"]), hl.operator_to_payload(hl.maximally_mixed([2])))
+    twice = 2 * np.eye(4)
+    hl.save_json(str(files["TWICE"]),
+                 {"dims": [2, 2], "re": twice.tolist(), "im": np.zeros((4, 4)).tolist()})
+    args = [str(files.get(a, a)) for a in args]
+    out = tmp_path / "out"
+    assert cli.main([*args, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

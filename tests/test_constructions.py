@@ -379,6 +379,12 @@ def test_thermal_levels():
     assert np.allclose(pops, np.diag(sigma.matrix).real, atol=1e-12)
 
 
+@pytest.mark.parametrize("e_inf", [math.nan, math.inf, -math.inf])
+def test_thermal_levels_refuse_a_non_finite_offset(e_inf):
+    with pytest.raises(ValueError, match="e_inf must be finite"):
+        con.thermal_levels([1, 2], e_inf)
+
+
 def test_dimension_cap():
     with pytest.raises(ValueError, match="cap"):
         con.dephasing_catalysis([17])  # 289 * 17 > 4096

@@ -37,6 +37,17 @@ def test_renyi_examples():
         ent.renyi(DIAG, -0.5)
 
 
+def test_nan_order_is_refused():
+    # a NaN order compares False against every bound, so it must be refused
+    # by name, not slip past "alpha < 0"
+    dec = eigenspace_decompose(DIAG)
+    for call in (lambda: ent.renyi(DIAG, math.nan),
+                 lambda: ent.catalytic_renyi(dec, math.nan),
+                 lambda: ent.renyi_divergence([0.5, 0.5], [0.5, 0.5], math.nan)):
+        with pytest.raises(ValueError, match="nonnegative, got nan"):
+            call()
+
+
 def test_renyi_limit_continuity():
     for seed in range(5):
         rho = random_density([5], 5, seed)

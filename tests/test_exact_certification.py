@@ -1,8 +1,13 @@
 """Exact certification: the transfer tensor against direct evolution, seed
-independence of the verdict, soundness against a sampled reference check, and
-the minimal Kraus form from the smaller Gram side of its Choi vectors."""
+independence of the verdict, soundness against a sampled reference check, the
+cost of one certification, and the minimal Kraus form from the smaller Gram
+side of its Choi vectors."""
+
+import sys
+from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,7 +57,8 @@ def test_transfer_matches_direct_evolution(dims, a_count, seed):
     u = hl.haar_unitary(da * db, rng, layout=dims)
     sigma = hl.random_density([db], db, rng)
     rho = hl.random_density([da], da, rng).matrix
-    s, ref = cat._transfer(u, sigma, a_count)
+    s = cat._transfer_slices(u.matrix, sigma.matrix, da, db)
+    ref = cat.verify_catalysis_exhaustive(u, sigma, a_count).output
     assert s.shape == (da, da, db, db)
     got = np.einsum("xz,xzbc->bc", rho, s)
     assert np.abs(got - _output(u.matrix, rho, sigma.matrix, da, db)).max() <= 1e-13
@@ -95,6 +101,54 @@ def test_max_deviation_bounds_sampled_deviation(da, db, seed):
     for rho in _sampled_inputs(da, rng):
         dist = hl.trace_distance(_output(u, rho, sigma.matrix, da, db), rep.output)
         assert dist <= da / 2 * rep.max_deviation + 1e-12
+
+
+def _count_catalyst_work(monkeypatch):
+    """Count later partial transposes (in every catalyx namespace that binds
+    the kernel) and transfer contractions in the returned ``Counter``."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    kernel = hl.ptranspose_matrix
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "catalyx" and getattr(module, "ptranspose_matrix", None) is kernel:
+            monkeypatch.setattr(module, "ptranspose_matrix", counting("ptranspose", kernel))
+    monkeypatch.setattr(cat, "_transfer_slices", counting("transfer", cat._transfer_slices))
+    return counts
+
+
+def test_canonical_form_checks_the_catalyst_once(monkeypatch):
+    inst = con.dephasing_catalysis([1, 2])
+    counts = _count_catalyst_work(monkeypatch)
+    cat.canonical_form(inst.unitary, inst.sigma)
+    assert counts == {"ptranspose": 1, "transfer": 1}
+
+
+@pytest.mark.parametrize(
+    "catalysis_unitary, want",
+    [(True, {"ptranspose": 1, "transfer": 1}), (False, {"ptranspose": 1})],
+    ids=["pass", "not-catalysis"],
+)
+def test_verify_command_checks_the_catalyst_once(
+    monkeypatch, tmp_path, capsys, catalysis_unitary, want
+):
+    from catalyx import cli
+
+    inst = con.dephasing_catalysis([1, 2])
+    u = inst.unitary if catalysis_unitary else hl.haar_unitary(inst.unitary.dim, 0,
+                                                                inst.unitary.layout)
+    hl.save_json(str(tmp_path / "u.json"), hl.operator_to_payload(u))
+    hl.save_json(str(tmp_path / "sigma.json"), hl.operator_to_payload(inst.sigma))
+    counts = _count_catalyst_work(monkeypatch)
+    code = cli.main(["verify", str(tmp_path / "u.json"), "--sigma-file",
+                     str(tmp_path / "sigma.json")])
+    assert code == (0 if catalysis_unitary else 1)
+    assert counts == want
 
 
 def _raw_kraus(inst):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -370,6 +371,14 @@ def test_state_payload_roundtrip(tmp_path):
     back = hl.payload_to_state(hl.load_json(path))
     assert back.layout.dims == (2, 3)
     assert np.allclose(back.amplitudes, v.amplitudes)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_save_json_refuses_non_json_floats(tmp_path, value):
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        hl.save_json(str(path), {"x": [1.0, value]})
+    assert not path.exists()
 
 
 def test_payload_rejects_nonsquare():
