@@ -366,28 +366,37 @@ def channel_from_unitary(u: np.ndarray) -> KrausChannel:
     return KrausChannel([u])
 
 
+def _check_kraus_stack(name: str, n: int, d: int) -> None:
+    hilbert.check_size(n * d * d, f"{name} channel with {n} Kraus operators of {d}×{d}")
+
+
 def identity_channel(d: int) -> KrausChannel:
+    _check_kraus_stack("identity", 1, d)
     return KrausChannel([np.eye(d)])
 
 
 def dephasing_channel(d: int) -> KrausChannel:
     """Kill all off-diagonal elements in the computational basis."""
+    _check_kraus_stack("dephasing", d, d)
     return KrausChannel([np.diag(e) for e in np.eye(d)])
 
 
 def erasure_channel(d: int) -> KrausChannel:
     """Unital erasure rho -> 1/d, with Kraus operators |i><j| / sqrt(d)."""
+    _check_kraus_stack("erasure", d * d, d)
     return KrausChannel(np.eye(d * d).reshape(d * d, d, d) / np.sqrt(d))
 
 
 def weyl_twirl_channel(d: int) -> KrausChannel:
     """Uniform mixture of all d^2 discrete displacement unitaries; completely
     depolarizing."""
+    _check_kraus_stack("Weyl-twirl", d * d, d)
     return KrausChannel([w / d for w in hilbert.weyl_set(d)])
 
 
 def initialization_channel(d: int) -> KrausChannel:
     """Send every input to |0><0|."""
+    _check_kraus_stack("initialization", d, d)
     return KrausChannel([np.outer(np.eye(d)[0], e) for e in np.eye(d)])
 
 
@@ -397,6 +406,7 @@ def werner_holevo_channel(d: int) -> KrausChannel:
     catalytic (``kraus_products_rank``), at d = 2 it is a unitary conjugation."""
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
+    _check_kraus_stack("Werner–Holevo", d * (d - 1) // 2, d)
     e = np.eye(d)
     return KrausChannel([(np.outer(e[i], e[j]) - np.outer(e[j], e[i])) / np.sqrt(d - 1)
                          for i in range(d) for j in range(i + 1, d)])
@@ -417,8 +427,9 @@ def kraus_products_rank(chan: KrausChannel) -> tuple[int, int]:
 
 def random_channel(d: int, kraus_rank: int, seed) -> KrausChannel:
     """Haar-random Stinespring isometry cut into Kraus blocks."""
-    big = hilbert.haar_unitary_matrix(d * kraus_rank, seed)
-    v = big[:, :d]
+    big = d * kraus_rank
+    hilbert.check_size(big**2, f"random channel from a Haar unitary of {big}×{big}")
+    v = hilbert.haar_unitary_matrix(big, seed)[:, :d]
     return KrausChannel(v.reshape(kraus_rank, d, d))
 
 

@@ -158,13 +158,14 @@ def cmd_verify(args) -> int:
         catalysis.system_dim(u, sigma, len(cut))
         try:
             verdict.require()
+        except CertificationError as exc:
+            # compatibility is not evaluated for a unitary that fails the test
+            report.update({"compatible": None, "error": str(exc)})
+        else:
             rep = catalysis.verify_catalysis_exhaustive(u, sigma, len(cut))
             report.update({"compatible": rep.compatible, "entropy_gap_bits": rep.entropy_gap,
                            "max_deviation": rep.max_deviation})
             ok = rep.compatible and rep.max_deviation <= hilbert.TOL_STATE
-        except CertificationError as exc:
-            report.update({"compatible": False, "error": str(exc)})
-            ok = False
     report["pass"] = ok
     _emit(report, cfg)
     print(f"verify: {'PASS' if ok else 'FAIL'} defect = {verdict.defect:.3e}")
@@ -223,6 +224,7 @@ def _initialization_masking(args):
 
 
 def _double_random(args):
+    hilbert.check_size(args.d**3, f"clock family of {args.d} operators of {args.d}×{args.d}")
     z = hilbert.clock_matrix(args.d)
     family = [np.linalg.matrix_power(z, k) for k in range(args.d)]
     inst = constructions.double_random(args.d, family, family)
@@ -372,7 +374,7 @@ SCENARIO = {
         _flag("--d", type=int, default=None, help="default 2, for initialization<d>"),
         _flag("--channel", default=None, help="default initialization<d>")), required=False))),
     "cq_free": (_cq_free, (D2,)),
-    "initialization": (_initialization_scenario, (D2, FORMAT)),
+    "initialization": (_initialization_scenario, (D3, FORMAT)),
 }
 
 

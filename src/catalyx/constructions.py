@@ -2,8 +2,8 @@
 
 Every constructor returns certified objects: unitaries are verified against
 the partial-transpose test and catalysts against compatibility at build time.
-All constructions are deterministic (no RNG) and refuse total dimensions
-beyond the desk-scale cap.
+All constructions are deterministic (no RNG) and check their size against
+the one budget, ``hilbert.MAX_BYTES``, before allocating.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import hilbert
 from .catalysis import CatalysisInstance, canonical_form
 from .entropy import DegeneracyVector
 from .hilbert import (
@@ -31,15 +32,6 @@ from .hilbert import (
     maximally_mixed,
     weyl_set,
 )
-
-DIMENSION_CAP = 4096
-EXTRACTION_REGISTER_CAP = 64
-
-
-def _check_total_dim(total: int, what: str) -> None:
-    if total > DIMENSION_CAP:
-        raise ValueError(f"{what} needs total dimension {total} > cap {DIMENSION_CAP}")
-
 
 def _as_degeneracy(r) -> DegeneracyVector:
     return r if isinstance(r, DegeneracyVector) else DegeneracyVector(r)
@@ -67,6 +59,8 @@ def conserved_optimal_catalyst(r) -> DensityOperator:
     multiplicity constraint: eigenvalue r_i/||r||^2 per block, giving
     2 log2 ||r||_2 for all alpha."""
     r = _as_degeneracy(r)
+    dim = sum(r.r)
+    hilbert.check_size(dim**2, f"conserved-optimal catalyst at dimension {dim}")
     diag = np.concatenate([np.full(ri, ri / r.norm2sq) for ri in r.r])
     return DensityOperator(np.diag(diag.astype(complex)), [len(diag)])
 
@@ -85,7 +79,8 @@ def dephasing_catalysis(r) -> CatalysisInstance:
     r = _as_degeneracy(r)
     big_d = r.norm2sq
     b_dim = sum(r.r)
-    _check_total_dim(big_d * b_dim, "dephasing construction")
+    total = big_d * b_dim
+    hilbert.check_size(total**2, f"dephasing construction at total dimension {total}")
     z = clock_matrix(big_d)
     zdiag = [np.diagonal(np.linalg.matrix_power(z, k)) for k in range(big_d)]
     # every term is diagonal on the system, so U = sum_p |p><p| ⊗ M_p with
@@ -131,13 +126,11 @@ def max_extraction_catalysis(sigma: DensityOperator) -> MaxExtractionResult:
     dec = eigenspace_decompose(sigma)
     n = len(dec.eigenvalues)
     big_r = math.lcm(*[m * m for m in dec.multiplicities])
-    if big_r > EXTRACTION_REGISTER_CAP:
-        raise ValueError(
-            f"register dimension {big_r} exceeds cap {EXTRACTION_REGISTER_CAP}; "
-            "use a catalyst with smaller eigenspace multiplicities"
-        )
     db = sigma.dim
-    _check_total_dim(n * big_r * db, "maximal-extraction construction")
+    total = n * big_r * db
+    hilbert.check_size(
+        total**2, f"maximal-extraction construction at total dimension {total}"
+    )
     zn = clock_matrix(n)
     # every term is diagonal on label ⊗ register, so U has one catalyst block
     # per (label, register) basis state; adding the terms in (i, j) order
@@ -182,6 +175,7 @@ def initialization_classical(d: int) -> GeneralizedCatalysis:
     information at log2 d and returns the catalyst marginal exactly."""
     if d < 3 or d % 2 == 0:
         raise ValueError("initialization with a classical intermediate needs odd d >= 3")
+    hilbert.check_size((d**3) ** 2, f"classical initialization at total dimension {d**3}")
     inv2 = pow(2, -1, d)
 
     def image(a, b, c):
@@ -208,7 +202,7 @@ def initialization_masking(m: int) -> GeneralizedCatalysis:
     """
     if m < 2:
         raise ValueError("masking initialization needs m >= 2")
-    _check_total_dim(m**6, "masking initialization")
+    hilbert.check_size((m**6) ** 2, f"masking initialization at total dimension {m**6}")
     u = basis_permutation([m] * 6, lambda a, b, p, q, s, t: (q, s, b, a + t, p, t))
     pair = max_entangled(m)
     pair_rho = np.outer(pair, pair.conj())
@@ -252,7 +246,9 @@ def double_random(
             f"families do not commute: [U_{pair[0]}, V_{pair[1]}] has norm {worst:.3e}"
         )
     da = u_list[0].shape[0]
-    _check_total_dim(da * d, "double-random construction")
+    hilbert.check_size(
+        (da * d) ** 2, f"double-random construction at total dimension {da * d}"
+    )
     stage1 = double_random_stage_one(d, u_list).matrix
     stage2 = controlled(v_list, fourier_matrix(d))
     return canonical_form(
@@ -281,7 +277,7 @@ def multiparty_unitary(d: int) -> UnitaryOperator:
     maximally mixed catalyst."""
     if d < 2:
         raise ValueError("need d >= 2")
-    _check_total_dim(d**3, "multiparty unitary")
+    hilbert.check_size((d**3) ** 2, f"multiparty unitary at total dimension {d**3}")
     return UnitaryOperator(controlled(weyl_set(d), control_first=True), [d * d, d])
 
 

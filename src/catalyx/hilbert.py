@@ -31,6 +31,27 @@ TOL_STATE = 1e-9       # trace distance between states
 TOL_NORM = 1e-10       # trace / vector-norm deviation
 GROUP_TOL = 1e-8       # relative gap below which eigenvalues merge
 
+# The one size budget: every function that allocates from a size its caller
+# gives passes the complex entries of the largest object it defines to
+# ``check_size`` before allocating (D² for a state or operator of total
+# dimension D, dense or factor-held).  Read at call time, like the tolerances.
+MAX_BYTES = 2**28      # one complex 4096×4096 operator
+
+
+def within_budget(entries: int) -> bool:
+    """Whether ``entries`` complex numbers fit in ``MAX_BYTES``."""
+    return 16 * entries <= MAX_BYTES
+
+
+def check_size(entries: int, what: str) -> None:
+    """Refuse, before anything is allocated, to build ``what`` when its
+    ``entries`` complex numbers exceed the budget ``MAX_BYTES``."""
+    if not within_budget(entries):
+        raise ValueError(
+            f"{what} needs {16 * entries} bytes > budget of {MAX_BYTES} bytes "
+            "(hilbert.MAX_BYTES)"
+        )
+
 
 def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T

@@ -9,8 +9,9 @@ transition is evolved once, inside the ledger, on the factor of its state
 scenario reads its marginals from the factor-held state the ledger returns,
 through ``partial_trace`` and ``mutual_information``, which reuse each
 marginal the ledger took; so no transition forms or diagonalizes its joint
-D×D state.  Scenarios take explicit seeds and echo them in the trace for
-reproducibility.
+D×D state.  Each scenario checks the joint state it will hold against the
+one size budget, ``hilbert.MAX_BYTES``, before allocating.  Scenarios take
+explicit seeds and echo them in the trace for reproducibility.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import constructions, hilbert
+from . import hilbert
 from .catalysis import KrausChannel, LedgerRecord, ledger
-from .constructions import _check_total_dim, initialization_classical, multiparty_unitary
+from .constructions import initialization_classical, multiparty_unitary
 from .entropy import mutual_information, shannon_rows, von_neumann
 from .hilbert import (
     DensityOperator,
@@ -39,9 +40,6 @@ from .hilbert import (
     trace_distance,
     weyl_set,
 )
-
-
-REFUEL_DIM_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -120,20 +118,21 @@ def multiparty_refuel(
     if d < 2 or rounds < 1:
         raise ValueError("need d >= 2 and rounds >= 1")
     reg_dim = d if classical else d * d
-    if reg_dim * d > REFUEL_DIM_CAP:
-        raise ValueError(
-            f"multiparty refuelling needs total dimension {reg_dim * d} for one round "
-            f"at d={d} > cap {REFUEL_DIM_CAP}"
-        )
+    hilbert.check_size(
+        (reg_dim * d) ** 2, f"multiparty refuelling at total dimension {reg_dim * d}"
+    )
     notices: list[str] = []
-    max_rounds = rounds
     # fresh registers accumulate, so the joint state grows exponentially;
-    # cap the materialized dimension at two rounds per agent for d = 2
-    while reg_dim**max_rounds * d > REFUEL_DIM_CAP:
-        max_rounds -= 1
+    # keep the rounds whose joint state fits the budget
+    max_rounds = 1
+    while max_rounds < rounds and hilbert.within_budget(
+        (reg_dim ** (max_rounds + 1) * d) ** 2
+    ):
+        max_rounds += 1
     if max_rounds < rounds:
         notices.append(
-            f"trace truncated to {max_rounds} rounds: total dimension cap {REFUEL_DIM_CAP}"
+            f"trace truncated to {max_rounds} rounds: round {max_rounds + 1} exceeds "
+            f"the budget of {hilbert.MAX_BYTES} bytes (hilbert.MAX_BYTES)"
         )
 
     if classical:
@@ -227,10 +226,10 @@ def conservation_law_check(
     if n_samples < 1:
         raise ValueError(f"conservation check needs n_samples >= 1, got {n_samples}")
     layout = hilbert.SubsystemLayout(dims)
-    # the stack holds n·D amplitudes: no more than the D×D state at the cap
-    entries, cap = n_samples * layout.total_dim, constructions.DIMENSION_CAP**2
-    if entries > cap:
-        raise ValueError(f"conservation check needs {entries} sampled amplitudes > cap {cap}")
+    hilbert.check_size(
+        n_samples * layout.total_dim,
+        f"conservation check with {n_samples} samples at dimension {layout.total_dim}",
+    )
     rng = hilbert._rng(seed)
     z = rng.standard_normal((n_samples, 2, layout.total_dim))
     # each row normalized and checked as haar_state and StateVector do
@@ -270,7 +269,7 @@ def depletion_demo(d: int, seed: int = 0, identity_maps: bool = False) -> Scenar
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    _check_total_dim(d**5, "depletion demo")
+    hilbert.check_size((d**5) ** 2, f"depletion demo at total dimension {d**5}")
     reg = d * d
     if identity_maps:
         w = UnitaryOperator(np.eye(reg * d), [reg, d])
@@ -378,7 +377,7 @@ def cq_free_randomness(d: int) -> FreeRandomnessReport:
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    _check_total_dim(d**3, "cq_free randomness")
+    hilbert.check_size((d**3) ** 2, f"cq_free randomness at total dimension {d**3}")
     intermediate = DensityOperator(np.diag(np.eye(d).reshape(-1)) / d, [d, d])
     free = free_randomness(intermediate, 1)
 
@@ -401,7 +400,7 @@ def initialization_scenario(d: int, seed: int = 0) -> ScenarioTrace:
     (memory-catalyst correlation survives), maximally mixed input (entropy and
     intermediate correlation both drop by log2 d) and entangled input (both
     rise by log2 d)."""
-    _check_total_dim(d**4, "initialization scenario")
+    hilbert.check_size((d**4) ** 2, f"initialization scenario at total dimension {d**4}")
     gen = initialization_classical(d)
     u, inter = gen.unitary, gen.intermediate
     steps = []

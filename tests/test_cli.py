@@ -218,6 +218,8 @@ def test_construct_kinds_end_to_end(args, tmp_path):
         (("scenario", "initialization", "--d", "3"), "I(A':B) = 1.584963"),
         (("optimize", "global", "--channel", "erasure2"), "S_prod_global = 2.000000"),
         (("optimize", "local", "--channel", "dephasing2"), "S_prod_local = 1.000000"),
+        # the default --d is 3, the smallest odd size
+        (("scenario", "initialization"), "I(A':B) = 1.584963"),
     ],
 )
 def test_remaining_cli_paths(args, expect, tmp_path):
@@ -287,6 +289,28 @@ def test_verify_wrong_catalyst_size_is_a_usage_error_before_the_verdict(tmp_path
     assert res.returncode == 2
     assert "catalyst dimension does not match the B side" in res.stderr
     assert "FAIL" not in res.stdout
+
+
+def test_verify_failing_unitary_leaves_compatibility_unevaluated(tmp_path):
+    # the swap fails the partial-transpose test, so the catalyst checks do not
+    # run: compatibility is null, not false (with the maximally mixed catalyst
+    # its entropy gap would be 0)
+    from catalyx import catalysis
+
+    swap = hl.UnitaryOperator(hl.swap_matrix(2), [2, 2])
+    mm = hl.maximally_mixed([2])
+    assert catalysis.verify_catalysis_exhaustive(swap, mm).entropy_gap == 0.0
+    write_operator(tmp_path / "swap.json", swap.matrix, [2, 2])
+    hl.save_json(str(tmp_path / "mm.json"), hl.operator_to_payload(mm))
+    out = tmp_path / "v.json"
+    res = run_cli("verify", str(tmp_path / "swap.json"), "--sigma-file", str(tmp_path / "mm.json"),
+                  "--out", str(out))
+    assert res.returncode == 1
+    rep = json.load(open(out))
+    assert rep["compatible"] is None and rep["pass"] is False
+    assert rep["is_catalysis_unitary"] is False
+    assert rep["error"].startswith("not a catalysis unitary: partial-transpose defect")
+    assert "entropy_gap_bits" not in rep
 
 
 def _write_dephasing_pair(tmp_path, swap):
@@ -378,8 +402,8 @@ def test_tol_override_lasts_one_run(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (("depletion", "--d", "12"), "depletion demo needs total dimension 248832"),
-        (("multiparty", "--d", "9", "--rounds", "1"), "multiparty refuelling needs total dimension"),
+        (("depletion", "--d", "12"), "depletion demo at total dimension 248832 needs"),
+        (("multiparty", "--d", "17", "--rounds", "1"), "multiparty refuelling at total dimension"),
     ],
     ids=["depletion", "multiparty"],
 )
@@ -476,3 +500,41 @@ def test_nan_inputs_are_usage_errors(args, message, tmp_path, capsys):
     assert cli.main([*args, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, what",
+    [
+        (("construct", "dephasing_degeneracy", "--r", "1,2"), "dephasing construction"),
+        (("construct", "max_extraction", "--r", "1,2"), "conserved-optimal catalyst"),
+        (("construct", "conserved_optimal", "--r", "1,3"), "conserved-optimal catalyst"),
+        (("construct", "angular_momentum", "--lM", "1"), "conserved-optimal catalyst"),
+        (("construct", "initialization_classical", "--d", "3"), "classical initialization"),
+        (("construct", "initialization_masking", "--m", "2"), "masking initialization"),
+        (("construct", "double_random", "--d", "2"), "clock family"),
+        (("construct", "multiparty", "--d", "2"), "multiparty unitary"),
+        (("scenario", "multiparty", "--d", "2"), "multiparty refuelling"),
+        (("scenario", "depletion", "--d", "2"), "depletion demo"),
+        (("scenario", "initialization", "--d", "3"), "initialization scenario"),
+        (("scenario", "cq_free", "--d", "2"), "cq_free randomness"),
+        (("scenario", "absorption", "--d", "2"), "initialization channel"),
+        (("scenario", "absorption", "--channel", "erasure2"), "erasure channel"),
+        (("scenario", "conservation", "--samples", "1"), "conservation check"),
+        (("optimize", "ea", "--channel", "dephasing2"), "dephasing channel"),
+        (("optimize", "global", "--channel", "weyl_twirl2"), "Weyl-twirl channel"),
+        (("optimize", "local", "--channel", "identity2"), "identity channel"),
+    ],
+)
+def test_sizes_from_outside_are_checked_against_the_budget(args, what, tmp_path, capsys,
+                                                           monkeypatch):
+    # thermal_levels takes --r too, but allocates one level per entry of r,
+    # no more than its input, so it has nothing to check
+    from catalyx import cli
+
+    monkeypatch.setattr(hl, "MAX_BYTES", 16)  # one complex entry
+    out = tmp_path / "out"
+    assert cli.main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what}") and "> budget of 16 bytes (hilbert.MAX_BYTES)" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not out.exists()  # refused before any work

@@ -137,10 +137,13 @@ def test_eigenspace_bases_are_never_recomputed(monkeypatch, build, sizes):
 
 
 def test_max_extraction_register_cap():
-    sigma = DensityOperator(
-        np.diag([0.4 / 3] * 3 + [0.6 / 4] * 4), [7]
-    )  # lcm(9, 16) = 144 > 64
-    with pytest.raises(ValueError, match="register dimension"):
+    # r = (4, 5): register lcm(16, 25) = 400, total dimension 2 * 400 * 9 =
+    # 7200, whose unitary is over the one byte budget; refused before the
+    # register blocks are allocated
+    sigma = con.conserved_optimal_catalyst([4, 5])
+    with pytest.raises(
+        ValueError, match="maximal-extraction construction at total dimension 7200 .* budget"
+    ):
         con.max_extraction_catalysis(sigma)
 
 
@@ -386,5 +389,5 @@ def test_thermal_levels_refuse_a_non_finite_offset(e_inf):
 
 
 def test_dimension_cap():
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError, match="budget"):
         con.dephasing_catalysis([17])  # 289 * 17 > 4096

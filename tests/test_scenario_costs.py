@@ -147,34 +147,38 @@ def test_ledger_record_does_not_depend_on_the_marginal_memo():
 
 
 def test_scenario_sizes_are_checked_before_allocation(monkeypatch):
-    with pytest.raises(ValueError, match="depletion demo needs total dimension 248832"):
+    with pytest.raises(ValueError, match="depletion demo at total dimension 248832 needs"):
         sc.depletion_demo(12)
-    with pytest.raises(ValueError, match="multiparty refuelling needs total dimension 729"):
-        sc.multiparty_refuel(9, 1)
-    sc.multiparty_refuel(9, 1, classical=True)  # 81 fits the refuel cap
-    # initialization at d = 5 needs 625; lower the cap instead of allocating
-    # the d = 9 state the default cap rejects
-    monkeypatch.setattr(constructions, "DIMENSION_CAP", 600)
-    with pytest.raises(ValueError, match="initialization scenario needs total dimension 625"):
+    # one refuelling round at d = 17 holds a 4913-dimensional joint state
+    with pytest.raises(ValueError, match="multiparty refuelling at total dimension 4913 needs"):
+        sc.multiparty_refuel(17, 1)
+    sc.multiparty_refuel(17, 1, classical=True)  # 289 fits the budget
+    # initialization at d = 5 needs 625² entries; lower the budget instead of
+    # allocating the d = 9 state the default budget rejects
+    monkeypatch.setattr(hl, "MAX_BYTES", 16 * 600**2)
+    with pytest.raises(ValueError, match="initialization scenario at total dimension 625 needs"):
         sc.initialization_scenario(5)
     # cq_free builds d^3-dimensional operators
-    monkeypatch.setattr(constructions, "DIMENSION_CAP", 26)
-    with pytest.raises(ValueError, match="cq_free randomness needs total dimension 27"):
+    monkeypatch.setattr(hl, "MAX_BYTES", 16 * 26**2)
+    with pytest.raises(ValueError, match="cq_free randomness at total dimension 27 needs"):
         sc.cq_free_randomness(3)
 
 
 def test_conservation_samples_are_checked_before_allocation(monkeypatch):
     from catalyx import cli
 
-    # n·D amplitudes may not exceed the DIMENSION_CAP² entries of the largest
-    # state the cap allows; lower the cap instead of allocating
-    monkeypatch.setattr(constructions, "DIMENSION_CAP", 10)
+    # the stack of n rank-1 factors holds n·D complex amplitudes; lower the
+    # budget to 100 entries instead of allocating
+    monkeypatch.setattr(hl, "MAX_BYTES", 1600)
     sc.conservation_law_check(n_samples=6)  # 96 entries
-    with pytest.raises(ValueError, match="needs 112 sampled amplitudes > cap 100"):
+    with pytest.raises(ValueError, match="with 7 samples .* 1792 bytes > budget of 1600"):
         sc.conservation_law_check(n_samples=7)
     monkeypatch.undo()
-    # at the default cap the CLI refuses 10^8 samples (23.8 GiB of draws)
-    # with exit 2 before drawing
+    # the default budget holds 2^20 samples at D = 16, as many amplitudes as
+    # one 4096×4096 operator has entries
+    with pytest.raises(ValueError, match="budget"):
+        sc.conservation_law_check(n_samples=2**20 + 1)
+    # the CLI refuses 10^8 samples (23.8 GiB of draws) with exit 2 before drawing
     assert cli.main(["scenario", "conservation", "--samples", "100000000"]) == 2
 
 

@@ -1,4 +1,5 @@
-"""Every named tolerance has one home module and is read there at call time.
+"""Every named tolerance, and the size budget, has one home module and is
+read there at call time.
 
 A default argument or a ``from .home import NAME`` binds the value once, at
 import, so a later override (``catalyx --tol-override``) would not reach that
@@ -23,6 +24,7 @@ HOMES = {
     "TOL_NORM": "hilbert",
     "GROUP_TOL": "hilbert",
     "LEDGER_TOL": "catalysis",
+    "MAX_BYTES": "hilbert",
 }
 
 SOURCES = sorted(Path(catalyx.__file__).parent.glob("*.py"))
