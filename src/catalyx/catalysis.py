@@ -19,10 +19,14 @@ ref.  The recovery check is exact too: it evolves one column per system basis
 state on each side.
 
 A certified :class:`CatalysisInstance` is immutable and may be shared across
-threads.  Module-level mutable state: only the tolerances (``LEDGER_TOL``
-here, the rest in :mod:`hilbert`), read at call time and rebound only by the
-CLI's ``--tol-override``.  Each ledger record goes back to its caller; none is
-kept here.
+threads.  A :class:`KrausChannel` is immutable but for one memo, the spectra of
+its last input to ``optimize.global_production``: each call reads it once and
+replaces it whole by one attribute store, so a channel may be shared across
+threads too (a race costs a repeated solve, never a wrong value).
+Module-level mutable state: only the tolerances (``LEDGER_TOL`` here, the rest
+in :mod:`hilbert`), read at call time and rebound only by the CLI's
+``--tol-override``.  Each ledger record goes back to its caller; none is kept
+here.
 """
 
 from __future__ import annotations
@@ -301,8 +305,14 @@ def _choi_vectors(ops: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive trace-preserving map given by its Kraus operators,
-    stored as one read-only (n, d_out, d_in) array."""
+    """Completely positive trace-preserving map given by its Kraus operators.
+
+    The stack is held three times, all read-only: ``kraus`` (n, d_out, d_in)
+    and the two GEMM operands of the Stinespring isometry, Vᵀ and conj(V)
+    (d_in × d_out·n each).  A channel whose stack just fits
+    ``hilbert.MAX_BYTES`` therefore occupies about three times the budget.
+    ``_last_spectra`` is ``optimize.global_production``'s memo: the key and
+    the input and output spectra of the last input, O(D + k) floats."""
 
     kraus: np.ndarray
 
@@ -322,6 +332,7 @@ class KrausChannel:
         v_t = hilbert._freeze(ops.transpose(2, 1, 0).reshape(ops.shape[2], -1))
         object.__setattr__(self, "_isometry_t", v_t)
         object.__setattr__(self, "_isometry_conj", hilbert._freeze(dagger(v_t)))
+        object.__setattr__(self, "_last_spectra", None)
 
     @property
     def dim_out(self) -> int:

@@ -94,12 +94,22 @@ def von_neumann(rho: DensityOperator | Sequence[float]) -> float:
     return shannon(rho)
 
 
+def _check_order(alpha: float) -> None:
+    if not alpha >= 0:  # NaN too
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+
+
 def renyi(state, alpha: float) -> float:
     """Renyi entropy H_alpha in bits; alpha=1 is von Neumann, alpha=inf is
     -log2 max p, alpha=0 is log2 of the support size."""
-    if not alpha >= 0:  # NaN too
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    p = _spectrum(state)
+    _check_order(alpha)
+    return _renyi_bits(_spectrum(state), alpha)
+
+
+def _renyi_bits(p: np.ndarray, alpha: float) -> float:
+    """H_alpha in bits of a distribution ``p`` already known to be one, at an
+    order alpha >= 0: the kernel of :func:`renyi` without its checks, for
+    callers whose ``p`` is valid by construction."""
     if abs(alpha - 1.0) <= _ALPHA_SNAP:
         return _shannon_bits(p)
     p = p[p > hilbert.TOL_PSD]
@@ -139,8 +149,7 @@ def mutual_information(rho: DensityOperator, part_x: Sequence[int], part_y: Sequ
 
 def renyi_divergence(p, q, alpha: float) -> float:
     """D_alpha(p||q) = (1/(alpha-1)) log2 sum p^alpha q^(1-alpha) in bits."""
-    if not alpha >= 0:  # NaN too
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    _check_order(alpha)
     p = np.asarray(p, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)
     if p.shape != q.shape:
@@ -216,8 +225,7 @@ def catalytic_renyi(dec, alpha: float) -> float:
     """(1/(1-alpha)) log2 sum_i lambda_i^alpha r_i^(2-alpha), with the limits
     alpha->1 (catalytic entropy), alpha->inf (-max log2 lambda_i/r_i) and
     alpha->0 (log2 sum r_i^2)."""
-    if not alpha >= 0:  # NaN too
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    _check_order(alpha)
     dec = _as_decomposition(dec)
     lam = np.asarray(dec.eigenvalues)
     r = np.asarray(dec.multiplicities, dtype=float)

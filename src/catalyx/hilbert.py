@@ -525,7 +525,7 @@ def purify(sigma: DensityOperator) -> StateVector:
     """Canonical purification (sqrt(sigma) ⊗ 1)|Γ⟩ on B ⊗ C with C a copy of B."""
     d = sigma.dim
     vals, vecs = eigh_desc(sigma.matrix)
-    vals = np.clip(vals, 0.0, None)
+    vals = np.maximum(vals, 0.0)
     root = vecs @ np.diag(np.sqrt(vals)) @ dagger(vecs)
     # (root ⊗ 1) |Γ⟩ has amplitudes root[b, c] at basis index b*d + c
     amps = root.reshape(-1)
@@ -562,7 +562,7 @@ def _validated_spectrum(vals: np.ndarray, dim: int) -> np.ndarray:
     if low < -10 * TOL_PSD:
         raise ValueError(f"density matrix has negative eigenvalue {low}")
     spectrum = np.zeros(vals.shape[:-1] + (dim,))
-    spectrum[..., : vals.shape[-1]] = np.clip(vals[..., ::-1], 0.0, None)
+    spectrum[..., : vals.shape[-1]] = np.maximum(vals[..., ::-1], 0.0)
     return spectrum
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import hilbert
 from .catalysis import CatalysisInstance, KrausChannel, channel_to_kraus
-from .entropy import catalytic_entropy, catalytic_min_entropy, renyi
+from .entropy import _check_order, _renyi_bits, catalytic_entropy, catalytic_min_entropy
 from .hilbert import dagger, eigenspace_decompose
 
 _LN2 = math.log(2.0)
@@ -74,11 +74,17 @@ def _check_restarts(restarts: int) -> None:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
 
 
-def _renyi_of_factor(x: np.ndarray, alpha: float) -> float:
-    """S_alpha(XX†), normalized to unit trace, from the smaller Gram side of
-    the factor X."""
-    vals = np.clip(np.linalg.eigvalsh(hilbert.smaller_gram(x)[0]), 0.0, None)
-    return renyi(vals / vals.sum(), alpha)
+def _distribution(vals: np.ndarray) -> np.ndarray:
+    """Eigenvalues clipped at zero and normalized to unit sum: a distribution
+    by construction, which the entropies read through ``_renyi_bits``."""
+    p = np.maximum(vals, 0.0)
+    return p / p.sum()
+
+
+def _factor_distribution(x: np.ndarray) -> np.ndarray:
+    """The spectrum of XX†, normalized to unit trace, from the smaller Gram
+    side of the factor X."""
+    return _distribution(np.linalg.eigvalsh(hilbert.smaller_gram(x)[0]))
 
 
 def _pullback(x: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
@@ -89,8 +95,8 @@ def _pullback(x: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
     normalization, so either Gram side gives the same D X."""
     gram, inner = hilbert.smaller_gram(x)
     vals, vecs = np.linalg.eigh(gram)
-    p = np.clip(vals, 0.0, None)
-    value = renyi(p / p.sum(), alpha)
+    p = np.maximum(vals, 0.0)
+    value = _renyi_bits(p / p.sum(), alpha)
     keep = vals > hilbert.TOL_PSD
     diag = np.zeros_like(vals)
     if alpha == 1.0:
@@ -106,14 +112,33 @@ def global_production(
     chan: KrausChannel, rho_ra: np.ndarray, ref_dim: int, alpha: float
 ) -> float:
     """S_alpha((I x Phi)(rho)) - S_alpha(rho) for a state on reference x input.
-    One ``eigh`` of rho gives S_alpha(rho) and the factor X (the eigenvectors
+    One ``eigh`` of rho gives its spectrum and the factor X (the eigenvectors
     above ``hilbert.TOL_PSD``, scaled by the roots of their eigenvalues) whose
-    Stinespring factor holds the output."""
-    vals, vecs = np.linalg.eigh(rho_ra)
-    keep = vals > hilbert.TOL_PSD
-    y = chan.stinespring(vecs[:, keep] * np.sqrt(vals[keep]), ref_dim)
-    p = np.clip(vals, 0.0, None)
-    return _renyi_of_factor(y, alpha) - renyi(p / p.sum(), alpha)
+    Stinespring factor holds the output; one ``eigvalsh`` of the smaller Gram
+    side of that factor gives the output spectrum.
+
+    Neither spectrum depends on alpha, so ``chan`` keeps both for its last
+    input, as one tuple (key, input distribution, output distribution) in
+    ``chan._last_spectra``.  The key is (ref_dim, ``hilbert.TOL_PSD``, shape,
+    dtype, a 16-byte BLAKE2b digest of rho's C-ordered bytes), so the same rho
+    at another alpha skips all three solves, and a rho changed in place, or a
+    changed tolerance, solves again.  The tuple is read once and replaced
+    whole, so a channel may be shared across threads."""
+    import hashlib  # loads OpenSSL, ~4 ms that every other import of catalyx would pay
+
+    _check_order(alpha)
+    rho = np.ascontiguousarray(rho_ra)  # a copy only if rho_ra is not C-ordered
+    key = (ref_dim, hilbert.TOL_PSD, rho.shape, rho.dtype,
+           hashlib.blake2b(rho, digest_size=16).digest())
+    last = chan._last_spectra
+    if last is None or last[0] != key:
+        vals, vecs = np.linalg.eigh(rho)
+        keep = vals > hilbert.TOL_PSD
+        y = chan.stinespring(vecs[:, keep] * np.sqrt(vals[keep]), ref_dim)
+        last = (key, _distribution(vals), _factor_distribution(y))
+        object.__setattr__(chan, "_last_spectra", last)
+    _, p_in, p_out = last
+    return _renyi_bits(p_out, alpha) - _renyi_bits(p_in, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +242,7 @@ def _pure_ascent(
         value_grad, starts, _PURE_MAX_ITER, _PURE_TOL_GRAD
     )
     if math.isinf(alpha):
-        f = _renyi_of_factor(chan.stinespring(v[:, None], ref), alpha)
+        f = _renyi_bits(_factor_distribution(chan.stinespring(v[:, None], ref)), alpha)
     return OptimizationResult(
         value=f, argmax=v, argmax_kind="pure", iterations=total_iter,
         restarts=restarts, converged=conv, gradient_norm_at_end=gnorm,
@@ -250,7 +275,7 @@ def ea_objective(chan: KrausChannel, rho: np.ndarray) -> float:
     with S_E the entropy of the complementary output: the value of
     :func:`ea_objective_gradient` at a factor L of rho (LL† = rho)."""
     vals, vecs = np.linalg.eigh(rho)
-    return ea_objective_gradient(chan, vecs * np.sqrt(np.clip(vals, 0.0, None)))[0]
+    return ea_objective_gradient(chan, vecs * np.sqrt(np.maximum(vals, 0.0)))[0]
 
 
 def ea_objective_gradient(chan: KrausChannel, el: np.ndarray) -> tuple[float, np.ndarray]:

@@ -482,3 +482,89 @@ def test_ea_gradient_matches_finite_differences_on_complex_channels():
         fm, _ = opt.ea_objective_gradient(chan, el - h * dl)
         fd = (fp - fm) / (2 * h)
         assert abs(fd - 2 * np.real(np.vdot(g, dl))) <= 1e-5 * max(1.0, abs(fd))
+
+
+# ---------------------------------------------------------------------------
+# global production: each input solved once across alpha
+
+ALPHAS = (0.5, 1.0, 2.0, math.inf)
+
+
+def _mixed(dim, rank, rng):
+    x = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    rho = x @ x.conj().T
+    return rho / np.trace(rho).real
+
+
+def _fresh_production(chan, rho, ref, alpha):
+    return opt.global_production(cat.KrausChannel(chan.kraus), rho, ref, alpha)
+
+
+def test_global_production_solves_each_input_once_across_alpha(monkeypatch):
+    chan = cat.random_channel(2, 3, 4)
+    rho = _mixed(4, 2, np.random.default_rng(4))
+    counts = count_eigensolves(monkeypatch)
+    for a in ALPHAS:
+        opt.global_production(chan, rho, 2, a)
+    solves = {name: sum(n for (s, _), n in counts.items() if s == name)
+              for name in ("eigh", "eigvalsh")}
+    assert solves == {"eigh": 1, "eigvalsh": 1}
+
+
+def test_global_production_memo_matches_fresh_channels_and_dense_sums():
+    """A seeded call sequence with repeats, interleaved inputs, two channels
+    and two reference sizes gives, bit for bit, what a channel with an empty
+    memo gives, and the dense Kronecker-sum value within 1e-12."""
+    rng = np.random.default_rng(31)
+    chans = [cat.random_channel(2, 2, 1), cat.random_channel(2, 3, 2)]
+    inputs = [(_mixed(2, 2, rng), 1), (_mixed(4, 1, rng), 2), (_mixed(4, 3, rng), 2),
+              (_mixed(4, 4, rng), 2)]
+    for _ in range(80):
+        chan = chans[rng.integers(len(chans))]
+        rho, ref = inputs[rng.integers(len(inputs))]
+        a = ALPHAS[rng.integers(len(ALPHAS))]
+        got = opt.global_production(chan, rho, ref, a)
+        assert got == _fresh_production(chan, rho, ref, a)
+        want = dense_renyi(kron_sum_output(chan, rho, ref), a) - dense_renyi(rho, a)
+        assert abs(got - want) <= 1e-12
+    # a reference size that does not fit the input still fails after a hit
+    rho, ref = inputs[1]
+    opt.global_production(chans[0], rho, ref, 1.0)
+    with pytest.raises(ValueError):
+        opt.global_production(chans[0], rho, 4, 1.0)
+
+
+def test_global_production_sees_an_input_changed_in_place():
+    chan = cat.random_channel(2, 2, 7)
+    rng = np.random.default_rng(7)
+    rho = _mixed(4, 1, rng)
+    before = opt.global_production(chan, rho, 2, 2.0)
+    rho[:] = _mixed(4, 2, rng)
+    after = opt.global_production(chan, rho, 2, 2.0)
+    assert after == _fresh_production(chan, rho, 2, 2.0)
+    assert after != before
+    # the same values in another memory order are the same input
+    assert opt.global_production(chan, np.asfortranarray(rho), 2, 2.0) == after
+
+
+def test_global_production_reads_the_psd_tolerance_per_call(monkeypatch):
+    """An eigenvalue of 1e-9 is support at the default ``TOL_PSD`` and zero at
+    1e-8; the second call must solve again under the new tolerance."""
+    chan = cat.random_channel(2, 2, 3)
+    vals = np.array([0.6, 0.4 - 1e-9, 1e-9, 0.0])
+    u = hl.haar_unitary_matrix(4, 3)
+    rho = (u * vals) @ u.conj().T
+    default = opt.global_production(chan, rho, 2, 0.5)
+    monkeypatch.setattr(hl, "TOL_PSD", 1e-8)
+    coarse = opt.global_production(chan, rho, 2, 0.5)
+    assert coarse == _fresh_production(chan, rho, 2, 0.5)
+    assert coarse != default
+
+
+def test_global_production_memo_holds_only_spectra():
+    chan = cat.random_channel(3, 2, 5)
+    rho = _mixed(9, 9, np.random.default_rng(5))
+    opt.global_production(chan, rho, 3, 1.0)
+    key, p_in, p_out = chan._last_spectra
+    assert not any(isinstance(k, np.ndarray) for k in key)
+    assert p_in.shape == (9,) and p_out.ndim == 1 and p_out.size <= 9 * 2
