@@ -309,8 +309,8 @@ class KrausChannel:
 
     The stack is held three times, all read-only: ``kraus`` (n, d_out, d_in)
     and the two GEMM operands of the Stinespring isometry, Vᵀ and conj(V)
-    (d_in × d_out·n each).  A channel whose stack just fits
-    ``hilbert.MAX_BYTES`` therefore occupies about three times the budget.
+    (d_in × d_out·n each).  The channel builders check all three copies,
+    3·n·d_out·d_in entries, against ``hilbert.MAX_BYTES``.
     ``_last_spectra`` is ``optimize.global_production``'s memo: the key and
     the input and output spectra of the last input, O(D + k) floats."""
 
@@ -378,7 +378,9 @@ def channel_from_unitary(u: np.ndarray) -> KrausChannel:
 
 
 def _check_kraus_stack(name: str, n: int, d: int) -> None:
-    hilbert.check_size(n * d * d, f"{name} channel with {n} Kraus operators of {d}×{d}")
+    """Check the three copies a ``KrausChannel`` keeps of n Kraus operators
+    of d×d against the budget."""
+    hilbert.check_size(3 * n * d * d, f"{name} channel with {n} Kraus operators of {d}×{d}")
 
 
 def identity_channel(d: int) -> KrausChannel:
@@ -440,6 +442,7 @@ def random_channel(d: int, kraus_rank: int, seed) -> KrausChannel:
     """Haar-random Stinespring isometry cut into Kraus blocks."""
     big = d * kraus_rank
     hilbert.check_size(big**2, f"random channel from a Haar unitary of {big}×{big}")
+    _check_kraus_stack("random", kraus_rank, d)
     v = hilbert.haar_unitary_matrix(big, seed)[:, :d]
     return KrausChannel(v.reshape(kraus_rank, d, d))
 
@@ -689,7 +692,7 @@ def cost_bound_check(
     factor = 1.0 if inst.classical else 0.5
     lhs = von_neumann(inst.sigma)
     rhs = factor * best
-    return CostBoundReport(lhs=lhs, rhs=rhs, ok=lhs >= rhs - 1e-7)
+    return CostBoundReport(lhs=lhs, rhs=rhs, ok=lhs >= rhs - hilbert.ENTROPY_SLACK)
 
 
 # ---------------------------------------------------------------------------

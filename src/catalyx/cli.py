@@ -41,6 +41,7 @@ _TOL_NAMES = {
     "state": (hilbert, "TOL_STATE"),
     "norm": (hilbert, "TOL_NORM"),
     "group": (hilbert, "GROUP_TOL"),
+    "entropy": (hilbert, "ENTROPY_SLACK"),
     "ledger": (catalysis, "LEDGER_TOL"),
 }
 
@@ -332,7 +333,8 @@ def _depletion(args):
     trace = scenarios.depletion_demo(args.d, seed=args.seed)
     i_val = trace.reading("use2", "I(A1:A2)")
     bound = trace.reading("use2", "bound")
-    return trace, i_val >= bound - 1e-7, f"I(A1:A2) = {i_val:.6f} bits >= bound {bound:.6f}"
+    ok = i_val >= bound - hilbert.ENTROPY_SLACK
+    return trace, ok, f"I(A1:A2) = {i_val:.6f} bits >= bound {bound:.6f}"
 
 
 def _absorption(args):
@@ -355,8 +357,14 @@ def _cq_free(args):
 
 def _initialization_scenario(args):
     trace = scenarios.initialization_scenario(args.d, seed=args.seed)
+    log_d = math.log2(args.d)
+    want = {("intermediate", "I(A':B)"): log_d, ("pure-input", "I(A':B)"): log_d,
+            ("pure-input", "D(out_A, |0><0|)"): 0.0, ("mixed-input", "D(out_A, |0><0|)"): 0.0,
+            ("mixed-input", "delta_I"): -log_d, ("entangled-input", "delta_I"): log_d}
+    ok = all(abs(trace.reading(*key) - value) <= hilbert.ENTROPY_SLACK
+             for key, value in want.items())
     i_ab = trace.reading("intermediate", "I(A':B)")
-    return trace, True, f"I(A':B) = {i_ab:.6f} bits"
+    return trace, ok, f"I(A':B) = {i_ab:.6f} bits"
 
 
 D2 = _flag("--d", type=int, default=2)

@@ -30,6 +30,7 @@ TOL_PSD = 1e-10        # eigenvalue floor; smaller magnitudes count as zero
 TOL_STATE = 1e-9       # trace distance between states
 TOL_NORM = 1e-10       # trace / vector-norm deviation
 GROUP_TOL = 1e-8       # relative gap below which eigenvalues merge
+ENTROPY_SLACK = 1e-7   # bits an entropy inequality may miss by and still hold
 
 # The one size budget: every function that allocates from a size its caller
 # gives passes the complex entries of the largest object it defines to
@@ -688,13 +689,21 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def haar_unitary_matrix(d: int, seed) -> np.ndarray:
-    rng = _rng(seed)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+def haar_from_normals(g: np.ndarray) -> np.ndarray:
+    """The Haar unitary of a pair g = (real, imaginary) of d×d standard
+    normal draws, shape (2, d, d): Q·diag(phases of R's diagonal) from the QR
+    of the Ginibre matrix (g[0] + i·g[1])/√2.  Leading axes of ``g`` index a
+    stack of pairs, all taken in one QR call, which equals the per-matrix QR
+    bit for bit."""
+    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    ph = np.diag(r)
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
     ph = ph / np.abs(ph)
-    return q * ph
+    return q * ph[..., None, :]
+
+
+def haar_unitary_matrix(d: int, seed) -> np.ndarray:
+    return haar_from_normals(_rng(seed).standard_normal((2, d, d)))
 
 
 def haar_unitary(d: int, seed, layout=None) -> UnitaryOperator:
@@ -709,6 +718,14 @@ def haar_state(d: int, seed, layout=None) -> StateVector:
     return StateVector(v / np.linalg.norm(v), layout if layout is not None else [d])
 
 
+def random_density_draws(d: int, rank: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """What :func:`random_density` draws, in stream order: the normal pair
+    whose Haar unitary (:func:`haar_from_normals`) gives the eigenvectors,
+    then ``rank`` uniform-simplex weights."""
+    rng = _rng(seed)
+    return rng.standard_normal((2, d, d)), rng.dirichlet(np.ones(rank))
+
+
 def random_density(dims, rank: int, seed) -> DensityOperator:
     """Random density operator of the given rank: Haar orthonormal vectors
     combined with uniform-simplex weights."""
@@ -716,10 +733,8 @@ def random_density(dims, rank: int, seed) -> DensityOperator:
     d = layout.total_dim
     if not 1 <= rank <= d:
         raise ValueError(f"rank {rank} out of range for dimension {d}")
-    rng = _rng(seed)
-    u = haar_unitary_matrix(d, rng)
-    vecs = u[:, :rank]
-    w = rng.dirichlet(np.ones(rank))
+    g, w = random_density_draws(d, rank, seed)
+    vecs = haar_from_normals(g)[:, :rank]
     m = (vecs * w) @ dagger(vecs)
     return DensityOperator(m, layout)
 

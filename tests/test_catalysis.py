@@ -430,6 +430,15 @@ def test_cost_bound_examples():
     assert rep.ok
 
 
+def test_cost_bound_reads_the_entropy_slack(monkeypatch):
+    from catalyx.constructions import dephasing_catalysis
+
+    inst = dephasing_catalysis([2])  # tight: lhs = rhs = 1 bit
+    assert cost_bound_check(inst, n_samples=8, seed=0).ok
+    monkeypatch.setattr(hl, "ENTROPY_SLACK", -1e-9)
+    assert not cost_bound_check(inst, n_samples=8, seed=0).ok
+
+
 @pytest.mark.parametrize("kind", ["dephasing", "classical", "controlled"])
 def test_cost_bound_matches_the_dense_reference(kind):
     from catalyx.constructions import dephasing_catalysis

@@ -399,6 +399,42 @@ def test_tol_override_lasts_one_run(tmp_path, capsys):
     assert "catalytic_vn = 1.500000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["absorption", "depletion", "initialization"])
+def test_entropy_slack_override_reaches_the_scenario_verdicts(name, capsys):
+    # each bound holds tightly, so a slack of -1 bit fails it
+    from catalyx import cli
+
+    args = ["scenario", name, "--d", "3" if name == "initialization" else "2"]
+    assert cli.main(args) == 0
+    assert cli.main([*args, "--tol-override", "entropy=-1"]) == 1
+
+
+INITIALIZATION_READINGS = [
+    ("intermediate", "I(A':B)"), ("pure-input", "I(A':B)"),
+    ("pure-input", "D(out_A, |0><0|)"), ("mixed-input", "D(out_A, |0><0|)"),
+    ("mixed-input", "delta_I"), ("entangled-input", "delta_I"),
+]
+
+
+@pytest.mark.parametrize("operation, key", INITIALIZATION_READINGS)
+def test_initialization_scenario_fails_on_a_wrong_reading(operation, key, tmp_path,
+                                                          monkeypatch, capsys):
+    from catalyx import cli, scenarios
+
+    run = scenarios.initialization_scenario
+
+    def off_by_a_millibit(d, seed=0):
+        trace = run(d, seed=seed)
+        step = next(s for s in trace.steps if s.operation == operation)
+        step.marginals[key] += 1e-3
+        return trace
+
+    monkeypatch.setattr(scenarios, "initialization_scenario", off_by_a_millibit)
+    out = tmp_path / "report.json"
+    assert cli.main(["scenario", "initialization", "--out", str(out)]) == 1
+    assert json.load(open(out))["pass"] is False
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

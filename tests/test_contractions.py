@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from util import kron_sum_output
+from util import count_stinespring, kron_sum_output
 
 from catalyx import constructions
 from catalyx import hilbert as hl
@@ -82,14 +82,7 @@ def test_every_channel_output_reads_the_stinespring_factor(monkeypatch):
     from catalyx import scenarios as sc
     from catalyx.catalysis import cost_bound_check
 
-    calls = []
-    stinespring = KrausChannel.stinespring
-
-    def counting(self, x, ref=1):
-        calls.append(ref)
-        return stinespring(self, x, ref)
-
-    monkeypatch.setattr(KrausChannel, "stinespring", counting)
+    calls = count_stinespring(monkeypatch)
     chan = KrausChannel(hl.haar_unitary_matrix(4, 3)[:, :2].reshape(2, 2, 2))
     inst = constructions.dephasing_catalysis([2])
     runs = {

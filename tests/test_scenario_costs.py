@@ -2,15 +2,16 @@
 inside the ledger, on the factor of its state, so no spectrum is solved on a
 matrix larger than the smaller side of its cut; each marginal of a state is
 diagonalized once (a later transition or reading takes it from the state's
-memo), local unitaries are never embedded at full dimension, and scenario
-sizes are checked before anything is allocated."""
+memo), local unitaries are never embedded at full dimension, scenario
+sizes are checked before anything is allocated, and the absorption check
+solves all its candidates as one stack."""
 
 import sys
 from collections import Counter
 
 import numpy as np
 import pytest
-from util import count_eigensolves
+from util import count_eigensolves, count_stinespring
 
 from catalyx import catalysis as cat
 from catalyx import constructions
@@ -193,3 +194,42 @@ def test_absorption_rejects_negative_samples():
         sc.absorption_check(initialization_channel(2), n_samples=-1)
     # zero samples checks the maximally mixed candidate only
     assert sc.absorption_check(initialization_channel(2), n_samples=0).ok
+
+
+@pytest.mark.parametrize("n_samples", [0, 4, 32])
+def test_absorption_solves_its_candidates_as_one_stack(monkeypatch, n_samples):
+    # the input spectra, the output spectra and the worst candidate's
+    # complementary spectrum: three eigvalsh calls and one Stinespring GEMM
+    # for any sample count, and no eigh for a factor
+    chan = cat.random_channel(3, 2, 7)
+    counts = count_eigensolves(monkeypatch)
+    calls = count_stinespring(monkeypatch)
+    sc.absorption_check(chan, n_samples=n_samples, seed=1)
+    assert counts.calls == 3
+    assert set(counts) == {("eigvalsh", 3), ("eigvalsh", 2)}
+    assert counts["eigvalsh", 3] == 2 * (n_samples + 1)  # the input and output stacks
+    assert calls == [(3, 3 * (n_samples + 1))]  # the candidates side by side
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_absorption_chunks_match_one_stack(monkeypatch, chunk):
+    # one candidate's Stinespring factor holds d_out·d·n = 18 entries
+    chan = cat.random_channel(3, 2, 7)
+    whole = sc.absorption_check(chan, n_samples=12, seed=2)
+    calls = count_stinespring(monkeypatch)
+    monkeypatch.setattr(hl, "MAX_BYTES", 16 * 18 * chunk)
+    chunked = sc.absorption_check(chan, n_samples=12, seed=2)
+    assert len(calls) == -(-13 // chunk)
+    assert abs(chunked.max_local_decrease - whole.max_local_decrease) <= 1e-12
+    assert abs(chunked.min_global_increase_at_max - whole.min_global_increase_at_max) <= 1e-12
+    assert chunked.ok == whole.ok
+    monkeypatch.setattr(hl, "MAX_BYTES", 16 * 18 - 1)
+    with pytest.raises(ValueError, match="absorption check .* budget"):
+        sc.absorption_check(chan, n_samples=0)
+
+
+def test_absorption_report_holds_python_scalars():
+    rep = sc.absorption_check(cat.random_channel(2, 3, 5), n_samples=3, seed=0)
+    assert type(rep.max_local_decrease) is float
+    assert type(rep.min_global_increase_at_max) is float
+    assert type(rep.ok) is bool

@@ -23,6 +23,7 @@ HOMES = {
     "TOL_STATE": "hilbert",
     "TOL_NORM": "hilbert",
     "GROUP_TOL": "hilbert",
+    "ENTROPY_SLACK": "hilbert",
     "LEDGER_TOL": "catalysis",
     "MAX_BYTES": "hilbert",
 }

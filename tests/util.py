@@ -47,6 +47,22 @@ def count_eigensolves(monkeypatch):
     return counts
 
 
+def count_stinespring(monkeypatch):
+    """Record the factor shape of every later ``KrausChannel.stinespring``
+    call in the returned list."""
+    from catalyx.catalysis import KrausChannel
+
+    calls = []
+    stinespring = KrausChannel.stinespring
+
+    def counting(self, x, ref=1):
+        calls.append(x.shape)
+        return stinespring(self, x, ref)
+
+    monkeypatch.setattr(KrausChannel, "stinespring", counting)
+    return calls
+
+
 def count_evaluations(monkeypatch):
     """Count the objective evaluations and the iterations of every later
     ``optimize._ascend`` call, in the returned ``Counter`` under
