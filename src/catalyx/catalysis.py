@@ -18,6 +18,14 @@ compatibility entropy gap S(ref) - S(sigma) and the rotation of sigma onto
 ref.  The recovery check is exact too: it evolves one column per system basis
 state on each side.
 
+Every catalyst check has one implementation, written for a stack of
+unitaries that share a layout and a catalyst: each step takes one solver call
+for the whole stack (an eigenvalue step two, where exactly real and complex
+matrices mix), and the first failure is the one checking the unitaries one by
+one, in order, would raise.  :func:`canonical_form` certifies a stack
+of one; :func:`decompose_subcatalyses` certifies all the blocks of one rank
+in a single pass.
+
 A certified :class:`CatalysisInstance` is immutable and may be shared across
 threads.  A :class:`KrausChannel` is immutable but for one memo, the spectra of
 its last input to ``optimize.global_production``: each call reads it once and
@@ -31,13 +39,14 @@ here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import hilbert
-from .entropy import mutual_information, von_neumann
+from .entropy import mutual_information, von_neumann, von_neumann_rows
 from .hilbert import (
     DensityOperator,
     SubsystemLayout,
@@ -79,23 +88,31 @@ class CatalysisVerdict:
         """This verdict, if the partial transpose is unitary; raises
         :class:`CertificationError` otherwise."""
         if not self.verdict:
-            raise CertificationError(
-                f"not a catalysis unitary: partial-transpose defect {self.defect:.3e}"
-            )
+            raise _not_catalysis(self.defect)
         return self
+
+
+def _not_catalysis(defect: float) -> CertificationError:
+    return CertificationError(f"not a catalysis unitary: partial-transpose defect {defect:.3e}")
+
+
+def _pt_verdicts(m: np.ndarray, layout: SubsystemLayout, cut: Sequence[int]) -> list[CatalysisVerdict]:
+    """The partial-transpose verdict of each matrix of a stack (k, d, d) on
+    ``layout``, transposed over ``cut``: the defect is the Frobenius norm of
+    (U^T)†U^T - 1."""
+    cut = layout.check_indices(cut)
+    if not cut:
+        raise ValueError("cut must name at least one subsystem to transpose")
+    if len(cut) >= len(layout.dims):
+        raise ValueError("cut must leave at least one subsystem untransposed")
+    defects = unitarity_defect(ptranspose_matrix(m, layout.dims, cut))
+    return [CatalysisVerdict(verdict=d <= hilbert.TOL_UNITARY, defect=d) for d in defects.tolist()]
 
 
 def is_catalysis_unitary(u: UnitaryOperator, cut: Sequence[int] = (0,)) -> CatalysisVerdict:
     """Test whether the partial transpose of ``u`` over the subsystems in
     ``cut`` is unitary; the defect is the Frobenius norm of (U^T)†U^T - 1."""
-    cut = u.layout.check_indices(cut)
-    if not cut:
-        raise ValueError("cut must name at least one subsystem to transpose")
-    if len(cut) >= len(u.layout.dims):
-        raise ValueError("cut must leave at least one subsystem untransposed")
-    pt = ptranspose_matrix(u.matrix, u.layout.dims, cut)
-    defect = unitarity_defect(pt)
-    return CatalysisVerdict(verdict=defect <= hilbert.TOL_UNITARY, defect=defect)
+    return _pt_verdicts(u.matrix[None], u.layout, cut)[0]
 
 
 def party_swap(u: UnitaryOperator, a_count: int) -> UnitaryOperator:
@@ -108,29 +125,59 @@ def party_swap(u: UnitaryOperator, a_count: int) -> UnitaryOperator:
 
 
 # ---------------------------------------------------------------------------
-# the catalyst checks: one pass over the transfer tensor
+# the catalyst checks: one pass over the transfer tensor of a stack
 
 
 def system_dim(u: UnitaryOperator, sigma: DensityOperator, a_count: int) -> int:
     """Dimension of the system side of ``u``, its leading ``a_count``
     subsystems; raises ValueError unless that split is proper and ``sigma``
     fits the rest."""
-    dims = u.layout.dims
+    return _system_dim(u.layout.dims, sigma, a_count)
+
+
+def _system_dim(dims: Sequence[int], sigma: DensityOperator, a_count: int) -> int:
     if not 1 <= a_count < len(dims):
         raise ValueError(f"a_count {a_count} invalid for layout {dims}")
-    if sigma.dim != int(np.prod(dims[a_count:])):
+    if sigma.dim != math.prod(dims[a_count:]):
         raise ValueError("catalyst dimension does not match the B side of u")
-    return int(np.prod(dims[:a_count]))
+    return math.prod(dims[:a_count])
+
+
+class _FirstFailure:
+    """The failure that checking a stack matrix by matrix, each through its
+    checks in order, would raise, found one check at a time over the whole
+    stack.  ``n`` counts the leading matrices that pass every check so far;
+    only they need the later checks.  ``error`` is the exception of matrix
+    ``n``, or None while all pass."""
+
+    def __init__(self, k: int):
+        self.n = k
+        self.error: Exception | None = None
+
+    def fail(self, i: int, error: Exception) -> None:
+        if i < self.n:
+            self.n, self.error = i, error
+
+    def check(self, failing, error) -> None:
+        """Fail at the first passing matrix i with ``failing[i]``, with the
+        exception ``error(i)``."""
+        for i in range(self.n):
+            if failing[i]:
+                self.fail(i, error(i))
+                return
 
 
 def _transfer_slices(u: np.ndarray, sigma: np.ndarray, da: int, db: int) -> np.ndarray:
     """Transfer tensor S[x, z] = Tr_A U(|x><z| ⊗ sigma)U† as a (da, da, db, db)
     stack, in one contraction; the catalyst output for input rho is
-    sum_xz rho_xz S[x, z]."""
+    sum_xz rho_xz S[x, z].  Leading axes of ``u`` index a stack of
+    unitaries, each with its own tensor."""
     d = da * db
-    ut = u.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(d, d)  # [(x, b), (a, y)]
-    left = (ut.reshape(d * da, db) @ sigma).reshape(d, d)  # [(x, b), (a, w)]
-    return (left @ ut.conj().T).reshape(da, db, da, db).transpose(0, 2, 1, 3)
+    lead = u.shape[:-2]
+    # [(x, b), (a, y)]
+    ut = u.reshape(lead + (da, db, da, db)).swapaxes(-4, -2).reshape(lead + (d, d))
+    left = (ut.reshape(lead + (d * da, db)) @ sigma).reshape(lead + (d, d))  # [(x, b), (a, w)]
+    return (left @ dagger(ut)).reshape(lead + (da, db, da, db)).swapaxes(-3, -2)
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:
@@ -138,23 +185,36 @@ def _polar_unitary(m: np.ndarray) -> np.ndarray:
     return uu @ vv
 
 
-def _matching_unitary(sigma_m: np.ndarray, xi_m: np.ndarray) -> np.ndarray:
-    """Unitary V with V sigma V† = xi, built by matching eigenspaces of equal
-    eigenvalue (the full spectrum, zeros included) and fixing each block by the
-    polar factor closest to identity."""
+def _matching_unitary(sigma_m: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each xi of a stack (k, d, d), a unitary V with V sigma V† = xi,
+    built by matching eigenspaces of equal eigenvalue (the full spectrum,
+    zeros included) and fixing each block by the polar factor closest to
+    identity; and whether the spectra match (V means nothing where they do
+    not).  The polar factors of all groups of one size take one SVD."""
     sv, svec = eigh_desc(sigma_m)
-    xv, xvec = eigh_desc(xi_m)
-    if np.max(np.abs(sv - xv)) > 1e-7:
-        raise CertificationError(
-            "output spectrum differs from the catalyst spectrum; no canonicalizing V"
-        )
-    v = np.zeros_like(sigma_m)
-    for g in hilbert.group_spectrum(sv):
-        b = svec[:, g]
-        c = xvec[:, g]
-        q = _polar_unitary(dagger(c) @ b)
-        v += c @ q @ dagger(b)
-    return v
+    xv, xvec = eigh_desc(xi)
+    matched = ~(np.max(np.abs(sv - xv), axis=-1) > 1e-7)
+    groups = hilbert.group_spectrum(sv)
+    v = np.zeros_like(xi)
+    if len(groups) == 1:  # one eigenvalue: the whole eigenbases match
+        v += xvec @ _polar_unitary(dagger(xvec) @ svec) @ dagger(svec)
+        return v, matched
+    terms = {}
+    for size in {len(g) for g in groups}:
+        same = [g for g in groups if len(g) == size]
+        idx = np.array(same)
+        c = xvec[..., idx].transpose(2, 0, 1, 3)  # (groups, k, d, size)
+        b = svec[:, idx].transpose(1, 0, 2)[:, None]  # (groups, 1, d, size)
+        terms.update(zip((g[0] for g in same), c @ _polar_unitary(dagger(c) @ b) @ dagger(b)))
+    for g in groups:  # summed in spectrum order
+        v += terms[g[0]]
+    return v, matched
+
+
+def _compatible(gap):
+    """Whether the catalyst keeps its entropy: |gap| within the tolerance
+    (of each gap, for an array)."""
+    return abs(gap) <= COMPAT_ENTROPY_TOL
 
 
 @dataclass(frozen=True)
@@ -167,7 +227,29 @@ class ExhaustiveReport:
     @property
     def compatible(self) -> bool:
         """The catalyst keeps its entropy at the maximally mixed input."""
-        return abs(self.entropy_gap) <= COMPAT_ENTROPY_TOL
+        return _compatible(self.entropy_gap)
+
+
+def _outputs(us: np.ndarray, sigma: DensityOperator, da: int,
+             first: _FirstFailure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each unitary of a stack (k, d, d), from one transfer tensor: its
+    catalyst output ref at the maximally mixed input, its max deviation
+    max_xz ||S[x, z] - delta_xz ref||_1 and its entropy gap S(ref) - S(sigma),
+    each step solved for the whole stack at once.  An output that is not a
+    state fails in ``first`` with the ValueError its validation raises; the
+    values of the leading unitaries that pass come back."""
+    s = _transfer_slices(us, sigma.matrix, da, sigma.dim)
+    ref = s.trace(axis1=-4, axis2=-3) / da
+    dev = s - np.eye(da)[:, :, None, None] * ref[:, None, None]
+    max_dev = np.linalg.svd(dev, compute_uv=False).sum(axis=-1).max(axis=(-2, -1))
+    vals = hilbert.eigvalsh_each(ref)
+    faults = hilbert.density_fault(ref[: first.n], vals[: first.n])
+    first.check(faults, lambda i: ValueError(faults[i]))
+    n = first.n
+    if not n:
+        return ref[:0], max_dev[:0], max_dev[:0]
+    gap = von_neumann_rows(hilbert._validated_spectrum(vals[:n], sigma.dim)) - von_neumann(sigma)
+    return ref[:n], max_dev[:n], gap
 
 
 def verify_catalysis_exhaustive(
@@ -184,16 +266,49 @@ def verify_catalysis_exhaustive(
     mapping the catalyst onto it.  Whether ``u`` is a catalysis unitary at
     all is :func:`is_catalysis_unitary`'s question."""
     da = system_dim(u, sigma, a_count)
-    s = _transfer_slices(u.matrix, sigma.matrix, da, sigma.dim)
-    ref = np.trace(s) / da
-    dev = s - np.eye(da)[:, :, None, None] * ref
-    max_dev = float(np.linalg.svd(dev, compute_uv=False).sum(axis=-1).max())
-    gap = von_neumann(DensityOperator(ref, sigma.layout)) - von_neumann(sigma)
-    try:
-        v = UnitaryOperator(_matching_unitary(sigma.matrix, ref), u.layout.dims[a_count:])
-    except CertificationError:
-        v = None
-    return ExhaustiveReport(max_deviation=max_dev, entropy_gap=gap, implied_v=v, output=ref)
+    first = _FirstFailure(1)
+    ref, max_dev, gap = _outputs(u.matrix[None], sigma, da, first)
+    if first.error is not None:
+        raise first.error
+    v, matched = _matching_unitary(sigma.matrix, ref)
+    implied = UnitaryOperator(v[0], u.layout.dims[a_count:]) if matched[0] else None
+    return ExhaustiveReport(max_deviation=float(max_dev[0]), entropy_gap=float(gap[0]),
+                            implied_v=implied, output=ref[0])
+
+
+def _certify(us: np.ndarray, layout: SubsystemLayout, a_count: int, sigma: DensityOperator,
+             first: _FirstFailure) -> list[tuple]:
+    """Every check of :func:`canonical_form` on each unitary of a stack
+    (k, d, d) on ``layout`` with the catalyst ``sigma``, one check at a time
+    over the stack.  Returns (defect, max deviation, entropy gap, V) for each
+    leading unitary that passes; ``first`` holds the error of the first that
+    fails."""
+    verdicts = _pt_verdicts(us, layout, range(a_count))
+    first.check([not v.verdict for v in verdicts], lambda i: _not_catalysis(verdicts[i].defect))
+    if not first.n:
+        return []
+    dims = layout.dims
+    ref, max_dev, gap = _outputs(us[: first.n], sigma, _system_dim(dims, sigma, a_count), first)
+    max_dev, gap = max_dev.tolist(), gap.tolist()
+    first.check([not _compatible(g) for g in gap], lambda i: CertificationError(
+        f"catalyst incompatible: entropy gap {gap[i]:.3e} bits"))
+    first.check([m > hilbert.TOL_STATE for m in max_dev], lambda i: CertificationError(
+        f"output depends on the input: max deviation {max_dev[i]:.3e}"))
+    if not first.n:
+        return []
+    v, matched = _matching_unitary(sigma.matrix, ref[: first.n])
+    first.check([not ok for ok in matched.tolist()], lambda i: CertificationError(
+        "output spectrum does not match the catalyst"))
+    vs, error = UnitaryOperator.each(v[: first.n], dims[a_count:])
+    if error is not None:
+        first.fail(len(vs), error)
+    if first.n:
+        # postcondition: the canonical unitary preserves sigma itself
+        v, ref = v[: first.n], ref[: first.n]
+        moved = trace_distance(dagger(v) @ ref @ v, sigma.matrix) > hilbert.TOL_STATE
+        first.check(moved.tolist(), lambda i: CertificationError(
+            "canonical form failed to preserve the catalyst"))
+    return [(verdicts[i].defect, max_dev[i], gap[i], vs[i]) for i in range(first.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +341,19 @@ class CatalysisInstance:
 
     @property
     def a_dim(self) -> int:
-        return int(np.prod(self.a_dims))
+        return math.prod(self.a_dims)
 
     @property
     def b_dim(self) -> int:
-        return int(np.prod(self.b_dims))
+        return math.prod(self.b_dims)
 
     def canonical_unitary(self) -> UnitaryOperator:
         """(1 ⊗ V†) U, with V† applied to the catalyst rows of U in one GEMM."""
+        return UnitaryOperator(self._canonical_matrix(), self.unitary.layout)
+
+    def _canonical_matrix(self) -> np.ndarray:
         vdag = dagger(self.canonical_v.matrix)
-        m = evolve(vdag, self.unitary.matrix, [self.a_dim, self.b_dim], [1])
-        return UnitaryOperator(m, self.unitary.layout)
+        return evolve(vdag, self.unitary.matrix, [self.a_dim, self.b_dim], [1])
 
     def to_bundle(self, unitary_file: str, sigma_file: str, timestamp: str = "") -> dict:
         return {
@@ -261,27 +378,22 @@ def canonical_form(
     classical: bool = False,
 ) -> CatalysisInstance:
     """Certify (u, sigma) exactly and return the instance carrying the rotation
-    V that makes the catalyst exactly preserved; ``seed`` is only recorded."""
-    tv = is_catalysis_unitary(u, cut=range(a_count)).require()
-    rep = verify_catalysis_exhaustive(u, sigma, a_count=a_count)
-    if not rep.compatible:
-        raise CertificationError(
-            f"catalyst incompatible: entropy gap {rep.entropy_gap:.3e} bits"
-        )
-    if rep.max_deviation > hilbert.TOL_STATE:
-        raise CertificationError(
-            f"output depends on the input: max deviation {rep.max_deviation:.3e}"
-        )
-    if rep.implied_v is None:
-        raise CertificationError("output spectrum does not match the catalyst")
-    # postcondition: the canonical unitary preserves sigma itself
-    v = rep.implied_v.matrix
-    if trace_distance(dagger(v) @ rep.output @ v, sigma.matrix) > hilbert.TOL_STATE:
-        raise CertificationError("canonical form failed to preserve the catalyst")
+    V that makes the catalyst exactly preserved; ``seed`` is only recorded.
+    The checks, in order: the partial transpose is unitary, the catalyst
+    output is a state, the catalyst keeps its entropy, the output does not
+    depend on the input, the spectra match, and (1 ⊗ V†)U preserves sigma."""
+    first = _FirstFailure(1)
+    certified = _certify(u.matrix[None], u.layout, a_count, sigma, first)
+    if first.error is not None:
+        raise first.error
+    return _instance(u, sigma, a_count, certified[0], seed, classical)
+
+
+def _instance(u, sigma, a_count, certified, seed, classical) -> CatalysisInstance:
+    defect, max_deviation, entropy_gap, v = certified
     return CatalysisInstance(
-        unitary=u, sigma=sigma, a_count=a_count, canonical_v=rep.implied_v,
-        defect=tv.defect, entropy_gap=rep.entropy_gap,
-        max_deviation=rep.max_deviation, seed=seed, classical=classical,
+        unitary=u, sigma=sigma, a_count=a_count, canonical_v=v, defect=defect,
+        entropy_gap=entropy_gap, max_deviation=max_deviation, seed=seed, classical=classical,
     )
 
 
@@ -487,47 +599,64 @@ def decompose_subcatalyses(
 
     Each block of the canonical unitary must commute with 1 ⊗ V V†; the blocks
     are unitary on their supports and the weights lambda_i r_i sum to one.
+    ``hilbert.REFINEMENT_TOL`` bounds both misses: the Frobenius norm of the
+    commutator and the distance of the weight sum from one.
     Neither 1 ⊗ V V† nor the isometry 1 ⊗ V is built: V V† acts on the
     catalyst index of the rows and of the columns, and the restriction
     V† U_c V contracts both catalyst indices with V.
+
+    The blocks of one rank r are certified in one stacked pass: their
+    commutators, weights and restrictions come from batched GEMMs, and every
+    check of :func:`canonical_form` (with the catalyst 1/r) runs once over
+    the stack of restrictions.  Only the objects are built block by block.
+    A failure is the one a block-by-block loop would raise: that of the
+    lowest failing block, at its first failing check.
     """
-    uc = inst.canonical_unitary().matrix
+    uc = inst._canonical_matrix()  # a product of unitaries: no second validation
     da, db = inst.a_dim, inst.b_dim
     d = da * db
     by_col_b = uc.reshape(d * da, db)  # rows (a, b, a'), columns b'
-    sig = inst.sigma.matrix
     if bases is None:
         bases = hilbert.eigenspace_decompose(inst.sigma).bases
-    out = []
+    bases = [np.asarray(b, dtype=complex) for b in bases]
+    by_rank: dict[int, list[int]] = {}
     for idx, basis in enumerate(bases):
-        basis = np.asarray(basis, dtype=complex)
-        pi = basis @ dagger(basis)
-        right = (by_col_b @ pi).reshape(d, d)  # U_c (1 ⊗ Π)
-        left = evolve(pi, uc, [da, db], [1])   # (1 ⊗ Π) U_c
-        if np.linalg.norm(right - left) > 1e-7:
-            raise CertificationError(
-                f"unitary does not commute with catalyst eigenspace {idx}; "
-                "the pair is not a compatible catalysis at this refinement"
-            )
-        weight = float(np.trace(pi @ sig).real)
-        r = basis.shape[1]
+        by_rank.setdefault(basis.shape[1], []).append(idx)
+    first = _FirstFailure(len(bases))
+    out = [None] * len(bases)
+    for r, members in by_rank.items():
+        members = [i for i in members if i < first.n]
+        if not members:
+            continue
+        block = _FirstFailure(len(members))
+        b = np.stack([bases[i] for i in members])  # (k, d_B, r)
+        pi = b @ dagger(b)
+        right = (by_col_b @ pi).reshape(-1, d, d)  # U_c (1 ⊗ Π)
+        left = (pi[:, None] @ uc.reshape(da, db, d)).reshape(-1, d, d)  # (1 ⊗ Π) U_c
+        block.check(np.linalg.norm(right - left, axis=(-2, -1)) > hilbert.REFINEMENT_TOL,
+                    lambda j: CertificationError(
+                        f"unitary does not commute with catalyst eigenspace {members[j]}; "
+                        "the pair is not a compatible catalysis at this refinement"))
+        weights = np.trace(pi @ inst.sigma.matrix, axis1=-2, axis2=-1).real
         # rows (a, b), columns (a', j) -> rows (a, i), columns (a', j)
-        cols = (by_col_b @ basis).reshape(da, db, da * r)
-        sub_u = (dagger(basis) @ cols).reshape(da * r, da * r)
-        try:
-            sub_u = UnitaryOperator(sub_u, list(inst.a_dims) + [r])
-        except ValueError as exc:
-            raise CertificationError(f"restricted block {idx}: {exc}") from exc
-        sub = canonical_form(
-            sub_u,
-            maximally_mixed([r]),
-            a_count=inst.a_count,
-            seed=inst.seed + idx + 1,
-            classical=inst.classical,
-        )
-        out.append((weight, sub))
+        cols = (by_col_b @ b).reshape(-1, da, db, da * r)
+        restricted = (dagger(b)[:, None] @ cols).reshape(-1, da * r, da * r)
+        layout = SubsystemLayout(list(inst.a_dims) + [r])
+        subs, error = UnitaryOperator.each(restricted[: block.n], layout)
+        if error is not None:
+            block.fail(len(subs), CertificationError(f"restricted block {members[len(subs)]}: {error}"))
+        sigma = maximally_mixed([r])
+        certified = _certify(restricted[: block.n], layout, inst.a_count, sigma, block)
+        for j, values in enumerate(certified):
+            idx = members[j]
+            sub = _instance(subs[j], sigma, inst.a_count, values, inst.seed + idx + 1, inst.classical)
+            out[idx] = (float(weights[j]), sub)
+        if block.error is not None:
+            first.fail(members[block.n], block.error)
+    if first.error is not None:
+        raise first.error
     total = sum(w for w, _ in out)
-    if abs(total - 1.0) > 1e-7:
+    if abs(total - 1.0) > hilbert.REFINEMENT_TOL:
         raise CertificationError(f"sub-catalysis weights sum to {total}, not 1")
     return tuple(out)
 
@@ -548,7 +677,7 @@ def classical_catalysis(
     u = UnitaryOperator(controlled(unitaries), [da, db])
     inst = canonical_form(u, sigma, seed=seed, classical=True)
     # the natural refinement: every catalyst basis state is preserved alone
-    dec = decompose_subcatalyses(inst, bases=np.split(np.eye(db), db, axis=1))
+    dec = decompose_subcatalyses(inst, bases=np.eye(db, dtype=complex)[:, :, None])
     return replace(inst, decomposition=dec)
 
 

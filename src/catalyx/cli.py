@@ -42,6 +42,7 @@ _TOL_NAMES = {
     "norm": (hilbert, "TOL_NORM"),
     "group": (hilbert, "GROUP_TOL"),
     "entropy": (hilbert, "ENTROPY_SLACK"),
+    "refinement": (hilbert, "REFINEMENT_TOL"),
     "ledger": (catalysis, "LEDGER_TOL"),
 }
 

@@ -63,13 +63,17 @@ def _shannon_bits(p: np.ndarray):
     terms = q * np.log2(q)
     if p.ndim == 1:
         return _clip_zero(float(-terms.sum()))
+    if p.size == p.shape[-1]:  # a stack of one distribution
+        return np.reshape(_clip_zero(float(-terms.sum())), p.shape[:-1])
     counts = keep.sum(-1).reshape(-1)
     if (counts == counts[0]).all():
         sums = terms.reshape(counts.size, counts[0]).sum(-1)
     else:
         ends = np.cumsum(counts)
-        sums = [terms[end - m : end].sum() for m, end in zip(counts, ends)]
-    return np.array([_clip_zero(float(-s)) for s in sums]).reshape(p.shape[:-1])
+        sums = np.array([terms[end - m : end].sum() for m, end in zip(counts, ends)])
+    h = -sums
+    h[(-1e-9 < h) & (h <= 0.0)] = 0.0  # _clip_zero, row by row
+    return h.reshape(p.shape[:-1])
 
 
 def shannon(p) -> float:
@@ -92,6 +96,14 @@ def shannon_rows(p) -> np.ndarray:
 def von_neumann(rho: DensityOperator | Sequence[float]) -> float:
     """-Tr[rho log2 rho] from the spectrum."""
     return shannon(rho)
+
+
+def von_neumann_rows(spectra: np.ndarray) -> np.ndarray:
+    """The von Neumann entropies in bits of a stack (..., d) of spectra
+    already validated as states' (``hilbert.factor_spectrum``, or stacked
+    ``DensityOperator.eigenvalues()``): each, bit for bit, what
+    :func:`von_neumann` gives its state, which checks nothing again either."""
+    return _shannon_bits(spectra)
 
 
 def _check_order(alpha: float) -> None:

@@ -31,6 +31,7 @@ TOL_STATE = 1e-9       # trace distance between states
 TOL_NORM = 1e-10       # trace / vector-norm deviation
 GROUP_TOL = 1e-8       # relative gap below which eigenvalues merge
 ENTROPY_SLACK = 1e-7   # bits an entropy inequality may miss by and still hold
+REFINEMENT_TOL = 1e-7  # a catalyst refinement: ||[U, 1 ⊗ Π]||_F and |Σ weights - 1|
 
 # The one size budget: every function that allocates from a size its caller
 # gives passes the complex entries of the largest object it defines to
@@ -55,13 +56,32 @@ def check_size(entries: int, what: str) -> None:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
-def unitarity_defect(m: np.ndarray) -> float:
-    """Frobenius norm of m†m - 1."""
-    d = m.shape[0]
-    return float(np.linalg.norm(dagger(m) @ m - np.eye(d)))
+def frobenius(m: np.ndarray):
+    """``np.linalg.norm(m)``, a float; for a stack (..., d, d), an array of
+    the norm of each matrix, bit for bit, in one pass.  The norm's formula
+    is sqrt(re·re + im·im) over the flattened entries, each product one
+    BLAS dot; a stack of (1, n) @ (n, 1) matmuls takes those same dots."""
+    if m.ndim == 2:
+        return float(np.linalg.norm(m))
+    if m.size == m.shape[-2] * m.shape[-1]:  # a stack of one
+        norm = np.empty(m.shape[:-2])
+        norm[...] = np.linalg.norm(m)
+        return norm
+    flat = m.reshape(m.shape[:-2] + (1, m.shape[-2] * m.shape[-1]))
+    sq = flat.real @ flat.real.swapaxes(-1, -2)
+    if flat.dtype.kind == "c":
+        sq = sq + flat.imag @ flat.imag.swapaxes(-1, -2)
+    return np.sqrt(sq[..., 0, 0])
+
+
+def unitarity_defect(m: np.ndarray):
+    """Frobenius norm of m†m - 1; for a stack (..., d, d), of each matrix
+    (see :func:`frobenius`)."""
+    return frobenius(dagger(m) @ m - np.eye(m.shape[-1]))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -161,11 +181,11 @@ class DensityOperator:
         d = layout.total_dim
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match layout dim {d}")
-        if np.linalg.norm(m - dagger(m)) > TOL_HERM:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > 100 * TOL_NORM:
-            raise ValueError(f"density matrix trace {np.trace(m)} != 1")
-        self._keep(layout, _validated_spectrum(hermitian_eigvalsh(m), d), m, None)
+        vals = hermitian_eigvalsh(m)
+        fault = density_fault(m, vals)
+        if fault:
+            raise ValueError(fault)
+        self._keep(layout, _validated_spectrum(vals, d), m, None)
 
     @classmethod
     def from_factor(cls, factor, layout) -> "DensityOperator":
@@ -217,6 +237,20 @@ class DensityOperator:
         return self._spectrum
 
 
+def _operator_shaped(matrix, layout: SubsystemLayout, lead: int = 0) -> np.ndarray:
+    """``matrix`` as a complex array of (D, D) operators, D the dimension of
+    ``layout``, behind ``lead`` stack axes."""
+    m = np.asarray(matrix, dtype=complex)
+    d = layout.total_dim
+    if m.ndim != lead + 2 or m.shape[lead:] != (d, d):
+        raise ValueError(f"matrix shape {m.shape} does not match layout dim {d}")
+    return m
+
+
+def _unitary_fault(defect: float) -> str | None:
+    return f"matrix is not unitary: defect {defect}" if defect > TOL_UNITARY else None
+
+
 @dataclass(frozen=True)
 class UnitaryOperator:
     """Unitary matrix with a subsystem layout."""
@@ -226,15 +260,30 @@ class UnitaryOperator:
 
     def __init__(self, matrix, layout):
         layout = _as_layout(layout)
-        m = np.asarray(matrix, dtype=complex)
-        d = layout.total_dim
-        if m.shape != (d, d):
-            raise ValueError(f"matrix shape {m.shape} does not match layout dim {d}")
-        defect = unitarity_defect(m)
-        if defect > TOL_UNITARY:
-            raise ValueError(f"matrix is not unitary: defect {defect}")
+        m = _operator_shaped(matrix, layout)
+        fault = _unitary_fault(unitarity_defect(m))
+        if fault:
+            raise ValueError(fault)
         object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "layout", layout)
+
+    @classmethod
+    def each(cls, matrices, layout) -> tuple[list["UnitaryOperator"], ValueError | None]:
+        """Validate a stack (k, d, d) of matrices in one pass: an operator for
+        each leading matrix that is unitary, and the ValueError the first
+        that is not raises alone (None when all are unitary)."""
+        layout = _as_layout(layout)
+        ms = _freeze(_operator_shaped(matrices, layout, 1))
+        ops = []
+        for m, defect in zip(ms, unitarity_defect(ms).tolist()):
+            fault = _unitary_fault(defect)
+            if fault:
+                return ops, ValueError(fault)
+            op = object.__new__(cls)
+            object.__setattr__(op, "matrix", m)
+            object.__setattr__(op, "layout", layout)
+            ops.append(op)
+        return ops, None
 
     @property
     def dim(self) -> int:
@@ -425,15 +474,17 @@ def partial_trace(op: DensityOperator, keep: Sequence[int]) -> DensityOperator:
 
 
 def ptranspose_matrix(m: np.ndarray, dims: Sequence[int], subsystems: Sequence[int]) -> np.ndarray:
-    """Transpose applied only on the index pairs of the chosen subsystems."""
+    """Transpose applied only on the index pairs of the chosen subsystems;
+    leading axes of ``m`` index a stack of operators on ``dims``."""
     dims = [int(d) for d in dims]
     n = len(dims)
-    t = m.reshape(dims + dims)
+    lead = m.shape[:-2]
+    t = m.reshape(lead + tuple(dims + dims))
     perm = list(range(2 * n))
     for s in SubsystemLayout(dims).check_indices(subsystems):
         perm[s], perm[n + s] = perm[n + s], perm[s]
-    d = int(np.prod(dims))
-    return t.transpose(perm).reshape(d, d)
+    d = math.prod(dims)
+    return t.transpose(list(range(len(lead))) + [len(lead) + p for p in perm]).reshape(lead + (d, d))
 
 
 def partial_transpose(op, subsystems: Sequence[int]) -> np.ndarray:
@@ -485,10 +536,18 @@ def permute_subsystems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) 
 
 
 def eigh_desc(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition with eigenvalues sorted descending."""
+    """Hermitian eigendecomposition with eigenvalues sorted descending; of
+    each matrix of a stack (k, n, n) in one solver call."""
+    if m.ndim == 3 and len(m) == 1:
+        vals, vecs = eigh_desc(m[0])
+        return vals[None], vecs[None]
     vals, vecs = np.linalg.eigh(m)
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
+    order = np.argsort(vals)[..., ::-1]
+    if m.ndim == 2:
+        return vals[order], vecs[:, order]
+    rows = np.arange(len(m))[:, None]  # a stack (k, n, n): row-wise fancy indexing
+    vecs = vecs.swapaxes(-1, -2)[rows, order].swapaxes(-1, -2)
+    return vals[rows, order], np.ascontiguousarray(vecs)  # laid out as one matrix's
 
 
 def group_spectrum(vals: np.ndarray) -> list[list[int]]:
@@ -554,14 +613,60 @@ def hermitian_eigvalsh(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
+def eigvalsh_each(m: np.ndarray) -> np.ndarray:
+    """:func:`hermitian_eigvalsh` of each matrix of a stack (..., k, k), bit
+    for bit what it gives that matrix alone, in at most two solver calls: the
+    matrices with an exactly zero imaginary part go to the real solver
+    together and the rest to the complex one.  (A 1×1 matrix's eigenvalue is
+    its real part under either, so a stack of them is one call.)"""
+    if m.dtype.kind != "c" or m.shape[-1] == 1 or m.size == m.shape[-1] ** 2:
+        return hermitian_eigvalsh(m)
+    real = ~m.imag.any(axis=(-2, -1))
+    if real.all() or not real.any():
+        return hermitian_eigvalsh(m)
+    vals = np.empty(m.shape[:-1])
+    vals[real] = np.linalg.eigvalsh(m[real].real)
+    vals[~real] = np.linalg.eigvalsh(m[~real])
+    return vals
+
+
+def density_fault(m: np.ndarray, vals: np.ndarray):
+    """Why the matrix ``m``, with ascending eigenvalues ``vals``, is not a
+    density matrix, or None: the first of its checks it fails, Hermitian
+    within ``TOL_HERM``, trace one within 100·``TOL_NORM`` and no eigenvalue
+    below -10·``TOL_PSD``.  For a stack (k, d, d), the list of the k
+    answers, from one pass over the stack."""
+    if m.ndim == 2:
+        return _density_fault(np.linalg.norm(m - dagger(m)), m.trace(), vals[0])
+    if len(m) == 1:
+        return [density_fault(m[0], vals[0])]
+    herm = frobenius(m - dagger(m)).tolist()
+    traces = m.trace(axis1=-2, axis2=-1).tolist()
+    return [_density_fault(*checks) for checks in zip(herm, traces, vals[:, 0].tolist())]
+
+
+def _density_fault(herm: float, trace: complex, low: float) -> str | None:
+    if herm > TOL_HERM:
+        return "density matrix is not Hermitian within tolerance"
+    if abs(trace.real - 1.0) > 100 * TOL_NORM:
+        return f"density matrix trace {trace} != 1"
+    return _negative_fault(low)
+
+
+def _negative_fault(low: float) -> str | None:
+    if low < -10 * TOL_PSD:
+        return f"density matrix has negative eigenvalue {low}"
+    return None
+
+
 def _validated_spectrum(vals: np.ndarray, dim: int) -> np.ndarray:
     """The spectrum of a state of dimension ``dim`` from its ascending
     eigenvalues ``vals`` (zeros beyond them are implied), checked against the
     PSD floor and returned padded, descending and clipped at zero.  Leading
     axes index a stack of spectra, each checked alone."""
-    low = min(vals[..., 0].flat)
-    if low < -10 * TOL_PSD:
-        raise ValueError(f"density matrix has negative eigenvalue {low}")
+    fault = _negative_fault(min(vals[..., 0].flat))
+    if fault:
+        raise ValueError(fault)
     spectrum = np.zeros(vals.shape[:-1] + (dim,))
     spectrum[..., : vals.shape[-1]] = np.maximum(vals[..., ::-1], 0.0)
     return spectrum
@@ -579,12 +684,16 @@ def factor_spectrum(x: np.ndarray) -> np.ndarray:
     return _validated_spectrum(hermitian_eigvalsh(gram), x.shape[-2])
 
 
-def trace_distance(a: DensityOperator | np.ndarray, b: DensityOperator | np.ndarray) -> float:
-    """Half the trace norm of the difference."""
+def trace_distance(a: DensityOperator | np.ndarray, b: DensityOperator | np.ndarray):
+    """Half the trace norm of the difference, a float; for stacks of
+    matrices (..., d, d), an array holding the float each pair gives alone
+    (see :func:`eigvalsh_each`)."""
     ma = a.matrix if isinstance(a, DensityOperator) else np.asarray(a)
     mb = b.matrix if isinstance(b, DensityOperator) else np.asarray(b)
-    vals = hermitian_eigvalsh(ma - mb)
-    return float(0.5 * np.abs(vals).sum())
+    diff = ma - mb
+    if diff.ndim == 2:
+        return float(0.5 * np.abs(hermitian_eigvalsh(diff)).sum())
+    return 0.5 * np.abs(eigvalsh_each(diff)).sum(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ HOMES = {
     "TOL_NORM": "hilbert",
     "GROUP_TOL": "hilbert",
     "ENTROPY_SLACK": "hilbert",
+    "REFINEMENT_TOL": "hilbert",
     "LEDGER_TOL": "catalysis",
     "MAX_BYTES": "hilbert",
 }

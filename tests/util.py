@@ -26,25 +26,41 @@ def random_decomposition(rng):
     return EigenspaceDecomposition([v for v, _ in pairs], bases)
 
 
-def count_eigensolves(monkeypatch):
-    """Count every later Hermitian eigensolve by ``np.linalg.eigh`` or
-    ``np.linalg.eigvalsh`` in the returned ``Counter``, keyed by (solver,
-    matrix size): a call on a stack (..., k, k) counts as one solve of size k
-    per matrix.  The number of solver calls is kept in its ``calls``
-    attribute."""
+def _count_solves(monkeypatch, names, key):
+    """Count every later call of the ``np.linalg`` solvers ``names`` in the
+    returned ``Counter``, keyed by ``key(name, m)``: a call on a stack
+    (..., m, n) counts as one solve per matrix.  The number of solver calls
+    is kept in its ``calls`` attribute, and per solver in ``calls_by``."""
     counts = Counter()
     counts.calls = 0
+    counts.calls_by = Counter()
 
     def counting(name, solver):
         def call(m, *args, **kwargs):
-            counts[name, m.shape[-1]] += math.prod(m.shape[:-2])
+            counts[key(name, m)] += math.prod(m.shape[:-2])
             counts.calls += 1
+            counts.calls_by[name] += 1
             return solver(m, *args, **kwargs)
         return call
 
-    for name in ("eigh", "eigvalsh"):
+    for name in names:
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return counts
+
+
+def count_eigensolves(monkeypatch):
+    """Count every later Hermitian eigensolve by ``np.linalg.eigh`` or
+    ``np.linalg.eigvalsh``, keyed by (solver, matrix size) k: a call on a
+    stack (..., k, k) counts as one solve of size k per matrix (see
+    ``_count_solves`` for ``calls`` and ``calls_by``)."""
+    return _count_solves(monkeypatch, ("eigh", "eigvalsh"), lambda name, m: (name, m.shape[-1]))
+
+
+def count_svds(monkeypatch):
+    """Count every later ``np.linalg.svd``, keyed by ("svd", (m, n)): a call
+    on a stack (..., m, n) counts as one solve per matrix (see
+    ``_count_solves`` for ``calls`` and ``calls_by``)."""
+    return _count_solves(monkeypatch, ("svd",), lambda name, m: (name, m.shape[-2:]))
 
 
 def count_stinespring(monkeypatch):
