@@ -27,8 +27,9 @@ of one; :func:`decompose_subcatalyses` certifies all the blocks of one rank
 in a single pass.
 
 A certified :class:`CatalysisInstance` is immutable and may be shared across
-threads.  A :class:`KrausChannel` is immutable but for one memo, the spectra of
-its last input to ``optimize.global_production``: each call reads it once and
+threads.  A :class:`KrausChannel` holds one read-only array, its Stinespring
+operand, and is immutable but for one memo, the bytes and the spectra of its
+last input to ``optimize.global_production``: each call reads it once and
 replaces it whole by one attribute store, so a channel may be shared across
 threads too (a race costs a repeated solve, never a wrong value).
 Module-level mutable state: only the tolerances (``LEDGER_TOL`` here, the rest
@@ -410,40 +411,38 @@ def implement_channel(inst: CatalysisInstance, rho: DensityOperator) -> DensityO
 # Kraus form
 
 
-def _choi_vectors(ops: np.ndarray) -> np.ndarray:
-    """Rows sum_i |i> ⊗ K|i> of a Kraus stack; the Choi matrix is rows.T @ rows.conj()."""
-    return ops.transpose(0, 2, 1).reshape(len(ops), -1)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Completely positive trace-preserving map given by its Kraus operators.
 
-    The stack is held three times, all read-only: ``kraus`` (n, d_out, d_in)
-    and the two GEMM operands of the Stinespring isometry, Vᵀ and conj(V)
-    (d_in × d_out·n each).  The channel builders check all three copies,
-    3·n·d_out·d_in entries, against ``hilbert.MAX_BYTES``.
-    ``_last_spectra`` is ``optimize.global_production``'s memo: the key and
-    the input and output spectra of the last input, O(D + k) floats."""
+    The channel holds one read-only array, the GEMM operand Vᵀ (d_in ×
+    d_out·n) of its Stinespring isometry V = sum_i K_i ⊗ |i>; ``kraus`` is a
+    read-only (n, d_out, d_in) view of it.  The channel builders check its
+    n·d_out·d_in entries against ``hilbert.MAX_BYTES``.  Equality is
+    identity, as for ``DensityOperator``.  ``_last_spectra`` is
+    ``optimize.global_production``'s memo: the key (rho's bytes among it)
+    and the input and output spectra of the last input."""
 
     kraus: np.ndarray
 
     def __init__(self, kraus):
-        ops = [np.asarray(k, dtype=complex) for k in kraus]
-        if not ops or ops[0].ndim != 2 or any(k.shape != ops[0].shape for k in ops):
+        try:
+            ops = np.asarray(kraus, dtype=complex)
+        except ValueError:  # ragged: matrices of unequal shapes
+            ops = np.empty(0)
+        if ops.ndim != 3 or not len(ops):
             raise ValueError(
                 "Kraus operators must form a non-empty (n, d_out, d_in) stack of "
                 "equal-shape matrices"
             )
-        ops = np.array(ops)
         comp = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
         if np.linalg.norm(comp - np.eye(ops.shape[2])) > 1e-7:
             raise ValueError("Kraus operators do not satisfy completeness")
-        object.__setattr__(self, "kraus", hilbert._freeze(ops))
-        # the GEMM operands Vᵀ and conj(V) of the isometry V = sum_i K_i ⊗ |i>
-        v_t = hilbert._freeze(ops.transpose(2, 1, 0).reshape(ops.shape[2], -1))
+        n, d_out, d_in = ops.shape
+        # a copy even when ops is laid out as Vᵀ already: the caller keeps ops
+        v_t = hilbert._freeze(np.array(ops.transpose(2, 1, 0), order="C").reshape(d_in, -1))
         object.__setattr__(self, "_isometry_t", v_t)
-        object.__setattr__(self, "_isometry_conj", hilbert._freeze(dagger(v_t)))
+        object.__setattr__(self, "kraus", v_t.reshape(d_in, d_out, n).transpose(2, 1, 0))
         object.__setattr__(self, "_last_spectra", None)
 
     @property
@@ -472,17 +471,22 @@ class KrausChannel:
 
     def stinespring_adjoint(self, z: np.ndarray, ref: int = 1) -> np.ndarray:
         """sum_i (1_ref ⊗ K_i†) Z_i for Z shaped as :meth:`stinespring`'s
-        output, Z_i its columns (j, i) over j: the adjoint of that map."""
+        output, Z_i its columns (j, i) over j: the adjoint of that map, one
+        GEMM against conj(V) copied C-ordered from Vᵀ (against Vᵀ itself, a
+        third of the products move in their last bits)."""
         n, d_out, d_in = self.kraus.shape
         r = z.shape[1] // n
         rows = z.reshape(ref, d_out, r, n).transpose(0, 2, 1, 3).reshape(ref * r, d_out * n)
-        x = (rows @ self._isometry_conj).reshape(ref, r, d_in)
+        conj_v = self._isometry_t.T.copy()
+        np.conjugate(conj_v, out=conj_v)
+        x = (rows @ conj_v).reshape(ref, r, d_in)
         return x.transpose(0, 2, 1).reshape(ref * d_in, r)
 
     def choi(self) -> np.ndarray:
-        """J = sum_ij |i><j| ⊗ Phi(|i><j|), reference factor first."""
-        vecs = _choi_vectors(self.kraus)
-        return vecs.T @ vecs.conj()
+        """J = sum_ij |i><j| ⊗ Phi(|i><j|), reference factor first: GG† for
+        the stored Vᵀ regrouped as G (d_in·d_out × n)."""
+        g = self._isometry_t.reshape(-1, len(self.kraus))
+        return g @ dagger(g)
 
 
 def channel_from_unitary(u: np.ndarray) -> KrausChannel:
@@ -490,9 +494,9 @@ def channel_from_unitary(u: np.ndarray) -> KrausChannel:
 
 
 def _check_kraus_stack(name: str, n: int, d: int) -> None:
-    """Check the three copies a ``KrausChannel`` keeps of n Kraus operators
-    of d×d against the budget."""
-    hilbert.check_size(3 * n * d * d, f"{name} channel with {n} Kraus operators of {d}×{d}")
+    """Check the one array a ``KrausChannel`` keeps of n Kraus operators of
+    d×d against the budget."""
+    hilbert.check_size(n * d * d, f"{name} channel with {n} Kraus operators of {d}×{d}")
 
 
 def identity_channel(d: int) -> KrausChannel:
@@ -551,10 +555,10 @@ def kraus_products_rank(chan: KrausChannel) -> tuple[int, int]:
 
 
 def random_channel(d: int, kraus_rank: int, seed) -> KrausChannel:
-    """Haar-random Stinespring isometry cut into Kraus blocks."""
+    """Haar-random Stinespring isometry cut into Kraus blocks; the budget check
+    of the Haar unitary, (d·k)² entries, covers the stack's k·d²."""
     big = d * kraus_rank
     hilbert.check_size(big**2, f"random channel from a Haar unitary of {big}×{big}")
-    _check_kraus_stack("random", kraus_rank, d)
     v = hilbert.haar_unitary_matrix(big, seed)[:, :d]
     return KrausChannel(v.reshape(kraus_rank, d, d))
 

@@ -318,8 +318,17 @@ def _multiparty_scenario(args):
         i_b = s.marginals.get("I(B:C)", 0.0)
         print(f"{k:>4} {s.actor:>5} {i_a:>10.6f} {i_b:>10.6f} "
               f"{s.marginals['S(C)']:>8.4f}")
-    return trace, True, (f"I(A:C) = {turns[-1].marginals.get('I(A:C)', float('nan')):.6f} "
-                         f"bits after round {len(turns)}")
+    # quantum turns leave C maximally mixed, fully correlated with the actor
+    # and uncorrelated with the idle agent (once it holds a register, and so
+    # a reading); the classical construction claims no identity
+    log_d = math.log2(args.d)
+    ok = args.classical or all(
+        abs(s.marginals.get(key, value) - value) <= hilbert.ENTROPY_SLACK
+        for s in turns for key, value in (
+            ("S(C)", log_d), (f"I({s.actor}:C)", 2 * log_d),
+            (f"I({'B' if s.actor == 'A' else 'A'}:C)", 0.0)))
+    return trace, ok, (f"I(A:C) = {turns[-1].marginals.get('I(A:C)', float('nan')):.6f} "
+                       f"bits after round {len(turns)}")
 
 
 def _conservation(args):

@@ -25,22 +25,18 @@ from .hilbert import (
 _ALPHA_SNAP = 1e-9
 
 
-def _checked(p: np.ndarray) -> np.ndarray:
-    """``p``, after checking that each distribution along its last axis is
-    one: no entry below -1e-9 and a sum within 1e-7 of one."""
-    if p.size and p.min() < -1e-9:
-        raise ValueError("negative probabilities")
-    for total in p.sum(-1).flat:
-        if abs(total - 1.0) > 1e-7:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-    return p
-
-
 def _spectrum(state) -> np.ndarray:
-    """Probability vector of a density operator, spectrum list or distribution."""
+    """Probability vector of a density operator, spectrum list or
+    distribution, the last two checked: no entry below -1e-9 and a sum
+    within 1e-7 of one."""
     if isinstance(state, DensityOperator):
         return state.eigenvalues()
-    return _checked(np.asarray(state, dtype=float).reshape(-1))
+    p = np.asarray(state, dtype=float).reshape(-1)
+    if p.size and p.min() < -1e-9:
+        raise ValueError("negative probabilities")
+    if abs(p.sum() - 1.0) > 1e-7:
+        raise ValueError(f"probabilities sum to {p.sum()}, not 1")
+    return p
 
 
 def _clip_zero(v: float) -> float:
@@ -79,18 +75,6 @@ def _shannon_bits(p: np.ndarray):
 def shannon(p) -> float:
     """Shannon entropy in bits with the 0 log 0 = 0 convention."""
     return _shannon_bits(_spectrum(p))
-
-
-def shannon_rows(p) -> np.ndarray:
-    """Shannon entropies in bits of the distributions along the last axis of
-    ``p``, an array of shape (..., k) with at least two axes, as an array of
-    shape (...).  Each is, bit for bit, what :func:`shannon` gives that
-    distribution alone; ``shannon_rows(factor_spectrum(x))`` gives the von
-    Neumann entropies of a stack of factor-held states."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim < 2:
-        raise ValueError(f"need a stack of distributions, got shape {p.shape}")
-    return _shannon_bits(_checked(p))
 
 
 def von_neumann(rho: DensityOperator | Sequence[float]) -> float:

@@ -120,16 +120,14 @@ def global_production(
     Neither spectrum depends on alpha, so ``chan`` keeps both for its last
     input, as one tuple (key, input distribution, output distribution) in
     ``chan._last_spectra``.  The key is (ref_dim, ``hilbert.TOL_PSD``, shape,
-    dtype, a 16-byte BLAKE2b digest of rho's C-ordered bytes), so the same rho
-    at another alpha skips all three solves, and a rho changed in place, or a
-    changed tolerance, solves again.  The tuple is read once and replaced
-    whole, so a channel may be shared across threads."""
-    import hashlib  # loads OpenSSL, ~4 ms that every other import of catalyx would pay
-
+    dtype, rho's C-ordered bytes): the same rho at another alpha skips all
+    three solves, and a rho changed in place, or a changed tolerance, solves
+    again.  The memo holds rho's D² entries and the two spectra.  The tuple
+    is read once and replaced whole, so a channel may be shared across
+    threads."""
     _check_order(alpha)
-    rho = np.ascontiguousarray(rho_ra)  # a copy only if rho_ra is not C-ordered
-    key = (ref_dim, hilbert.TOL_PSD, rho.shape, rho.dtype,
-           hashlib.blake2b(rho, digest_size=16).digest())
+    rho = np.asarray(rho_ra)
+    key = (ref_dim, hilbert.TOL_PSD, rho.shape, rho.dtype, rho.tobytes())
     last = chan._last_spectra
     if last is None or last[0] != key:
         vals, vecs = np.linalg.eigh(rho)

@@ -25,7 +25,7 @@ import numpy as np
 from . import hilbert
 from .catalysis import KrausChannel, LedgerRecord, ledger
 from .constructions import initialization_classical, multiparty_unitary
-from .entropy import mutual_information, shannon_rows, von_neumann
+from .entropy import _clip_zero, mutual_information, von_neumann, von_neumann_rows
 from .hilbert import (
     DensityOperator,
     StateVector,
@@ -217,8 +217,8 @@ def conservation_law_check(
     the joint pure states are never formed.  Each of the seven marginals is
     solved for every sample in one stacked eigensolve on the smaller side of
     its cut, through the factor helpers ``partial_trace`` uses, and its
-    entropies come from one ``shannon_rows`` call; the report equals, bit for
-    bit, the one sample-by-sample marginals would give."""
+    entropies come from one ``von_neumann_rows`` call; the report equals, bit
+    for bit, the one sample-by-sample marginals would give."""
     dims = [int(x) for x in dims]
     if len(dims) != 4 or any(x > 3 for x in dims):
         raise ValueError("need four factors of dimension <= 3")
@@ -238,7 +238,7 @@ def conservation_law_check(
     w_i, x_i, y_i, z_i = 0, 1, 2, 3
     groups = ([x_i], [y_i], [z_i], [x_i, y_i], [y_i, z_i], [w_i, z_i], [w_i, y_i, z_i])
     s_x, s_y, s_z, s_xy, s_yz, s_wz, s_wyz = (
-        shannon_rows(hilbert.factor_spectrum(hilbert.factor_marginal(x, dims, g)))
+        von_neumann_rows(hilbert.factor_spectrum(hilbert.factor_marginal(x, dims, g)))
         for g in groups
     )
     i_xy = s_x + s_y - s_xy
@@ -333,7 +333,9 @@ def absorption_check(
     increase is read from the complementary output of the worst candidate (its
     Y regrouped as (·, n)), so no d²-dimensional output is formed.  The
     candidates are taken in chunks whose stacked Stinespring factors fit
-    ``hilbert.MAX_BYTES``; at d <= 4 one chunk holds the default 33."""
+    ``hilbert.MAX_BYTES``; at d <= 4 one chunk holds the default 33.  At
+    d_out <= d the maximally mixed candidate's decrease is >= 0, so a
+    negative maximum within 1e-9 of zero is rounding and reads 0.0."""
     if n_samples < 0:
         raise ValueError(f"absorption check needs n_samples >= 0, got {n_samples}")
     n, d_out, d = channel.kraus.shape
@@ -352,16 +354,16 @@ def absorption_check(
         x = hilbert.haar_from_normals(g) * np.sqrt(w)
         if not start:  # the maximally mixed state, 1·√(1/d), comes first
             x = np.concatenate([np.eye(d)[None] * math.sqrt(1 / d), x])
-        s_in = shannon_rows(hilbert.factor_spectrum(x))
+        s_in = von_neumann_rows(hilbert.factor_spectrum(x))
         y = channel.stinespring(x.transpose(1, 0, 2).reshape(d, count * d))
         y = y.reshape(d_out, count, d * n).transpose(1, 0, 2)
-        dec = s_in - shannon_rows(hilbert.factor_spectrum(y))
+        dec = s_in - von_neumann_rows(hilbert.factor_spectrum(y))
         k = int(np.argmax(dec))
         if dec[k] > best_dec:  # keep only the complementary factor of the worst
             best_dec, best_exchange = float(dec[k]), y[k].reshape(-1, n)
     inc = von_neumann(hilbert.factor_spectrum(best_exchange))
     return AbsorptionReport(
-        max_local_decrease=best_dec,
+        max_local_decrease=_clip_zero(best_dec),
         min_global_increase_at_max=inc,
         ok=inc >= best_dec - hilbert.ENTROPY_SLACK,
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from util import dense_renyi, kron_sum_output
+from util import dense_renyi, held_bytes, kron_sum_output
 
 from catalyx import catalysis as cat
 from catalyx import hilbert as hl
@@ -566,3 +566,32 @@ def test_kraus_channel_stores_one_stack():
     assert np.asarray(chan.kraus).shape == (2, 2, 3)
     assert (chan.dim_in, chan.dim_out, len(chan.kraus)) == (3, 2, 2)
     assert not chan.kraus.flags.writeable
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cat.dephasing_channel(3), lambda: cat.erasure_channel(2),
+    lambda: cat.random_channel(2, 3, 1), lambda: cat.channel_from_unitary(hl.clock_matrix(3)),
+], ids=["dephasing", "erasure", "random", "unitary"])
+def test_kraus_channel_holds_one_array(build):
+    chan = build()
+    n, d_out, d_in = chan.kraus.shape
+    assert held_bytes(chan) == 16 * n * d_out * d_in
+    assert np.shares_memory(chan.kraus, chan._isometry_t)
+    assert not chan.kraus.flags.writeable and not chan._isometry_t.flags.writeable
+
+
+def test_kraus_channel_copies_a_stack_laid_out_as_its_operand():
+    chan = cat.random_channel(2, 3, 4)
+    n, d_out, d_in = chan.kraus.shape
+    ops = np.array(chan._isometry_t).reshape(d_in, d_out, n).transpose(2, 1, 0)
+    copy = KrausChannel(ops)
+    assert not np.shares_memory(copy.kraus, ops)
+    ops[0] = 0.0
+    assert np.array_equal(copy.kraus, chan.kraus)
+
+
+def test_kraus_channels_compare_and_hash_by_identity():
+    a, b = cat.dephasing_channel(2), cat.dephasing_channel(2)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2

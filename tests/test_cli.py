@@ -399,7 +399,7 @@ def test_tol_override_lasts_one_run(tmp_path, capsys):
     assert "catalytic_vn = 1.500000" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", ["absorption", "depletion", "initialization"])
+@pytest.mark.parametrize("name", ["absorption", "depletion", "initialization", "multiparty"])
 def test_entropy_slack_override_reaches_the_scenario_verdicts(name, capsys):
     # each bound holds tightly, so a slack of -1 bit fails it
     from catalyx import cli
@@ -433,6 +433,47 @@ def test_initialization_scenario_fails_on_a_wrong_reading(operation, key, tmp_pa
     out = tmp_path / "report.json"
     assert cli.main(["scenario", "initialization", "--out", str(out)]) == 1
     assert json.load(open(out))["pass"] is False
+
+
+@pytest.mark.parametrize("args", [(), ("--d", "2", "--rounds", "5"), ("--d", "3", "--rounds", "3"),
+                                  ("--classical", "--rounds", "3")],
+                         ids=["default", "d2-5-rounds", "d3-3-rounds", "classical"])
+def test_multiparty_scenario_passes_on_the_paper_readings(args, tmp_path, capsys):
+    from catalyx import cli
+
+    out = tmp_path / "report.json"
+    assert cli.main(["scenario", "multiparty", *args, "--out", str(out)]) == 0
+    assert json.load(open(out))["pass"] is True
+
+
+# every reading the verdict checks over three rounds: the actor's and the
+# idle agent's I(·:C) and S(C), B idle only from turn 2, once it holds a register
+MULTIPARTY_READINGS = [
+    ("turn1", "S(C)"), ("turn1", "I(A:C)"),
+    ("turn2", "S(C)"), ("turn2", "I(B:C)"), ("turn2", "I(A:C)"),
+    ("turn3", "S(C)"), ("turn3", "I(A:C)"), ("turn3", "I(B:C)"),
+]
+
+
+@pytest.mark.parametrize("operation, key", MULTIPARTY_READINGS)
+def test_multiparty_scenario_fails_on_a_wrong_reading(operation, key, tmp_path,
+                                                      monkeypatch, capsys):
+    from catalyx import cli, scenarios
+
+    run = scenarios.multiparty_refuel
+
+    def off_by_a_microbit(d, rounds, seed=0, classical=False):
+        trace = run(d, rounds, seed=seed, classical=classical)
+        step = next(s for s in trace.steps if s.operation == operation)
+        step.marginals[key] += 1e-6
+        return trace
+
+    monkeypatch.setattr(scenarios, "multiparty_refuel", off_by_a_microbit)
+    out = tmp_path / "report.json"
+    assert cli.main(["scenario", "multiparty", "--rounds", "3", "--out", str(out)]) == 1
+    assert json.load(open(out))["pass"] is False
+    # the classical construction checks no identity
+    assert cli.main(["scenario", "multiparty", "--classical", "--rounds", "3"]) == 0
 
 
 @pytest.mark.parametrize(

@@ -561,10 +561,11 @@ def test_global_production_reads_the_psd_tolerance_per_call(monkeypatch):
     assert coarse != default
 
 
-def test_global_production_memo_holds_only_spectra():
+def test_global_production_memo_holds_input_bytes_and_spectra():
     chan = cat.random_channel(3, 2, 5)
     rho = _mixed(9, 9, np.random.default_rng(5))
     opt.global_production(chan, rho, 3, 1.0)
     key, p_in, p_out = chan._last_spectra
     assert not any(isinstance(k, np.ndarray) for k in key)
+    assert key[-1] == rho.tobytes() and len(key[-1]) == 16 * 9 * 9
     assert p_in.shape == (9,) and p_out.ndim == 1 and p_out.size <= 9 * 2

@@ -176,6 +176,24 @@ def test_absorption_unitary_channel():
     assert rep.ok
 
 
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_absorption_reports_rounding_below_zero_as_zero(seed):
+    # erasure sends every state to 1/2: the maximally mixed candidate's
+    # decrease is exactly 0 and the maximum, whose rounding read -1.1e-16
+    rep = sc.absorption_check(cat.erasure_channel(2), n_samples=20, seed=seed)
+    assert rep.max_local_decrease == 0.0 and rep.ok
+    rep = sc.absorption_check(cat.initialization_channel(4), n_samples=32, seed=seed)
+    assert rep.max_local_decrease == 2.0
+
+
+def test_absorption_keeps_a_true_negative_maximum():
+    # preparing a maximally mixed qubit from a trivial input raises S by 1
+    chan = cat.KrausChannel(np.eye(2).reshape(2, 2, 1) / math.sqrt(2))
+    rep = sc.absorption_check(chan, n_samples=4, seed=0)
+    assert rep.max_local_decrease == pytest.approx(-1.0, abs=1e-12)
+    assert rep.ok
+
+
 def test_absorption_random_channel_sweep():
     rng = np.random.default_rng(2)
     for i in range(1000):

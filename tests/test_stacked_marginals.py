@@ -1,7 +1,7 @@
 """Marginals of a stack of factor-held states through the same helpers
 ``partial_trace`` uses: ``factor_marginal``, ``smaller_gram``,
 ``hermitian_eigvalsh`` and the spectrum checks of ``factor_spectrum``, with
-the entropies from ``shannon_rows``.  Each sample's spectrum and entropy must
+the entropies from ``von_neumann_rows``.  Each sample's spectrum and entropy must
 equal, bit for bit, what its own ``DensityOperator`` gives, and a bad sample
 must raise what ``from_factor`` raises for it alone."""
 
@@ -12,7 +12,7 @@ import pytest
 
 from catalyx import hilbert as hl
 from catalyx import scenarios as sc
-from catalyx.entropy import shannon, shannon_rows, von_neumann
+from catalyx.entropy import shannon, von_neumann, von_neumann_rows
 from catalyx.hilbert import DensityOperator, SubsystemLayout, haar_state, partial_trace
 
 
@@ -33,7 +33,7 @@ def test_stacked_marginals_equal_each_sample_alone(seed):
     states, x = _haar_stack(dims, int(rng.integers(1, 9)), rng)
     for g in _groups(len(dims)):
         spectra = hl.factor_spectrum(hl.factor_marginal(x, dims, g))
-        entropies = shannon_rows(spectra)
+        entropies = von_neumann_rows(spectra)
         for state, spectrum, s in zip(states, spectra, entropies):
             marginal = partial_trace(state.density(), g)
             assert np.array_equal(spectrum, marginal.eigenvalues())
@@ -47,7 +47,7 @@ def _filtered_sum(p):
     return float(-(q * np.log2(q)).sum()) if q.size else 0.0
 
 
-def test_shannon_rows_equal_each_row_alone():
+def test_von_neumann_rows_equal_each_row_alone():
     # ragged supports and long rows: entries at or below TOL_PSD are dropped
     # per row, so rows keep different counts and long rows sum pairwise
     rng = np.random.default_rng(0)
@@ -57,11 +57,11 @@ def test_shannon_rows_equal_each_row_alone():
         p[:, 0] += 1.0 - p.sum(-1)
         p[3] = np.eye(k)[0]
         for rows in (p, p[4:6], p[5:6]):  # ragged, and equal counts
-            h = shannon_rows(rows)
+            h = von_neumann_rows(rows)
             assert h.shape == rows.shape[:1]
             for hi, row in zip(h, rows):
                 assert hi == shannon(row) == _filtered_sum(row)
-    assert shannon_rows(np.full((2, 3, 4), 0.25)).shape == (2, 3)
+    assert von_neumann_rows(np.full((2, 3, 4), 0.25)).shape == (2, 3)
 
 
 def _reference_conservation(seed, n_samples, dims):

@@ -79,6 +79,18 @@ def count_stinespring(monkeypatch):
     return calls
 
 
+def held_bytes(obj):
+    """The bytes of the distinct buffers behind the ndarray attributes of
+    ``obj``: views of one buffer count it once."""
+    buffers = {}
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            buffers[id(value)] = value.nbytes
+    return sum(buffers.values())
+
+
 def count_evaluations(monkeypatch):
     """Count the objective evaluations and the iterations of every later
     ``optimize._ascend`` call, in the returned ``Counter`` under
