@@ -41,8 +41,7 @@ here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,6 +49,7 @@ from . import hilbert
 from .entropy import mutual_information, von_neumann, von_neumann_rows
 from .hilbert import (
     DensityOperator,
+    Frozen,
     SubsystemLayout,
     UnitaryOperator,
     controlled,
@@ -80,8 +80,7 @@ class CertificationError(Exception):
 # verdicts
 
 
-@dataclass(frozen=True)
-class CatalysisVerdict:
+class CatalysisVerdict(NamedTuple):
     verdict: bool
     defect: float
 
@@ -218,8 +217,7 @@ def _compatible(gap):
     return abs(gap) <= COMPAT_ENTROPY_TOL
 
 
-@dataclass(frozen=True)
-class ExhaustiveReport:
+class ExhaustiveReport(NamedTuple):
     max_deviation: float
     entropy_gap: float  # S(output) - S(sigma) in bits
     implied_v: UnitaryOperator | None  # None when the spectra cannot be matched
@@ -316,8 +314,7 @@ def _certify(us: np.ndarray, layout: SubsystemLayout, a_count: int, sigma: Densi
 # certified instances
 
 
-@dataclass(frozen=True)
-class CatalysisInstance:
+class CatalysisInstance(NamedTuple):
     """A certified pair (U, sigma) with its canonicalizing rotation V on the
     catalyst side: (1 ⊗ V†) U preserves sigma exactly."""
 
@@ -411,8 +408,7 @@ def implement_channel(inst: CatalysisInstance, rho: DensityOperator) -> DensityO
 # Kraus form
 
 
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
+class KrausChannel(Frozen):
     """Completely positive trace-preserving map given by its Kraus operators.
 
     The channel holds one read-only array, the GEMM operand Vᵀ (d_in ×
@@ -494,8 +490,10 @@ def channel_from_unitary(u: np.ndarray) -> KrausChannel:
 
 
 def _check_kraus_stack(name: str, n: int, d: int) -> None:
-    """Check the one array a ``KrausChannel`` keeps of n Kraus operators of
-    d×d against the budget."""
+    """Check that d is at least 1 and the one array a ``KrausChannel`` keeps
+    of n Kraus operators of d×d against the budget."""
+    if d < 1:
+        raise ValueError(f"{name} channel needs d >= 1, got {d}")
     hilbert.check_size(n * d * d, f"{name} channel with {n} Kraus operators of {d}×{d}")
 
 
@@ -682,15 +680,14 @@ def classical_catalysis(
     inst = canonical_form(u, sigma, seed=seed, classical=True)
     # the natural refinement: every catalyst basis state is preserved alone
     dec = decompose_subcatalyses(inst, bases=np.eye(db, dtype=complex)[:, :, None])
-    return replace(inst, decomposition=dec)
+    return inst._replace(decomposition=dec)
 
 
 # ---------------------------------------------------------------------------
 # the mutual-information ledger
 
 
-@dataclass(frozen=True)
-class LedgerRecord:
+class LedgerRecord(NamedTuple):
     """Before/after mutual information with the catalyst and the entropies of
     the system-side transition; the residual checks the balance identity
     I_after - I_before = S_out - S_in."""
@@ -796,8 +793,7 @@ def ledger_for_instance(inst: CatalysisInstance, rho: DensityOperator) -> Ledger
 # entropy cost bound
 
 
-@dataclass(frozen=True)
-class CostBoundReport:
+class CostBoundReport(NamedTuple):
     lhs: float
     rhs: float
     ok: bool

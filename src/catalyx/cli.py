@@ -19,10 +19,9 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,8 +46,7 @@ _TOL_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     parameters: dict
     seed: int
@@ -120,8 +118,7 @@ def _flag(*names: str, **spec) -> tuple[tuple[str, ...], dict]:
     return names, spec
 
 
-@dataclass(frozen=True)
-class _OneOf:
+class _OneOf(NamedTuple):
     """Flags that exclude each other; one of them must be given if
     ``required``.  argparse sees a flag as given only when its value is not
     its default object, so an optional member needs ``default=None``."""
@@ -512,8 +509,7 @@ def cmd_selftest(args) -> int:
 # parser
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """A command and the flags it reads; with kinds, every kind reads ``flags``
     too, and ``run(args, handler)`` runs the kind's handler."""
 

@@ -9,8 +9,7 @@ the one budget, ``hilbert.MAX_BYTES``, before allocating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,8 +105,7 @@ def dephasing_catalysis(r) -> CatalysisInstance:
 # maximal-extraction construction
 
 
-@dataclass(frozen=True)
-class MaxExtractionResult:
+class MaxExtractionResult(NamedTuple):
     instance: CatalysisInstance
     input_state: StateVector  # maximally entangled on (A1 A2) x (E1 E2)
     register_dim: int         # R = lcm of the squared multiplicities
@@ -157,8 +155,7 @@ def max_extraction_catalysis(sigma: DensityOperator) -> MaxExtractionResult:
 # initialization with correlated intermediates
 
 
-@dataclass(frozen=True)
-class GeneralizedCatalysis:
+class GeneralizedCatalysis(NamedTuple):
     """A unitary acting on a fresh input plus an already-correlated
     intermediate, preserving the far-side marginal."""
 
@@ -289,8 +286,7 @@ def multiparty_instance(d: int) -> CatalysisInstance:
 # conservation-law catalysts
 
 
-@dataclass(frozen=True)
-class AngularMomentumCatalyst:
+class AngularMomentumCatalyst(NamedTuple):
     sigma: DensityOperator
     s_cat: float  # log2[(l+1)(2l+1)(2l+3)/3] at l = l_max
 

@@ -9,8 +9,7 @@ Renyi quantities dispatches explicitly at 0, 1 and infinity; values within
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,6 +17,7 @@ from . import hilbert
 from .hilbert import (
     DensityOperator,
     EigenspaceDecomposition,
+    Frozen,
     eigenspace_decompose,
     partial_trace,
 )
@@ -167,10 +167,9 @@ def renyi_divergence(p, q, alpha: float) -> float:
 # degeneracy-aware (catalytic) quantities
 
 
-@dataclass(frozen=True)
-class DegeneracyVector:
+class DegeneracyVector(Frozen):
     """Eigenspace multiplicities (r_1, ..., r_n), e.g. imposed by a
-    conservation law."""
+    conservation law; equal vectors compare and hash equal."""
 
     r: tuple[int, ...]
 
@@ -179,6 +178,14 @@ class DegeneracyVector:
         if not rr or any(x < 1 for x in rr):
             raise ValueError(f"multiplicities must be positive integers, got {r}")
         object.__setattr__(self, "r", rr)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.r == other.r
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.r)
 
     @property
     def norm2sq(self) -> int:
@@ -244,8 +251,7 @@ def catalytic_max_entropy(dec) -> float:
     return catalytic_renyi(dec, 0.0)
 
 
-@dataclass(frozen=True)
-class DivergenceFormResult:
+class DivergenceFormResult(NamedTuple):
     value: float
     residual: float
 
@@ -269,8 +275,7 @@ def catalytic_renyi_divergence_form(dec, alpha: float) -> DivergenceFormResult:
 # report
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(NamedTuple):
     """Plain and catalytic entropy families of one state, in bits."""
 
     vn: float

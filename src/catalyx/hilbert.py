@@ -15,8 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,9 +89,25 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SubsystemLayout:
-    """Ordered subsystem dimensions tagging an operator."""
+class Frozen:
+    """Read-only after construction: ``__init__`` writes each field with
+    ``object.__setattr__``, and no field may be assigned or deleted later.
+    Equality and hashing are identity unless a subclass says otherwise."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if not k.startswith("_"))
+        return f"{type(self).__name__}({fields})"
+
+
+class SubsystemLayout(Frozen):
+    """Ordered subsystem dimensions tagging an operator; equal layouts
+    compare and hash equal."""
 
     dims: tuple[int, ...]
 
@@ -101,6 +116,14 @@ class SubsystemLayout:
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"subsystem dimensions must be positive, got {dims}")
         object.__setattr__(self, "dims", dims)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.dims == other.dims
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.dims)
 
     @property
     def total_dim(self) -> int:
@@ -131,8 +154,7 @@ def _as_layout(layout) -> SubsystemLayout:
     return SubsystemLayout(layout)
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Frozen):
     """Normalized pure state with a subsystem layout."""
 
     amplitudes: np.ndarray
@@ -160,8 +182,7 @@ class StateVector:
         return DensityOperator.from_factor(self.amplitudes[:, None], self.layout)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
+class DensityOperator(Frozen):
     """Hermitian, PSD, trace-one matrix with a subsystem layout.
 
     A state is held either as its matrix or, through :meth:`from_factor`, as
@@ -251,8 +272,7 @@ def _unitary_fault(defect: float) -> str | None:
     return f"matrix is not unitary: defect {defect}" if defect > TOL_UNITARY else None
 
 
-@dataclass(frozen=True)
-class UnitaryOperator:
+class UnitaryOperator(Frozen):
     """Unitary matrix with a subsystem layout."""
 
     matrix: np.ndarray
@@ -290,8 +310,7 @@ class UnitaryOperator:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class EigenspaceDecomposition:
+class EigenspaceDecomposition(Frozen):
     """Distinct eigenvalues, each with an orthonormal basis of its eigenspace:
     a read-only (d, r_i) matrix whose columns span it.
 
@@ -766,8 +785,7 @@ def max_entangled(d: int) -> np.ndarray:
     return gamma
 
 
-@dataclass(frozen=True)
-class CanonicalOperators:
+class CanonicalOperators(NamedTuple):
     clock: UnitaryOperator
     shift: UnitaryOperator
     swap: UnitaryOperator

@@ -18,8 +18,7 @@ exact min-entropy of its argmax is reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -40,8 +39,7 @@ _ACCEPT_GAIN, _TIE_MARGIN = 1e-16, 1e-15
 _TRADEOFF_SLACK = 1e-4
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(NamedTuple):
     value: float
     argmax: np.ndarray
     argmax_kind: str  # "pure" (state vector) or "mixed" (density matrix)
@@ -322,8 +320,7 @@ def ea_capacity(chan: KrausChannel, seed: int = 0, restarts: int = 4) -> Optimiz
 # capacity-randomness tradeoff
 
 
-@dataclass(frozen=True)
-class TradeoffReport:
+class TradeoffReport(NamedTuple):
     lhs: float
     rhs: float          # catalytic min-entropy of the catalyst
     rhs_vn: float       # catalytic (von Neumann) entropy of the catalyst

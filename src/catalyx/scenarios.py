@@ -17,8 +17,7 @@ explicit seeds and echo them in the trace for reproducibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,8 +40,7 @@ from .hilbert import (
 )
 
 
-@dataclass(frozen=True)
-class ScenarioStep:
+class ScenarioStep(NamedTuple):
     actor: str
     operation: str
     ledger: LedgerRecord | None
@@ -57,8 +55,7 @@ class ScenarioStep:
         }
 
 
-@dataclass(frozen=True)
-class ScenarioTrace:
+class ScenarioTrace(NamedTuple):
     name: str
     steps: tuple[ScenarioStep, ...]
     seed: int
@@ -195,8 +192,7 @@ def multiparty_refuel(
 # 4-partite conservation identity
 
 
-@dataclass(frozen=True)
-class ConservationReport:
+class ConservationReport(NamedTuple):
     max_residual: float
     max_inequality_violation: float
     samples: int
@@ -303,8 +299,7 @@ def depletion_demo(d: int, seed: int = 0, identity_maps: bool = False) -> Scenar
 # absorption bound
 
 
-@dataclass(frozen=True)
-class AbsorptionReport:
+class AbsorptionReport(NamedTuple):
     max_local_decrease: float
     min_global_increase_at_max: float
     ok: bool
@@ -381,8 +376,7 @@ def free_randomness(intermediate: DensityOperator, n_a2: int) -> float:
     return 2 * s_b - i_ab
 
 
-@dataclass(frozen=True)
-class FreeRandomnessReport:
+class FreeRandomnessReport(NamedTuple):
     free_bits: float
     erasure_deviation: float
     ledger_record: LedgerRecord

@@ -23,6 +23,7 @@ from catalyx.catalysis import (
     recovery_unitary,
     verify_catalysis_exhaustive,
 )
+from catalyx.entropy import DegeneracyVector
 from catalyx.hilbert import (
     DensityOperator,
     UnitaryOperator,
@@ -595,3 +596,52 @@ def test_kraus_channels_compare_and_hash_by_identity():
     assert a == a and a != b
     assert hash(a) == hash(a)
     assert len({a, b, a}) == 2
+
+
+def _dephasing_instance():
+    from catalyx.constructions import dephasing_catalysis
+
+    return dephasing_catalysis([1, 2])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: UnitaryOperator(np.eye(2), [2]),
+    lambda: hl.plus_state(2),
+    lambda: hl.eigenspace_decompose(hl.maximally_mixed([2])),
+    _dephasing_instance,
+], ids=["unitary", "state", "eigenspaces", "instance"])
+def test_equal_valued_objects_compare_and_hash_without_raising(build):
+    """States, operators and decompositions compare by identity; a record
+    compares element by element, so an instance equals a copy holding the
+    same operators and differs from an equal-valued rebuild."""
+    a, b = build(), build()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
+    if isinstance(a, cat.CatalysisInstance):
+        assert a == a._replace() and hash(a) == hash(a._replace())
+
+
+@pytest.mark.parametrize("value", [
+    lambda: hl.SubsystemLayout([2, 3]),
+    lambda: DegeneracyVector([1, 3]),
+], ids=["layout", "degeneracy"])
+def test_layouts_and_degeneracy_vectors_compare_by_value(value):
+    a, b = value(), value()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: hl.SubsystemLayout([2]),
+    lambda: hl.maximally_mixed([2]),
+    lambda: cat.dephasing_channel(2),
+    _dephasing_instance,
+], ids=["layout", "state", "channel", "instance"])
+def test_values_and_records_are_read_only(build):
+    obj = build()
+    name = next(iter(vars(obj))) if hasattr(obj, "__dict__") else obj._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(obj, name, None)
+    with pytest.raises(AttributeError):
+        delattr(obj, name)

@@ -615,3 +615,18 @@ def test_sizes_from_outside_are_checked_against_the_budget(args, what, tmp_path,
     assert err.startswith(f"error: {what}") and "> budget of 16 bytes (hilbert.MAX_BYTES)" in err
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert not out.exists()  # refused before any work
+
+
+@pytest.mark.parametrize("command", [("optimize", "ea"), ("scenario", "absorption")],
+                         ids=["optimize", "absorption"])
+@pytest.mark.parametrize("name", ["dephasing", "erasure", "identity", "initialization",
+                                  "weyl_twirl"])
+def test_named_channels_below_dimension_one_are_usage_errors(name, command, tmp_path, capsys):
+    from catalyx import cli
+
+    out = tmp_path / "out"
+    assert cli.main([*command, "--channel", f"{name}0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(" channel needs d >= 1, got 0\n")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
