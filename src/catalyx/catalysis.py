@@ -128,14 +128,10 @@ def party_swap(u: UnitaryOperator, a_count: int) -> UnitaryOperator:
 # the catalyst checks: one pass over the transfer tensor of a stack
 
 
-def system_dim(u: UnitaryOperator, sigma: DensityOperator, a_count: int) -> int:
-    """Dimension of the system side of ``u``, its leading ``a_count``
-    subsystems; raises ValueError unless that split is proper and ``sigma``
-    fits the rest."""
-    return _system_dim(u.layout.dims, sigma, a_count)
-
-
-def _system_dim(dims: Sequence[int], sigma: DensityOperator, a_count: int) -> int:
+def system_dim(dims: Sequence[int], sigma: DensityOperator, a_count: int) -> int:
+    """Dimension of the system side of a unitary on the layout ``dims``, its
+    leading ``a_count`` subsystems; raises ValueError unless that split is
+    proper and ``sigma`` fits the rest."""
     if not 1 <= a_count < len(dims):
         raise ValueError(f"a_count {a_count} invalid for layout {dims}")
     if sigma.dim != math.prod(dims[a_count:]):
@@ -223,6 +219,10 @@ class ExhaustiveReport(NamedTuple):
     implied_v: UnitaryOperator | None  # None when the spectra cannot be matched
     output: np.ndarray  # catalyst output, the same for every input when certified
 
+    # element-wise tuple equality raises on the ndarray field: compare and
+    # hash by identity, as the value types do
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
     @property
     def compatible(self) -> bool:
         """The catalyst keeps its entropy at the maximally mixed input."""
@@ -241,7 +241,7 @@ def _outputs(us: np.ndarray, sigma: DensityOperator, da: int,
     ref = s.trace(axis1=-4, axis2=-3) / da
     dev = s - np.eye(da)[:, :, None, None] * ref[:, None, None]
     max_dev = np.linalg.svd(dev, compute_uv=False).sum(axis=-1).max(axis=(-2, -1))
-    vals = hilbert.eigvalsh_each(ref)
+    vals = hilbert.hermitian_eigvalsh(ref)
     faults = hilbert.density_fault(ref[: first.n], vals[: first.n])
     first.check(faults, lambda i: ValueError(faults[i]))
     n = first.n
@@ -264,7 +264,7 @@ def verify_catalysis_exhaustive(
     ref has its entropy (``entropy_gap``).  Also returns ref and the unitary
     mapping the catalyst onto it.  Whether ``u`` is a catalysis unitary at
     all is :func:`is_catalysis_unitary`'s question."""
-    da = system_dim(u, sigma, a_count)
+    da = system_dim(u.layout.dims, sigma, a_count)
     first = _FirstFailure(1)
     ref, max_dev, gap = _outputs(u.matrix[None], sigma, da, first)
     if first.error is not None:
@@ -287,7 +287,7 @@ def _certify(us: np.ndarray, layout: SubsystemLayout, a_count: int, sigma: Densi
     if not first.n:
         return []
     dims = layout.dims
-    ref, max_dev, gap = _outputs(us[: first.n], sigma, _system_dim(dims, sigma, a_count), first)
+    ref, max_dev, gap = _outputs(us[: first.n], sigma, system_dim(dims, sigma, a_count), first)
     max_dev, gap = max_dev.tolist(), gap.tolist()
     first.check([not _compatible(g) for g in gap], lambda i: CertificationError(
         f"catalyst incompatible: entropy gap {gap[i]:.3e} bits"))
@@ -485,15 +485,10 @@ class KrausChannel(Frozen):
         return g @ dagger(g)
 
 
-def channel_from_unitary(u: np.ndarray) -> KrausChannel:
-    return KrausChannel([u])
-
-
 def _check_kraus_stack(name: str, n: int, d: int) -> None:
     """Check that d is at least 1 and the one array a ``KrausChannel`` keeps
     of n Kraus operators of d×d against the budget."""
-    if d < 1:
-        raise ValueError(f"{name} channel needs d >= 1, got {d}")
+    hilbert.check_dim(d, f"{name} channel")
     hilbert.check_size(n * d * d, f"{name} channel with {n} Kraus operators of {d}×{d}")
 
 

@@ -154,7 +154,7 @@ def cmd_verify(args) -> int:
         u = hilbert.UnitaryOperator(hilbert.permute_subsystems(u.matrix, dims, front),
                                     [dims[i] for i in front])
         # a catalyst of the wrong size is a usage error, whatever the verdict
-        catalysis.system_dim(u, sigma, len(cut))
+        catalysis.system_dim(u.layout.dims, sigma, len(cut))
         try:
             verdict.require()
         except CertificationError as exc:
@@ -306,8 +306,7 @@ def cmd_construct(args, handler) -> int:
 
 
 def _multiparty_scenario(args):
-    trace = scenarios.multiparty_refuel(args.d, args.rounds, seed=args.seed,
-                                        classical=args.classical)
+    trace = scenarios.multiparty_refuel(args.d, args.rounds, classical=args.classical)
     turns = [s for s in trace.steps if s.ledger is not None]
     print(f"{'turn':>4} {'actor':>5} {'I(A:C)':>10} {'I(B:C)':>10} {'S(C)':>8}")
     for k, s in enumerate(turns, start=1):
@@ -337,7 +336,7 @@ def _conservation(args):
 
 
 def _depletion(args):
-    trace = scenarios.depletion_demo(args.d, seed=args.seed)
+    trace = scenarios.depletion_demo(args.d)
     i_val = trace.reading("use2", "I(A1:A2)")
     bound = trace.reading("use2", "bound")
     ok = i_val >= bound - hilbert.ENTROPY_SLACK
@@ -363,7 +362,7 @@ def _cq_free(args):
 
 
 def _initialization_scenario(args):
-    trace = scenarios.initialization_scenario(args.d, seed=args.seed)
+    trace = scenarios.initialization_scenario(args.d)
     log_d = math.log2(args.d)
     want = {("intermediate", "I(A':B)"): log_d, ("pure-input", "I(A':B)"): log_d,
             ("pure-input", "D(out_A, |0><0|)"): 0.0, ("mixed-input", "D(out_A, |0><0|)"): 0.0,
@@ -415,8 +414,7 @@ _CHANNEL_RE = re.compile(r"^([a-z_]+?)_?(\d+)$")
 
 def _named_channel(spec: str) -> catalysis.KrausChannel:
     if spec.endswith(".json"):
-        m, layout = _load_operator(spec)
-        return catalysis.channel_from_unitary(m)
+        return catalysis.KrausChannel([_load_operator(spec)[0]])
     match = _CHANNEL_RE.match(spec)
     if not match:
         raise ValueError(f"cannot parse channel spec {spec!r}")

@@ -54,6 +54,12 @@ def check_size(entries: int, what: str) -> None:
         )
 
 
+def check_dim(d: int, what: str) -> None:
+    """Refuse to build ``what`` at a dimension ``d`` below one."""
+    if d < 1:
+        raise ValueError(f"{what} needs d >= 1, got {d}")
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return m.conj().swapaxes(-1, -2)
@@ -517,24 +523,16 @@ def partial_transpose(op, subsystems: Sequence[int]) -> np.ndarray:
 def embed_operator(op: np.ndarray, full_dims: Sequence[int], positions: Sequence[int]) -> np.ndarray:
     """Embed ``op`` acting on the subsystems at ``positions`` into the full space."""
     full_dims = [int(d) for d in full_dims]
-    n = len(full_dims)
     positions = [int(p) for p in positions]
     if len(set(positions)) != len(positions):
         raise ValueError("duplicate positions")
-    op_dims = [full_dims[p] for p in positions]
-    if op.shape[0] != int(np.prod(op_dims)):
+    if op.shape[0] != math.prod(full_dims[p] for p in positions):
         raise ValueError("operator does not match the dimensions at positions")
-    rest = [i for i in range(n) if i not in positions]
-    rest_dim = int(np.prod([full_dims[i] for i in rest])) if rest else 1
-    big = np.kron(op, np.eye(rest_dim, dtype=complex))
+    rest = [i for i in range(len(full_dims)) if i not in positions]
+    big = np.kron(op, np.eye(math.prod(full_dims[i] for i in rest), dtype=complex))
     # big is ordered [positions..., rest...]; permute back to layout order
     order = positions + rest
-    inv = np.argsort(order)
-    dims_in_order = [full_dims[i] for i in order]
-    t = big.reshape(dims_in_order + dims_in_order)
-    perm = list(inv) + [n + i for i in inv]
-    d = int(np.prod(full_dims))
-    return t.transpose(perm).reshape(d, d)
+    return permute_subsystems(big, [full_dims[i] for i in order], np.argsort(order))
 
 
 def permute_subsystems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -623,30 +621,22 @@ def smaller_gram(x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def hermitian_eigvalsh(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or of each matrix of a
-    stack (..., k, k) in one solver call.  A matrix, or a whole stack, whose
-    imaginary part is exactly zero (as kron and matmul of real data leave it)
-    goes to the real symmetric solver, about 4x faster than the complex one
-    at D = 625."""
-    if m.dtype.kind == "c" and not np.count_nonzero(m.imag):
-        m = m.real
+    stack (..., k, k), bit for bit what that matrix gives alone, in at most
+    two solver calls.  A matrix whose imaginary part is exactly zero (as kron
+    and matmul of real data leave it) goes to the real symmetric solver, about
+    4x faster than the complex one at D = 625; in a stack, those matrices go
+    to it together and the rest to the complex one."""
+    if m.dtype.kind == "c":
+        if not np.count_nonzero(m.imag):
+            m = m.real
+        elif m.ndim > 2:
+            real = ~m.imag.any(axis=(-2, -1))
+            if real.any():
+                vals = np.empty(m.shape[:-1])
+                vals[real] = np.linalg.eigvalsh(m[real].real)
+                vals[~real] = np.linalg.eigvalsh(m[~real])
+                return vals
     return np.linalg.eigvalsh(m)
-
-
-def eigvalsh_each(m: np.ndarray) -> np.ndarray:
-    """:func:`hermitian_eigvalsh` of each matrix of a stack (..., k, k), bit
-    for bit what it gives that matrix alone, in at most two solver calls: the
-    matrices with an exactly zero imaginary part go to the real solver
-    together and the rest to the complex one.  (A 1×1 matrix's eigenvalue is
-    its real part under either, so a stack of them is one call.)"""
-    if m.dtype.kind != "c" or m.shape[-1] == 1 or m.size == m.shape[-1] ** 2:
-        return hermitian_eigvalsh(m)
-    real = ~m.imag.any(axis=(-2, -1))
-    if real.all() or not real.any():
-        return hermitian_eigvalsh(m)
-    vals = np.empty(m.shape[:-1])
-    vals[real] = np.linalg.eigvalsh(m[real].real)
-    vals[~real] = np.linalg.eigvalsh(m[~real])
-    return vals
 
 
 def density_fault(m: np.ndarray, vals: np.ndarray):
@@ -706,13 +696,11 @@ def factor_spectrum(x: np.ndarray) -> np.ndarray:
 def trace_distance(a: DensityOperator | np.ndarray, b: DensityOperator | np.ndarray):
     """Half the trace norm of the difference, a float; for stacks of
     matrices (..., d, d), an array holding the float each pair gives alone
-    (see :func:`eigvalsh_each`)."""
+    (see :func:`hermitian_eigvalsh`)."""
     ma = a.matrix if isinstance(a, DensityOperator) else np.asarray(a)
     mb = b.matrix if isinstance(b, DensityOperator) else np.asarray(b)
-    diff = ma - mb
-    if diff.ndim == 2:
-        return float(0.5 * np.abs(hermitian_eigvalsh(diff)).sum())
-    return 0.5 * np.abs(eigvalsh_each(diff)).sum(-1)
+    dist = 0.5 * np.abs(hermitian_eigvalsh(ma - mb)).sum(-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +725,7 @@ def maximally_mixed(dims) -> DensityOperator:
 
 
 def clock_matrix(d: int) -> np.ndarray:
+    check_dim(d, "clock matrix")
     omega = np.exp(2j * np.pi / d)
     return np.diag(omega ** np.arange(d))
 
@@ -763,6 +752,7 @@ def shift_matrix(d: int) -> np.ndarray:
 
 def weyl_set(d: int) -> list[np.ndarray]:
     """X^a Z^b at index a d + b; the d^2 of them are orthogonal: Tr(W†W') = d δ."""
+    check_dim(d, "Weyl set")
     x, z = shift_matrix(d), clock_matrix(d)
     xs = [np.linalg.matrix_power(x, a) for a in range(d)]
     zs = [np.linalg.matrix_power(z, b) for b in range(d)]
@@ -780,6 +770,7 @@ def fourier_matrix(d: int) -> np.ndarray:
 
 def max_entangled(d: int) -> np.ndarray:
     """Amplitudes of |Γ> = (1/sqrt(d)) sum_i |i>|i> on a d x d layout."""
+    check_dim(d, "maximally entangled state")
     gamma = np.zeros(d * d, dtype=complex)
     gamma[np.arange(d) * d + np.arange(d)] = 1 / np.sqrt(d)
     return gamma
@@ -795,8 +786,7 @@ class CanonicalOperators(NamedTuple):
 
 def canonical_operators(d: int) -> CanonicalOperators:
     """Clock Z, shift X, swap F, maximally entangled state and Fourier matrix."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    check_dim(d, "canonical operators")
     return CanonicalOperators(
         clock=UnitaryOperator(clock_matrix(d), [d]),
         shift=UnitaryOperator(shift_matrix(d), [d]),

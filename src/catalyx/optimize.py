@@ -48,6 +48,10 @@ class OptimizationResult(NamedTuple):
     converged: bool
     gradient_norm_at_end: float
 
+    # element-wise tuple equality raises on the ndarray field: compare and
+    # hash by identity, as the value types do
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
     def to_json_dict(self) -> dict:
         return {
             "value": self.value,

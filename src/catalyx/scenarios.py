@@ -10,8 +10,10 @@ scenario reads its marginals from the factor-held state the ledger returns,
 through ``partial_trace`` and ``mutual_information``, which reuse each
 marginal the ledger took; so no transition forms or diagonalizes its joint
 D×D state.  Each scenario checks the joint state it will hold against the
-one size budget, ``hilbert.MAX_BYTES``, before allocating.  Scenarios take
-explicit seeds and echo them in the trace for reproducibility.
+one size budget, ``hilbert.MAX_BYTES``, before allocating.  The refuelling,
+depletion and initialization scenarios are deterministic and take no seed;
+only the checks that sample (``conservation_law_check``, ``absorption_check``)
+take one.
 """
 
 from __future__ import annotations
@@ -58,14 +60,12 @@ class ScenarioStep(NamedTuple):
 class ScenarioTrace(NamedTuple):
     name: str
     steps: tuple[ScenarioStep, ...]
-    seed: int
     config: dict
     notices: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
-            "seed": self.seed,
             "config": dict(self.config),
             "notices": list(self.notices),
             "steps": [s.to_json_dict() for s in self.steps],
@@ -99,9 +99,7 @@ class ScenarioTrace(NamedTuple):
 # multi-party refuelling
 
 
-def multiparty_refuel(
-    d: int, rounds: int, seed: int = 0, classical: bool = False
-) -> ScenarioTrace:
+def multiparty_refuel(d: int, rounds: int, classical: bool = False) -> ScenarioTrace:
     """Agents A and B alternate turns dephasing a fresh unbiased input with one
     shared maximally mixed d-level catalyst.
 
@@ -182,7 +180,6 @@ def multiparty_refuel(
     return ScenarioTrace(
         name="multiparty_refuel",
         steps=tuple(steps),
-        seed=seed,
         config={"d": d, "rounds": rounds, "classical": classical},
         notices=tuple(notices),
     )
@@ -252,7 +249,7 @@ def conservation_law_check(
 # depletion of a randomness source
 
 
-def depletion_demo(d: int, seed: int = 0, identity_maps: bool = False) -> ScenarioTrace:
+def depletion_demo(d: int, identity_maps: bool = False) -> ScenarioTrace:
     """Deplete a maximally mixed d-level catalyst with one full-production
     dephasing of a fresh d^2-level unbiased input, then attempt the same map a
     second time with the now-correlated intermediate.
@@ -287,12 +284,8 @@ def depletion_demo(d: int, seed: int = 0, identity_maps: bool = False) -> Scenar
     steps.append(
         ScenarioStep("A", "use2", rec2, {"I(A1:A2)": i_a1a2, "bound": bound})
     )
-    return ScenarioTrace(
-        name="depletion_demo",
-        steps=tuple(steps),
-        seed=seed,
-        config={"d": d, "identity_maps": identity_maps},
-    )
+    return ScenarioTrace(name="depletion_demo", steps=tuple(steps),
+                         config={"d": d, "identity_maps": identity_maps})
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +404,7 @@ def cq_free_randomness(d: int) -> FreeRandomnessReport:
 # initialization end-to-end
 
 
-def initialization_scenario(d: int, seed: int = 0) -> ScenarioTrace:
+def initialization_scenario(d: int) -> ScenarioTrace:
     """Run the classical-intermediate initialization end to end: pure input
     (memory-catalyst correlation survives), maximally mixed input (entropy and
     intermediate correlation both drop by log2 d) and entangled input (both
@@ -461,9 +454,4 @@ def initialization_scenario(d: int, seed: int = 0) -> ScenarioTrace:
     rec, _ = ledger(u, gamma.density(), inter, gen.n_a2, on=[1, 2, 3])
     steps.append(ScenarioStep("A", "entangled-input", rec, {"delta_I": rec.delta_i}))
 
-    return ScenarioTrace(
-        name="initialization_scenario",
-        steps=tuple(steps),
-        seed=seed,
-        config={"d": d},
-    )
+    return ScenarioTrace(name="initialization_scenario", steps=tuple(steps), config={"d": d})

@@ -361,11 +361,11 @@ def test_criterion_06_global_ledger(instance_suite):
 
 def test_criterion_07_multiparty_refuelling():
     def body():
-        tr = sc.multiparty_refuel(2, 2, seed=0)
+        tr = sc.multiparty_refuel(2, 2)
         last = tr.steps[-1].marginals
         assert last["I(A:C)"] <= 1e-9
         assert last["D(tau_AC, mm)"] <= 1e-9  # tau_AC = 1/8 exactly
-        classical = sc.multiparty_refuel(2, 2, seed=0, classical=True)
+        classical = sc.multiparty_refuel(2, 2, classical=True)
         assert classical.steps[-1].marginals["D(joint, product)"] > 0.1
 
     run_criterion(7, "multi-party refuelling", body)
@@ -378,7 +378,7 @@ def test_criterion_07_multiparty_refuelling():
 def test_criterion_08_depletion():
     def body():
         for d in (2, 3):
-            tr = sc.depletion_demo(d, seed=0)
+            tr = sc.depletion_demo(d)
             last = tr.steps[-1].marginals
             assert last["I(A1:A2)"] >= 2 * math.log2(d) - 1e-7
 

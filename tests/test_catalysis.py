@@ -24,6 +24,7 @@ from catalyx.catalysis import (
     verify_catalysis_exhaustive,
 )
 from catalyx.entropy import DegeneracyVector
+from catalyx.optimize import ea_capacity
 from catalyx.hilbert import (
     DensityOperator,
     UnitaryOperator,
@@ -571,7 +572,7 @@ def test_kraus_channel_stores_one_stack():
 
 @pytest.mark.parametrize("build", [
     lambda: cat.dephasing_channel(3), lambda: cat.erasure_channel(2),
-    lambda: cat.random_channel(2, 3, 1), lambda: cat.channel_from_unitary(hl.clock_matrix(3)),
+    lambda: cat.random_channel(2, 3, 1), lambda: cat.KrausChannel([hl.clock_matrix(3)]),
 ], ids=["dephasing", "erasure", "random", "unitary"])
 def test_kraus_channel_holds_one_array(build):
     chan = build()
@@ -609,11 +610,14 @@ def _dephasing_instance():
     lambda: hl.plus_state(2),
     lambda: hl.eigenspace_decompose(hl.maximally_mixed([2])),
     _dephasing_instance,
-], ids=["unitary", "state", "eigenspaces", "instance"])
+    lambda: cat.verify_catalysis_exhaustive(*_dephasing_instance()[:3]),
+    lambda: ea_capacity(cat.dephasing_channel(2), seed=0),
+], ids=["unitary", "state", "eigenspaces", "instance", "exhaustive", "optimization"])
 def test_equal_valued_objects_compare_and_hash_without_raising(build):
-    """States, operators and decompositions compare by identity; a record
-    compares element by element, so an instance equals a copy holding the
-    same operators and differs from an equal-valued rebuild."""
+    """States, operators, decompositions and the records holding an ndarray
+    (an exhaustive report, an optimization result) compare by identity; any
+    other record compares element by element, so an instance equals a copy
+    holding the same operators and differs from an equal-valued rebuild."""
     a, b = build(), build()
     assert a == a and a != b
     assert hash(a) == hash(a)

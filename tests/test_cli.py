@@ -423,8 +423,8 @@ def test_initialization_scenario_fails_on_a_wrong_reading(operation, key, tmp_pa
 
     run = scenarios.initialization_scenario
 
-    def off_by_a_millibit(d, seed=0):
-        trace = run(d, seed=seed)
+    def off_by_a_millibit(d):
+        trace = run(d)
         step = next(s for s in trace.steps if s.operation == operation)
         step.marginals[key] += 1e-3
         return trace
@@ -462,8 +462,8 @@ def test_multiparty_scenario_fails_on_a_wrong_reading(operation, key, tmp_path,
 
     run = scenarios.multiparty_refuel
 
-    def off_by_a_microbit(d, rounds, seed=0, classical=False):
-        trace = run(d, rounds, seed=seed, classical=classical)
+    def off_by_a_microbit(d, rounds, classical=False):
+        trace = run(d, rounds, classical=classical)
         step = next(s for s in trace.steps if s.operation == operation)
         step.marginals[key] += 1e-6
         return trace
@@ -629,4 +629,15 @@ def test_named_channels_below_dimension_one_are_usage_errors(name, command, tmp_
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(" channel needs d >= 1, got 0\n")
     assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_double_random_below_dimension_one_is_a_usage_error(d, tmp_path, capsys):
+    from catalyx import cli
+
+    out = tmp_path / "out"
+    assert cli.main(["construct", "double_random", "--d", str(d), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: clock matrix needs d >= 1, got {d}\n"
     assert not out.exists()

@@ -405,3 +405,30 @@ def test_embed_operator_matches_kron():
     assert np.allclose(full, np.kron(np.eye(6), x))
     mid = hl.embed_operator(x, [2, 2, 2], [1])
     assert np.allclose(mid, np.kron(np.kron(np.eye(2), x), np.eye(2)))
+
+
+E0, E1 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
+
+
+@pytest.mark.parametrize("vals, bases, message", [
+    ([], [], "at least one eigenvalue"),
+    ([1.0], [np.ones(2)], r"\(d, r\) matrix"),
+    ([0.25, 0.75], [E0, E1], "non-increasing"),
+    ([0.5, 0.5], [E0, E0], "not orthonormal"),
+    ([0.5], [E0], "sum of eigenvalue"),
+], ids=["empty", "shape", "increasing", "overlap", "weights"])
+def test_eigenspace_decomposition_refuses_bad_input(vals, bases, message):
+    with pytest.raises(ValueError, match=message):
+        hl.EigenspaceDecomposition(vals, bases)
+
+
+def test_frozen_repr_names_the_public_fields():
+    assert repr(SubsystemLayout([2, 3])) == "SubsystemLayout(dims=(2, 3))"
+
+
+@pytest.mark.parametrize("build", [hl.clock_matrix, hl.weyl_set, hl.max_entangled,
+                                   canonical_operators])
+@pytest.mark.parametrize("d", [0, -2])
+def test_builders_refuse_dimensions_below_one(build, d):
+    with pytest.raises(ValueError, match=rf"needs d >= 1, got {d}$"):
+        build(d)

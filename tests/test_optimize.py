@@ -221,7 +221,7 @@ def test_global_erasure_reaches_two_log_d():
 
 
 def test_global_unitary_channel_zero():
-    chan = cat.channel_from_unitary(haar_unitary(3, 5).matrix)
+    chan = cat.KrausChannel([haar_unitary(3, 5).matrix])
     res = opt.max_entropy_production_global(chan, 1.0, restarts=4, seed=0)
     assert res.value == pytest.approx(0.0, abs=1e-9)
 

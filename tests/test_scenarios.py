@@ -16,7 +16,7 @@ from catalyx.hilbert import DensityOperator, maximally_mixed
 
 
 def test_refuel_two_rounds_d2():
-    tr = sc.multiparty_refuel(2, 2, seed=0)
+    tr = sc.multiparty_refuel(2, 2)
     turn1, turn2 = tr.steps
     assert turn1.actor == "A" and turn2.actor == "B"
     assert turn1.marginals["I(A:C)"] == pytest.approx(2.0, abs=1e-9)
@@ -28,14 +28,14 @@ def test_refuel_two_rounds_d2():
 
 
 def test_refuel_round_one_only():
-    tr = sc.multiparty_refuel(2, 1, seed=0)
+    tr = sc.multiparty_refuel(2, 1)
     (turn1,) = tr.steps
     assert turn1.marginals["I(A:C)"] == pytest.approx(2.0, abs=1e-9)
     assert "I(B:C)" not in turn1.marginals
 
 
 def test_refuel_monogamy_bound():
-    tr = sc.multiparty_refuel(2, 2, seed=0)
+    tr = sc.multiparty_refuel(2, 2)
     last = tr.steps[-1].marginals
     s_c = last["S(C)"]
     assert last["I(A:C)"] + last["I(B:C)"] <= 2 * s_c + 1e-9
@@ -44,7 +44,7 @@ def test_refuel_monogamy_bound():
 
 
 def test_refuel_idle_agent_decouples_every_round():
-    tr = sc.multiparty_refuel(2, 4, seed=0)
+    tr = sc.multiparty_refuel(2, 4)
     assert not tr.notices
     for k, step in enumerate(tr.steps, start=1):
         if k < 2:
@@ -57,7 +57,7 @@ def test_refuel_idle_agent_decouples_every_round():
 
 
 def test_refuel_classical_control_fails_second_use():
-    tr = sc.multiparty_refuel(2, 2, seed=0, classical=True)
+    tr = sc.multiparty_refuel(2, 2, classical=True)
     joint = tr.steps[-1]
     assert joint.operation == "joint-check"
     assert joint.marginals["D(joint, product)"] > 0.1
@@ -67,16 +67,16 @@ def test_refuel_classical_control_fails_second_use():
 
 
 def test_refuel_dimension_cap_truncates():
-    tr = sc.multiparty_refuel(2, 12, seed=0)
+    tr = sc.multiparty_refuel(2, 12)
     assert tr.notices and "truncated" in tr.notices[0]
     assert len([s for s in tr.steps if s.ledger]) < 12
 
 
 def test_trace_serialization_shapes():
-    tr = sc.multiparty_refuel(2, 2, seed=5)
+    tr = sc.multiparty_refuel(2, 2)
     blob = json.dumps(tr.to_json_dict())
     parsed = json.loads(blob)
-    assert parsed["seed"] == 5
+    assert "seed" not in parsed  # deterministic: the report's config holds the run's seed
     assert len(parsed["steps"]) == 2
     rows = tr.csv_rows()
     assert rows[0][:5] == ["actor", "operation", "delta_S", "delta_I", "residual"]
@@ -134,21 +134,21 @@ def test_conservation_rejects_large_dims():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_depletion_bound(d):
-    tr = sc.depletion_demo(d, seed=0)
+    tr = sc.depletion_demo(d)
     last = tr.steps[-1].marginals
     assert last["bound"] == pytest.approx(2 * math.log2(d))
     assert last["I(A1:A2)"] >= last["bound"] - 1e-7
 
 
 def test_depletion_single_use_ledger():
-    tr = sc.depletion_demo(2, seed=0)
+    tr = sc.depletion_demo(2)
     first = tr.steps[0]
     assert first.ledger.delta_i == pytest.approx(2.0, abs=1e-9)
     assert first.marginals["S_cat"] == pytest.approx(2.0)
 
 
 def test_depletion_identity_maps_unobstructed():
-    tr = sc.depletion_demo(2, seed=0, identity_maps=True)
+    tr = sc.depletion_demo(2, identity_maps=True)
     last = tr.steps[-1].marginals
     assert last["bound"] <= 0.0
     assert last["I(A1:A2)"] == pytest.approx(0.0, abs=1e-9)
@@ -169,7 +169,7 @@ def test_absorption_initialization_map():
 def test_absorption_unitary_channel():
     from catalyx.hilbert import haar_unitary
 
-    chan = cat.channel_from_unitary(haar_unitary(3, 4).matrix)
+    chan = cat.KrausChannel([haar_unitary(3, 4).matrix])
     rep = sc.absorption_check(chan, n_samples=16, seed=1)
     assert rep.max_local_decrease == pytest.approx(0.0, abs=1e-9)
     assert rep.min_global_increase_at_max == pytest.approx(0.0, abs=1e-9)
@@ -250,7 +250,7 @@ def test_free_randomness_uncorrelated():
 
 
 def test_initialization_scenario_d3():
-    tr = sc.initialization_scenario(3, seed=0)
+    tr = sc.initialization_scenario(3)
     setup = tr.steps[0]
     assert setup.marginals["I(A':B)"] == pytest.approx(math.log2(3))
     assert setup.marginals["D(sigma_B, mm)"] <= 1e-10
@@ -279,7 +279,7 @@ def test_initialization_scenario_rejects_even():
 
 
 def test_reading_accessor():
-    tr = sc.depletion_demo(2, seed=0)
+    tr = sc.depletion_demo(2)
     assert tr.reading("use2", "I(A1:A2)") >= 2 - 1e-7
     with pytest.raises(KeyError):
         tr.reading("use2", "nope")

@@ -116,3 +116,18 @@ def test_sample_below_the_floor_raises_what_from_factor_raises(monkeypatch):
     with pytest.raises(ValueError) as stacked:
         hl.factor_spectrum(f)
     assert str(stacked.value) == str(alone.value)
+
+
+def test_mixed_real_and_complex_factors_each_solve_as_alone():
+    # the absorption check's candidates: the exactly real maximally mixed
+    # factor stacked with complex ones; each spectrum must be the one its
+    # factor gives alone, so the real one goes to the real solver
+    rng = np.random.default_rng(3)
+    d = 4
+    g = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+    g[[1, 3]] = rng.standard_normal((2, d, d))  # exactly real factors
+    g /= np.linalg.norm(g, axis=(1, 2))[:, None, None]
+    x = np.concatenate([np.eye(d)[None] / np.sqrt(d), g])
+    spectra = hl.factor_spectrum(x)
+    for f, spectrum in zip(x, spectra):
+        assert np.array_equal(spectrum, hl.factor_spectrum(f))

@@ -213,7 +213,7 @@ def test_frobenius_of_a_stack_is_each_norm():
 
 
 def test_stacked_helpers_give_each_matrix_what_it_gets_alone(monkeypatch):
-    """eigh_desc, eigvalsh_each, trace_distance, unitarity_defect and
+    """eigh_desc, hermitian_eigvalsh, trace_distance, unitarity_defect and
     ptranspose_matrix on a stack: bit for bit the per-matrix results, with
     exactly real and complex matrices mixed in one stack."""
     rng = np.random.default_rng(5)
@@ -225,7 +225,7 @@ def test_stacked_helpers_give_each_matrix_what_it_gets_alone(monkeypatch):
     herm = np.stack(herm)
     assert (~herm.imag.any(axis=(-2, -1))).sum() == 3  # three exactly real matrices
     eig = count_eigensolves(monkeypatch)
-    vals = hl.eigvalsh_each(herm)
+    vals = hl.hermitian_eigvalsh(herm)
     assert eig.calls == 2
     for m, v in zip(herm, vals):
         assert _bitwise(v, hl.hermitian_eigvalsh(m))
