@@ -21,10 +21,11 @@ state on each side.
 Every catalyst check has one implementation, written for a stack of
 unitaries that share a layout and a catalyst: each step takes one solver call
 for the whole stack (an eigenvalue step two, where exactly real and complex
-matrices mix), and the first failure is the one checking the unitaries one by
-one, in order, would raise.  :func:`canonical_form` certifies a stack
-of one; :func:`decompose_subcatalyses` certifies all the blocks of one rank
-in a single pass.
+matrices mix), and each check raises at the first matrix that fails it.
+:func:`canonical_form` certifies a stack of one, so its checks run in their
+order; :func:`decompose_subcatalyses` certifies all the blocks of one rank
+in a single pass, and a decomposition that fails is certified again block by
+block, so that the error is the lowest failing block's.
 
 A certified :class:`CatalysisInstance` is immutable and may be shared across
 threads.  A :class:`KrausChannel` holds one read-only array, its Stinespring
@@ -139,28 +140,11 @@ def system_dim(dims: Sequence[int], sigma: DensityOperator, a_count: int) -> int
     return math.prod(dims[:a_count])
 
 
-class _FirstFailure:
-    """The failure that checking a stack matrix by matrix, each through its
-    checks in order, would raise, found one check at a time over the whole
-    stack.  ``n`` counts the leading matrices that pass every check so far;
-    only they need the later checks.  ``error`` is the exception of matrix
-    ``n``, or None while all pass."""
-
-    def __init__(self, k: int):
-        self.n = k
-        self.error: Exception | None = None
-
-    def fail(self, i: int, error: Exception) -> None:
-        if i < self.n:
-            self.n, self.error = i, error
-
-    def check(self, failing, error) -> None:
-        """Fail at the first passing matrix i with ``failing[i]``, with the
-        exception ``error(i)``."""
-        for i in range(self.n):
-            if failing[i]:
-                self.fail(i, error(i))
-                return
+def _require(failing, error) -> None:
+    """Raise ``error(i)`` at the first matrix i of a stack with ``failing[i]``."""
+    for i, bad in enumerate(failing):
+        if bad:
+            raise error(i)
 
 
 def _transfer_slices(u: np.ndarray, sigma: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -229,26 +213,22 @@ class ExhaustiveReport(NamedTuple):
         return _compatible(self.entropy_gap)
 
 
-def _outputs(us: np.ndarray, sigma: DensityOperator, da: int,
-             first: _FirstFailure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _outputs(us: np.ndarray, sigma: DensityOperator,
+             da: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each unitary of a stack (k, d, d), from one transfer tensor: its
     catalyst output ref at the maximally mixed input, its max deviation
     max_xz ||S[x, z] - delta_xz ref||_1 and its entropy gap S(ref) - S(sigma),
-    each step solved for the whole stack at once.  An output that is not a
-    state fails in ``first`` with the ValueError its validation raises; the
-    values of the leading unitaries that pass come back."""
+    each step solved for the whole stack at once.  The first output that is
+    not a state raises the ValueError its validation raises."""
     s = _transfer_slices(us, sigma.matrix, da, sigma.dim)
     ref = s.trace(axis1=-4, axis2=-3) / da
     dev = s - np.eye(da)[:, :, None, None] * ref[:, None, None]
     max_dev = np.linalg.svd(dev, compute_uv=False).sum(axis=-1).max(axis=(-2, -1))
     vals = hilbert.hermitian_eigvalsh(ref)
-    faults = hilbert.density_fault(ref[: first.n], vals[: first.n])
-    first.check(faults, lambda i: ValueError(faults[i]))
-    n = first.n
-    if not n:
-        return ref[:0], max_dev[:0], max_dev[:0]
-    gap = von_neumann_rows(hilbert._validated_spectrum(vals[:n], sigma.dim)) - von_neumann(sigma)
-    return ref[:n], max_dev[:n], gap
+    faults = hilbert.density_fault(ref, vals)
+    _require(faults, lambda i: ValueError(faults[i]))
+    gap = von_neumann_rows(hilbert._validated_spectrum(vals, sigma.dim)) - von_neumann(sigma)
+    return ref, max_dev, gap
 
 
 def verify_catalysis_exhaustive(
@@ -265,49 +245,35 @@ def verify_catalysis_exhaustive(
     mapping the catalyst onto it.  Whether ``u`` is a catalysis unitary at
     all is :func:`is_catalysis_unitary`'s question."""
     da = system_dim(u.layout.dims, sigma, a_count)
-    first = _FirstFailure(1)
-    ref, max_dev, gap = _outputs(u.matrix[None], sigma, da, first)
-    if first.error is not None:
-        raise first.error
+    ref, max_dev, gap = _outputs(u.matrix[None], sigma, da)
     v, matched = _matching_unitary(sigma.matrix, ref)
     implied = UnitaryOperator(v[0], u.layout.dims[a_count:]) if matched[0] else None
     return ExhaustiveReport(max_deviation=float(max_dev[0]), entropy_gap=float(gap[0]),
                             implied_v=implied, output=ref[0])
 
 
-def _certify(us: np.ndarray, layout: SubsystemLayout, a_count: int, sigma: DensityOperator,
-             first: _FirstFailure) -> list[tuple]:
+def _certify(us: np.ndarray, layout: SubsystemLayout, a_count: int,
+             sigma: DensityOperator) -> list[tuple]:
     """Every check of :func:`canonical_form` on each unitary of a stack
     (k, d, d) on ``layout`` with the catalyst ``sigma``, one check at a time
-    over the stack.  Returns (defect, max deviation, entropy gap, V) for each
-    leading unitary that passes; ``first`` holds the error of the first that
-    fails."""
+    over the whole stack; each check raises at the first unitary that fails
+    it.  Returns (defect, max deviation, entropy gap, V) for each unitary."""
     verdicts = _pt_verdicts(us, layout, range(a_count))
-    first.check([not v.verdict for v in verdicts], lambda i: _not_catalysis(verdicts[i].defect))
-    if not first.n:
-        return []
+    _require([not v.verdict for v in verdicts], lambda i: _not_catalysis(verdicts[i].defect))
     dims = layout.dims
-    ref, max_dev, gap = _outputs(us[: first.n], sigma, system_dim(dims, sigma, a_count), first)
+    ref, max_dev, gap = _outputs(us, sigma, system_dim(dims, sigma, a_count))
     max_dev, gap = max_dev.tolist(), gap.tolist()
-    first.check([not _compatible(g) for g in gap], lambda i: CertificationError(
+    _require([not _compatible(g) for g in gap], lambda i: CertificationError(
         f"catalyst incompatible: entropy gap {gap[i]:.3e} bits"))
-    first.check([m > hilbert.TOL_STATE for m in max_dev], lambda i: CertificationError(
+    _require([m > hilbert.TOL_STATE for m in max_dev], lambda i: CertificationError(
         f"output depends on the input: max deviation {max_dev[i]:.3e}"))
-    if not first.n:
-        return []
-    v, matched = _matching_unitary(sigma.matrix, ref[: first.n])
-    first.check([not ok for ok in matched.tolist()], lambda i: CertificationError(
-        "output spectrum does not match the catalyst"))
-    vs, error = UnitaryOperator.each(v[: first.n], dims[a_count:])
-    if error is not None:
-        first.fail(len(vs), error)
-    if first.n:
-        # postcondition: the canonical unitary preserves sigma itself
-        v, ref = v[: first.n], ref[: first.n]
-        moved = trace_distance(dagger(v) @ ref @ v, sigma.matrix) > hilbert.TOL_STATE
-        first.check(moved.tolist(), lambda i: CertificationError(
-            "canonical form failed to preserve the catalyst"))
-    return [(verdicts[i].defect, max_dev[i], gap[i], vs[i]) for i in range(first.n)]
+    v, matched = _matching_unitary(sigma.matrix, ref)
+    _require(~matched, lambda i: CertificationError("output spectrum does not match the catalyst"))
+    vs = UnitaryOperator.each(v, dims[a_count:])
+    # postcondition: the canonical unitary preserves sigma itself
+    moved = trace_distance(dagger(v) @ ref @ v, sigma.matrix) > hilbert.TOL_STATE
+    _require(moved, lambda i: CertificationError("canonical form failed to preserve the catalyst"))
+    return list(zip([verdict.defect for verdict in verdicts], max_dev, gap, vs))
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +346,7 @@ def canonical_form(
     The checks, in order: the partial transpose is unitary, the catalyst
     output is a state, the catalyst keeps its entropy, the output does not
     depend on the input, the spectra match, and (1 ⊗ V†)U preserves sigma."""
-    first = _FirstFailure(1)
-    certified = _certify(u.matrix[None], u.layout, a_count, sigma, first)
-    if first.error is not None:
-        raise first.error
+    certified = _certify(u.matrix[None], u.layout, a_count, sigma)
     return _instance(u, sigma, a_count, certified[0], seed, classical)
 
 
@@ -606,8 +569,9 @@ def decompose_subcatalyses(
     commutators, weights and restrictions come from batched GEMMs, and every
     check of :func:`canonical_form` (with the catalyst 1/r) runs once over
     the stack of restrictions.  Only the objects are built block by block.
-    A failure is the one a block-by-block loop would raise: that of the
-    lowest failing block, at its first failing check.
+    Each check raises at the first block of the stack that fails it, so a
+    failing decomposition is certified again block by block, in index order:
+    the error is that of the lowest failing block, at its first failing check.
     """
     uc = inst._canonical_matrix()  # a product of unitaries: no second validation
     da, db = inst.a_dim, inst.b_dim
@@ -619,39 +583,45 @@ def decompose_subcatalyses(
     by_rank: dict[int, list[int]] = {}
     for idx, basis in enumerate(bases):
         by_rank.setdefault(basis.shape[1], []).append(idx)
-    first = _FirstFailure(len(bases))
-    out = [None] * len(bases)
-    for r, members in by_rank.items():
-        members = [i for i in members if i < first.n]
-        if not members:
-            continue
-        block = _FirstFailure(len(members))
+
+    def certify(members: list[int]) -> list[tuple[float, CatalysisInstance]]:
+        """(weight, sub-instance) of each block named in ``members``, all of
+        one rank, from one stacked pass."""
         b = np.stack([bases[i] for i in members])  # (k, d_B, r)
+        r = b.shape[-1]
         pi = b @ dagger(b)
         right = (by_col_b @ pi).reshape(-1, d, d)  # U_c (1 ⊗ Π)
         left = (pi[:, None] @ uc.reshape(da, db, d)).reshape(-1, d, d)  # (1 ⊗ Π) U_c
-        block.check(np.linalg.norm(right - left, axis=(-2, -1)) > hilbert.REFINEMENT_TOL,
-                    lambda j: CertificationError(
-                        f"unitary does not commute with catalyst eigenspace {members[j]}; "
-                        "the pair is not a compatible catalysis at this refinement"))
+        _require(np.linalg.norm(right - left, axis=(-2, -1)) > hilbert.REFINEMENT_TOL,
+                 lambda j: CertificationError(
+                     f"unitary does not commute with catalyst eigenspace {members[j]}; "
+                     "the pair is not a compatible catalysis at this refinement"))
         weights = np.trace(pi @ inst.sigma.matrix, axis1=-2, axis2=-1).real
         # rows (a, b), columns (a', j) -> rows (a, i), columns (a', j)
         cols = (by_col_b @ b).reshape(-1, da, db, da * r)
         restricted = (dagger(b)[:, None] @ cols).reshape(-1, da * r, da * r)
         layout = SubsystemLayout(list(inst.a_dims) + [r])
-        subs, error = UnitaryOperator.each(restricted[: block.n], layout)
-        if error is not None:
-            block.fail(len(subs), CertificationError(f"restricted block {members[len(subs)]}: {error}"))
+        try:
+            subs = UnitaryOperator.each(restricted, layout)
+        except ValueError as error:
+            raise CertificationError(f"restricted block {members[error.index]}: {error}") from None
         sigma = maximally_mixed([r])
-        certified = _certify(restricted[: block.n], layout, inst.a_count, sigma, block)
-        for j, values in enumerate(certified):
-            idx = members[j]
-            sub = _instance(subs[j], sigma, inst.a_count, values, inst.seed + idx + 1, inst.classical)
-            out[idx] = (float(weights[j]), sub)
-        if block.error is not None:
-            first.fail(members[block.n], block.error)
-    if first.error is not None:
-        raise first.error
+        certified = _certify(restricted, layout, inst.a_count, sigma)
+        return [(float(w), _instance(sub, sigma, inst.a_count, values, inst.seed + idx + 1,
+                                     inst.classical))
+                for idx, w, sub, values in zip(members, weights, subs, certified)]
+
+    out = [None] * len(bases)
+    try:
+        for members in by_rank.values():
+            for idx, pair in zip(members, certify(members)):
+                out[idx] = pair
+    except (CertificationError, ValueError):
+        # the stack raised at its first block failing some check; the lowest
+        # failing block is the first to raise alone
+        for idx in range(len(bases)):
+            certify([idx])
+        raise
     total = sum(w for w, _ in out)
     if abs(total - 1.0) > hilbert.REFINEMENT_TOL:
         raise CertificationError(f"sub-catalysis weights sum to {total}, not 1")

@@ -294,22 +294,24 @@ class UnitaryOperator(Frozen):
         object.__setattr__(self, "layout", layout)
 
     @classmethod
-    def each(cls, matrices, layout) -> tuple[list["UnitaryOperator"], ValueError | None]:
+    def each(cls, matrices, layout) -> list["UnitaryOperator"]:
         """Validate a stack (k, d, d) of matrices in one pass: an operator for
-        each leading matrix that is unitary, and the ValueError the first
-        that is not raises alone (None when all are unitary)."""
+        each matrix.  The first that is not unitary raises the ValueError it
+        raises alone, with its stack position as ``index``."""
         layout = _as_layout(layout)
         ms = _freeze(_operator_shaped(matrices, layout, 1))
         ops = []
-        for m, defect in zip(ms, unitarity_defect(ms).tolist()):
+        for i, (m, defect) in enumerate(zip(ms, unitarity_defect(ms).tolist())):
             fault = _unitary_fault(defect)
             if fault:
-                return ops, ValueError(fault)
+                error = ValueError(fault)
+                error.index = i
+                raise error
             op = object.__new__(cls)
             object.__setattr__(op, "matrix", m)
             object.__setattr__(op, "layout", layout)
             ops.append(op)
-        return ops, None
+        return ops
 
     @property
     def dim(self) -> int:
@@ -715,6 +717,7 @@ def basis_state(d: int, i: int, layout=None) -> StateVector:
 
 def plus_state(d: int) -> StateVector:
     """Uniform superposition (1/sqrt(d)) sum_i |i⟩."""
+    check_dim(d, "plus state")
     return StateVector(np.full(d, 1 / np.sqrt(d), dtype=complex), [d])
 
 
@@ -747,6 +750,7 @@ def basis_permutation(dims: Sequence[int], image) -> np.ndarray:
 
 
 def shift_matrix(d: int) -> np.ndarray:
+    check_dim(d, "shift matrix")
     return basis_permutation([d], lambda k: (k + 1,))
 
 
@@ -760,10 +764,12 @@ def weyl_set(d: int) -> list[np.ndarray]:
 
 
 def swap_matrix(d: int) -> np.ndarray:
+    check_dim(d, "swap matrix")
     return basis_permutation([d, d], lambda i, j: (j, i))
 
 
 def fourier_matrix(d: int) -> np.ndarray:
+    check_dim(d, "Fourier matrix")
     n, m = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     return np.exp(2j * np.pi * n * m / d) / np.sqrt(d)
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,19 +7,20 @@ import sys
 import numpy as np
 import pytest
 
+from catalyx import catalysis as cat
+from catalyx import cli
 from catalyx import hilbert as hl
 
 CNOT = np.eye(4)[:, [0, 1, 3, 2]].astype(complex)
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "catalyx", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        timeout=300,
-    )
+def run_cli(*args):
+    """``catalyx *args`` run in this process through ``cli.main``: its exit
+    code and what it printed, as a finished subprocess reports them."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def write_operator(path, matrix, dims):
@@ -49,6 +52,15 @@ def test_verify_pass(tmp_path):
 def test_verify_fail_prints_defect(tmp_path):
     write_operator(tmp_path / "swap.json", hl.swap_matrix(2), [2, 2])
     res = run_cli("verify", str(tmp_path / "swap.json"))
+    assert res.returncode == 1
+    assert "FAIL" in res.stdout and "defect" in res.stdout
+
+
+def test_python_m_catalyx_exits_with_the_code_main_returns(tmp_path):
+    """The one real process: ``python -m catalyx`` reaches ``sys.exit(main())``."""
+    write_operator(tmp_path / "swap.json", hl.swap_matrix(2), [2, 2])
+    res = subprocess.run([sys.executable, "-m", "catalyx", "verify", str(tmp_path / "swap.json")],
+                         capture_output=True, text=True, timeout=300)
     assert res.returncode == 1
     assert "FAIL" in res.stdout and "defect" in res.stdout
 
@@ -397,6 +409,20 @@ def test_tol_override_lasts_one_run(tmp_path, capsys):
     assert hl.GROUP_TOL == before
     assert cli.main(["entropy", str(tmp_path / "near.json")]) == 0
     assert "catalytic_vn = 1.500000" in capsys.readouterr().out
+
+
+def test_in_process_overrides_leave_every_tolerance_as_it_was(tmp_path):
+    def tolerances():
+        floats = {name: v for name, v in vars(hl).items() if name.isupper() and isinstance(v, float)}
+        return {**floats, "LEDGER_TOL": cat.LEDGER_TOL}
+
+    before = tolerances()
+    rho = hl.DensityOperator(np.diag([0.5, 0.25, 0.25]), [3])
+    hl.save_json(str(tmp_path / "rho.json"), hl.operator_to_payload(rho))
+    overrides = [arg for name in cli._TOL_NAMES for arg in ("--tol-override", f"{name}=1e-3")]
+    res = run_cli("entropy", str(tmp_path / "rho.json"), *overrides)
+    assert res.returncode == 0, res.stderr
+    assert tolerances() == before
 
 
 @pytest.mark.parametrize("name", ["absorption", "depletion", "initialization", "multiparty"])

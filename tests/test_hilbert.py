@@ -427,7 +427,8 @@ def test_frozen_repr_names_the_public_fields():
 
 
 @pytest.mark.parametrize("build", [hl.clock_matrix, hl.weyl_set, hl.max_entangled,
-                                   canonical_operators])
+                                   canonical_operators, hl.shift_matrix, hl.swap_matrix,
+                                   hl.fourier_matrix, hl.plus_state])
 @pytest.mark.parametrize("d", [0, -2])
 def test_builders_refuse_dimensions_below_one(build, d):
     with pytest.raises(ValueError, match=rf"needs d >= 1, got {d}$"):

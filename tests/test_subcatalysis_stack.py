@@ -131,19 +131,18 @@ def test_decomposition_without_canonical_form(monkeypatch):
     assert len(cat.decompose_subcatalyses(inst, _bases(inst))) == 4
 
 
-def _swap_and_identity():
-    """SWAP on A ⊗ span(|0>, |1>) and the identity on A ⊗ |2>, with the
-    maximally mixed catalyst: every block commutes with its projector, but
-    the rank-2 block is not a catalysis unitary."""
-    swap = hl.swap_matrix(2)
-    u = np.zeros((6, 6), dtype=complex)
-    rows = [0, 1, 3, 4]  # (a, b) with b < 2, in the A ⊗ B order
-    u[np.ix_(rows, rows)] = swap
-    u[2, 2] = u[5, 5] = 1.0
-    unitary = hl.UnitaryOperator(u, [2, 3])
+def _swap_and_identity(db=3):
+    """SWAP on A ⊗ span(|0>, |1>) and the identity on A ⊗ span(|2>, ...),
+    with the maximally mixed catalyst on d_B = ``db`` levels: every block
+    commutes with its projector, but the SWAP block is not a catalysis
+    unitary."""
+    u = np.eye(2 * db, dtype=complex)
+    rows = [0, 1, db, db + 1]  # (a, b) with b < 2, in the A ⊗ B order
+    u[np.ix_(rows, rows)] = hl.swap_matrix(2)
+    unitary = hl.UnitaryOperator(u, [2, db])
     return cat.CatalysisInstance(
-        unitary=unitary, sigma=hl.maximally_mixed([3]), a_count=1,
-        canonical_v=hl.UnitaryOperator(np.eye(3), [3]), defect=0.0, entropy_gap=0.0,
+        unitary=unitary, sigma=hl.maximally_mixed([db]), a_count=1,
+        canonical_v=hl.UnitaryOperator(np.eye(db), [db]), defect=0.0, entropy_gap=0.0,
         max_deviation=0.0, seed=0,
     )
 
@@ -166,6 +165,22 @@ def test_a_later_check_of_a_lower_block_wins_across_ranks():
         cat.decompose_subcatalyses(inst, bases=bases)
     with pytest.raises(cat.CertificationError, match="restricted block 0"):
         cat.decompose_subcatalyses(inst, bases=bases[::-1])
+
+
+def test_a_later_check_of_a_lower_block_wins_within_one_rank():
+    """As above with both blocks of rank 2, so one stack holds them: the
+    stacked pass meets block 1's unitarity failure first, and the block by
+    block pass that follows reports block 0's."""
+    inst = _swap_and_identity(4)
+    eye = np.eye(4)
+    bases = [eye[:, :2], 1.01 * eye[:, 2:]]
+    with pytest.raises(cat.CertificationError, match="not a catalysis unitary"):
+        cat.decompose_subcatalyses(inst, bases=bases)
+    with pytest.raises(cat.CertificationError, match="restricted block 0"):
+        cat.decompose_subcatalyses(inst, bases=bases[::-1])
+    # block 0 (the identity) passes every check: the failure is block 1's
+    with pytest.raises(cat.CertificationError, match="restricted block 1"):
+        cat.decompose_subcatalyses(inst, bases=[eye[:, 2:], 1.01 * eye[:, :2]])
 
 
 def test_weights_are_checked_after_every_block():
@@ -244,13 +259,13 @@ def test_stacked_helpers_give_each_matrix_what_it_gets_alone(monkeypatch):
 
 
 def test_unitary_stack_validation_stops_at_the_first_failure():
-    us = np.stack([np.eye(2), 1.01 * np.eye(2), np.eye(2)])
-    ops, error = hl.UnitaryOperator.each(us, [2])
-    assert len(ops) == 1 and np.array_equal(ops[0].matrix, np.eye(2))
+    us = np.stack([np.eye(2), 1.01 * np.eye(2), 1.02 * np.eye(2)])
+    with pytest.raises(ValueError) as stacked:
+        hl.UnitaryOperator.each(us, [2])
     with pytest.raises(ValueError) as alone:
         hl.UnitaryOperator(us[1], [2])
-    assert str(error) == str(alone.value)
-    ops, error = hl.UnitaryOperator.each(us[[0, 2]], [2])
-    assert len(ops) == 2 and error is None
+    assert str(stacked.value) == str(alone.value) and stacked.value.index == 1
+    ops = hl.UnitaryOperator.each(us[[0, 0]], [2])
+    assert len(ops) == 2 and all(np.array_equal(op.matrix, np.eye(2)) for op in ops)
     with pytest.raises(ValueError, match="does not match layout dim"):
         hl.UnitaryOperator.each(us, [3])
