@@ -61,7 +61,6 @@ from .hilbert import (
     max_entangled,
     maximally_mixed,
     partial_trace,
-    permute_subsystems,
     ptrace_matrix,  # unused here; bench/tests traces calls through this binding
     ptranspose_matrix,
     purify,
@@ -114,15 +113,6 @@ def is_catalysis_unitary(u: UnitaryOperator, cut: Sequence[int] = (0,)) -> Catal
     """Test whether the partial transpose of ``u`` over the subsystems in
     ``cut`` is unitary; the defect is the Frobenius norm of (U^T)†U^T - 1."""
     return _pt_verdicts(u.matrix[None], u.layout, cut)[0]
-
-
-def party_swap(u: UnitaryOperator, a_count: int) -> UnitaryOperator:
-    """Exchange the roles of the two parties: returns the same interaction
-    with layout B + A (equals F U F when the two sides have equal dims)."""
-    n = len(u.layout.dims)
-    perm = list(range(a_count, n)) + list(range(a_count))
-    m = permute_subsystems(u.matrix, u.layout.dims, perm)
-    return UnitaryOperator(m, [u.layout.dims[p] for p in perm])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ byte-identical JSON up to the timestamp field.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -25,7 +24,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import catalysis, constructions, entropy, hilbert, optimize, scenarios
+# constructions, optimize and scenarios are imported by the commands that
+# run them, so verify, entropy and a usage error never load them
+from . import catalysis, entropy, hilbert
 from .catalysis import CertificationError
 
 EXIT_OK = 0
@@ -96,6 +97,7 @@ def _emit(report: dict, cfg: RunConfig) -> None:
 
 
 def _emit_csv(rows: list[list[str]], cfg: RunConfig) -> None:
+    import csv
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     _write_and_print(buf.getvalue(), cfg)
@@ -196,6 +198,7 @@ def cmd_entropy(args) -> int:
 
 
 def _dephasing_degeneracy(args):
+    from . import constructions
     r = _parse_ints(args.r)
     inst = constructions.dephasing_catalysis(r)
     s = entropy.catalytic_entropy(constructions.degeneracy_decomposition(r))
@@ -203,6 +206,7 @@ def _dephasing_degeneracy(args):
 
 
 def _max_extraction(args):
+    from . import constructions
     if args.sigma_file:
         sigma = hilbert.DensityOperator(*_load_operator(args.sigma_file))
     else:
@@ -213,16 +217,19 @@ def _max_extraction(args):
 
 
 def _initialization_classical(args):
+    from . import constructions
     gen = constructions.initialization_classical(args.d)
     return gen, {"d": args.d}, f"I = {math.log2(args.d):.6f} bits"
 
 
 def _initialization_masking(args):
+    from . import constructions
     gen = constructions.initialization_masking(args.m)
     return gen, {"m": args.m}, f"I = {math.log2(args.m ** 2):.6f} bits"
 
 
 def _double_random(args):
+    from . import constructions
     hilbert.check_size(args.d**3, f"clock family of {args.d} operators of {args.d}×{args.d}")
     z = hilbert.clock_matrix(args.d)
     family = [np.linalg.matrix_power(z, k) for k in range(args.d)]
@@ -231,11 +238,13 @@ def _double_random(args):
 
 
 def _multiparty(args):
+    from . import constructions
     inst = constructions.multiparty_instance(args.d)
     return inst, {"d": args.d}, f"defect = {inst.defect:.3e}"
 
 
 def _conserved_optimal(args):
+    from . import constructions
     r = _parse_ints(args.r)
     sigma = constructions.conserved_optimal_catalyst(r)
     s = entropy.catalytic_entropy(constructions.degeneracy_decomposition(r))
@@ -243,11 +252,13 @@ def _conserved_optimal(args):
 
 
 def _angular_momentum(args):
+    from . import constructions
     res = constructions.angular_momentum_catalyst(args.lM)
     return res.sigma, {"lM": args.lM, "s_cat": res.s_cat}, f"S_cat = {res.s_cat:.6f} bits"
 
 
 def _thermal_levels(args):
+    from . import constructions
     r = _parse_ints(args.r)
     levels = constructions.thermal_levels(r, args.e_inf)
     headline = "levels = " + ", ".join(f"{e:.6f}" for e in levels)
@@ -272,6 +283,7 @@ CONSTRUCT = {
 
 
 def cmd_construct(args, handler) -> int:
+    from . import constructions
     obj, extra, headline = handler(args)
     report: dict = {"kind": args.kind, **extra}
     outdir = args.out or "."
@@ -306,6 +318,7 @@ def cmd_construct(args, handler) -> int:
 
 
 def _multiparty_scenario(args):
+    from . import scenarios
     trace = scenarios.multiparty_refuel(args.d, args.rounds, classical=args.classical)
     turns = [s for s in trace.steps if s.ledger is not None]
     print(f"{'turn':>4} {'actor':>5} {'I(A:C)':>10} {'I(B:C)':>10} {'S(C)':>8}")
@@ -328,6 +341,7 @@ def _multiparty_scenario(args):
 
 
 def _conservation(args):
+    from . import scenarios
     rep = scenarios.conservation_law_check(seed=args.seed, n_samples=args.samples)
     fields = {"max_residual": rep.max_residual,
               "max_inequality_violation": rep.max_inequality_violation,
@@ -336,6 +350,7 @@ def _conservation(args):
 
 
 def _depletion(args):
+    from . import scenarios
     trace = scenarios.depletion_demo(args.d)
     i_val = trace.reading("use2", "I(A1:A2)")
     bound = trace.reading("use2", "bound")
@@ -344,6 +359,7 @@ def _depletion(args):
 
 
 def _absorption(args):
+    from . import scenarios
     chan = _named_channel(args.channel or f"initialization{2 if args.d is None else args.d}")
     rep = scenarios.absorption_check(chan, n_samples=args.samples, seed=args.seed)
     fields = {"max_local_decrease": rep.max_local_decrease,
@@ -353,6 +369,7 @@ def _absorption(args):
 
 
 def _cq_free(args):
+    from . import scenarios
     rep = scenarios.cq_free_randomness(args.d)
     fields = {"free_bits": rep.free_bits,
               "erasure_deviation": rep.erasure_deviation,
@@ -362,6 +379,7 @@ def _cq_free(args):
 
 
 def _initialization_scenario(args):
+    from . import scenarios
     trace = scenarios.initialization_scenario(args.d)
     log_d = math.log2(args.d)
     want = {("intermediate", "I(A':B)"): log_d, ("pure-input", "I(A':B)"): log_d,
@@ -393,6 +411,7 @@ SCENARIO = {
 
 
 def cmd_scenario(args, handler) -> int:
+    from . import scenarios
     cfg = _config(args, {"name": args.name})
     result, ok, headline = handler(args)
     if cfg.format == "csv":
@@ -439,14 +458,17 @@ def _ascent_options(args) -> dict:
 
 
 def _ea(args, chan):
+    from . import optimize
     return "C_EA", optimize.ea_capacity(chan, seed=args.seed)
 
 
 def _global(args, chan):
+    from . import optimize
     return "S_prod_global", optimize.max_entropy_production_global(chan, **_ascent_options(args))
 
 
 def _local(args, chan):
+    from . import optimize
     return "S_prod_local", optimize.max_entropy_production_local(chan, **_ascent_options(args))
 
 
@@ -468,6 +490,7 @@ def cmd_optimize(args, handler) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import constructions, scenarios
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:

@@ -259,11 +259,6 @@ def double_random_stage_one(d: int, u_list: Sequence[np.ndarray]) -> UnitaryOper
     return UnitaryOperator(controlled(u_list), [np.shape(u_list[0])[0], d])
 
 
-def fourier_conditional_matrix(d: int) -> np.ndarray:
-    """Pr(Y=y | X=x) = |F_yx|^2 for the Fourier-basis second stage."""
-    return np.abs(fourier_matrix(d)) ** 2
-
-
 # ---------------------------------------------------------------------------
 # shared-catalyst dephasing of a d^2-level system
 
@@ -311,11 +306,3 @@ def thermal_levels(r, e_inf: float) -> list[float]:
     r = _as_degeneracy(r)
     return [float(e_inf - np.log2(ri)) for ri in r.r]
 
-
-def gibbs_populations(r, e_inf: float) -> np.ndarray:
-    """Per-state populations of the thermal state at beta = ln 2 over
-    ``thermal_levels``."""
-    r = _as_degeneracy(r)
-    energies = thermal_levels(r, e_inf)
-    weights = np.concatenate([np.full(ri, 2.0**-e) for ri, e in zip(r.r, energies)])
-    return weights / weights.sum()

@@ -270,14 +270,6 @@ def max_entropy_production_local(
 # entanglement-assisted classical capacity
 
 
-def ea_objective(chan: KrausChannel, rho: np.ndarray) -> float:
-    """Quantum mutual information I(rho, Phi) = S(rho) + S(Phi(rho)) - S_E,
-    with S_E the entropy of the complementary output: the value of
-    :func:`ea_objective_gradient` at a factor L of rho (LL† = rho)."""
-    vals, vecs = np.linalg.eigh(rho)
-    return ea_objective_gradient(chan, vecs * np.sqrt(np.maximum(vals, 0.0)))[0]
-
-
 def ea_objective_gradient(chan: KrausChannel, el: np.ndarray) -> tuple[float, np.ndarray]:
     """Value and Wirtinger gradient of the capacity objective in the factor
     parameterization rho = L L† / Tr(L L†).  With X = L / ||L|| and Y its

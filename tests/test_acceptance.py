@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from util import ea_objective, party_swap
 
 from catalyx import catalysis as cat
 from catalyx import constructions as con
@@ -135,7 +136,7 @@ def test_criterion_01_partial_transpose_characterization():
             dag = UnitaryOperator(u.matrix.conj().T, u.layout)
             assert cat.is_catalysis_unitary(dag, cut=range(a_count)).defect <= 1e-9
             b_count = len(u.layout.dims) - a_count
-            swapped = cat.party_swap(u, a_count)
+            swapped = party_swap(u, a_count)
             assert cat.is_catalysis_unitary(swapped, cut=range(b_count)).defect <= 1e-9
 
         # generalized initialization unitaries certify over the cut that
@@ -398,10 +399,10 @@ def test_criterion_09_tradeoff(instance_suite):
         # cross-check the capacity against a brute-force diagonal grid
         chan = cat.channel_to_kraus(inst)
         grid = max(
-            opt.ea_objective(chan, np.diag(p).astype(complex))
+            ea_objective(chan, np.diag(p).astype(complex))
             for p in np.random.default_rng(0).dirichlet(np.ones(4), size=300)
         )
-        grid = max(grid, opt.ea_objective(chan, np.eye(4) / 4))
+        grid = max(grid, ea_objective(chan, np.eye(4) / 4))
         assert abs(rep.capacity - grid) <= 1e-4
 
         # the min-entropy bound is valid on catalysts with flat block ratios

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from util import dense_renyi, held_bytes, kron_sum_output
+from util import dense_renyi, held_bytes, kron_sum_output, party_swap
 
 from catalyx import catalysis as cat
 from catalyx import hilbert as hl
@@ -18,7 +18,6 @@ from catalyx.catalysis import (
     is_catalysis_unitary,
     ledger,
     ledger_for_instance,
-    party_swap,
     recovery_defect,
     recovery_unitary,
     verify_catalysis_exhaustive,

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from util import party_swap
 
 from catalyx import catalysis as cat
 from catalyx import cli
@@ -328,10 +329,10 @@ def test_verify_failing_unitary_leaves_compatibility_unevaluated(tmp_path):
 def _write_dephasing_pair(tmp_path, swap):
     """Files of the dephasing(1, 2) catalysis, party-swapped (layout [3, 5],
     system side last) when ``swap`` is set."""
-    from catalyx import catalysis, constructions
+    from catalyx import constructions
 
     inst = constructions.dephasing_catalysis([1, 2])
-    u = catalysis.party_swap(inst.unitary, 1) if swap else inst.unitary
+    u = party_swap(inst.unitary, 1) if swap else inst.unitary
     write_operator(tmp_path / "u.json", u.matrix, list(u.layout.dims))
     hl.save_json(str(tmp_path / "sigma.json"), hl.operator_to_payload(inst.sigma))
     return str(tmp_path / "u.json"), str(tmp_path / "sigma.json")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from util import count_eigensolves, kron_sum_output
+from util import count_eigensolves, fourier_conditional_matrix, gibbs_populations, kron_sum_output
 
 from catalyx import catalysis as cat
 from catalyx import constructions as con
@@ -288,7 +288,7 @@ def test_double_random_intermediate_marginal():
 
 def test_double_random_conditional_matrix_uniform():
     for d in (2, 3):
-        m = con.fourier_conditional_matrix(d)
+        m = fourier_conditional_matrix(d)
         assert np.allclose(m, np.full((d, d), 1 / d))
         assert np.allclose(m.sum(axis=0), 1.0)
 
@@ -377,7 +377,7 @@ def test_thermal_levels():
     assert len(single) == 1
     assert single == pytest.approx([7.5 - math.log2(5)])
     assert con.thermal_levels([1], 7.5) == pytest.approx([7.5])
-    pops = con.gibbs_populations([1, 3], 2.0)
+    pops = gibbs_populations([1, 3], 2.0)
     sigma = con.conserved_optimal_catalyst([1, 3])
     assert np.allclose(pops, np.diag(sigma.matrix).real, atol=1e-12)
 

@@ -5,8 +5,14 @@ from collections import Counter
 
 import numpy as np
 
-from catalyx import entropy, optimize
-from catalyx.hilbert import EigenspaceDecomposition
+from catalyx import constructions, entropy, optimize
+from catalyx.entropy import DegeneracyVector
+from catalyx.hilbert import (
+    EigenspaceDecomposition,
+    UnitaryOperator,
+    fourier_matrix,
+    permute_subsystems,
+)
 
 
 def random_decomposition(rng):
@@ -138,3 +144,35 @@ def dense_renyi(m, alpha):
     all its eigenvalues."""
     vals = np.clip(np.linalg.eigvalsh(m), 0.0, None)
     return entropy.renyi(vals / vals.sum(), alpha)
+
+
+def party_swap(u, a_count):
+    """Exchange the roles of the two parties: returns the same interaction
+    with layout B + A (equals F U F when the two sides have equal dims)."""
+    n = len(u.layout.dims)
+    perm = list(range(a_count, n)) + list(range(a_count))
+    m = permute_subsystems(u.matrix, u.layout.dims, perm)
+    return UnitaryOperator(m, [u.layout.dims[p] for p in perm])
+
+
+def fourier_conditional_matrix(d):
+    """Pr(Y=y | X=x) = |F_yx|^2 for the Fourier-basis second stage of the
+    double-random construction."""
+    return np.abs(fourier_matrix(d)) ** 2
+
+
+def gibbs_populations(r, e_inf):
+    """Per-state populations of the thermal state at beta = ln 2 over
+    ``constructions.thermal_levels``."""
+    r = DegeneracyVector(r)
+    energies = constructions.thermal_levels(r, e_inf)
+    weights = np.concatenate([np.full(ri, 2.0**-e) for ri, e in zip(r.r, energies)])
+    return weights / weights.sum()
+
+
+def ea_objective(chan, rho):
+    """Quantum mutual information I(rho, Phi) = S(rho) + S(Phi(rho)) - S_E,
+    with S_E the entropy of the complementary output: the value of
+    ``optimize.ea_objective_gradient`` at a factor L of rho (LL† = rho)."""
+    vals, vecs = np.linalg.eigh(rho)
+    return optimize.ea_objective_gradient(chan, vecs * np.sqrt(np.maximum(vals, 0.0)))[0]
