@@ -43,6 +43,7 @@ _TOL_NAMES = {
     "group": (hilbert, "GROUP_TOL"),
     "entropy": (hilbert, "ENTROPY_SLACK"),
     "refinement": (hilbert, "REFINEMENT_TOL"),
+    "gap": (hilbert, "CERT_GAP"),
     "ledger": (catalysis, "LEDGER_TOL"),
 }
 
@@ -473,7 +474,9 @@ def _local(args, chan):
 
 
 ASCENT = (_flag("--alpha", type=float, default=1.0, help="Renyi order, default 1"),
-          _flag("--restarts", type=int, default=None, help="ascent restarts"))
+          _flag("--restarts", type=int, default=None,
+                help="at most this many starts (default 16); global at alpha 1/2, 1 or 2 "
+                     "stops at the first start certified within the gap tolerance"))
 OPTIMIZE = {"ea": (_ea, ()), "global": (_global, ASCENT), "local": (_local, ASCENT)}
 
 

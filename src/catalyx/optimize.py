@@ -1,9 +1,15 @@
 """Numerical maximization of entropy-production functionals and of the
 entanglement-assisted classical capacity.
 
-Reported optima are certified feasible lower bounds: the argmax is an explicit
-state and the value is its exact objective.  Restarts run independently and
-reduce deterministically (max value, ties to the lowest restart index).
+Every reported optimum is a feasible lower bound: the argmax is an explicit
+state and the value is its exact objective.  Where the problem is concave in
+the input state (global production at alpha in {1/2, 1, 2}, and C_EA) the
+optimum is bracketed too: ``upper_bound`` is a certified upper bound on the
+maximum, from one linearization of the objective at the argmax, or None where
+the objective is not differentiable there.  Restarts run one after the other
+and reduce deterministically (max value, ties to the lowest restart index);
+after the first start that converges with a bound within ``hilbert.CERT_GAP``
+of its value, no further start runs.
 
 Entropy production is maximized on the pure face only.  For rho = sum_i p_i
 psi_i and the cq state omega = sum_i p_i |i><i| x Phi(psi_i), at every
@@ -13,10 +19,16 @@ of rho never exceeds that of its best eigenvector.  The ascent therefore runs
 over unit vectors, where the input entropy vanishes.  The min-entropy
 objective is not smooth: at alpha=inf the smooth alpha=2 ascent runs and the
 exact min-entropy of its argmax is reported.
+
+For a pure psi on reference x input with input marginal rho,
+(1 x Phi)(psi psi†) and Phi_c(rho) share their nonzero spectrum, so the
+global maximum is max_rho S_alpha(Phi_c(rho)): concave in rho at alpha <= 1,
+and at alpha=2 the minimum of the convex Tr Phi_c(rho)^2.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterable, NamedTuple
 
@@ -47,6 +59,9 @@ class OptimizationResult(NamedTuple):
     restarts: int
     converged: bool
     gradient_norm_at_end: float
+    # certified upper bound on the maximum; None where the problem is not
+    # concave or its objective not differentiable at the argmax
+    upper_bound: float | None = None
 
     # element-wise tuple equality raises on the ndarray field: compare and
     # hash by identity, as the value types do
@@ -62,6 +77,7 @@ class OptimizationResult(NamedTuple):
             "restarts": self.restarts,
             "converged": self.converged,
             "gradient_norm_at_end": self.gradient_norm_at_end,
+            "upper_bound": self.upper_bound,
         }
 
 
@@ -89,14 +105,14 @@ def _factor_distribution(x: np.ndarray) -> np.ndarray:
     return _distribution(np.linalg.eigvalsh(hilbert.smaller_gram(x)[0]))
 
 
-def _pullback(x: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
-    """S_alpha(XX†) and its gradient D X in the factor X, with D the Hermitian
-    dS_alpha/d(XX†) (so dS = 2 Re⟨D X, dX⟩), from one ``eigh`` of the smaller
-    of X†X and XX†.  D lives on the support the value reads (eigenvalues
-    above ``hilbert.TOL_PSD``), and zero eigenvalues add nothing to its trace
-    normalization, so either Gram side gives the same D X."""
-    gram, inner = hilbert.smaller_gram(x)
-    vals, vecs = np.linalg.eigh(gram)
+def _entropy_derivative(
+    m: np.ndarray, alpha: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """S_alpha of the PSD matrix M normalized to unit trace, the Hermitian
+    D = dS_alpha/dM up to a multiple of the identity, and the eigenvalues of M
+    with those of D on the same eigenvectors, from one ``eigh``.  D lives on
+    the support the value reads (eigenvalues above ``hilbert.TOL_PSD``)."""
+    vals, vecs = np.linalg.eigh(m)
     p = np.maximum(vals, 0.0)
     value = _renyi_bits(p / p.sum(), alpha)
     keep = vals > hilbert.TOL_PSD
@@ -106,7 +122,17 @@ def _pullback(x: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
     else:
         tr = (p**alpha).sum()
         diag[keep] = (alpha / ((1.0 - alpha) * _LN2 * tr)) * vals[keep] ** (alpha - 1.0)
-    dmat = (vecs * diag) @ dagger(vecs)
+    return value, (vecs * diag) @ dagger(vecs), vals, diag
+
+
+def _pullback(x: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
+    """S_alpha(XX†) and its gradient D X in the factor X, with D the Hermitian
+    dS_alpha/d(XX†) (so dS = 2 Re⟨D X, dX⟩), from one ``eigh`` of the smaller
+    of X†X and XX†.  D lives on the support the value reads, and zero
+    eigenvalues add nothing to its trace normalization, so either Gram side
+    gives the same D X."""
+    gram, inner = hilbert.smaller_gram(x)
+    value, dmat, _, _ = _entropy_derivative(gram, alpha)
     return value, (x @ dmat if inner else dmat @ x)
 
 
@@ -193,23 +219,106 @@ def _best_ascent(
     starts: Iterable[np.ndarray],
     max_iter: int,
     tol_grad: float,
-) -> tuple[np.ndarray, float, int, float, bool]:
+    certify: Callable[[np.ndarray, float], float | None] | None,
+) -> tuple[np.ndarray, float, float | None, dict]:
     """Ascend from each start and keep the best (strictly better by
-    _TIE_MARGIN, ties to the lowest index); iterations are summed over the
-    starts."""
+    _TIE_MARGIN, ties to the lowest index).  ``certify(x, f)`` maps an end
+    point to a certified upper bound on the maximum, or None; after a start
+    that converged with a bound within ``hilbert.CERT_GAP`` of its value, no
+    further start runs.  Returns the best end point, its value and bound, and
+    the ``OptimizationResult`` fields of the run: iterations summed over the
+    starts run, their count, and the best start's convergence."""
     best = None
-    total_iter = 0
+    total_iter = runs = 0
     for x0 in starts:
         x, f, its, gnorm, conv = _ascend(value_grad, x0, max_iter, tol_grad)
         total_iter += its
+        runs += 1
+        bound = None if certify is None else certify(x, f)
         if best is None or f > best[1] + _TIE_MARGIN:
-            best = (x, f, gnorm, conv)
-    x, f, gnorm, conv = best
-    return x, f, total_iter, gnorm, conv
+            best = (x, f, bound, gnorm, conv)
+        if conv and bound is not None and bound - f <= hilbert.CERT_GAP:
+            break
+    x, f, bound, gnorm, conv = best
+    return x, f, bound, {"iterations": total_iter, "restarts": runs,
+                         "converged": conv, "gradient_norm_at_end": gnorm}
 
 
 def _project_tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - (np.vdot(v, g)) * v
+
+
+# ---------------------------------------------------------------------------
+# certified upper bounds of the concave problems
+
+
+def _input_operator(
+    chan: KrausChannel, w_out: np.ndarray | None, w_exch: np.ndarray
+) -> np.ndarray:
+    """The d_in×d_in H with Tr[Hρ] = Tr[W_out Φ(ρ)] + Tr[W_exch Y†Y] for every
+    ρ = XX†, where Y is the Stinespring factor of X regrouped as (·, n), so
+    Y†Y = Φ_c(ρ)ᵀ: Φ†(W_out) plus the complementary part (W_out None: that
+    part alone).  Read off the Stinespring factor of the identity and one
+    adjoint, as ``ea_objective_gradient`` pulls back at X = 1."""
+    y = chan.stinespring(np.eye(chan.dim_in, dtype=complex))
+    z = (y.reshape(-1, len(chan.kraus)) @ w_exch).reshape(y.shape)
+    return chan.stinespring_adjoint(z if w_out is None else w_out @ y + z)
+
+
+def _production_bound(
+    chan: KrausChannel, y: np.ndarray, alpha: float, value: float
+) -> float | None:
+    """Certified upper bound on the global production maximum
+    max_σ S_alpha(Φ_c(σ)) at alpha in {1/2, 1, 2}, from one linearization at
+    a state ρ.  ``y`` is the Stinespring factor of a unit-trace factor of ρ
+    regrouped as (·, n) (for a pure ψ on reference x input,
+    ``chan.stinespring(ψ, ref)``, ρ its input marginal), so its n×n Gram
+    matrix Y = y†y is Φ_c(ρ)ᵀ; ``value`` is S_alpha(Y).
+
+    With D = dS_alpha/dY (``_entropy_derivative``) and H = Φ_c†(D), the gap
+    g = λ_max(H) − Tr[DY] is at least ⟨D, Φ_c(σ) − Y⟩ for every state σ.
+    S is concave at alpha=1, and Tr Y^alpha is concave at alpha=1/2 and
+    convex at alpha=2, so S_alpha(Φ_c(σ)) <= value + g at alpha=1 and
+    <= value + log₂(1 + (1−alpha)·ln2·g)/(1−alpha) otherwise: at alpha=1/2,
+    2·log₂(Tr√Y/2 + λ_max(Φ_c†(Y^{−1/2}/2))), and at alpha=2,
+    −log₂(2·λ_min(Φ_c†(Y)) − Tr Y²).  g >= 0 at every ρ, and is clipped
+    there against rounding.  At alpha=2 the part of D cut off the support
+    is a positive multiple of −Y on eigenvalues at or below ``TOL_PSD``;
+    cutting it can only raise g, apart from n²·TOL_PSD² in Tr[DY].
+
+    None at alpha in {1/2, 1} unless every eigenvalue of Y exceeds
+    ``hilbert.TOL_PSD`` (S_alpha is differentiable at ρ), and at alpha=2
+    where the logarithm's argument is not positive."""
+    _, dmat, vals, diag = _entropy_derivative(dagger(y) @ y, alpha)
+    if alpha != 2.0 and vals[0] <= hilbert.TOL_PSD:
+        return None
+    h = _input_operator(chan, None, dmat)
+    gap = max(float(np.linalg.eigvalsh(h)[-1] - diag @ vals), 0.0)
+    if alpha == 1.0:
+        return value + gap
+    step = 1.0 + (1.0 - alpha) * _LN2 * gap
+    return value + math.log2(step) / (1.0 - alpha) if step > 0 else None
+
+
+def _ea_bound(chan: KrausChannel, x: np.ndarray, value: float) -> float | None:
+    """Certified upper bound on C_EA from one linearization of the concave
+    I(ρ) = S(ρ) + S(Φ(ρ)) − S(Φ_c(ρ)) at ρ = XX† (X of unit Frobenius norm),
+    whose value is ``value``: C_EA <= value + λ_max(G) − Tr[Gρ], with
+    G = D_in + Φ†(D_out) − Φ_c†(D_exch) and the D the derivatives of the
+    three entropies (``_entropy_derivative``; the multiples of the identity
+    they leave out cancel in the difference, which is clipped at zero
+    against rounding).  None unless every eigenvalue of ρ, Φ(ρ) and Φ_c(ρ)
+    exceeds ``hilbert.TOL_PSD``."""
+    y = chan.stinespring(x)
+    exch = y.reshape(-1, len(chan.kraus))
+    grams = (x @ dagger(x), y @ dagger(y), dagger(exch) @ exch)  # ρ, Φ(ρ), Φ_c(ρ)ᵀ
+    parts = [_entropy_derivative(m, 1.0) for m in grams]
+    if min(vals[0] for _, _, vals, _ in parts) <= hilbert.TOL_PSD:
+        return None
+    (_, d_in, v_in, w_in), (_, d_out, v_out, w_out), (_, d_exch, v_exch, w_exch) = parts
+    g = d_in + _input_operator(chan, d_out, -d_exch)
+    tr_g_rho = w_in @ v_in + w_out @ v_out - w_exch @ v_exch
+    return value + max(float(np.linalg.eigvalsh(g)[-1] - tr_g_rho), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +344,21 @@ def _pure_ascent(
         g = 2.0 * chan.stinespring_adjoint(z, ref)[:, 0]
         return s, _project_tangent(v, g)
 
+    certify = None
+    if ref == chan.dim_in and not math.isinf(alpha):
+        # the global problem, max_rho S_alpha(Phi_c(rho)) (module docstring)
+        def certify(v: np.ndarray, f: float) -> float | None:
+            return _production_bound(chan, chan.stinespring(v[:, None], ref), alpha, f)
+
     rng = hilbert._rng(seed)
     dim = ref * chan.dim_in
     starts = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(restarts))
-    v, f, total_iter, gnorm, conv = _best_ascent(
-        value_grad, starts, _PURE_MAX_ITER, _PURE_TOL_GRAD
+    v, f, bound, stats = _best_ascent(
+        value_grad, starts, _PURE_MAX_ITER, _PURE_TOL_GRAD, certify
     )
     if math.isinf(alpha):
         f = _renyi_bits(_factor_distribution(chan.stinespring(v[:, None], ref)), alpha)
-    return OptimizationResult(
-        value=f, argmax=v, argmax_kind="pure", iterations=total_iter,
-        restarts=restarts, converged=conv, gradient_norm_at_end=gnorm,
-    )
+    return OptimizationResult(value=f, argmax=v, argmax_kind="pure", upper_bound=bound, **stats)
 
 
 def max_entropy_production_global(
@@ -287,9 +399,13 @@ def ea_objective_gradient(chan: KrausChannel, el: np.ndarray) -> tuple[float, np
 
 
 def ea_capacity(chan: KrausChannel, seed: int = 0, restarts: int = 4) -> OptimizationResult:
-    """Maximize the quantum mutual information over input states.  The
-    objective is concave in rho, so ascent from a full-rank start converges to
-    the global maximum; the value is still certified as a feasible point."""
+    """Maximize the quantum mutual information over input states, from the
+    maximally mixed start and then random ones, at most ``restarts`` of them.
+    The objective is concave in rho: the value is that of the feasible argmax,
+    and ``upper_bound`` (``_ea_bound``) bounds the capacity from above, so the
+    first start whose bound meets its value within ``hilbert.CERT_GAP`` is the
+    last.  Where rho, Phi(rho) or Phi_c(rho) is singular at the argmax (a
+    channel with a pure output, say), the bound is None and every start runs."""
     _check_restarts(restarts)
     d = chan.dim_in
 
@@ -299,17 +415,20 @@ def ea_capacity(chan: KrausChannel, seed: int = 0, restarts: int = 4) -> Optimiz
         return f, g.reshape(-1)
 
     rng = hilbert._rng(seed)
-    starts = [np.eye(d, dtype=complex).reshape(-1)]
-    for _ in range(restarts - 1):
-        starts.append(rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d))
-    v, f, total_iter, gnorm, conv = _best_ascent(value_grad, starts, _EA_MAX_ITER, _EA_TOL_GRAD)
+    starts = itertools.chain(
+        [np.eye(d, dtype=complex).reshape(-1)],
+        (rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+         for _ in range(restarts - 1)),
+    )
+    # the ascent's end points are unit vectors: rho = LL† at L = v as d x d
+    v, f, bound, stats = _best_ascent(
+        value_grad, starts, _EA_MAX_ITER, _EA_TOL_GRAD,
+        lambda v, f: _ea_bound(chan, v.reshape(d, d), f),
+    )
     el = v.reshape(d, d)
     rho = el @ dagger(el)
     rho = rho / np.trace(rho).real
-    return OptimizationResult(
-        value=f, argmax=rho, argmax_kind="mixed", iterations=total_iter,
-        restarts=len(starts), converged=conv, gradient_norm_at_end=gnorm,
-    )
+    return OptimizationResult(value=f, argmax=rho, argmax_kind="mixed", upper_bound=bound, **stats)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,21 @@ def test_optimize_not_converged_exits_one(tmp_path, monkeypatch, capsys):
     assert json.load(open(out))["result"]["converged"] is False
 
 
+def test_gap_override_brings_back_every_start(tmp_path):
+    """A seeded global ascent stops at its first start, certified within
+    ``hilbert.CERT_GAP``; with no gap allowed, all three starts run again."""
+    reports = []
+    for extra in ((), ("--tol-override", "gap=0")):
+        out = tmp_path / f"o{len(reports)}.json"
+        res = run_cli("optimize", "global", "--channel", "dephasing2", "--restarts", "3",
+                      "--out", str(out), *extra)
+        assert res.returncode == 0, res.stderr
+        reports.append(json.load(open(out))["result"])
+    stopped, full = reports
+    assert stopped["restarts"] == 1 and full["restarts"] == 3
+    assert 0.0 < stopped["upper_bound"] - stopped["value"] <= hl.CERT_GAP
+
+
 def test_selftest():
     res = run_cli("selftest")
     assert res.returncode == 0

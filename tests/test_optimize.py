@@ -163,20 +163,10 @@ def test_line_search_stops_where_rounding_starts(monkeypatch):
     assert counts["evaluations"] <= 2 * counts["iterations"]
 
 
-def _ea_certified_gap(chan, rho):
-    """Upper bound on C_EA − I(rho, Phi) at a full-rank rho: the objective is
-    concave with gradient G, so C_EA <= f + λ_max(G − Tr(Gρ)·1).  At
-    L = √rho, ``ea_objective_gradient`` returns (G − Tr(Gρ)·1) L."""
-    w, v = np.linalg.eigh(rho)
-    assert w.min() > 1e-3
-    el = (v * np.sqrt(w)) @ v.conj().T
-    g = opt.ea_objective_gradient(chan, el)[1] @ np.linalg.inv(el)
-    return float(np.linalg.eigvalsh(0.5 * (g + g.conj().T)).max())
-
-
 def test_ascent_cost_guard(monkeypatch):
-    """Twelve ascents (two starts each) reach their optima within 1e-6 in at
-    most 300 objective evaluations in all (the ×1.6/halving step took 714)."""
+    """Twelve ascents (at most two starts each) reach their optima within
+    1e-6 in at most 300 objective evaluations in all (the ×1.6/halving step
+    took 714)."""
     counts = count_evaluations(monkeypatch)
     for chan, optimum in [(cat.dephasing_channel(2), 1.0), (cat.erasure_channel(2), 2.0),
                           (cat.weyl_twirl_channel(3), 2 * math.log2(3))]:
@@ -189,8 +179,147 @@ def test_ascent_cost_guard(monkeypatch):
         assert res.converged and res.value == pytest.approx(optimum, abs=1e-6)
     chan = cat.random_channel(3, 2, 7)
     res = opt.ea_capacity(chan, restarts=2, seed=0)
-    assert res.converged and 0.0 <= _ea_certified_gap(chan, res.argmax) <= 1e-6
+    assert res.converged and 0.0 <= _dense_ea_gap(chan, res.argmax) <= 1e-6
     assert counts["evaluations"] <= 300
+
+
+# ---------------------------------------------------------------------------
+# certified upper bounds and the early stop
+
+# the 27 random channels of the bound tests: d in {2,3,4}, Kraus rank k in
+# {2,3,5}, seed s in {0,1,2}; at d=2, k=5 the Kraus operators are linearly
+# dependent, so Phi_c(rho) (5x5, rank at most 4) is singular at every rho
+RANDOM_CHANNELS = [(d, k, s) for d in (2, 3, 4) for k in (2, 3, 5) for s in (0, 1, 2)]
+_WEIGHTS = {1.0: lambda v: -np.log2(v), 0.5: lambda v: 0.5 / np.sqrt(v), 2.0: lambda v: v}
+
+
+def _complementary(chan, rho):
+    """Phi_c(rho)_ij = Tr[K_i rho K_j†], one Kraus pair at a time."""
+    return np.array([[np.trace(ki @ rho @ kj.conj().T) for kj in chan.kraus]
+                     for ki in chan.kraus])
+
+
+def _factor(rho):
+    vals, vecs = np.linalg.eigh(rho)
+    return vecs * np.sqrt(np.maximum(vals, 0.0))
+
+
+def _production_bound_at(chan, rho, alpha):
+    """``_production_bound`` at the state rho, with its value S_alpha(Phi_c(rho))."""
+    y = chan.stinespring(_factor(rho)).reshape(-1, len(chan.kraus))
+    return opt._production_bound(chan, y, alpha, dense_renyi(_complementary(chan, rho), alpha))
+
+
+def _matrix_function(m, fn):
+    vals, vecs = np.linalg.eigh(m)
+    return (vecs * fn(vals)) @ vecs.conj().T
+
+
+def _dense_adjoint(chan, w_out, w_exch):
+    """Phi†(W_out) + Phi_c†(W_exch) from dense Kraus sums:
+    sum_i K_i† W_out K_i + sum_ij (W_exch)_ji K_j† K_i."""
+    k = chan.kraus
+    h = sum(w_exch[j, i] * k[j].conj().T @ k[i] for i in range(len(k)) for j in range(len(k)))
+    return h + sum(ki.conj().T @ w_out @ ki for ki in k)
+
+
+def _dense_production_bound(chan, rho, alpha):
+    """The linearization bound of ``_production_bound`` from dense Kraus sums,
+    with H = Phi_c†(f(Phi_c(rho)))."""
+    g = _complementary(chan, rho)
+    vals = np.linalg.eigvalsh(g)
+    h = _dense_adjoint(chan, np.zeros((chan.dim_out,) * 2), _matrix_function(g, _WEIGHTS[alpha]))
+    lam = np.linalg.eigvalsh(h)
+    if alpha == 1.0:
+        return dense_renyi(g, 1.0) + lam[-1] - np.trace(h @ rho).real
+    if alpha == 0.5:
+        return 2 * math.log2(np.sqrt(vals).sum() / 2 + lam[-1])
+    return -math.log2(2 * lam[0] - (vals**2).sum())
+
+
+def _dense_ea_gap(chan, rho):
+    """lambda_max(G) - Tr[G rho] for the C_EA gradient
+    G = -log2 rho + Phi†(-log2 Phi(rho)) - Phi_c†(-log2 Phi_c(rho)), from
+    dense Kraus sums."""
+    log = _WEIGHTS[1.0]
+    g = _matrix_function(rho, log) + _dense_adjoint(
+        chan, _matrix_function(chan.apply_matrix(rho), log),
+        -_matrix_function(_complementary(chan, rho), log))
+    return np.linalg.eigvalsh(g)[-1] - np.trace(g @ rho).real
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_production_bound_holds_on_random_channels(alpha):
+    """The reported global maximum lies under its own bound and under the
+    bound linearized at each of 10 random states; the bound agrees with the
+    dense Kraus sums wherever it exists.  Validity only, not the gap."""
+    rng = np.random.default_rng(28)
+    for d, k, s in RANDOM_CHANNELS:
+        chan = cat.random_channel(d, k, s)
+        res = opt.max_entropy_production_global(chan, alpha, restarts=4, seed=s)
+        if res.upper_bound is None:
+            assert alpha != 2.0 and k > d * d and res.restarts == 4
+        else:
+            assert res.upper_bound >= res.value
+        for _ in range(10):
+            rho = hl.random_density([d], d, rng).matrix
+            bound = _production_bound_at(chan, rho, alpha)
+            if alpha != 2.0:  # at alpha=2, None where 2 λ_min(H) <= Tr Y²
+                assert (bound is None) == (k > d * d)
+            if bound is not None:
+                assert bound >= res.value
+                dense = _dense_production_bound(chan, rho, alpha)
+                assert bound == pytest.approx(dense, abs=1e-9)
+
+
+def test_ea_bound_holds_on_random_channels():
+    rng = np.random.default_rng(29)
+    for d, k, s in RANDOM_CHANNELS:
+        chan = cat.random_channel(d, k, s)
+        res = opt.ea_capacity(chan, seed=s)
+        singular = k > d * d
+        assert (res.upper_bound is None) == singular
+        assert res.restarts == (4 if singular else 1)
+        if not singular:
+            assert res.upper_bound >= res.value
+        for _ in range(10):
+            rho = hl.random_density([d], d, rng).matrix
+            f = ea_objective(chan, rho)
+            bound = opt._ea_bound(chan, _factor(rho), f)
+            assert (bound is None) == singular
+            if bound is not None:
+                assert bound >= res.value
+                assert bound - f == pytest.approx(_dense_ea_gap(chan, rho), abs=1e-9)
+
+
+def test_a_certified_start_ends_the_restarts():
+    chan = cat.dephasing_channel(2)
+    four = opt.max_entropy_production_global(chan, 1.0, restarts=4, seed=0)
+    one = opt.max_entropy_production_global(chan, 1.0, restarts=1, seed=0)
+    assert four.restarts == 1
+    assert (four.value, four.iterations, four.upper_bound) == (one.value, one.iterations,
+                                                               one.upper_bound)
+    assert np.array_equal(four.argmax, one.argmax)
+    assert 0.0 <= four.upper_bound - four.value <= hl.CERT_GAP
+    assert four.to_json_dict()["upper_bound"] == four.upper_bound
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: opt.max_entropy_production_global(cat.dephasing_channel(2), math.inf,
+                                                  restarts=3, seed=0),
+        lambda: opt.max_entropy_production_local(cat.dephasing_channel(2), 1.0,
+                                                 restarts=3, seed=0),
+        # every output is |0><0|: Phi(rho) is singular at every rho
+        lambda: opt.ea_capacity(cat.initialization_channel(3), seed=0, restarts=3),
+    ],
+    ids=["global-inf", "local", "ea-initialization"],
+)
+def test_without_a_bound_every_start_runs(run):
+    res = run()
+    assert res.upper_bound is None and res.restarts == 3
+    assert res.to_json_dict()["upper_bound"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +435,12 @@ def test_global_min_entropy_weyl_twirl3(seed):
 
 
 @pytest.mark.parametrize("target", ["global", "local"])
-def test_min_entropy_is_read_at_the_collision_argmax(target):
+def test_min_entropy_is_read_at_the_collision_argmax(monkeypatch, target):
     chan = cat.random_channel(3, 2, 11)
     run = getattr(opt, f"max_entropy_production_{target}")
+    # the global alpha=2 run would stop at its first certified start; alpha=inf
+    # has no bound and runs both, so no gap may end the alpha=2 run either
+    monkeypatch.setattr(hl, "CERT_GAP", 0.0)
     inf, two = run(chan, math.inf, restarts=2, seed=5), run(chan, 2.0, restarts=2, seed=5)
     assert np.array_equal(inf.argmax, two.argmax)
     assert (inf.iterations, inf.converged) == (two.iterations, two.converged)
