@@ -43,7 +43,6 @@ _TOL_NAMES = {
     "group": (hilbert, "GROUP_TOL"),
     "entropy": (hilbert, "ENTROPY_SLACK"),
     "refinement": (hilbert, "REFINEMENT_TOL"),
-    "gap": (hilbert, "CERT_GAP"),
     "ledger": (catalysis, "LEDGER_TOL"),
 }
 
@@ -476,7 +475,7 @@ def _local(args, chan):
 ASCENT = (_flag("--alpha", type=float, default=1.0, help="Renyi order, default 1"),
           _flag("--restarts", type=int, default=None,
                 help="at most this many starts (default 16); global at alpha 1/2, 1 or 2 "
-                     "stops at the first start certified within the gap tolerance"))
+                     "stops at the first start certified within 1e-6 bits"))
 OPTIMIZE = {"ea": (_ea, ()), "global": (_global, ASCENT), "local": (_local, ASCENT)}
 
 

@@ -31,7 +31,6 @@ TOL_NORM = 1e-10       # trace / vector-norm deviation
 GROUP_TOL = 1e-8       # relative gap below which eigenvalues merge
 ENTROPY_SLACK = 1e-7   # bits an entropy inequality may miss by and still hold
 REFINEMENT_TOL = 1e-7  # a catalyst refinement: ||[U, 1 ⊗ Π]||_F and |Σ weights - 1|
-CERT_GAP = 1e-6        # bits a certified bound may exceed an ascent's value and end its restarts
 
 # The one size budget: every function that allocates from a size its caller
 # gives passes the complex entries of the largest object it defines to

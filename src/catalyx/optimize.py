@@ -8,8 +8,8 @@ optimum is bracketed too: ``upper_bound`` is a certified upper bound on the
 maximum, from one linearization of the objective at the argmax, or None where
 the objective is not differentiable there.  Restarts run one after the other
 and reduce deterministically (max value, ties to the lowest restart index);
-after the first start that converges with a bound within ``hilbert.CERT_GAP``
-of its value, no further start runs.
+after the first start that converges with a bound within ``_CERT_GAP`` (1e-6
+bits) of its value, no further start runs.
 
 Entropy production is maximized on the pure face only.  For rho = sum_i p_i
 psi_i and the cq state omega = sum_i p_i |i><i| x Phi(psi_i), at every
@@ -46,8 +46,9 @@ SUPPORTED_ALPHAS = (0.5, 1.0, 2.0, math.inf)
 _PURE_MAX_ITER, _PURE_TOL_GRAD = 2000, 1e-9
 _EA_MAX_ITER, _EA_TOL_GRAD = 4000, 1e-7
 # a move is accepted when it gains more than _ACCEPT_GAIN; a restart replaces
-# the best so far when it is higher by more than _TIE_MARGIN
-_ACCEPT_GAIN, _TIE_MARGIN = 1e-16, 1e-15
+# the best so far when it is higher by more than _TIE_MARGIN; no start runs
+# after one that converged with a certified bound within _CERT_GAP bits
+_ACCEPT_GAIN, _TIE_MARGIN, _CERT_GAP = 1e-16, 1e-15, 1e-6
 _TRADEOFF_SLACK = 1e-4
 
 
@@ -224,22 +225,27 @@ def _best_ascent(
     """Ascend from each start and keep the best (strictly better by
     _TIE_MARGIN, ties to the lowest index).  ``certify(x, f)`` maps an end
     point to a certified upper bound on the maximum, or None; after a start
-    that converged with a bound within ``hilbert.CERT_GAP`` of its value, no
-    further start runs.  Returns the best end point, its value and bound, and
-    the ``OptimizationResult`` fields of the run: iterations summed over the
-    starts run, their count, and the best start's convergence."""
-    best = None
+    that converged with a bound within ``_CERT_GAP`` of its value, no further
+    start runs.  Every start's bound holds for the maximum, so the tightest
+    one is reported (None where no start gave one), clipped at the best value
+    against rounding.  Returns the best end point, its value and that bound,
+    and the ``OptimizationResult`` fields of the run: iterations summed over
+    the starts run, their count, and the best start's convergence."""
+    best = tightest = None
     total_iter = runs = 0
     for x0 in starts:
         x, f, its, gnorm, conv = _ascend(value_grad, x0, max_iter, tol_grad)
         total_iter += its
         runs += 1
-        bound = None if certify is None else certify(x, f)
         if best is None or f > best[1] + _TIE_MARGIN:
-            best = (x, f, bound, gnorm, conv)
-        if conv and bound is not None and bound - f <= hilbert.CERT_GAP:
-            break
-    x, f, bound, gnorm, conv = best
+            best = (x, f, gnorm, conv)
+        bound = None if certify is None else certify(x, f)
+        if bound is not None:
+            tightest = bound if tightest is None else min(tightest, bound)
+            if conv and bound - f <= _CERT_GAP:
+                break
+    x, f, gnorm, conv = best
+    bound = None if tightest is None else max(tightest, f)
     return x, f, bound, {"iterations": total_iter, "restarts": runs,
                          "converged": conv, "gradient_norm_at_end": gnorm}
 
@@ -253,27 +259,28 @@ def _project_tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _input_operator(
-    chan: KrausChannel, w_out: np.ndarray | None, w_exch: np.ndarray
+    chan: KrausChannel, eye: np.ndarray, w_out: np.ndarray | None, w_exch: np.ndarray
 ) -> np.ndarray:
     """The d_in×d_in H with Tr[Hρ] = Tr[W_out Φ(ρ)] + Tr[W_exch Y†Y] for every
     ρ = XX†, where Y is the Stinespring factor of X regrouped as (·, n), so
     Y†Y = Φ_c(ρ)ᵀ: Φ†(W_out) plus the complementary part (W_out None: that
-    part alone).  Read off the Stinespring factor of the identity and one
-    adjoint, as ``ea_objective_gradient`` pulls back at X = 1."""
-    y = chan.stinespring(np.eye(chan.dim_in, dtype=complex))
-    z = (y.reshape(-1, len(chan.kraus)) @ w_exch).reshape(y.shape)
-    return chan.stinespring_adjoint(z if w_out is None else w_out @ y + z)
+    part alone).  Read off ``eye``, the Stinespring factor of the identity
+    (an ascent forms it once for all its certificates), and one adjoint, as
+    ``ea_objective_gradient`` pulls back at X = 1."""
+    z = (eye.reshape(-1, len(chan.kraus)) @ w_exch).reshape(eye.shape)
+    return chan.stinespring_adjoint(z if w_out is None else w_out @ eye + z)
 
 
 def _production_bound(
-    chan: KrausChannel, y: np.ndarray, alpha: float, value: float
+    chan: KrausChannel, eye: np.ndarray, y: np.ndarray, alpha: float, value: float
 ) -> float | None:
     """Certified upper bound on the global production maximum
     max_σ S_alpha(Φ_c(σ)) at alpha in {1/2, 1, 2}, from one linearization at
     a state ρ.  ``y`` is the Stinespring factor of a unit-trace factor of ρ
     regrouped as (·, n) (for a pure ψ on reference x input,
     ``chan.stinespring(ψ, ref)``, ρ its input marginal), so its n×n Gram
-    matrix Y = y†y is Φ_c(ρ)ᵀ; ``value`` is S_alpha(Y).
+    matrix Y = y†y is Φ_c(ρ)ᵀ; ``value`` is S_alpha(Y); ``eye`` is as in
+    ``_input_operator``.
 
     With D = dS_alpha/dY (``_entropy_derivative``) and H = Φ_c†(D), the gap
     g = λ_max(H) − Tr[DY] is at least ⟨D, Φ_c(σ) − Y⟩ for every state σ.
@@ -292,7 +299,7 @@ def _production_bound(
     _, dmat, vals, diag = _entropy_derivative(dagger(y) @ y, alpha)
     if alpha != 2.0 and vals[0] <= hilbert.TOL_PSD:
         return None
-    h = _input_operator(chan, None, dmat)
+    h = _input_operator(chan, eye, None, dmat)
     gap = max(float(np.linalg.eigvalsh(h)[-1] - diag @ vals), 0.0)
     if alpha == 1.0:
         return value + gap
@@ -300,23 +307,27 @@ def _production_bound(
     return value + math.log2(step) / (1.0 - alpha) if step > 0 else None
 
 
-def _ea_bound(chan: KrausChannel, x: np.ndarray, value: float) -> float | None:
+def _ea_bound(
+    chan: KrausChannel, eye: np.ndarray, x: np.ndarray, value: float
+) -> float | None:
     """Certified upper bound on C_EA from one linearization of the concave
     I(ρ) = S(ρ) + S(Φ(ρ)) − S(Φ_c(ρ)) at ρ = XX† (X of unit Frobenius norm),
     whose value is ``value``: C_EA <= value + λ_max(G) − Tr[Gρ], with
     G = D_in + Φ†(D_out) − Φ_c†(D_exch) and the D the derivatives of the
     three entropies (``_entropy_derivative``; the multiples of the identity
     they leave out cancel in the difference, which is clipped at zero
-    against rounding).  None unless every eigenvalue of ρ, Φ(ρ) and Φ_c(ρ)
-    exceeds ``hilbert.TOL_PSD``."""
+    against rounding); ``eye`` is as in ``_input_operator``.  None unless
+    every eigenvalue of ρ, Φ(ρ) and Φ_c(ρ) exceeds ``hilbert.TOL_PSD``: the
+    first singular spectrum ends the work."""
     y = chan.stinespring(x)
     exch = y.reshape(-1, len(chan.kraus))
-    grams = (x @ dagger(x), y @ dagger(y), dagger(exch) @ exch)  # ρ, Φ(ρ), Φ_c(ρ)ᵀ
-    parts = [_entropy_derivative(m, 1.0) for m in grams]
-    if min(vals[0] for _, _, vals, _ in parts) <= hilbert.TOL_PSD:
-        return None
+    parts = []
+    for gram in (x @ dagger(x), y @ dagger(y), dagger(exch) @ exch):  # ρ, Φ(ρ), Φ_c(ρ)ᵀ
+        parts.append(_entropy_derivative(gram, 1.0))
+        if parts[-1][2][0] <= hilbert.TOL_PSD:
+            return None
     (_, d_in, v_in, w_in), (_, d_out, v_out, w_out), (_, d_exch, v_exch, w_exch) = parts
-    g = d_in + _input_operator(chan, d_out, -d_exch)
+    g = d_in + _input_operator(chan, eye, d_out, -d_exch)
     tr_g_rho = w_in @ v_in + w_out @ v_out - w_exch @ v_exch
     return value + max(float(np.linalg.eigvalsh(g)[-1] - tr_g_rho), 0.0)
 
@@ -347,8 +358,10 @@ def _pure_ascent(
     certify = None
     if ref == chan.dim_in and not math.isinf(alpha):
         # the global problem, max_rho S_alpha(Phi_c(rho)) (module docstring)
+        eye = chan.stinespring(np.eye(chan.dim_in, dtype=complex))
+
         def certify(v: np.ndarray, f: float) -> float | None:
-            return _production_bound(chan, chan.stinespring(v[:, None], ref), alpha, f)
+            return _production_bound(chan, eye, chan.stinespring(v[:, None], ref), alpha, f)
 
     rng = hilbert._rng(seed)
     dim = ref * chan.dim_in
@@ -403,7 +416,7 @@ def ea_capacity(chan: KrausChannel, seed: int = 0, restarts: int = 4) -> Optimiz
     maximally mixed start and then random ones, at most ``restarts`` of them.
     The objective is concave in rho: the value is that of the feasible argmax,
     and ``upper_bound`` (``_ea_bound``) bounds the capacity from above, so the
-    first start whose bound meets its value within ``hilbert.CERT_GAP`` is the
+    first start whose bound meets its value within ``_CERT_GAP`` is the
     last.  Where rho, Phi(rho) or Phi_c(rho) is singular at the argmax (a
     channel with a pure output, say), the bound is None and every start runs."""
     _check_restarts(restarts)
@@ -421,9 +434,10 @@ def ea_capacity(chan: KrausChannel, seed: int = 0, restarts: int = 4) -> Optimiz
          for _ in range(restarts - 1)),
     )
     # the ascent's end points are unit vectors: rho = LL† at L = v as d x d
+    eye = chan.stinespring(np.eye(d, dtype=complex))
     v, f, bound, stats = _best_ascent(
         value_grad, starts, _EA_MAX_ITER, _EA_TOL_GRAD,
-        lambda v, f: _ea_bound(chan, v.reshape(d, d), f),
+        lambda v, f: _ea_bound(chan, eye, v.reshape(d, d), f),
     )
     el = v.reshape(d, d)
     rho = el @ dagger(el)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from util import party_swap
 from catalyx import catalysis as cat
 from catalyx import cli
 from catalyx import hilbert as hl
+from catalyx import optimize as opt
 
 CNOT = np.eye(4)[:, [0, 1, 3, 2]].astype(complex)
 
@@ -199,19 +201,22 @@ def test_optimize_not_converged_exits_one(tmp_path, monkeypatch, capsys):
     assert json.load(open(out))["result"]["converged"] is False
 
 
-def test_gap_override_brings_back_every_start(tmp_path):
+def test_optimize_reports_the_starts_run(tmp_path, monkeypatch):
     """A seeded global ascent stops at its first start, certified within
-    ``hilbert.CERT_GAP``; with no gap allowed, all three starts run again."""
-    reports = []
-    for extra in ((), ("--tol-override", "gap=0")):
-        out = tmp_path / f"o{len(reports)}.json"
+    ``optimize._CERT_GAP``; where no certificate may end it, all three starts
+    run and the report says so."""
+    def report(name):
+        out = tmp_path / name
         res = run_cli("optimize", "global", "--channel", "dephasing2", "--restarts", "3",
-                      "--out", str(out), *extra)
+                      "--out", str(out))
         assert res.returncode == 0, res.stderr
-        reports.append(json.load(open(out))["result"])
-    stopped, full = reports
-    assert stopped["restarts"] == 1 and full["restarts"] == 3
-    assert 0.0 < stopped["upper_bound"] - stopped["value"] <= hl.CERT_GAP
+        return json.load(open(out))["result"]
+
+    stopped = report("stopped.json")
+    assert stopped["restarts"] == 1
+    assert 0.0 <= stopped["upper_bound"] - stopped["value"] <= opt._CERT_GAP
+    monkeypatch.setattr(opt, "_CERT_GAP", -math.inf)
+    assert report("full.json")["restarts"] == 3
 
 
 def test_selftest():

@@ -164,9 +164,10 @@ def test_line_search_stops_where_rounding_starts(monkeypatch):
 
 
 def test_ascent_cost_guard(monkeypatch):
-    """Twelve ascents (at most two starts each) reach their optima within
-    1e-6 in at most 300 objective evaluations in all (the ×1.6/halving step
-    took 714)."""
+    """Twelve ascents (two starts each) reach their optima within 1e-6 in at
+    most 300 objective evaluations in all (the ×1.6/halving step took 714).
+    No certificate ends the restarts, so every ascent runs both starts."""
+    monkeypatch.setattr(opt, "_CERT_GAP", -math.inf)
     counts = count_evaluations(monkeypatch)
     for chan, optimum in [(cat.dephasing_channel(2), 1.0), (cat.erasure_channel(2), 2.0),
                           (cat.weyl_twirl_channel(3), 2 * math.log2(3))]:
@@ -204,10 +205,15 @@ def _factor(rho):
     return vecs * np.sqrt(np.maximum(vals, 0.0))
 
 
+def _identity_factor(chan):
+    return chan.stinespring(np.eye(chan.dim_in, dtype=complex))
+
+
 def _production_bound_at(chan, rho, alpha):
     """``_production_bound`` at the state rho, with its value S_alpha(Phi_c(rho))."""
     y = chan.stinespring(_factor(rho)).reshape(-1, len(chan.kraus))
-    return opt._production_bound(chan, y, alpha, dense_renyi(_complementary(chan, rho), alpha))
+    value = dense_renyi(_complementary(chan, rho), alpha)
+    return opt._production_bound(chan, _identity_factor(chan), y, alpha, value)
 
 
 def _matrix_function(m, fn):
@@ -285,7 +291,7 @@ def test_ea_bound_holds_on_random_channels():
         for _ in range(10):
             rho = hl.random_density([d], d, rng).matrix
             f = ea_objective(chan, rho)
-            bound = opt._ea_bound(chan, _factor(rho), f)
+            bound = opt._ea_bound(chan, _identity_factor(chan), _factor(rho), f)
             assert (bound is None) == singular
             if bound is not None:
                 assert bound >= res.value
@@ -300,8 +306,26 @@ def test_a_certified_start_ends_the_restarts():
     assert (four.value, four.iterations, four.upper_bound) == (one.value, one.iterations,
                                                                one.upper_bound)
     assert np.array_equal(four.argmax, one.argmax)
-    assert 0.0 <= four.upper_bound - four.value <= hl.CERT_GAP
+    assert 0.0 <= four.upper_bound - four.value <= opt._CERT_GAP
     assert four.to_json_dict()["upper_bound"] == four.upper_bound
+
+
+def test_the_tightest_bound_of_any_start_is_reported():
+    """Every start's bound holds for the maximum, so a result carries the
+    tightest one, also where the start that ends the restarts is not the
+    best: here the first start is best with a loose bound, the second has
+    none, and the third is certified within the gap and ends the run."""
+    values, bounds = [1.0, 0.9, 1.0 - 1e-9, 1.0], [1.5, None, 1.0 + 5e-7, 1.0]
+    starts = list(np.eye(4, dtype=complex))
+
+    def value_grad(x):  # every start is a critical point: it converges at once
+        return values[int(np.argmax(abs(x)))], np.zeros_like(x)
+
+    x, f, bound, stats = opt._best_ascent(
+        value_grad, starts, 10, 1e-9, lambda x, f: bounds[int(np.argmax(abs(x)))])
+    assert np.array_equal(x, starts[0]) and f == 1.0
+    assert bound == 1.0 + 5e-7
+    assert stats["restarts"] == 3 and stats["converged"]
 
 
 @pytest.mark.parametrize(
@@ -439,8 +463,8 @@ def test_min_entropy_is_read_at_the_collision_argmax(monkeypatch, target):
     chan = cat.random_channel(3, 2, 11)
     run = getattr(opt, f"max_entropy_production_{target}")
     # the global alpha=2 run would stop at its first certified start; alpha=inf
-    # has no bound and runs both, so no gap may end the alpha=2 run either
-    monkeypatch.setattr(hl, "CERT_GAP", 0.0)
+    # has no bound and runs both, so no certificate may end the alpha=2 run
+    monkeypatch.setattr(opt, "_CERT_GAP", -math.inf)
     inf, two = run(chan, math.inf, restarts=2, seed=5), run(chan, 2.0, restarts=2, seed=5)
     assert np.array_equal(inf.argmax, two.argmax)
     assert (inf.iterations, inf.converged) == (two.iterations, two.converged)

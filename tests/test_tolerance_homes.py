@@ -25,7 +25,6 @@ HOMES = {
     "GROUP_TOL": "hilbert",
     "ENTROPY_SLACK": "hilbert",
     "REFINEMENT_TOL": "hilbert",
-    "CERT_GAP": "hilbert",
     "LEDGER_TOL": "catalysis",
     "MAX_BYTES": "hilbert",
 }
