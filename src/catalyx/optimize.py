@@ -9,7 +9,9 @@ maximum, from one linearization of the objective at the argmax, or None where
 the objective is not differentiable there.  Restarts run one after the other
 and reduce deterministically (max value, ties to the lowest restart index);
 after the first start that converges with a bound within ``_CERT_GAP`` (1e-6
-bits) of its value, no further start runs.
+bits) of its value, no further start runs.  The first start of global
+production is the maximally entangled input vec(1), that of C_EA the
+maximally mixed state; the seed reaches only the later, random starts.
 
 Entropy production is maximized on the pure face only.  For rho = sum_i p_i
 psi_i and the cq state omega = sum_i p_i |i><i| x Phi(psi_i), at every
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -250,6 +252,15 @@ def _best_ascent(
                          "converged": conv, "gradient_norm_at_end": gnorm}
 
 
+def _random_starts(seed, dim: int, count: int) -> Iterator[np.ndarray]:
+    """``count`` complex standard normal vectors of length ``dim``, drawn in
+    turn from ``hilbert._rng(seed)``, which is seeded only at the first draw."""
+    if count > 0:
+        rng = hilbert._rng(seed)
+        for _ in range(count):
+            yield rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
 def _project_tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - (np.vdot(v, g)) * v
 
@@ -363,9 +374,10 @@ def _pure_ascent(
         def certify(v: np.ndarray, f: float) -> float | None:
             return _production_bound(chan, eye, chan.stinespring(v[:, None], ref), alpha, f)
 
-    rng = hilbert._rng(seed)
-    dim = ref * chan.dim_in
-    starts = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(restarts))
+    # the global problem starts at vec(1), whose input marginal 1/d is full
+    # rank: a stationary point of the concave problem there is its maximum
+    first = [np.eye(ref, dtype=complex).reshape(-1)] if ref == chan.dim_in else []
+    starts = itertools.chain(first, _random_starts(seed, ref * chan.dim_in, restarts - len(first)))
     v, f, bound, stats = _best_ascent(
         value_grad, starts, _PURE_MAX_ITER, _PURE_TOL_GRAD, certify
     )
@@ -427,12 +439,8 @@ def ea_capacity(chan: KrausChannel, seed: int = 0, restarts: int = 4) -> Optimiz
         f, g = ea_objective_gradient(chan, el)
         return f, g.reshape(-1)
 
-    rng = hilbert._rng(seed)
-    starts = itertools.chain(
-        [np.eye(d, dtype=complex).reshape(-1)],
-        (rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-         for _ in range(restarts - 1)),
-    )
+    starts = itertools.chain([np.eye(d, dtype=complex).reshape(-1)],
+                             _random_starts(seed, d * d, restarts - 1))
     # the ascent's end points are unit vectors: rho = LL† at L = v as d x d
     eye = chan.stinespring(np.eye(d, dtype=complex))
     v, f, bound, stats = _best_ascent(
