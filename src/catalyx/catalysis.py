@@ -29,10 +29,11 @@ block, so that the error is the lowest failing block's.
 
 A certified :class:`CatalysisInstance` is immutable and may be shared across
 threads.  A :class:`KrausChannel` holds one read-only array, its Stinespring
-operand, and is immutable but for one memo, the bytes and the spectra of its
-last input to ``optimize.global_production``: each call reads it once and
-replaces it whole by one attribute store, so a channel may be shared across
-threads too (a race costs a repeated solve, never a wrong value).
+operand, and is immutable but for one memo, the bytes of its last input to
+``optimize.global_production`` and the supports of its spectra: each call
+reads it once and replaces it whole by one attribute store, so a channel may
+be shared across threads too (a race costs a repeated solve, never a wrong
+value).
 Module-level mutable state: only the tolerances (``LEDGER_TOL`` here, the rest
 in :mod:`hilbert`), read at call time and rebound only by the CLI's
 ``--tol-override``.  Each ledger record goes back to its caller; none is kept
@@ -370,7 +371,7 @@ class KrausChannel(Frozen):
     n·d_out·d_in entries against ``hilbert.MAX_BYTES``.  Equality is
     identity, as for ``DensityOperator``.  ``_last_spectra`` is
     ``optimize.global_production``'s memo: the key (rho's bytes among it)
-    and the input and output spectra of the last input."""
+    and the supports of the input and output spectra of the last input."""
 
     kraus: np.ndarray
 
@@ -430,6 +431,11 @@ class KrausChannel(Frozen):
         np.conjugate(conj_v, out=conj_v)
         x = (rows @ conj_v).reshape(ref, r, d_in)
         return x.transpose(0, 2, 1).reshape(ref * d_in, r)
+
+    def identity_factor(self) -> np.ndarray:
+        """:meth:`stinespring` of 1_{d_in} bit for bit: Vᵀ regrouped, no GEMM."""
+        n, d_out, d_in = self.kraus.shape
+        return self._isometry_t.reshape(d_in, d_out, n).transpose(1, 0, 2).reshape(d_out, -1)
 
     def choi(self) -> np.ndarray:
         """J = sum_ij |i><j| ⊗ Phi(|i><j|), reference factor first: GG† for

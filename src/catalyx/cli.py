@@ -475,8 +475,8 @@ def _local(args, chan):
 ASCENT = (_flag("--alpha", type=float, default=1.0, help="Renyi order, default 1"),
           _flag("--restarts", type=int, default=None,
                 help="at most this many starts (default 16); global starts at the maximally "
-                     "entangled input, the seed draws the later ones, and at alpha 1/2, 1 or 2 "
-                     "it stops at the first start certified within 1e-6 bits"))
+                     "entangled input, the seed draws the later ones, and at alpha 1/2, 1, 2 or "
+                     "inf it stops at the first start certified within 1e-6 bits"))
 OPTIMIZE = {"ea": (_ea, ()), "global": (_global, ASCENT), "local": (_local, ASCENT)}
 
 

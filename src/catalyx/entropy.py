@@ -104,18 +104,23 @@ def renyi(state, alpha: float) -> float:
 
 def _renyi_bits(p: np.ndarray, alpha: float) -> float:
     """H_alpha in bits of a distribution ``p`` already known to be one, at an
-    order alpha >= 0: the kernel of :func:`renyi` without its checks, for
-    callers whose ``p`` is valid by construction."""
+    order alpha >= 0, for callers whose ``p`` is valid by construction:
+    :func:`renyi` without its checks, ``_renyi_support`` of ``p``'s support."""
+    return _renyi_support(p[p > hilbert.TOL_PSD], alpha)
+
+
+def _renyi_support(q: np.ndarray, alpha: float) -> float:
+    """H_alpha in bits of a distribution given by its support: ``q`` holds its
+    entries above ``TOL_PSD`` and no others, so nothing is cut again."""
     if abs(alpha - 1.0) <= _ALPHA_SNAP:
-        return _shannon_bits(p)
-    p = p[p > hilbert.TOL_PSD]
-    if p.size == 0:
+        return _clip_zero(float(-(q * np.log2(q)).sum()))
+    if q.size == 0:
         return 0.0
     if math.isinf(alpha):
-        return _clip_zero(float(-np.log2(p.max())))
+        return _clip_zero(float(-np.log2(q.max())))
     if alpha <= _ALPHA_SNAP:
-        return float(np.log2(p.size))
-    return _clip_zero(float(np.log2((p**alpha).sum()) / (1.0 - alpha)))
+        return float(np.log2(q.size))
+    return _clip_zero(float(np.log2((q**alpha).sum()) / (1.0 - alpha)))
 
 
 def min_entropy(state) -> float:

@@ -5,13 +5,14 @@ Every reported optimum is a feasible lower bound: the argmax is an explicit
 state and the value is its exact objective.  Where the problem is concave in
 the input state (global production at alpha in {1/2, 1, 2}, and C_EA) the
 optimum is bracketed too: ``upper_bound`` is a certified upper bound on the
-maximum, from one linearization of the objective at the argmax, or None where
-the objective is not differentiable there.  Restarts run one after the other
-and reduce deterministically (max value, ties to the lowest restart index);
-after the first start that converges with a bound within ``_CERT_GAP`` (1e-6
-bits) of its value, no further start runs.  The first start of global
-production is the maximally entangled input vec(1), that of C_EA the
-maximally mixed state; the seed reaches only the later, random starts.
+maximum, from one linearization of the objective at the argmax, which reads
+the ascent's last evaluation, or None where the objective is not
+differentiable there.  Restarts run one after the other and reduce
+deterministically (max value, ties to the lowest restart index); after the
+first start that converges with a bound within ``_CERT_GAP`` (1e-6 bits) of
+its value, no further start runs.  The first start of global production is
+the maximally entangled input vec(1), that of C_EA the maximally mixed
+state; the seed reaches only the later, random starts.
 
 Entropy production is maximized on the pure face only.  For rho = sum_i p_i
 psi_i and the cq state omega = sum_i p_i |i><i| x Phi(psi_i), at every
@@ -19,8 +20,9 @@ alpha in {1/2, 1, 2, inf}: S_alpha(Phi(rho)) <= S_alpha(omega) <= S_alpha(p)
 + max_i S_alpha(Phi(psi_i)), and S_alpha(rho) = S_alpha(p), so the production
 of rho never exceeds that of its best eigenvector.  The ascent therefore runs
 over unit vectors, where the input entropy vanishes.  The min-entropy
-objective is not smooth: at alpha=inf the smooth alpha=2 ascent runs and the
-exact min-entropy of its argmax is reported.
+objective is not smooth: at alpha=inf the alpha=2 ascent runs (globally
+certified and stopped by its alpha=2 bound, as H_inf <= H_2 at every point)
+and the exact min-entropy of its argmax is reported.
 
 For a pure psi on reference x input with input marginal rho,
 (1 x Phi)(psi psi†) and Phi_c(rho) share their nonzero spectrum, so the
@@ -38,7 +40,8 @@ import numpy as np
 
 from . import hilbert
 from .catalysis import CatalysisInstance, KrausChannel, channel_to_kraus
-from .entropy import _check_order, _renyi_bits, catalytic_entropy, catalytic_min_entropy
+from .entropy import _check_order, _renyi_bits, _renyi_support
+from .entropy import catalytic_entropy, catalytic_min_entropy
 from .hilbert import dagger, eigenspace_decompose
 
 _LN2 = math.log(2.0)
@@ -62,8 +65,8 @@ class OptimizationResult(NamedTuple):
     restarts: int
     converged: bool
     gradient_norm_at_end: float
-    # certified upper bound on the maximum; None where the problem is not
-    # concave or its objective not differentiable at the argmax
+    # certified upper bound on the maximum; None for local production and
+    # where no certificate holds at the argmax (a singular output, say)
     upper_bound: float | None = None
 
     # element-wise tuple equality raises on the ndarray field: compare and
@@ -95,17 +98,18 @@ def _check_restarts(restarts: int) -> None:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
 
 
-def _distribution(vals: np.ndarray) -> np.ndarray:
-    """Eigenvalues clipped at zero and normalized to unit sum: a distribution
-    by construction, which the entropies read through ``_renyi_bits``."""
+def _support(vals: np.ndarray) -> np.ndarray:
+    """Eigenvalues clipped at zero, normalized to unit sum and cut to the
+    entries above ``hilbert.TOL_PSD``, all that the entropies read."""
     p = np.maximum(vals, 0.0)
-    return p / p.sum()
+    p = p / p.sum()
+    return p[p > hilbert.TOL_PSD]
 
 
-def _factor_distribution(x: np.ndarray) -> np.ndarray:
-    """The spectrum of XX†, normalized to unit trace, from the smaller Gram
-    side of the factor X."""
-    return _distribution(np.linalg.eigvalsh(hilbert.smaller_gram(x)[0]))
+def _factor_support(x: np.ndarray) -> np.ndarray:
+    """The support of the spectrum of XX†, normalized to unit trace, from the
+    smaller Gram side of the factor X."""
+    return _support(np.linalg.eigvalsh(hilbert.smaller_gram(x)[0]))
 
 
 def _entropy_derivative(
@@ -128,15 +132,24 @@ def _entropy_derivative(
     return value, (vecs * diag) @ dagger(vecs), vals, diag
 
 
-def _pullback(x: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
+def _pullback(x: np.ndarray, alpha: float) -> tuple[float, np.ndarray, tuple]:
     """S_alpha(XX†) and its gradient D X in the factor X, with D the Hermitian
     dS_alpha/d(XX†) (so dS = 2 Re⟨D X, dX⟩), from one ``eigh`` of the smaller
     of X†X and XX†.  D lives on the support the value reads, and zero
     eigenvalues add nothing to its trace normalization, so either Gram side
-    gives the same D X."""
+    gives the same D X.  Last comes (the side solved is X†X, its
+    ``_entropy_derivative`` tuple), for ``_gram_derivative``."""
     gram, inner = hilbert.smaller_gram(x)
-    value, dmat, _, _ = _entropy_derivative(gram, alpha)
-    return value, (x @ dmat if inner else dmat @ x)
+    side = _entropy_derivative(gram, alpha)
+    return side[0], (x @ side[1] if inner else side[1] @ x), (inner, side)
+
+
+def _gram_derivative(x: np.ndarray, solved: tuple | None, inner: bool, alpha: float) -> tuple:
+    """``_entropy_derivative`` of X†X (``inner``) or XX†: from ``solved`` (the
+    last item of X's ``_pullback``) where it solved that side, else one ``eigh``."""
+    if solved is not None and solved[0] == inner:
+        return solved[1]
+    return _entropy_derivative(dagger(x) @ x if inner else x @ dagger(x), alpha)
 
 
 def global_production(
@@ -148,12 +161,13 @@ def global_production(
     Stinespring factor holds the output; one ``eigvalsh`` of the smaller Gram
     side of that factor gives the output spectrum.
 
-    Neither spectrum depends on alpha, so ``chan`` keeps both for its last
-    input, as one tuple (key, input distribution, output distribution) in
+    Neither spectrum depends on alpha, so ``chan`` keeps the supports of both
+    (``_support``, which every order reads through ``_renyi_support``) for
+    its last input, as one tuple (key, input support, output support) in
     ``chan._last_spectra``.  The key is (ref_dim, ``hilbert.TOL_PSD``, shape,
     dtype, rho's C-ordered bytes): the same rho at another alpha skips all
     three solves, and a rho changed in place, or a changed tolerance, solves
-    again.  The memo holds rho's D² entries and the two spectra.  The tuple
+    again.  The memo holds rho's D² entries and the two supports.  The tuple
     is read once and replaced whole, so a channel may be shared across
     threads."""
     _check_order(alpha)
@@ -164,10 +178,10 @@ def global_production(
         vals, vecs = np.linalg.eigh(rho)
         keep = vals > hilbert.TOL_PSD
         y = chan.stinespring(vecs[:, keep] * np.sqrt(vals[keep]), ref_dim)
-        last = (key, _distribution(vals), _factor_distribution(y))
+        last = (key, _support(vals), _factor_support(y))
         object.__setattr__(chan, "_last_spectra", last)
-    _, p_in, p_out = last
-    return _renyi_bits(p_out, alpha) - _renyi_bits(p_in, alpha)
+    _, q_in, q_out = last
+    return _renyi_support(q_out, alpha) - _renyi_support(q_in, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +193,13 @@ def _sphere_retract(v: np.ndarray) -> np.ndarray:
 
 
 def _ascend(
-    value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    value_grad: Callable[[np.ndarray], tuple[float, np.ndarray, object]],
     x0: np.ndarray,
     max_iter: int,
     tol_grad: float,
-) -> tuple[np.ndarray, float, int, float, bool]:
-    """Backtracking gradient ascent on the unit sphere from x0.
+) -> tuple[np.ndarray, float, int, float, bool, object]:
+    """Backtracking gradient ascent on the unit sphere from x0.  ``value_grad``
+    gives f, its gradient and its evaluation, returned last at the end point.
 
     After an accepted move s = x' − x, with gradient change y = g' − g, the
     next trial step is the Barzilai–Borwein ratio ‖s‖² / (−Re⟨s, y⟩); a move
@@ -194,54 +209,55 @@ def _ascend(
     where a gain could not be told from noise.  The ascent converges when
     ‖g‖ <= tol_grad, or when it stalls with ‖g‖ <= 1e3·tol_grad."""
     x = _sphere_retract(x0)
-    f, g = value_grad(x)
+    f, g, ev = value_grad(x)
     step = 1.0
     it = 0
     for it in range(1, max_iter + 1):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol_grad:
-            return x, f, it, gnorm, True
+            return x, f, it, gnorm, True, ev
         rounding = 4.0 * _EPS * max(1.0, abs(f))
         while step * gnorm**2 > rounding:
             cand = _sphere_retract(x + step * g)
-            fc, gc = value_grad(cand)
+            fc, gc, evc = value_grad(cand)
             if fc > f + _ACCEPT_GAIN:
                 s = cand - x
                 curv = -np.vdot(s, gc - g).real
                 step = np.vdot(s, s).real / curv if curv > 0 else 1.6 * step
-                x, f, g = cand, fc, gc
+                x, f, g, ev = cand, fc, gc, evc
                 break
             step *= 0.5
         else:
-            return x, f, it, gnorm, gnorm <= 1e3 * tol_grad
-    return x, f, it, float(np.linalg.norm(g)), False
+            return x, f, it, gnorm, gnorm <= 1e3 * tol_grad, ev
+    return x, f, it, float(np.linalg.norm(g)), False, ev
 
 
 def _best_ascent(
-    value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    value_grad: Callable[[np.ndarray], tuple[float, np.ndarray, object]],
     starts: Iterable[np.ndarray],
     max_iter: int,
     tol_grad: float,
-    certify: Callable[[np.ndarray, float], float | None] | None,
+    certify: Callable[[object, float], float | None] | None,
 ) -> tuple[np.ndarray, float, float | None, dict]:
     """Ascend from each start and keep the best (strictly better by
-    _TIE_MARGIN, ties to the lowest index).  ``certify(x, f)`` maps an end
-    point to a certified upper bound on the maximum, or None; after a start
-    that converged with a bound within ``_CERT_GAP`` of its value, no further
-    start runs.  Every start's bound holds for the maximum, so the tightest
-    one is reported (None where no start gave one), clipped at the best value
-    against rounding.  Returns the best end point, its value and that bound,
+    _TIE_MARGIN, ties to the lowest index).  ``certify(ev, f)`` maps the
+    evaluation at an end point (``_ascend``) and its value to a certified
+    upper bound on the maximum, or None; after a start that converged with a
+    bound within ``_CERT_GAP`` of its value, no further start runs.  Every
+    start's bound holds for the maximum, so the tightest one is reported
+    (None where no start gave one), clipped at the best value against
+    rounding.  Returns the best end point, its value and that bound,
     and the ``OptimizationResult`` fields of the run: iterations summed over
     the starts run, their count, and the best start's convergence."""
     best = tightest = None
     total_iter = runs = 0
     for x0 in starts:
-        x, f, its, gnorm, conv = _ascend(value_grad, x0, max_iter, tol_grad)
+        x, f, its, gnorm, conv, ev = _ascend(value_grad, x0, max_iter, tol_grad)
         total_iter += its
         runs += 1
         if best is None or f > best[1] + _TIE_MARGIN:
             best = (x, f, gnorm, conv)
-        bound = None if certify is None else certify(x, f)
+        bound = None if certify is None else certify(ev, f)
         if bound is not None:
             tightest = bound if tightest is None else min(tightest, bound)
             if conv and bound - f <= _CERT_GAP:
@@ -261,10 +277,6 @@ def _random_starts(seed, dim: int, count: int) -> Iterator[np.ndarray]:
             yield rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
-def _project_tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return g - (np.vdot(v, g)) * v
-
-
 # ---------------------------------------------------------------------------
 # certified upper bounds of the concave problems
 
@@ -275,23 +287,23 @@ def _input_operator(
     """The d_in×d_in H with Tr[Hρ] = Tr[W_out Φ(ρ)] + Tr[W_exch Y†Y] for every
     ρ = XX†, where Y is the Stinespring factor of X regrouped as (·, n), so
     Y†Y = Φ_c(ρ)ᵀ: Φ†(W_out) plus the complementary part (W_out None: that
-    part alone).  Read off ``eye``, the Stinespring factor of the identity
-    (an ascent forms it once for all its certificates), and one adjoint, as
+    part alone).  Read off ``eye`` = ``chan.identity_factor()`` (an ascent
+    takes it once for all its certificates) and one adjoint, as
     ``ea_objective_gradient`` pulls back at X = 1."""
     z = (eye.reshape(-1, len(chan.kraus)) @ w_exch).reshape(eye.shape)
     return chan.stinespring_adjoint(z if w_out is None else w_out @ eye + z)
 
 
 def _production_bound(
-    chan: KrausChannel, eye: np.ndarray, y: np.ndarray, alpha: float, value: float
+    chan: KrausChannel, eye: np.ndarray, evaluation: tuple, alpha: float, value: float
 ) -> float | None:
     """Certified upper bound on the global production maximum
     max_σ S_alpha(Φ_c(σ)) at alpha in {1/2, 1, 2}, from one linearization at
-    a state ρ.  ``y`` is the Stinespring factor of a unit-trace factor of ρ
-    regrouped as (·, n) (for a pure ψ on reference x input,
-    ``chan.stinespring(ψ, ref)``, ρ its input marginal), so its n×n Gram
-    matrix Y = y†y is Φ_c(ρ)ᵀ; ``value`` is S_alpha(Y); ``eye`` is as in
-    ``_input_operator``.
+    a state ρ.  ``evaluation`` is (y, ``_pullback(y)[2]`` or None), y the
+    Stinespring factor of a unit-trace factor of ρ regrouped as (·, n) (for
+    a pure ψ on reference x input, ``chan.stinespring(ψ, ref)``, ρ its input
+    marginal), so its n×n Gram matrix Y = y†y is Φ_c(ρ)ᵀ; ``value`` is
+    S_alpha(Y); ``eye`` is as in ``_input_operator``.
 
     With D = dS_alpha/dY (``_entropy_derivative``) and H = Φ_c†(D), the gap
     g = λ_max(H) − Tr[DY] is at least ⟨D, Φ_c(σ) − Y⟩ for every state σ.
@@ -307,7 +319,7 @@ def _production_bound(
     None at alpha in {1/2, 1} unless every eigenvalue of Y exceeds
     ``hilbert.TOL_PSD`` (S_alpha is differentiable at ρ), and at alpha=2
     where the logarithm's argument is not positive."""
-    _, dmat, vals, diag = _entropy_derivative(dagger(y) @ y, alpha)
+    _, dmat, vals, diag = _gram_derivative(*evaluation, True, alpha)
     if alpha != 2.0 and vals[0] <= hilbert.TOL_PSD:
         return None
     h = _input_operator(chan, eye, None, dmat)
@@ -319,7 +331,7 @@ def _production_bound(
 
 
 def _ea_bound(
-    chan: KrausChannel, eye: np.ndarray, x: np.ndarray, value: float
+    chan: KrausChannel, eye: np.ndarray, evaluation: tuple, value: float
 ) -> float | None:
     """Certified upper bound on C_EA from one linearization of the concave
     I(ρ) = S(ρ) + S(Φ(ρ)) − S(Φ_c(ρ)) at ρ = XX† (X of unit Frobenius norm),
@@ -327,14 +339,14 @@ def _ea_bound(
     G = D_in + Φ†(D_out) − Φ_c†(D_exch) and the D the derivatives of the
     three entropies (``_entropy_derivative``; the multiples of the identity
     they leave out cancel in the difference, which is clipped at zero
-    against rounding); ``eye`` is as in ``_input_operator``.  None unless
-    every eigenvalue of ρ, Φ(ρ) and Φ_c(ρ) exceeds ``hilbert.TOL_PSD``: the
-    first singular spectrum ends the work."""
-    y = chan.stinespring(x)
-    exch = y.reshape(-1, len(chan.kraus))
+    against rounding); ``eye`` is as in ``_input_operator``; ``evaluation``
+    is the last item of ``_ea_evaluation`` at X.  None unless every
+    eigenvalue of ρ, Φ(ρ) and Φ_c(ρ) exceeds ``hilbert.TOL_PSD``: the first
+    singular spectrum ends the work."""
     parts = []
-    for gram in (x @ dagger(x), y @ dagger(y), dagger(exch) @ exch):  # ρ, Φ(ρ), Φ_c(ρ)ᵀ
-        parts.append(_entropy_derivative(gram, 1.0))
+    # ρ = XX†, Φ(ρ) = YY† and Φ_c(ρ)ᵀ = Y†Y of Y regrouped as (·, n)
+    for m, solved, inner in zip(*evaluation, (False, False, True)):
+        parts.append(_gram_derivative(m, solved, inner, 1.0))
         if parts[-1][2][0] <= hilbert.TOL_PSD:
             return None
     (_, d_in, v_in, w_in), (_, d_out, v_out, w_out), (_, d_exch, v_exch, w_exch) = parts
@@ -362,17 +374,18 @@ def _pure_ascent(
     smooth = 2.0 if math.isinf(alpha) else alpha
 
     def value_grad(v: np.ndarray):
-        s, z = _pullback(chan.stinespring(v[:, None], ref), smooth)
+        y = chan.stinespring(v[:, None], ref)
+        s, z, solved = _pullback(y, smooth)
         g = 2.0 * chan.stinespring_adjoint(z, ref)[:, 0]
-        return s, _project_tangent(v, g)
+        return s, g - np.vdot(v, g) * v, (y, solved)  # g on the sphere's tangent
 
     certify = None
-    if ref == chan.dim_in and not math.isinf(alpha):
+    if ref == chan.dim_in:
         # the global problem, max_rho S_alpha(Phi_c(rho)) (module docstring)
-        eye = chan.stinespring(np.eye(chan.dim_in, dtype=complex))
+        eye = chan.identity_factor()
 
-        def certify(v: np.ndarray, f: float) -> float | None:
-            return _production_bound(chan, eye, chan.stinespring(v[:, None], ref), alpha, f)
+        def certify(ev: tuple, f: float) -> float | None:
+            return _production_bound(chan, eye, ev, smooth, f)
 
     # the global problem starts at vec(1), whose input marginal 1/d is full
     # rank: a stationary point of the concave problem there is its maximum
@@ -382,7 +395,7 @@ def _pure_ascent(
         value_grad, starts, _PURE_MAX_ITER, _PURE_TOL_GRAD, certify
     )
     if math.isinf(alpha):
-        f = _renyi_bits(_factor_distribution(chan.stinespring(v[:, None], ref)), alpha)
+        f = _renyi_support(_factor_support(chan.stinespring(v[:, None], ref)), alpha)
     return OptimizationResult(value=f, argmax=v, argmax_kind="pure", upper_bound=bound, **stats)
 
 
@@ -413,14 +426,22 @@ def ea_objective_gradient(chan: KrausChannel, el: np.ndarray) -> tuple[float, np
     Stinespring factor, rho = XX†, Phi(rho) = YY† and Y regrouped as (·, n)
     holds the complementary output; the three entropies are pulled back to X,
     and the gradient in L is the part of their sum orthogonal to X, / ||L||."""
+    return _ea_evaluation(chan, el)[:2]
+
+
+def _ea_evaluation(chan: KrausChannel, el: np.ndarray) -> tuple[float, np.ndarray, tuple]:
+    """:func:`ea_objective_gradient` at L, or at L flattened (the gradient
+    takes L's shape), then what ``_ea_bound`` reads: the factors X, Y and Y
+    regrouped as (·, n), and the last items of their pullbacks."""
     t = np.sqrt(np.vdot(el, el).real)
-    x = el / t
+    x = el.reshape(chan.dim_in, -1) / t
     y = chan.stinespring(x)
-    s_in, z_in = _pullback(x, 1.0)
-    s_out, z_out = _pullback(y, 1.0)
-    s_exch, z_exch = _pullback(y.reshape(-1, len(chan.kraus)), 1.0)
+    factors = (x, y, y.reshape(-1, len(chan.kraus)))
+    pulled = [_pullback(m, 1.0) for m in factors]
+    (s_in, z_in, _), (s_out, z_out, _), (s_exch, z_exch, _) = pulled
     g = z_in + chan.stinespring_adjoint(z_out - z_exch.reshape(y.shape))
-    return s_in + s_out - s_exch, (g - np.vdot(x, g).real * x) / t
+    g = ((g - np.vdot(x, g).real * x) / t).reshape(el.shape)
+    return s_in + s_out - s_exch, g, (factors, [p[2] for p in pulled])
 
 
 def ea_capacity(chan: KrausChannel, seed: int = 0, restarts: int = 4) -> OptimizationResult:
@@ -433,19 +454,12 @@ def ea_capacity(chan: KrausChannel, seed: int = 0, restarts: int = 4) -> Optimiz
     channel with a pure output, say), the bound is None and every start runs."""
     _check_restarts(restarts)
     d = chan.dim_in
-
-    def value_grad(v: np.ndarray):
-        el = v.reshape(d, d)
-        f, g = ea_objective_gradient(chan, el)
-        return f, g.reshape(-1)
-
     starts = itertools.chain([np.eye(d, dtype=complex).reshape(-1)],
                              _random_starts(seed, d * d, restarts - 1))
-    # the ascent's end points are unit vectors: rho = LL† at L = v as d x d
-    eye = chan.stinespring(np.eye(d, dtype=complex))
+    eye = chan.identity_factor()
     v, f, bound, stats = _best_ascent(
-        value_grad, starts, _EA_MAX_ITER, _EA_TOL_GRAD,
-        lambda v, f: _ea_bound(chan, eye, v.reshape(d, d), f),
+        lambda v: _ea_evaluation(chan, v), starts, _EA_MAX_ITER, _EA_TOL_GRAD,
+        lambda ev, f: _ea_bound(chan, eye, ev, f),
     )
     el = v.reshape(d, d)
     rho = el @ dagger(el)

@@ -92,7 +92,8 @@ def _objective(target, chan, alpha):
 
     def first_start_only(value_grad, x0, max_iter, tol_grad):
         captured.append(value_grad)
-        return x0 / np.linalg.norm(x0), 0.0, 0, 0.0, True
+        x = x0 / np.linalg.norm(x0)
+        return x, 0.0, 0, 0.0, True, value_grad(x)[2]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(opt, "_ascend", first_start_only)
@@ -141,7 +142,7 @@ def test_factor_objective_matches_the_dense_output(target, side, alpha):
         value_grad = _objective(target, chan, alpha)
         v = rng.standard_normal(ref * chan.dim_in) + 1j * rng.standard_normal(ref * chan.dim_in)
         v /= np.linalg.norm(v)
-        f, g = value_grad(v)
+        f, g, _ = value_grad(v)
         dense = kron_sum_output(chan, np.outer(v, v.conj()), ref)
         assert abs(f - dense_renyi(dense, alpha)) <= 1e-12
         # central difference along a random unit tangent direction
@@ -219,7 +220,7 @@ def _production_bound_at(chan, rho, alpha):
     """``_production_bound`` at the state rho, with its value S_alpha(Phi_c(rho))."""
     y = chan.stinespring(_factor(rho)).reshape(-1, len(chan.kraus))
     value = dense_renyi(_complementary(chan, rho), alpha)
-    return opt._production_bound(chan, _identity_factor(chan), y, alpha, value)
+    return opt._production_bound(chan, _identity_factor(chan), (y, None), alpha, value)
 
 
 def _matrix_function(m, fn):
@@ -297,7 +298,8 @@ def test_ea_bound_holds_on_random_channels():
         for _ in range(10):
             rho = hl.random_density([d], d, rng).matrix
             f = ea_objective(chan, rho)
-            bound = opt._ea_bound(chan, _identity_factor(chan), _factor(rho), f)
+            evaluation = opt._ea_evaluation(chan, _factor(rho))[2]
+            bound = opt._ea_bound(chan, _identity_factor(chan), evaluation, f)
             assert (bound is None) == singular
             if bound is not None:
                 assert bound >= res.value
@@ -370,10 +372,10 @@ def test_the_tightest_bound_of_any_start_is_reported():
     starts = list(np.eye(4, dtype=complex))
 
     def value_grad(x):  # every start is a critical point: it converges at once
-        return values[int(np.argmax(abs(x)))], np.zeros_like(x)
+        return values[int(np.argmax(abs(x)))], np.zeros_like(x), x
 
     x, f, bound, stats = opt._best_ascent(
-        value_grad, starts, 10, 1e-9, lambda x, f: bounds[int(np.argmax(abs(x)))])
+        value_grad, starts, 10, 1e-9, lambda ev, f: bounds[int(np.argmax(abs(ev)))])
     assert np.array_equal(x, starts[0]) and f == 1.0
     assert bound == 1.0 + 5e-7
     assert stats["restarts"] == 3 and stats["converged"]
@@ -382,19 +384,141 @@ def test_the_tightest_bound_of_any_start_is_reported():
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: opt.max_entropy_production_global(cat.dephasing_channel(2), math.inf,
-                                                  restarts=3, seed=0),
         lambda: opt.max_entropy_production_local(cat.dephasing_channel(2), 1.0,
                                                  restarts=3, seed=0),
         # every output is |0><0|: Phi(rho) is singular at every rho
         lambda: opt.ea_capacity(cat.initialization_channel(3), seed=0, restarts=3),
     ],
-    ids=["global-inf", "local", "ea-initialization"],
+    ids=["local", "ea-initialization"],
 )
 def test_without_a_bound_every_start_runs(run):
     res = run()
     assert res.upper_bound is None and res.restarts == 3
     assert res.to_json_dict()["upper_bound"] is None
+
+
+# ---------------------------------------------------------------------------
+# each optimizer point solved once: the certificate reads the last evaluation
+
+
+def _solve_totals(counts):
+    """Solves by solver name, summed over matrix sizes."""
+    return {name: sum(n for (s, _), n in counts.items() if s == name)
+            for name in ("eigh", "eigvalsh")}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("chan", [cat.dephasing_channel(3), cat.erasure_channel(2)],
+                         ids=["dephasing3", "erasure2"])
+def test_a_one_step_global_ascent_solves_its_point_once(monkeypatch, chan, alpha):
+    counts = count_eigensolves(monkeypatch)
+    res = opt.max_entropy_production_global(chan, alpha)
+    assert (res.restarts, res.iterations) == (1, 1)
+    # the eigh of Y at vec(1) gives the value, the gradient and the
+    # certificate's derivative; the eigvalsh is the certificate's own
+    assert _solve_totals(counts) == {"eigh": 1, "eigvalsh": 1}
+
+
+def test_min_entropy_global_costs_one_certified_step(monkeypatch):
+    counts = count_eigensolves(monkeypatch)
+    res = opt.max_entropy_production_global(cat.erasure_channel(2), math.inf)
+    assert (res.restarts, res.iterations) == (1, 1)
+    # the alpha=2 step and its certificate, then the exact min-entropy readout
+    solves = _solve_totals(counts)
+    assert solves["eigh"] == 1 and solves["eigvalsh"] <= 2
+
+
+@pytest.mark.parametrize("chan", [cat.dephasing_channel(3), cat.weyl_twirl_channel(3)],
+                         ids=["dephasing3", "weyl_twirl3"])
+def test_a_one_step_ea_ascent_solves_only_rho_again(monkeypatch, chan):
+    counts = count_eigensolves(monkeypatch)
+    res = opt.ea_capacity(chan)
+    assert (res.restarts, res.iterations) == (1, 1)
+    # three eigh in the evaluation; the pullback of the square factor X took
+    # X†X, so the certificate solves rho = XX† once more
+    assert _solve_totals(counts) == {"eigh": 4, "eigvalsh": 1}
+
+
+@pytest.mark.parametrize(
+    "chan",
+    [cat.dephasing_channel(3), cat.erasure_channel(2), cat.weyl_twirl_channel(3),
+     cat.initialization_channel(3), cat.random_channel(3, 2, 0), cat.random_channel(2, 5, 1)],
+    ids=["dephasing3", "erasure2", "weyl_twirl3", "initialization3", "random3-2",
+         "random2-5"],  # the last has n = 5 > d_in d_out = 4
+)
+def test_the_identity_factor_is_the_stored_isometry_regrouped(chan):
+    eye = chan.identity_factor()
+    want = chan.stinespring(np.eye(chan.dim_in, dtype=complex))
+    assert eye.shape == want.shape and eye.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_the_carried_bound_is_the_bound_recomputed_at_the_argmax(alpha):
+    """With one start, the reported bound comes from its last evaluation; a
+    certificate recomputed at the argmax from scratch (its own Stinespring
+    factor and eigh of Y = y†y, the identity factor from a GEMM) gives the
+    same bits."""
+    for d, k, s in RANDOM_CHANNELS:
+        chan = cat.random_channel(d, k, s)
+        res = opt.max_entropy_production_global(chan, alpha, restarts=1, seed=s)
+        y = chan.stinespring(res.argmax[:, None], d)
+        bound = opt._production_bound(chan, _identity_factor(chan), (y, None), alpha, res.value)
+        assert res.upper_bound == (None if bound is None else max(bound, res.value))
+
+
+def test_the_carried_ea_bound_agrees_with_the_bound_recomputed_at_the_end(monkeypatch):
+    """The C_EA certificate read off the last evaluation, at X = L/||L||,
+    agrees within 1e-14 with one recomputed from scratch at X = L, the unit
+    end point of the ascent."""
+    ends = []
+    ascend = opt._ascend
+
+    def recording(*args):
+        out = ascend(*args)
+        ends.append(out[0])
+        return out
+
+    monkeypatch.setattr(opt, "_ascend", recording)
+    for d, k, s in RANDOM_CHANNELS:
+        chan = cat.random_channel(d, k, s)
+        ends.clear()
+        res = opt.ea_capacity(chan, seed=s, restarts=1)
+        x = ends[0].reshape(d, d)
+        y = chan.stinespring(x)
+        fresh = opt._ea_bound(chan, _identity_factor(chan),
+                              ((x, y, y.reshape(-1, k)), (None,) * 3), res.value)
+        if fresh is None:
+            assert res.upper_bound is None
+        else:
+            assert abs(res.upper_bound - max(fresh, res.value)) <= 1e-14
+
+
+@pytest.mark.parametrize("chan", MAXIMALLY_ENTANGLED_OPTIMA,
+                         ids=["dephasing2", "dephasing3", "erasure2", "erasure3",
+                              "weyl_twirl2", "weyl_twirl3"])
+def test_min_entropy_global_stops_on_the_collision_bound(chan):
+    """alpha=inf runs the alpha=2 ascent, which H_inf <= H_2 lets its alpha=2
+    bound certify: one step at vec(1), the alpha=2 run's bound, and the exact
+    min-entropy at the argmax."""
+    inf = opt.max_entropy_production_global(chan, math.inf, restarts=16, seed=0)
+    two = opt.max_entropy_production_global(chan, 2.0, restarts=16, seed=0)
+    assert inf.restarts == inf.iterations == 1
+    assert inf.upper_bound == two.upper_bound
+    v = inf.argmax
+    out = kron_sum_output(chan, np.outer(v, v.conj()), chan.dim_in)
+    assert inf.value == pytest.approx(ent.min_entropy(np.linalg.eigvalsh(out)), abs=1e-12)
+
+
+@pytest.mark.parametrize("channel, reached", [((3, 5, 7), 1.7882), ((3, 4, 1), 1.4247),
+                                              ((4, 6, 3), 2.0843), ((2, 3, 5), 1.0079)],
+                         ids=["3-5-7", "3-4-1", "4-6-3", "2-3-5"])
+def test_min_entropy_bound_lies_above_mirror_descent(channel, reached):
+    """Mirror descent on lambda_max(Phi_c(rho)) reached these min-entropies
+    (ROADMAP item 5), more than the alpha=2 argmax scores; the reported bound
+    must still hold above them."""
+    res = opt.max_entropy_production_global(cat.random_channel(*channel), math.inf,
+                                            restarts=16, seed=0)
+    assert res.upper_bound >= reached > res.value
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +621,7 @@ def test_entropy_pullback_vanishes_off_the_support():
     w = np.array([1.0, -1.0j, 0.0]) / math.sqrt(2)
     x = np.stack([v, 1e-9 * w], axis=1)
     for alpha in (0.5, 1.0, 2.0):
-        value, z = opt._pullback(x, alpha)
+        value, z, _ = opt._pullback(x, alpha)
         assert value == 0.0
         assert np.abs(w.conj() @ z).max() <= 1e-15
 
@@ -513,8 +637,8 @@ def test_global_min_entropy_weyl_twirl3(seed):
 def test_min_entropy_is_read_at_the_collision_argmax(monkeypatch, target):
     chan = cat.random_channel(3, 2, 11)
     run = getattr(opt, f"max_entropy_production_{target}")
-    # the global alpha=2 run would stop at its first certified start; alpha=inf
-    # has no bound and runs both, so no certificate may end the alpha=2 run
+    # no certificate may end either run, so that both runs take both starts
+    # (the global alpha=inf run is the alpha=2 run, certified by its bound)
     monkeypatch.setattr(opt, "_CERT_GAP", -math.inf)
     inf, two = run(chan, math.inf, restarts=2, seed=5), run(chan, 2.0, restarts=2, seed=5)
     assert np.array_equal(inf.argmax, two.argmax)
@@ -719,9 +843,7 @@ def test_global_production_solves_each_input_once_across_alpha(monkeypatch):
     counts = count_eigensolves(monkeypatch)
     for a in ALPHAS:
         opt.global_production(chan, rho, 2, a)
-    solves = {name: sum(n for (s, _), n in counts.items() if s == name)
-              for name in ("eigh", "eigvalsh")}
-    assert solves == {"eigh": 1, "eigvalsh": 1}
+    assert _solve_totals(counts) == {"eigh": 1, "eigvalsh": 1}
 
 
 def test_global_production_memo_matches_fresh_channels_and_dense_sums():
@@ -774,11 +896,38 @@ def test_global_production_reads_the_psd_tolerance_per_call(monkeypatch):
     assert coarse != default
 
 
+def _unit(vals):
+    p = np.maximum(vals, 0.0)
+    return p / p.sum()
+
+
+def test_global_production_is_the_renyi_entropy_of_fresh_spectra():
+    """Bit for bit ``_renyi_bits`` of the uncut distributions, from an eigh
+    of rho and an eigvalsh of its output's smaller Gram side taken here."""
+    rng = np.random.default_rng(30)
+    for i in range(24):
+        d = 2 + i % 2
+        chan = cat.random_channel(d, 1 + i % 5, i)
+        rho = _mixed(d * d, [1, 2, d * d][i % 3], rng)  # pure and mixed
+        vals, vecs = np.linalg.eigh(rho)
+        keep = vals > hl.TOL_PSD
+        y = chan.stinespring(vecs[:, keep] * np.sqrt(vals[keep]), d)
+        p_out, p_in = _unit(np.linalg.eigvalsh(hl.smaller_gram(y)[0])), _unit(vals)
+        for a in ALPHAS:
+            want = ent._renyi_bits(p_out, a) - ent._renyi_bits(p_in, a)
+            assert opt.global_production(chan, rho, d, a) == want
+
+
 def test_global_production_memo_holds_input_bytes_and_spectra():
     chan = cat.random_channel(3, 2, 5)
-    rho = _mixed(9, 9, np.random.default_rng(5))
-    opt.global_production(chan, rho, 3, 1.0)
-    key, p_in, p_out = chan._last_spectra
-    assert not any(isinstance(k, np.ndarray) for k in key)
-    assert key[-1] == rho.tobytes() and len(key[-1]) == 16 * 9 * 9
-    assert p_in.shape == (9,) and p_out.ndim == 1 and p_out.size <= 9 * 2
+    rng = np.random.default_rng(5)
+    for rank in (9, 2):
+        rho = _mixed(9, rank, rng)
+        opt.global_production(chan, rho, 3, 1.0)
+        key, q_in, q_out = chan._last_spectra
+        assert not any(isinstance(k, np.ndarray) for k in key)
+        assert key[-1] == rho.tobytes() and len(key[-1]) == 16 * 9 * 9
+        # the spectra cut to their supports: as many entries as rho has rank,
+        # and as its output (at most rank x Kraus rank 2), each above TOL_PSD
+        assert q_in.shape == (rank,) and q_out.shape == (min(9, 2 * rank),)
+        assert q_in.min() > hl.TOL_PSD and q_out.min() > hl.TOL_PSD
