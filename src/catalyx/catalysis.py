@@ -58,8 +58,6 @@ from .hilbert import (
     dagger,
     eigh_desc,
     evolve,
-    haar_state,
-    max_entangled,
     maximally_mixed,
     partial_trace,
     ptrace_matrix,  # unused here; bench/tests traces calls through this binding
@@ -748,41 +746,6 @@ def ledger(
 def ledger_for_instance(inst: CatalysisInstance, rho: DensityOperator) -> LedgerRecord:
     """Ledger of a fresh-catalyst use of a certified instance."""
     return ledger(inst.canonical_unitary(), rho, inst.sigma, 0)[0]
-
-
-# ---------------------------------------------------------------------------
-# entropy cost bound
-
-
-class CostBoundReport(NamedTuple):
-    lhs: float
-    rhs: float
-    ok: bool
-
-
-def cost_bound_check(
-    inst: CatalysisInstance, n_samples: int = 16, seed: int = 3
-) -> CostBoundReport:
-    """The catalyst entropy must dominate half the maximal global entropy
-    variance of the induced channel (the full variance for a classical
-    catalyst)."""
-    chan = channel_to_kraus(inst)
-    da = inst.a_dim
-    rng = hilbert._rng(seed)
-    # candidates on reference ⊗ system as factors: |Γ>, 1/da² and Haar states
-    candidates = [max_entangled(da)[:, None], np.eye(da * da) / da]
-    for _ in range(n_samples):
-        candidates.append(haar_state(da * da, rng).amplitudes[:, None])
-    best = 0.0
-    for x in candidates:
-        out = chan.stinespring(x, da)
-        prod = abs(von_neumann(hilbert.factor_spectrum(out))
-                   - von_neumann(hilbert.factor_spectrum(x)))
-        best = max(best, prod)
-    factor = 1.0 if inst.classical else 0.5
-    lhs = von_neumann(inst.sigma)
-    rhs = factor * best
-    return CostBoundReport(lhs=lhs, rhs=rhs, ok=lhs >= rhs - hilbert.ENTROPY_SLACK)
 
 
 # ---------------------------------------------------------------------------

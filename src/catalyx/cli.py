@@ -481,7 +481,12 @@ OPTIMIZE = {"ea": (_ea, ()), "global": (_global, ASCENT), "local": (_local, ASCE
 
 
 def cmd_optimize(args, handler) -> int:
-    cfg = _config(args, {"target": args.target, "channel": args.channel})
+    parameters = {"target": args.target, "channel": args.channel}
+    for name in ("alpha", "restarts"):  # the ascent flags global and local were given
+        value = getattr(args, name, None)
+        if value is not None:  # JSON has no infinity: alpha=inf is echoed as "inf"
+            parameters[name] = str(value) if math.isinf(value) else value
+    cfg = _config(args, parameters)
     label, res = handler(args, _named_channel(args.channel))
     _emit({"result": res.to_json_dict()}, cfg)
     print(f"{label} = {res.value:.6f} bits")

@@ -259,7 +259,8 @@ def test_criterion_04_achievability_and_converse(instance_suite):
                 prod = opt.global_production(chan, rho, res.instance.a_dim, alpha)
                 assert abs(prod - ent.catalytic_renyi(dec, alpha)) <= 1e-7
 
-        # converse: 10^4 aggregate sampled productions never beat the bound
+        # converse: per channel, the certified maximum at alpha in {1/2, 1, 2}
+        # meets the bound, and 10^4 aggregate sampled productions never beat it
         rng = np.random.default_rng(11)
         converse_set = [
             inst
@@ -272,6 +273,9 @@ def test_criterion_04_achievability_and_converse(instance_suite):
             chan = cat.channel_to_kraus(inst)
             dec = hl.eigenspace_decompose(inst.sigma)
             bounds = {a: ent.catalytic_renyi(dec, a) for a in alphas}
+            for a in (0.5, 1.0, 2.0):
+                bound = opt.max_entropy_production_global(chan, a, restarts=1).upper_bound
+                assert bound is not None and bound <= bounds[a] + 1e-9
             d = inst.a_dim
             for _ in range(100):
                 v = hl.haar_state(d * d, rng).amplitudes

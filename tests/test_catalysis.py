@@ -6,13 +6,13 @@ from util import dense_renyi, held_bytes, kron_sum_output, party_swap
 
 from catalyx import catalysis as cat
 from catalyx import hilbert as hl
+from catalyx import optimize as opt
 from catalyx.catalysis import (
     CertificationError,
     KrausChannel,
     canonical_form,
     channel_to_kraus,
     classical_catalysis,
-    cost_bound_check,
     decompose_subcatalyses,
     implement_channel,
     is_catalysis_unitary,
@@ -23,7 +23,7 @@ from catalyx.catalysis import (
     verify_catalysis_exhaustive,
 )
 from catalyx.entropy import DegeneracyVector
-from catalyx.optimize import ea_capacity
+from catalyx.optimize import cost_bound_check, ea_capacity
 from catalyx.hilbert import (
     DensityOperator,
     UnitaryOperator,
@@ -412,7 +412,7 @@ def test_ledger_rejects_n_a2_out_of_range():
 def test_cost_bound_examples():
     from catalyx.constructions import dephasing_catalysis
 
-    rep = cost_bound_check(dephasing_catalysis([2]), n_samples=8, seed=0)
+    rep = cost_bound_check(dephasing_catalysis([2]))
     assert rep.lhs == pytest.approx(1.0)
     assert rep.rhs == pytest.approx(1.0, abs=1e-7)
     assert rep.ok  # tight
@@ -420,12 +420,12 @@ def test_cost_bound_examples():
     had = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     u = UnitaryOperator(np.kron(had, np.eye(2)), [2, 2])
     pure = canonical_form(u, hl.basis_state(2, 0).density())
-    rep = cost_bound_check(pure, n_samples=8, seed=0)
+    rep = cost_bound_check(pure)
     assert rep.rhs == pytest.approx(0.0, abs=1e-9)
     assert rep.ok
 
     inst = classical_catalysis([0.5, 0.5], [np.eye(2), clock_matrix(2)])
-    rep = cost_bound_check(inst, n_samples=8, seed=0)
+    rep = cost_bound_check(inst)
     assert rep.lhs == pytest.approx(1.0)
     assert rep.rhs == pytest.approx(1.0, abs=1e-7)  # classical factor is 1
     assert rep.ok
@@ -435,9 +435,9 @@ def test_cost_bound_reads_the_entropy_slack(monkeypatch):
     from catalyx.constructions import dephasing_catalysis
 
     inst = dephasing_catalysis([2])  # tight: lhs = rhs = 1 bit
-    assert cost_bound_check(inst, n_samples=8, seed=0).ok
+    assert cost_bound_check(inst).ok
     monkeypatch.setattr(hl, "ENTROPY_SLACK", -1e-9)
-    assert not cost_bound_check(inst, n_samples=8, seed=0).ok
+    assert not cost_bound_check(inst).ok
 
 
 @pytest.mark.parametrize("kind", ["dephasing", "classical", "controlled"])
@@ -451,8 +451,14 @@ def test_cost_bound_matches_the_dense_reference(kind):
     else:
         u = hl.controlled([haar_unitary(2, 11).matrix, haar_unitary(2, 12).matrix])
         inst = canonical_form(UnitaryOperator(u, [2, 2]), maximally_mixed([2]))
-    rep = cost_bound_check(inst, n_samples=6, seed=4)
+    rep = cost_bound_check(inst)
     chan = channel_to_kraus(inst)
+    factor = 1.0 if inst.classical else 0.5
+    # the right side is the certified side of the production maximum
+    assert rep.certified and rep.rhs == factor * opt.max_entropy_production_global(
+        chan, 1.0, restarts=1).upper_bound
+    # and lies above the production of every input, here |Γ><Γ|, 1/d² and
+    # six Haar states
     da = inst.a_dim
     rng = hl._rng(4)
     gamma = hl.max_entangled(da)
@@ -460,9 +466,28 @@ def test_cost_bound_matches_the_dense_reference(kind):
     for _ in range(6):
         v = hl.haar_state(da * da, rng).amplitudes
         candidates.append(np.outer(v, v.conj()))
-    best = max(abs(dense_renyi(kron_sum_output(chan, rho, da), 1.0) - dense_renyi(rho, 1.0))
-               for rho in candidates)
-    assert abs(rep.rhs - (1.0 if inst.classical else 0.5) * best) <= 1e-12
+    for rho in candidates:
+        prod = dense_renyi(kron_sum_output(chan, rho, da), 1.0) - dense_renyi(rho, 1.0)
+        assert rep.rhs >= factor * prod - 1e-12
+
+
+def test_a_check_without_a_certificate_says_so(monkeypatch):
+    """Where the optimizer gives no upper bound, the cost bound reads the
+    feasible value and does not pass, and the tradeoff reports itself
+    uncertified."""
+    from catalyx.constructions import dephasing_catalysis
+
+    inst = dephasing_catalysis([2])  # tight and certified: both checks pass
+    assert cost_bound_check(inst).ok and opt.tradeoff_check(inst).certified
+    for name in ("max_entropy_production_global", "ea_capacity"):
+        run = getattr(opt, name)
+        monkeypatch.setattr(opt, name, lambda *a, run=run, **k: run(*a, **k)._replace(
+            upper_bound=None))
+    rep = cost_bound_check(inst)
+    assert rep.rhs == pytest.approx(1.0, abs=1e-7)
+    assert not rep.ok and not rep.certified
+    rep = opt.tradeoff_check(inst)
+    assert not rep.certified and rep.ok
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,24 @@ def test_optimize_reports_the_starts_run(tmp_path, monkeypatch):
     assert report("full.json")["restarts"] == 3
 
 
+def test_optimize_reports_echo_their_settings(tmp_path):
+    """global and local write --alpha, and --restarts when given, into
+    config.parameters, so an alpha=inf report differs from the alpha=1 one
+    (JSON has no infinity: it reads "inf"); ea reads neither flag."""
+    def parameters(*args):
+        out = tmp_path / "report.json"
+        assert run_cli("optimize", *args, "--out", str(out)).returncode == 0
+        return json.load(open(out))["config"]["parameters"]
+
+    one = parameters("global", "--channel", "erasure2")
+    inf = parameters("global", "--channel", "erasure2", "--alpha", "inf")
+    assert one == {"target": "global", "channel": "erasure2", "alpha": 1.0}
+    assert inf == {**one, "alpha": "inf"} and float(inf["alpha"]) == math.inf
+    assert parameters("local", "--channel", "dephasing2", "--alpha", "2", "--restarts", "3") == {
+        "target": "local", "channel": "dephasing2", "alpha": 2.0, "restarts": 3}
+    assert parameters("ea", "--channel", "dephasing2") == {"target": "ea", "channel": "dephasing2"}
+
+
 def test_selftest():
     res = run_cli("selftest")
     assert res.returncode == 0

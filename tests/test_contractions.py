@@ -80,7 +80,6 @@ def test_complementary_output_is_kraus_gram(chan_rng):
 def test_every_channel_output_reads_the_stinespring_factor(monkeypatch):
     from catalyx import optimize as opt
     from catalyx import scenarios as sc
-    from catalyx.catalysis import cost_bound_check
 
     calls = count_stinespring(monkeypatch)
     chan = KrausChannel(hl.haar_unitary_matrix(4, 3)[:, :2].reshape(2, 2, 2))
@@ -91,7 +90,7 @@ def test_every_channel_output_reads_the_stinespring_factor(monkeypatch):
         "ea": lambda: opt.ea_capacity(chan, restarts=1),
         "global_production": lambda: opt.global_production(chan, np.eye(4) / 4, 2, 1.0),
         "absorption": lambda: sc.absorption_check(chan, n_samples=2),
-        "cost_bound": lambda: cost_bound_check(inst, n_samples=2),
+        "cost_bound": lambda: opt.cost_bound_check(inst),
     }
     for name, run in runs.items():
         calls.clear()
