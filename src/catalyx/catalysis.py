@@ -14,9 +14,9 @@ S[x, z] = Tr_A U(|x><z| ⊗ sigma)U† built in one contraction, and it is
 input-independent iff S[x, z] = delta_xz ref (ref: the output at the maximally
 mixed input); ``max_deviation`` = max_xz ||S[x, z] - delta_xz ref||_1.  One
 pass over these slices (:func:`verify_catalysis_exhaustive`) also reads the
-compatibility entropy gap S(ref) - S(sigma) and the rotation of sigma onto
-ref.  The recovery check is exact too: it evolves one column per system basis
-state on each side.
+compatibility entropy gap S(ref) - S(sigma); :func:`canonical_form` then
+rotates sigma onto ref.  The recovery check is exact too: it evolves one
+column per system basis state on each side.
 
 Every catalyst check has one implementation, written for a stack of
 unitaries that share a layout and a catalyst: each step takes one solver call
@@ -34,10 +34,9 @@ operand, and is immutable but for one memo, the bytes of its last input to
 reads it once and replaces it whole by one attribute store, so a channel may
 be shared across threads too (a race costs a repeated solve, never a wrong
 value).
-Module-level mutable state: only the tolerances (``LEDGER_TOL`` here, the rest
-in :mod:`hilbert`), read at call time and rebound only by the CLI's
-``--tol-override``.  Each ledger record goes back to its caller; none is kept
-here.
+Module-level mutable state: none.  The tolerances live in :mod:`hilbert` and
+are read there at call time.  Each ledger record goes back to its caller;
+none is kept here.
 """
 
 from __future__ import annotations
@@ -66,9 +65,6 @@ from .hilbert import (
     trace_distance,
     unitarity_defect,
 )
-
-LEDGER_TOL = 1e-8
-COMPAT_ENTROPY_TOL = 1e-8  # bits
 
 
 class CertificationError(Exception):
@@ -183,13 +179,12 @@ def _matching_unitary(sigma_m: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, 
 def _compatible(gap):
     """Whether the catalyst keeps its entropy: |gap| within the tolerance
     (of each gap, for an array)."""
-    return abs(gap) <= COMPAT_ENTROPY_TOL
+    return abs(gap) <= hilbert.COMPAT_ENTROPY_TOL
 
 
 class ExhaustiveReport(NamedTuple):
     max_deviation: float
     entropy_gap: float  # S(output) - S(sigma) in bits
-    implied_v: UnitaryOperator | None  # None when the spectra cannot be matched
     output: np.ndarray  # catalyst output, the same for every input when certified
 
     # element-wise tuple equality raises on the ndarray field: compare and
@@ -230,15 +225,13 @@ def verify_catalysis_exhaustive(
     max_xz ||S[x, z] - delta_xz ref||_1 over the transfer slices is zero, ref
     the maximally-mixed-input output; for any input the trace distance of its
     output from ref is at most da/2 times it.  The catalyst is compatible iff
-    ref has its entropy (``entropy_gap``).  Also returns ref and the unitary
-    mapping the catalyst onto it.  Whether ``u`` is a catalysis unitary at
-    all is :func:`is_catalysis_unitary`'s question."""
+    ref has its entropy (``entropy_gap``).  Also returns ref; the rotation of
+    the catalyst onto it is :func:`canonical_form`'s.  Whether ``u`` is a
+    catalysis unitary at all is :func:`is_catalysis_unitary`'s question."""
     da = system_dim(u.layout.dims, sigma, a_count)
     ref, max_dev, gap = _outputs(u.matrix[None], sigma, da)
-    v, matched = _matching_unitary(sigma.matrix, ref)
-    implied = UnitaryOperator(v[0], u.layout.dims[a_count:]) if matched[0] else None
     return ExhaustiveReport(max_deviation=float(max_dev[0]), entropy_gap=float(gap[0]),
-                            implied_v=implied, output=ref[0])
+                            output=ref[0])
 
 
 def _certify(us: np.ndarray, layout: SubsystemLayout, a_count: int,
@@ -734,9 +727,9 @@ def ledger(
     i_after = mutual_information(tau, range(n_a), b)
 
     residual = abs((i_after - i_before) - (s_out - s_in))
-    if residual > LEDGER_TOL:
+    if residual > hilbert.LEDGER_TOL:
         raise CertificationError(
-            f"information balance violated: residual {residual:.3e} > {LEDGER_TOL:.1e}"
+            f"information balance violated: residual {residual:.3e} > {hilbert.LEDGER_TOL:.1e}"
         )
     rec = LedgerRecord(i_before=i_before, i_after=i_after, s_in=s_in, s_out=s_out,
                        residual=residual)

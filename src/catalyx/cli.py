@@ -33,17 +33,18 @@ EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_USAGE = 2
 
-# each tolerance has one home, which every use reads at call time
+# each override name and the tolerance it rebinds in hilbert, their one
+# home, which every use reads at call time
 _TOL_NAMES = {
-    "unitary": (hilbert, "TOL_UNITARY"),
-    "herm": (hilbert, "TOL_HERM"),
-    "psd": (hilbert, "TOL_PSD"),
-    "state": (hilbert, "TOL_STATE"),
-    "norm": (hilbert, "TOL_NORM"),
-    "group": (hilbert, "GROUP_TOL"),
-    "entropy": (hilbert, "ENTROPY_SLACK"),
-    "refinement": (hilbert, "REFINEMENT_TOL"),
-    "ledger": (catalysis, "LEDGER_TOL"),
+    "unitary": "TOL_UNITARY",
+    "herm": "TOL_HERM",
+    "psd": "TOL_PSD",
+    "state": "TOL_STATE",
+    "norm": "TOL_NORM",
+    "group": "GROUP_TOL",
+    "entropy": "ENTROPY_SLACK",
+    "refinement": "REFINEMENT_TOL",
+    "ledger": "LEDGER_TOL",
 }
 
 
@@ -82,7 +83,7 @@ def _apply_tol_overrides(pairs: list[str]) -> None:
         value = float(raw)
         if math.isnan(value):
             raise ValueError(f"tolerance {name!r} must be a number, got {raw!r}")
-        setattr(*_TOL_NAMES[name], value)
+        setattr(hilbert, _TOL_NAMES[name], value)
 
 
 def _write_and_print(text: str, cfg: RunConfig) -> None:
@@ -194,19 +195,17 @@ def cmd_entropy(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# construct: each kind returns (object, report fields, headline)
+# construct: kind(args, constructions) -> (object, report fields, headline)
 
 
-def _dephasing_degeneracy(args):
-    from . import constructions
+def _dephasing_degeneracy(args, constructions):
     r = _parse_ints(args.r)
     inst = constructions.dephasing_catalysis(r)
     s = entropy.catalytic_entropy(constructions.degeneracy_decomposition(r))
     return inst, {"system_dim": inst.a_dim, "catalyst_dim": inst.b_dim}, f"S_cat = {s:.6f} bits"
 
 
-def _max_extraction(args):
-    from . import constructions
+def _max_extraction(args, constructions):
     if args.sigma_file:
         sigma = hilbert.DensityOperator(*_load_operator(args.sigma_file))
     else:
@@ -216,20 +215,17 @@ def _max_extraction(args):
     return res.instance, {"register_dim": res.register_dim}, f"S_cat = {s:.6f} bits"
 
 
-def _initialization_classical(args):
-    from . import constructions
+def _initialization_classical(args, constructions):
     gen = constructions.initialization_classical(args.d)
     return gen, {"d": args.d}, f"I = {math.log2(args.d):.6f} bits"
 
 
-def _initialization_masking(args):
-    from . import constructions
+def _initialization_masking(args, constructions):
     gen = constructions.initialization_masking(args.m)
     return gen, {"m": args.m}, f"I = {math.log2(args.m ** 2):.6f} bits"
 
 
-def _double_random(args):
-    from . import constructions
+def _double_random(args, constructions):
     hilbert.check_size(args.d**3, f"clock family of {args.d} operators of {args.d}×{args.d}")
     z = hilbert.clock_matrix(args.d)
     family = [np.linalg.matrix_power(z, k) for k in range(args.d)]
@@ -237,28 +233,24 @@ def _double_random(args):
     return inst, {"d": args.d}, f"defect = {inst.defect:.3e}"
 
 
-def _multiparty(args):
-    from . import constructions
+def _multiparty(args, constructions):
     inst = constructions.multiparty_instance(args.d)
     return inst, {"d": args.d}, f"defect = {inst.defect:.3e}"
 
 
-def _conserved_optimal(args):
-    from . import constructions
+def _conserved_optimal(args, constructions):
     r = _parse_ints(args.r)
     sigma = constructions.conserved_optimal_catalyst(r)
     s = entropy.catalytic_entropy(constructions.degeneracy_decomposition(r))
     return sigma, {"r": r}, f"S_cat = {s:.6f} bits"
 
 
-def _angular_momentum(args):
-    from . import constructions
+def _angular_momentum(args, constructions):
     res = constructions.angular_momentum_catalyst(args.lM)
     return res.sigma, {"lM": args.lM, "s_cat": res.s_cat}, f"S_cat = {res.s_cat:.6f} bits"
 
 
-def _thermal_levels(args):
-    from . import constructions
+def _thermal_levels(args, constructions):
     r = _parse_ints(args.r)
     levels = constructions.thermal_levels(r, args.e_inf)
     headline = "levels = " + ", ".join(f"{e:.6f}" for e in levels)
@@ -284,7 +276,7 @@ CONSTRUCT = {
 
 def cmd_construct(args, handler) -> int:
     from . import constructions
-    obj, extra, headline = handler(args)
+    obj, extra, headline = handler(args, constructions)
     report: dict = {"kind": args.kind, **extra}
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -314,11 +306,10 @@ def cmd_construct(args, handler) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scenario: each name returns (trace or report fields, pass, headline)
+# scenario: name(args, scenarios) -> (trace or report fields, pass, headline)
 
 
-def _multiparty_scenario(args):
-    from . import scenarios
+def _multiparty_scenario(args, scenarios):
     trace = scenarios.multiparty_refuel(args.d, args.rounds, classical=args.classical)
     turns = [s for s in trace.steps if s.ledger is not None]
     print(f"{'turn':>4} {'actor':>5} {'I(A:C)':>10} {'I(B:C)':>10} {'S(C)':>8}")
@@ -340,8 +331,7 @@ def _multiparty_scenario(args):
                        f"bits after round {len(turns)}")
 
 
-def _conservation(args):
-    from . import scenarios
+def _conservation(args, scenarios):
     rep = scenarios.conservation_law_check(seed=args.seed, n_samples=args.samples)
     fields = {"max_residual": rep.max_residual,
               "max_inequality_violation": rep.max_inequality_violation,
@@ -349,8 +339,7 @@ def _conservation(args):
     return {"report": fields}, rep.ok, f"conservation: max residual = {rep.max_residual:.3e}"
 
 
-def _depletion(args):
-    from . import scenarios
+def _depletion(args, scenarios):
     trace = scenarios.depletion_demo(args.d)
     i_val = trace.reading("use2", "I(A1:A2)")
     bound = trace.reading("use2", "bound")
@@ -358,8 +347,7 @@ def _depletion(args):
     return trace, ok, f"I(A1:A2) = {i_val:.6f} bits >= bound {bound:.6f}"
 
 
-def _absorption(args):
-    from . import scenarios
+def _absorption(args, scenarios):
     chan = _named_channel(args.channel or f"initialization{2 if args.d is None else args.d}")
     rep = scenarios.absorption_check(chan, n_samples=args.samples, seed=args.seed)
     fields = {"max_local_decrease": rep.max_local_decrease,
@@ -368,8 +356,7 @@ def _absorption(args):
                             f"increase {rep.min_global_increase_at_max:.6f}")
 
 
-def _cq_free(args):
-    from . import scenarios
+def _cq_free(args, scenarios):
     rep = scenarios.cq_free_randomness(args.d)
     fields = {"free_bits": rep.free_bits,
               "erasure_deviation": rep.erasure_deviation,
@@ -378,8 +365,7 @@ def _cq_free(args):
     return fields, ok, f"cq_free: free_bits = {rep.free_bits:.6f}"
 
 
-def _initialization_scenario(args):
-    from . import scenarios
+def _initialization_scenario(args, scenarios):
     trace = scenarios.initialization_scenario(args.d)
     log_d = math.log2(args.d)
     want = {("intermediate", "I(A':B)"): log_d, ("pure-input", "I(A':B)"): log_d,
@@ -413,7 +399,7 @@ SCENARIO = {
 def cmd_scenario(args, handler) -> int:
     from . import scenarios
     cfg = _config(args, {"name": args.name})
-    result, ok, headline = handler(args)
+    result, ok, headline = handler(args, scenarios)
     if cfg.format == "csv":
         _emit_csv(result.csv_rows(), cfg)
     else:
@@ -425,7 +411,7 @@ def cmd_scenario(args, handler) -> int:
 
 
 # ---------------------------------------------------------------------------
-# optimize: each target returns (headline label, result)
+# optimize: target(args, channel, optimize) -> (headline label, result)
 
 
 _CHANNEL_RE = re.compile(r"^([a-z_]+?)_?(\d+)$")
@@ -457,18 +443,15 @@ def _ascent_options(args) -> dict:
     return {"alpha": args.alpha, "seed": args.seed, **runs}
 
 
-def _ea(args, chan):
-    from . import optimize
+def _ea(args, chan, optimize):
     return "C_EA", optimize.ea_capacity(chan, seed=args.seed)
 
 
-def _global(args, chan):
-    from . import optimize
+def _global(args, chan, optimize):
     return "S_prod_global", optimize.max_entropy_production_global(chan, **_ascent_options(args))
 
 
-def _local(args, chan):
-    from . import optimize
+def _local(args, chan, optimize):
     return "S_prod_local", optimize.max_entropy_production_local(chan, **_ascent_options(args))
 
 
@@ -487,7 +470,9 @@ def cmd_optimize(args, handler) -> int:
         if value is not None:  # JSON has no infinity: alpha=inf is echoed as "inf"
             parameters[name] = str(value) if math.isinf(value) else value
     cfg = _config(args, parameters)
-    label, res = handler(args, _named_channel(args.channel))
+    chan = _named_channel(args.channel)
+    from . import optimize  # after the channel: a bad spec loads no optimizer
+    label, res = handler(args, chan, optimize)
     _emit({"result": res.to_json_dict()}, cfg)
     print(f"{label} = {res.value:.6f} bits")
     return EXIT_OK if res.converged else EXIT_SEMANTIC
@@ -520,7 +505,7 @@ def cmd_selftest(args) -> int:
     rep = scenarios.conservation_law_check(seed=args.seed, n_samples=10)
     check("conservation", rep.ok, f"{rep.max_residual:.3e}")
     rec = catalysis.ledger_for_instance(inst, plus)
-    check("ledger", rec.residual <= catalysis.LEDGER_TOL, f"{rec.residual:.3e}")
+    check("ledger", rec.residual <= hilbert.LEDGER_TOL, f"{rec.residual:.3e}")
     wh = catalysis.werner_holevo_channel(3)
     unital = np.abs(wh.apply_matrix(np.eye(3)) - np.eye(3)).max() <= 1e-12
     span, k = catalysis.kraus_products_rank(wh)
@@ -540,7 +525,8 @@ def cmd_selftest(args) -> int:
 
 class Command(NamedTuple):
     """A command and the flags it reads; with kinds, every kind reads ``flags``
-    too, and ``run(args, handler)`` runs the kind's handler."""
+    too, and ``run(args, handler)`` imports the family's module once and
+    passes it to the kind's handler."""
 
     help: str
     run: Callable
@@ -604,7 +590,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse: usage error, or --help
         return exc.code
     # overrides last for this run only, also when main is called in-process
-    saved = [(home, getattr(*home)) for home in _TOL_NAMES.values()]
+    saved = {name: getattr(hilbert, name) for name in _TOL_NAMES.values()}
     try:
         _apply_tol_overrides(args.tol_override)
         return args.func(args)
@@ -615,8 +601,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
-        for home, value in saved:
-            setattr(*home, value)
+        for name, value in saved.items():
+            setattr(hilbert, name, value)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,8 @@ TOL_NORM = 1e-10       # trace / vector-norm deviation
 GROUP_TOL = 1e-8       # relative gap below which eigenvalues merge
 ENTROPY_SLACK = 1e-7   # bits an entropy inequality may miss by and still hold
 REFINEMENT_TOL = 1e-7  # a catalyst refinement: ||[U, 1 ⊗ Π]||_F and |Σ weights - 1|
+LEDGER_TOL = 1e-8      # bits the information balance of a transition may miss by
+COMPAT_ENTROPY_TOL = 1e-8  # bits a compatible catalyst's entropy may move by
 
 # The one size budget: every function that allocates from a size its caller
 # gives passes the complex entries of the largest object it defines to
@@ -520,21 +522,6 @@ def partial_transpose(op, subsystems: Sequence[int]) -> np.ndarray:
     if isinstance(op, (DensityOperator, UnitaryOperator)):
         return ptranspose_matrix(op.matrix, op.layout.dims, subsystems)
     raise TypeError(f"cannot partial-transpose {type(op).__name__}")
-
-
-def embed_operator(op: np.ndarray, full_dims: Sequence[int], positions: Sequence[int]) -> np.ndarray:
-    """Embed ``op`` acting on the subsystems at ``positions`` into the full space."""
-    full_dims = [int(d) for d in full_dims]
-    positions = [int(p) for p in positions]
-    if len(set(positions)) != len(positions):
-        raise ValueError("duplicate positions")
-    if op.shape[0] != math.prod(full_dims[p] for p in positions):
-        raise ValueError("operator does not match the dimensions at positions")
-    rest = [i for i in range(len(full_dims)) if i not in positions]
-    big = np.kron(op, np.eye(math.prod(full_dims[i] for i in rest), dtype=complex))
-    # big is ordered [positions..., rest...]; permute back to layout order
-    order = positions + rest
-    return permute_subsystems(big, [full_dims[i] for i in order], np.argsort(order))
 
 
 def permute_subsystems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:

@@ -313,6 +313,19 @@ def test_criterion_04_achievability_and_converse(instance_suite):
     run_criterion(4, "extraction achievability and converse", body)
 
 
+def test_cost_bound_certificates_sit_within_the_entropy_slack(instance_suite):
+    # cost_bound_check compares the catalyst entropy against the certified
+    # upper bound, and some suite instances meet the bound with equality: a
+    # certificate looser than the slack there would fail a bound that holds
+    small = [inst for inst in instance_suite if inst.a_dim <= 9]
+    assert len(small) == 97
+    for inst in small:
+        res = opt.max_entropy_production_global(cat.channel_to_kraus(inst), 1.0, restarts=1)
+        factor = 1.0 if inst.classical else 0.5
+        assert res.upper_bound is not None
+        assert factor * (res.upper_bound - res.value) <= hl.ENTROPY_SLACK, inst
+
+
 # ---------------------------------------------------------------------------
 # 5. conservation-law catalysts
 

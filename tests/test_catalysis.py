@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from util import dense_renyi, held_bytes, kron_sum_output, party_swap
+from util import (
+    count_eigensolves,
+    dense_renyi,
+    embed_operator,
+    held_bytes,
+    kron_sum_output,
+    party_swap,
+)
 
 from catalyx import catalysis as cat
 from catalyx import hilbert as hl
@@ -163,7 +170,28 @@ def test_compatibility_requires_catalysis_unitary():
 def test_exhaustive_on_certified_instance():
     rep = verify_catalysis_exhaustive(CNOT, MM2)
     assert rep.max_deviation <= 1e-9
-    assert np.allclose(rep.implied_v.matrix, np.eye(2), atol=1e-9)
+    assert np.allclose(canonical_form(CNOT, MM2).canonical_v.matrix, np.eye(2), atol=1e-9)
+
+
+def test_exhaustive_verification_takes_no_eigenvectors(monkeypatch):
+    # the rotation onto the output is canonical_form's: the report needs
+    # only the output's eigenvalues
+    solves = count_eigensolves(monkeypatch)
+    verify_catalysis_exhaustive(CNOT, DensityOperator(np.diag([0.75, 0.25]), [2]))
+    assert solves.calls_by["eigh"] == 0
+
+
+def test_compatibility_reads_the_tolerance_in_hilbert(monkeypatch):
+    # CNOT mixes diag(0.75, 0.25) to 1/2 at the maximally mixed input: an
+    # entropy gap of 1 - h(1/4) ≈ 0.19 bits
+    sigma = DensityOperator(np.diag([0.75, 0.25]), [2])
+    assert not verify_catalysis_exhaustive(CNOT, sigma).compatible
+    with pytest.raises(CertificationError, match="catalyst incompatible"):
+        canonical_form(CNOT, sigma)
+    monkeypatch.setattr(hl, "COMPAT_ENTROPY_TOL", 1.0)
+    assert verify_catalysis_exhaustive(CNOT, sigma).compatible
+    with pytest.raises(CertificationError, match="output depends on the input"):
+        canonical_form(CNOT, sigma)
 
 
 def test_exhaustive_on_swap():
@@ -551,8 +579,8 @@ def test_recovery_defect_is_exact_for_a_broken_recovery(monkeypatch):
     assert abs(defect - max(abs(1 - c), abs(phases[1] - c))) <= 1e-12
     # it bounds the trace distance of every input; here, 64 Haar pure ones
     dims = [inst.a_dim, inst.b_dim, inst.b_dim]  # A, B, C
-    lhs_op = hl.embed_operator(inst.canonical_unitary().matrix, dims, [0, 1])
-    rhs_op = hl.embed_operator(broken.matrix, dims, [0, 2])
+    lhs_op = embed_operator(inst.canonical_unitary().matrix, dims, [0, 1])
+    rhs_op = embed_operator(broken.matrix, dims, [0, 2])
     psi = hl.purify(inst.sigma).amplitudes
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -571,7 +599,7 @@ def test_empty_cut_rejected():
 
 
 def test_ledger_enforces_tolerance(monkeypatch):
-    monkeypatch.setattr(cat, "LEDGER_TOL", -1.0)
+    monkeypatch.setattr(hl, "LEDGER_TOL", -1.0)
     with pytest.raises(CertificationError, match="information balance"):
         ledger(UnitaryOperator(np.eye(4), [2, 2]), MM2, MM2, 0)
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from util import party_swap
 
-from catalyx import catalysis as cat
 from catalyx import cli
 from catalyx import hilbert as hl
 from catalyx import optimize as opt
@@ -452,8 +451,7 @@ def test_tol_override_lasts_one_run(tmp_path, capsys):
 
 def test_in_process_overrides_leave_every_tolerance_as_it_was(tmp_path):
     def tolerances():
-        floats = {name: v for name, v in vars(hl).items() if name.isupper() and isinstance(v, float)}
-        return {**floats, "LEDGER_TOL": cat.LEDGER_TOL}
+        return {name: v for name, v in vars(hl).items() if name.isupper() and isinstance(v, float)}
 
     before = tolerances()
     rho = hl.DensityOperator(np.diag([0.5, 0.25, 0.25]), [3])

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from util import embed_operator
 
 from catalyx import hilbert as hl
 from catalyx.hilbert import (
@@ -297,7 +298,7 @@ def test_controlled_weyl_set_is_the_two_controlled_stages(d):
     stage1 = hl.controlled([np.linalg.matrix_power(z, k) for k in range(d)])
     stage2 = hl.controlled([np.linalg.matrix_power(x, k) for k in range(d)])
     dims = [d, d, d]
-    two = hl.embed_operator(stage2, dims, [0, 1]) @ hl.embed_operator(stage1, dims, [0, 2])
+    two = embed_operator(stage2, dims, [0, 1]) @ embed_operator(stage1, dims, [0, 2])
     assert np.array_equal(hl.controlled(hl.weyl_set(d)), two)
 
 
@@ -401,9 +402,9 @@ def test_payload_rejects_missing_keys():
 
 def test_embed_operator_matches_kron():
     x = PAULI_X
-    full = hl.embed_operator(x, [2, 3, 2], [2])
+    full = embed_operator(x, [2, 3, 2], [2])
     assert np.allclose(full, np.kron(np.eye(6), x))
-    mid = hl.embed_operator(x, [2, 2, 2], [1])
+    mid = embed_operator(x, [2, 2, 2], [1])
     assert np.allclose(mid, np.kron(np.kron(np.eye(2), x), np.eye(2)))
 
 

@@ -80,8 +80,8 @@ def _assert_matches_dense(u, rho, inter, n_a2, on=None):
     got = np.array([rec.i_before, rec.i_after, rec.s_in, rec.s_out])
     ref = np.array([i_before, s_a + s_b - _dense_entropy(want), s_in, s_a])
     assert np.abs(got - ref).max() <= 1e-9
-    assert rec.residual <= cat.LEDGER_TOL
-    assert abs(rec.delta_i - (rec.s_out - rec.s_in)) <= cat.LEDGER_TOL
+    assert rec.residual <= hl.LEDGER_TOL
+    assert abs(rec.delta_i - (rec.s_out - rec.s_in)) <= hl.LEDGER_TOL
     return rec, tau
 
 

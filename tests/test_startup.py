@@ -70,6 +70,8 @@ CLI_LOADS = {
     "verify": (["verify", "{tmp}/cnot.json", "--sigma-file", "{tmp}/sigma.json"], [], 0),
     "entropy": (["entropy", "{tmp}/sigma.json"], [], 0),
     "usage-error": (["scenario", "no_such_scenario"], [], 2),
+    # the channel spec is resolved before the optimizer is imported
+    "bad-channel": (["optimize", "ea", "--channel", "no_such_channel2"], [], 2),
     "construct": (["construct", "dephasing_degeneracy", "--r", "1,2", "--out", "{tmp}"],
                   ["constructions"], 0),
     "optimize": (["optimize", "ea", "--channel", "dephasing2", "--out", "{tmp}/o.json"],
@@ -121,11 +123,13 @@ def test_every_package_name_is_its_submodules_own_object(module):
         catalyx.no_such_name  # noqa: B018
 
 
-def test_every_tolerance_home_is_loaded_by_every_command():
-    # main saves and restores each home on every command, so a home in a
-    # module the command does not run would import that module again
-    homes = {home.__name__ for home, _ in cli._TOL_NAMES.values()}
-    assert homes <= {"catalyx.hilbert", "catalyx.catalysis"}
+def test_every_tolerance_override_names_a_hilbert_tolerance():
+    # main saves, sets and restores each override as a hilbert attribute, so
+    # a misspelt name would set a new attribute that no check reads
+    from test_tolerance_homes import HOMES
+
+    names = set(cli._TOL_NAMES.values())
+    assert all(HOMES.get(name) == "hilbert" and hasattr(hl, name) for name in names), names
 
 
 # one small run of every construct kind, scenario and optimize target, and of

@@ -1,5 +1,5 @@
-"""Every named tolerance, and the size budget, has one home module and is
-read there at call time.
+"""Every named tolerance, and the size budget, has one home, ``hilbert``, and
+is read there at call time.
 
 A default argument or a ``from .home import NAME`` binds the value once, at
 import, so a later override (``catalyx --tol-override``) would not reach that
@@ -25,7 +25,8 @@ HOMES = {
     "GROUP_TOL": "hilbert",
     "ENTROPY_SLACK": "hilbert",
     "REFINEMENT_TOL": "hilbert",
-    "LEDGER_TOL": "catalysis",
+    "LEDGER_TOL": "hilbert",
+    "COMPAT_ENTROPY_TOL": "hilbert",
     "MAX_BYTES": "hilbert",
 }
 

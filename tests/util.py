@@ -15,6 +15,23 @@ from catalyx.hilbert import (
 )
 
 
+def embed_operator(op, full_dims, positions):
+    """Embed ``op`` acting on the subsystems at ``positions`` into the full
+    space, as a dense Kronecker product: the reference for ``hilbert.evolve``,
+    which never builds it."""
+    full_dims = [int(d) for d in full_dims]
+    positions = [int(p) for p in positions]
+    if len(set(positions)) != len(positions):
+        raise ValueError("duplicate positions")
+    if op.shape[0] != math.prod(full_dims[p] for p in positions):
+        raise ValueError("operator does not match the dimensions at positions")
+    rest = [i for i in range(len(full_dims)) if i not in positions]
+    big = np.kron(op, np.eye(math.prod(full_dims[i] for i in rest), dtype=complex))
+    # big is ordered [positions..., rest...]; permute back to layout order
+    order = positions + rest
+    return permute_subsystems(big, [full_dims[i] for i in order], np.argsort(order))
+
+
 def random_decomposition(rng):
     """Random eigenspace data with contiguous blocks; eigenvalues may repeat
     across blocks (as for conservation-law refinements)."""
