@@ -29,11 +29,7 @@ block, so that the error is the lowest failing block's.
 
 A certified :class:`CatalysisInstance` is immutable and may be shared across
 threads.  A :class:`KrausChannel` holds one read-only array, its Stinespring
-operand, and is immutable but for one memo, the bytes of its last input to
-``optimize.global_production`` and the supports of its spectra: each call
-reads it once and replaces it whole by one attribute store, so a channel may
-be shared across threads too (a race costs a repeated solve, never a wrong
-value).
+operand, and is immutable, so a channel may be shared across threads too.
 Module-level mutable state: none.  The tolerances live in :mod:`hilbert` and
 are read there at call time.  Each ledger record goes back to its caller;
 none is kept here.
@@ -208,10 +204,7 @@ def _outputs(us: np.ndarray, sigma: DensityOperator,
     ref = s.trace(axis1=-4, axis2=-3) / da
     dev = s - np.eye(da)[:, :, None, None] * ref[:, None, None]
     max_dev = np.linalg.svd(dev, compute_uv=False).sum(axis=-1).max(axis=(-2, -1))
-    vals = hilbert.hermitian_eigvalsh(ref)
-    faults = hilbert.density_fault(ref, vals)
-    _require(faults, lambda i: ValueError(faults[i]))
-    gap = von_neumann_rows(hilbert._validated_spectrum(vals, sigma.dim)) - von_neumann(sigma)
+    gap = von_neumann_rows(hilbert.state_spectrum(ref)) - von_neumann(sigma)
     return ref, max_dev, gap
 
 
@@ -301,27 +294,12 @@ class CatalysisInstance(NamedTuple):
         vdag = dagger(self.canonical_v.matrix)
         return evolve(vdag, self.unitary.matrix, [self.a_dim, self.b_dim], [1])
 
-    def to_bundle(self, unitary_file: str, sigma_file: str, timestamp: str = "") -> dict:
-        return {
-            "unitary_file": unitary_file,
-            "sigma_file": sigma_file,
-            "layout": {"a_dims": list(self.a_dims), "b_dims": list(self.b_dims)},
-            "certification": {
-                "defect": self.defect,
-                "entropy_gap": self.entropy_gap,
-                "max_deviation": self.max_deviation,
-                "timestamp": timestamp,
-                "seed": self.seed,
-            },
-        }
-
 
 def canonical_form(
     u: UnitaryOperator,
     sigma: DensityOperator,
     a_count: int = 1,
     seed: int = 7,
-    classical: bool = False,
 ) -> CatalysisInstance:
     """Certify (u, sigma) exactly and return the instance carrying the rotation
     V that makes the catalyst exactly preserved; ``seed`` is only recorded.
@@ -329,10 +307,10 @@ def canonical_form(
     output is a state, the catalyst keeps its entropy, the output does not
     depend on the input, the spectra match, and (1 ⊗ V†)U preserves sigma."""
     certified = _certify(u.matrix[None], u.layout, a_count, sigma)
-    return _instance(u, sigma, a_count, certified[0], seed, classical)
+    return _instance(u, sigma, a_count, certified[0], seed)
 
 
-def _instance(u, sigma, a_count, certified, seed, classical) -> CatalysisInstance:
+def _instance(u, sigma, a_count, certified, seed, classical=False) -> CatalysisInstance:
     defect, max_deviation, entropy_gap, v = certified
     return CatalysisInstance(
         unitary=u, sigma=sigma, a_count=a_count, canonical_v=v, defect=defect,
@@ -360,9 +338,8 @@ class KrausChannel(Frozen):
     d_out·n) of its Stinespring isometry V = sum_i K_i ⊗ |i>; ``kraus`` is a
     read-only (n, d_out, d_in) view of it.  The channel builders check its
     n·d_out·d_in entries against ``hilbert.MAX_BYTES``.  Equality is
-    identity, as for ``DensityOperator``.  ``_last_spectra`` is
-    ``optimize.global_production``'s memo: the key (rho's bytes among it)
-    and the supports of the input and output spectra of the last input."""
+    identity, as for ``DensityOperator``.  Nothing writes to a channel after
+    ``__init__``: it is immutable."""
 
     kraus: np.ndarray
 
@@ -377,14 +354,13 @@ class KrausChannel(Frozen):
                 "equal-shape matrices"
             )
         comp = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
-        if np.linalg.norm(comp - np.eye(ops.shape[2])) > 1e-7:
+        if not np.linalg.norm(comp - np.eye(ops.shape[2])) <= 1e-7:  # NaN too
             raise ValueError("Kraus operators do not satisfy completeness")
         n, d_out, d_in = ops.shape
         # a copy even when ops is laid out as Vᵀ already: the caller keeps ops
         v_t = hilbert._freeze(np.array(ops.transpose(2, 1, 0), order="C").reshape(d_in, -1))
         object.__setattr__(self, "_isometry_t", v_t)
         object.__setattr__(self, "kraus", v_t.reshape(d_in, d_out, n).transpose(2, 1, 0))
-        object.__setattr__(self, "_last_spectra", None)
 
     @property
     def dim_out(self) -> int:
@@ -629,7 +605,7 @@ def classical_catalysis(
     db = p.size
     sigma = DensityOperator(np.diag(p.astype(complex)), [db])
     u = UnitaryOperator(controlled(unitaries), [da, db])
-    inst = canonical_form(u, sigma, seed=seed, classical=True)
+    inst = canonical_form(u, sigma, seed=seed)._replace(classical=True)
     # the natural refinement: every catalyst basis state is preserved alone
     dec = decompose_subcatalyses(inst, bases=np.eye(db, dtype=complex)[:, :, None])
     return inst._replace(decomposition=dec)

@@ -287,11 +287,13 @@ def cmd_construct(args, handler) -> int:
     if isinstance(obj, catalysis.CatalysisInstance):
         hilbert.save_json(path("_unitary"), hilbert.operator_to_payload(obj.unitary))
         hilbert.save_json(path("_sigma"), hilbert.operator_to_payload(obj.sigma))
-        bundle = obj.to_bundle(path("_unitary"), path("_sigma"), timestamp=_timestamp())
-        bundle["certification"]["seed"] = args.seed
-        hilbert.save_json(path("_instance"), bundle)
         report["certification"] = {"defect": obj.defect, "entropy_gap": obj.entropy_gap,
                                    "max_deviation": obj.max_deviation}
+        hilbert.save_json(path("_instance"), {
+            "unitary_file": path("_unitary"), "sigma_file": path("_sigma"),
+            "layout": {"a_dims": list(obj.a_dims), "b_dims": list(obj.b_dims)},
+            "certification": {**report["certification"], "timestamp": _timestamp(),
+                              "seed": args.seed}})
     elif isinstance(obj, constructions.GeneralizedCatalysis):
         hilbert.save_json(path("_unitary"), hilbert.operator_to_payload(obj.unitary))
         hilbert.save_json(path("_intermediate"), hilbert.operator_to_payload(obj.intermediate))

@@ -44,21 +44,18 @@ def _clip_zero(v: float) -> float:
     return 0.0 if -1e-9 < v <= 0.0 else v
 
 
-def _shannon_bits(p: np.ndarray):
-    """-Σ q log2 q over the entries q > ``TOL_PSD`` of the distribution ``p``
-    (a float), or of each distribution along the last axis of a stack ``p``
-    (an array of floats).
+def _shannon_bits(p: np.ndarray) -> np.ndarray:
+    """-Σ q log2 q over the entries q > ``TOL_PSD`` of each distribution
+    along the last axis of a stack ``p`` (an array of floats).
 
     The kept entries of a distribution are summed in order as one run, so a
-    stack gives, bit for bit, what each distribution gives alone; summing
-    whole rows with zeros left in would group the pairwise summation of a
-    long spectrum differently.  When every distribution of a stack keeps
-    equally many entries, one reduction serves them all."""
+    stack gives, bit for bit, what :func:`shannon` gives each distribution;
+    summing whole rows with zeros left in would group the pairwise summation
+    of a long spectrum differently.  When every distribution of a stack
+    keeps equally many entries, one reduction serves them all."""
     keep = p > hilbert.TOL_PSD
     q = p[keep]
     terms = q * np.log2(q)
-    if p.ndim == 1:
-        return _clip_zero(float(-terms.sum()))
     if p.size == p.shape[-1]:  # a stack of one distribution
         return np.reshape(_clip_zero(float(-terms.sum())), p.shape[:-1])
     counts = keep.sum(-1).reshape(-1)
@@ -74,7 +71,7 @@ def _shannon_bits(p: np.ndarray):
 
 def shannon(p) -> float:
     """Shannon entropy in bits with the 0 log 0 = 0 convention."""
-    return _shannon_bits(_spectrum(p))
+    return _renyi_bits(_spectrum(p), 1.0)
 
 
 def von_neumann(rho: DensityOperator | Sequence[float]) -> float:

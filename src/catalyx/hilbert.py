@@ -176,7 +176,7 @@ class StateVector(Frozen):
                 f"amplitude length {amps.shape[0]} != layout dimension {layout.total_dim}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 100 * TOL_NORM:
+        if not abs(norm - 1.0) <= 100 * TOL_NORM:  # NaN too
             raise ValueError(f"state vector norm {norm} too far from 1")
         object.__setattr__(self, "amplitudes", _freeze(amps / norm))
         object.__setattr__(self, "layout", layout)
@@ -210,11 +210,7 @@ class DensityOperator(Frozen):
         d = layout.total_dim
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match layout dim {d}")
-        vals = hermitian_eigvalsh(m)
-        fault = density_fault(m, vals)
-        if fault:
-            raise ValueError(fault)
-        self._keep(layout, _validated_spectrum(vals, d), m, None)
+        self._keep(layout, state_spectrum(m), m, None)
 
     @classmethod
     def from_factor(cls, factor, layout) -> "DensityOperator":
@@ -248,12 +244,9 @@ class DensityOperator(Frozen):
 
     def factor(self) -> np.ndarray:
         """A factor X with ρ = XX† (read-only).  A state held as its matrix
-        computes it once, from ``eigh``, as the eigenvectors whose eigenvalues
-        exceed ``TOL_PSD``, each scaled by the root of its eigenvalue."""
+        computes it once, as :func:`psd_factor`'s."""
         if self._factor is None:
-            vals, vecs = np.linalg.eigh(self._matrix)
-            keep = vals > TOL_PSD
-            object.__setattr__(self, "_factor", _freeze(vecs[:, keep] * np.sqrt(vals[keep])))
+            object.__setattr__(self, "_factor", _freeze(psd_factor(self._matrix)[1]))
         return self._factor
 
     @property
@@ -277,7 +270,7 @@ def _operator_shaped(matrix, layout: SubsystemLayout, lead: int = 0) -> np.ndarr
 
 
 def _unitary_fault(defect: float) -> str | None:
-    return f"matrix is not unitary: defect {defect}" if defect > TOL_UNITARY else None
+    return None if defect <= TOL_UNITARY else f"matrix is not unitary: defect {defect}"
 
 
 class UnitaryOperator(Frozen):
@@ -343,7 +336,7 @@ class EigenspaceDecomposition(Frozen):
             raise ValueError("eigenvalues must be non-increasing")
         stacked = np.hstack(bases)  # raises unless every basis has d rows
         d, rank = stacked.shape
-        if np.linalg.norm(dagger(stacked) @ stacked - np.eye(rank)) > 1e-7:
+        if not np.linalg.norm(dagger(stacked) @ stacked - np.eye(rank)) <= 1e-7:
             raise ValueError("eigenspace bases are not orthonormal")
         total = sum(v * b.shape[1] for v, b in zip(vals, bases))
         # eigenvalues at or below TOL_PSD count as zero, so the space the
@@ -632,8 +625,8 @@ def density_fault(m: np.ndarray, vals: np.ndarray):
     """Why the matrix ``m``, with ascending eigenvalues ``vals``, is not a
     density matrix, or None: the first of its checks it fails, Hermitian
     within ``TOL_HERM``, trace one within 100·``TOL_NORM`` and no eigenvalue
-    below -10·``TOL_PSD``.  For a stack (k, d, d), the list of the k
-    answers, from one pass over the stack."""
+    below -10·``TOL_PSD``; NaN fails each.  For a stack (k, d, d), the list
+    of the k answers, from one pass over the stack."""
     if m.ndim == 2:
         return _density_fault(np.linalg.norm(m - dagger(m)), m.trace(), vals[0])
     if len(m) == 1:
@@ -644,17 +637,29 @@ def density_fault(m: np.ndarray, vals: np.ndarray):
 
 
 def _density_fault(herm: float, trace: complex, low: float) -> str | None:
-    if herm > TOL_HERM:
+    if not herm <= TOL_HERM:
         return "density matrix is not Hermitian within tolerance"
-    if abs(trace.real - 1.0) > 100 * TOL_NORM:
+    if not abs(trace.real - 1.0) <= 100 * TOL_NORM:
         return f"density matrix trace {trace} != 1"
     return _negative_fault(low)
 
 
 def _negative_fault(low: float) -> str | None:
-    if low < -10 * TOL_PSD:
+    if not low >= -10 * TOL_PSD:
         return f"density matrix has negative eigenvalue {low}"
     return None
+
+
+def state_spectrum(m: np.ndarray) -> np.ndarray:
+    """The validated spectrum (:func:`_validated_spectrum`) of the matrix
+    ``m``, or of each of a stack (k, d, d); the first that is not a density
+    matrix raises the ValueError of its :func:`density_fault`."""
+    vals = hermitian_eigvalsh(m)
+    faults = density_fault(m, vals)
+    for fault in [faults] if m.ndim == 2 else faults:
+        if fault:
+            raise ValueError(fault)
+    return _validated_spectrum(vals, m.shape[-1])
 
 
 def _validated_spectrum(vals: np.ndarray, dim: int) -> np.ndarray:
@@ -677,9 +682,18 @@ def factor_spectrum(x: np.ndarray) -> np.ndarray:
     stack of factors: one solver call gives all their spectra."""
     gram, _ = smaller_gram(x)
     for trace in gram.trace(axis1=-2, axis2=-1).real.flat:  # = ||X||_F^2
-        if abs(trace - 1.0) > 100 * TOL_NORM:
+        if not abs(trace - 1.0) <= 100 * TOL_NORM:
             raise ValueError(f"density matrix trace {trace} != 1")
     return _validated_spectrum(hermitian_eigvalsh(gram), x.shape[-2])
+
+
+def psd_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending eigenvalues of the PSD matrix ``m``, from one ``eigh``,
+    and its factor X: the eigenvectors whose eigenvalues exceed ``TOL_PSD``,
+    each scaled by the root of its eigenvalue, so XX† is ``m`` cut there."""
+    vals, vecs = np.linalg.eigh(m)
+    keep = vals > TOL_PSD
+    return vals, vecs[:, keep] * np.sqrt(vals[keep])
 
 
 def trace_distance(a: DensityOperator | np.ndarray, b: DensityOperator | np.ndarray):
@@ -865,12 +879,19 @@ def operator_to_payload(op) -> dict:
     }
 
 
+def _finite_parts(payload: dict, keys: Sequence[str], what: str) -> list[np.ndarray]:
+    """The float arrays of ``payload`` under ``keys``, refused if one holds NaN or inf."""
+    parts = [np.asarray(payload[k], dtype=float) for k in keys]
+    if not all(np.isfinite(p).all() for p in parts):
+        raise ValueError(f"{what} payload has a non-finite entry (NaN or infinity)")
+    return parts
+
+
 def payload_to_matrix(payload: dict) -> tuple[np.ndarray, SubsystemLayout]:
     if not _OPERATOR_KEYS.issubset(payload):
         raise ValueError(f"operator payload must contain keys {sorted(_OPERATOR_KEYS)}")
     layout = SubsystemLayout(payload["dims"])
-    re = np.asarray(payload["re"], dtype=float)
-    im = np.asarray(payload["im"], dtype=float)
+    re, im = _finite_parts(payload, ("re", "im"), "operator")
     if re.shape != im.shape:
         raise ValueError("re and im blocks have different shapes")
     if re.ndim != 2 or re.shape[0] != re.shape[1]:
@@ -894,8 +915,7 @@ def payload_to_state(payload: dict) -> StateVector:
     if not _STATE_KEYS.issubset(payload):
         raise ValueError(f"state payload must contain keys {sorted(_STATE_KEYS)}")
     layout = SubsystemLayout(payload["dims"])
-    re = np.asarray(payload["amps_re"], dtype=float)
-    im = np.asarray(payload["amps_im"], dtype=float)
+    re, im = _finite_parts(payload, ("amps_re", "amps_im"), "state")
     if re.shape != im.shape or re.ndim != 1:
         raise ValueError("state payload amplitudes malformed")
     if re.shape[0] != layout.total_dim:

@@ -33,12 +33,16 @@ The paper checks read these brackets, one start each and no seed:
 :func:`cost_bound_check` the upper side of the global alpha=1 production
 maximum, so its pass holds for every input, and :func:`tradeoff_check` the
 C_EA value, a lower side; each report says whether its run was certified.
+
+Module-level state: ``_LAST_SPECTRA``, the memo of :func:`global_production`,
+with one entry per live channel; a channel itself is never written.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -60,6 +64,7 @@ _EA_MAX_ITER, _EA_TOL_GRAD = 4000, 1e-7
 # after one that converged with a certified bound within _CERT_GAP bits
 _ACCEPT_GAIN, _TIE_MARGIN, _CERT_GAP = 1e-16, 1e-15, 1e-6
 _TRADEOFF_SLACK = 1e-4
+_LAST_SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class OptimizationResult(NamedTuple):
@@ -161,30 +166,27 @@ def global_production(
     chan: KrausChannel, rho_ra: np.ndarray, ref_dim: int, alpha: float
 ) -> float:
     """S_alpha((I x Phi)(rho)) - S_alpha(rho) for a state on reference x input.
-    One ``eigh`` of rho gives its spectrum and the factor X (the eigenvectors
-    above ``hilbert.TOL_PSD``, scaled by the roots of their eigenvalues) whose
-    Stinespring factor holds the output; one ``eigvalsh`` of the smaller Gram
-    side of that factor gives the output spectrum.
+    One ``eigh`` of rho (``hilbert.psd_factor``) gives its spectrum and the
+    factor X whose Stinespring factor holds the output; one ``eigvalsh`` of
+    the smaller Gram side of that factor gives the output spectrum.
 
-    Neither spectrum depends on alpha, so ``chan`` keeps the supports of both
-    (``_support``, which every order reads through ``_renyi_support``) for
-    its last input, as one tuple (key, input support, output support) in
-    ``chan._last_spectra``.  The key is (ref_dim, ``hilbert.TOL_PSD``, shape,
-    dtype, rho's C-ordered bytes): the same rho at another alpha skips all
-    three solves, and a rho changed in place, or a changed tolerance, solves
-    again.  The memo holds rho's D² entries and the two supports.  The tuple
-    is read once and replaced whole, so a channel may be shared across
-    threads."""
+    Neither spectrum depends on alpha, so ``_LAST_SPECTRA`` keeps the
+    supports of both (``_support``, read through ``_renyi_support``) of the
+    last input of each channel, as one tuple (key, input support, output
+    support), held weakly: an entry goes with its channel.  The key is
+    (ref_dim, ``hilbert.TOL_PSD``, shape, dtype, rho's C-ordered bytes): the
+    same rho at another alpha skips all three solves, and a rho changed in
+    place, or a changed tolerance, solves again.  An entry holds rho's D²
+    entries and the two supports; it is read once and replaced whole, so a
+    channel may be shared across threads."""
     _check_order(alpha)
     rho = np.asarray(rho_ra)
     key = (ref_dim, hilbert.TOL_PSD, rho.shape, rho.dtype, rho.tobytes())
-    last = chan._last_spectra
+    last = _LAST_SPECTRA.get(chan)
     if last is None or last[0] != key:
-        vals, vecs = np.linalg.eigh(rho)
-        keep = vals > hilbert.TOL_PSD
-        y = chan.stinespring(vecs[:, keep] * np.sqrt(vals[keep]), ref_dim)
-        last = (key, _support(vals), _factor_support(y))
-        object.__setattr__(chan, "_last_spectra", last)
+        vals, x = hilbert.psd_factor(rho)
+        last = (key, _support(vals), _factor_support(chan.stinespring(x, ref_dim)))
+        _LAST_SPECTRA[chan] = last
     _, q_in, q_out = last
     return _renyi_support(q_out, alpha) - _renyi_support(q_in, alpha)
 

@@ -701,3 +701,15 @@ def test_values_and_records_are_read_only(build):
         setattr(obj, name, None)
     with pytest.raises(AttributeError):
         delattr(obj, name)
+
+
+def test_canonical_form_takes_no_classical_flag():
+    with pytest.raises(TypeError):
+        canonical_form(CNOT, MM2, classical=True)
+    assert not canonical_form(CNOT, MM2).classical
+
+
+def test_classical_catalysis_marks_itself_and_every_sub_instance():
+    inst = classical_catalysis([0.5, 0.3, 0.2], [np.eye(2), clock_matrix(2), hl.shift_matrix(2)])
+    assert inst.classical and len(inst.decomposition) == 3
+    assert all(sub.classical for _, sub in inst.decomposition)

@@ -704,3 +704,19 @@ def test_double_random_below_dimension_one_is_a_usage_error(d, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err == f"error: clock matrix needs d >= 1, got {d}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    lambda path: ["verify", path],
+    lambda path: ["entropy", path],
+    lambda path: ["optimize", "global", "--channel", path],
+], ids=["verify", "entropy", "optimize-global"])
+def test_non_finite_input_file_exits_2_before_any_report(tmp_path, command):
+    path, out = tmp_path / "nan.json", tmp_path / "report.json"
+    with open(path, "w") as fh:
+        json.dump({"dims": [2], "re": [[0.5, 0], [0, math.nan]], "im": [[0, 0], [0, 0]]},
+                  fh, allow_nan=True)
+    res = run_cli(*command(str(path)), "--out", str(out))
+    assert res.returncode == 2 and res.stdout == ""
+    assert "operator payload has a non-finite entry" in res.stderr
+    assert not out.exists()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -434,3 +435,60 @@ def test_frozen_repr_names_the_public_fields():
 def test_builders_refuse_dimensions_below_one(build, d):
     with pytest.raises(ValueError, match=rf"needs d >= 1, got {d}$"):
         build(d)
+
+
+def test_state_spectrum_raises_the_lowest_failing_matrix_of_a_stack():
+    good, twice = np.eye(2) / 2, np.eye(2)
+    skew = np.array([[0.5, 0.1], [0.0, 0.5]])
+    for stack, message in (([good, twice, skew], "trace"), ([good, skew, twice], "Hermitian")):
+        with pytest.raises(ValueError, match=message):
+            hl.state_spectrum(np.array(stack, dtype=complex))
+    for m in (twice, skew, np.diag([1.5, -0.5]), good):
+        m = m.astype(complex)
+        try:
+            want = DensityOperator(m, [2]).eigenvalues()
+        except ValueError as error:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                hl.state_spectrum(m)
+        else:
+            assert hl.state_spectrum(m).tobytes() == want.tobytes()
+
+
+def test_psd_factor_is_the_density_operators_factor():
+    for rank, seed in ((1, 3), (4, 4), (6, 5)):
+        m = random_density([2, 3], rank, seed).matrix
+        vals, x = hl.psd_factor(m)
+        assert x.tobytes() == DensityOperator(m, [2, 3]).factor().tobytes()
+        assert x.shape == (6, rank) and vals.tobytes() == np.linalg.eigh(m)[0].tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructors_reject_non_finite_entries(bad):
+    from catalyx.catalysis import KrausChannel
+
+    one = np.array([[1.0, 0.0], [0.0, bad]])
+    cases = [
+        (lambda: UnitaryOperator(one, [2]), "not unitary"),
+        (lambda: UnitaryOperator.each([np.eye(2), one], [2]), "not unitary"),
+        (lambda: DensityOperator(one / 2, [2]), "not Hermitian"),
+        (lambda: DensityOperator.from_factor(one[:, :1] * bad, [2]), "trace"),
+        (lambda: StateVector([bad, 0.0], [2]), "norm"),
+        (lambda: KrausChannel([one]), "completeness"),
+        (lambda: hl.EigenspaceDecomposition([0.5], [one]), "orthonormal"),
+        (lambda: hl.EigenspaceDecomposition([bad / 2], [np.eye(2)]), "multiplicity"),
+    ]
+    # the checks refuse the value; arithmetic on an infinity warns on the way
+    with np.errstate(invalid="ignore", over="ignore"):
+        for build, message in cases:
+            with pytest.raises(ValueError, match=message):
+                build()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_payload_readers_refuse_non_finite_entries(bad):
+    op = json.loads(json.dumps({"dims": [2], "re": [[1, 0], [0, bad]], "im": [[0, 0], [0, 0]]}))
+    state = json.loads(json.dumps({"dims": [2], "amps_re": [1, 0], "amps_im": [0, bad]}))
+    with pytest.raises(ValueError, match="operator payload has a non-finite entry"):
+        hl.payload_to_matrix(op)
+    with pytest.raises(ValueError, match="state payload has a non-finite entry"):
+        hl.payload_to_state(state)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from util import (
     count_evaluations,
     dense_renyi,
     ea_objective,
+    held_bytes,
     kron_sum_output,
 )
 
@@ -924,10 +927,30 @@ def test_global_production_memo_holds_input_bytes_and_spectra():
     for rank in (9, 2):
         rho = _mixed(9, rank, rng)
         opt.global_production(chan, rho, 3, 1.0)
-        key, q_in, q_out = chan._last_spectra
+        key, q_in, q_out = opt._LAST_SPECTRA[chan]
         assert not any(isinstance(k, np.ndarray) for k in key)
         assert key[-1] == rho.tobytes() and len(key[-1]) == 16 * 9 * 9
         # the spectra cut to their supports: as many entries as rho has rank,
         # and as its output (at most rank x Kraus rank 2), each above TOL_PSD
         assert q_in.shape == (rank,) and q_out.shape == (min(9, 2 * rank),)
         assert q_in.min() > hl.TOL_PSD and q_out.min() > hl.TOL_PSD
+
+
+def test_global_production_leaves_the_channel_as_built():
+    """The memo is the optimizer's: after a run, a channel holds the fields
+    and the buffers a fresh one holds, and none of rho's bytes."""
+    chan, fresh = cat.random_channel(3, 2, 5), cat.random_channel(3, 2, 5)
+    rho = _mixed(9, 9, np.random.default_rng(5))
+    opt.global_production(chan, rho, 3, 1.0)
+    assert vars(chan).keys() == vars(fresh).keys() == {"_isometry_t", "kraus"}
+    assert held_bytes(chan) == held_bytes(fresh)
+    assert opt._LAST_SPECTRA[chan][0][-1] == rho.tobytes()
+
+
+def test_global_production_memo_keeps_no_channel_alive():
+    chan = cat.random_channel(2, 2, 1)
+    opt.global_production(chan, np.eye(4) / 4, 2, 1.0)
+    gone = weakref.ref(chan)
+    del chan
+    gc.collect()
+    assert gone() is None

@@ -78,7 +78,7 @@ def test_every_sub_instance_is_its_block_by_block_certification():
             iso = np.kron(eye_a, basis)
             assert np.abs(sub.unitary.matrix - iso.conj().T @ uc @ iso).max() <= 1e-12
             ref = cat.canonical_form(sub.unitary, hl.maximally_mixed([r]), inst.a_count,
-                                     inst.seed + idx + 1, inst.classical)
+                                     inst.seed + idx + 1)._replace(classical=inst.classical)
             assert sub.seed == ref.seed == inst.seed + idx + 1
             assert sub.classical == inst.classical and sub.a_count == inst.a_count
             assert _bitwise(sub.canonical_v.matrix, ref.canonical_v.matrix)
