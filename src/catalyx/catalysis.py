@@ -43,7 +43,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import hilbert
-from .entropy import mutual_information, von_neumann, von_neumann_rows
+from .entropy import _clip_zero, von_neumann, von_neumann_rows
 from .hilbert import (
     DensityOperator,
     Frozen,
@@ -53,6 +53,7 @@ from .hilbert import (
     dagger,
     eigh_desc,
     evolve,
+    kron,
     maximally_mixed,
     partial_trace,
     ptrace_matrix,  # unused here; bench/tests traces calls through this binding
@@ -322,7 +323,7 @@ def implement_channel(inst: CatalysisInstance, rho: DensityOperator) -> DensityO
     """Apply the induced channel: Tr_B U (rho ⊗ sigma) U†."""
     if rho.dim != inst.a_dim:
         raise ValueError(f"input dimension {rho.dim} != system dimension {inst.a_dim}")
-    x = evolve(inst.unitary.matrix, np.kron(rho.factor(), inst.sigma.factor()))
+    x = evolve(inst.unitary.matrix, kron(rho.factor(), inst.sigma.factor()))
     # rows (a, b) of the evolved factor regrouped as (a, (b, k)): Tr_B's factor
     return DensityOperator.from_factor(x.reshape(inst.a_dim, -1), rho.layout)
 
@@ -353,6 +354,7 @@ class KrausChannel(Frozen):
                 "Kraus operators must form a non-empty (n, d_out, d_in) stack of "
                 "equal-shape matrices"
             )
+        hilbert.refuse_non_finite(ops, "Kraus operators")
         comp = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
         if not np.linalg.norm(comp - np.eye(ops.shape[2])) <= 1e-7:  # NaN too
             raise ValueError("Kraus operators do not satisfy completeness")
@@ -662,10 +664,11 @@ def ledger(
     The transition evolves the factor X_ρ ⊗ X_int (see
     :meth:`DensityOperator.factor`) in one GEMM, and τ comes back held as
     the evolved factor, so no D×D matrix is formed.  Each spectrum, of τ,
-    τ_A1A2 and τ_B, comes once from the smaller side of its cut; S(τ) is read
-    from the evolved factor's Gram matrix, so the residual checks the
-    evolution.  τ comes back validated, spectrum and marginals included, for
-    the next transition, whose σ_A2 and σ_B are then read from it.
+    τ_A1A2 and τ_B, comes once from the smaller side of its cut, and each
+    entropy is solved once; S(τ) is read from the evolved factor's Gram
+    matrix, so the residual checks the evolution.  τ comes back validated,
+    spectrum and marginals included, for the next transition, whose σ_A2 and
+    σ_B are then read from it.
     """
     dims = rho.layout.dims + intermediate.layout.dims
     if on is not None:
@@ -685,7 +688,7 @@ def ledger(
     b = list(range(n_a, len(dims)))
     b_int = list(range(n_a2, len(int_dims)))
 
-    x = evolve(u.matrix, np.kron(rho.factor(), intermediate.factor()), dims, on)
+    x = evolve(u.matrix, kron(rho.factor(), intermediate.factor()), dims, on)
     tau = DensityOperator.from_factor(x, dims)
     deviation = trace_distance(partial_trace(tau, b), partial_trace(intermediate, b_int))
     if deviation > hilbert.TOL_STATE:
@@ -697,10 +700,11 @@ def ledger(
     s_in = von_neumann(rho)
     i_before = 0.0
     if n_a2:
-        s_in += von_neumann(partial_trace(intermediate, range(n_a2)))
-        i_before = mutual_information(intermediate, range(n_a2), b_int)
+        s_a2 = von_neumann(partial_trace(intermediate, range(n_a2)))
+        s_in += s_a2
+        i_before = _mutual_information(s_a2, intermediate, b_int)
     s_out = von_neumann(partial_trace(tau, range(n_a)))
-    i_after = mutual_information(tau, range(n_a), b)
+    i_after = _mutual_information(s_out, tau, b)
 
     residual = abs((i_after - i_before) - (s_out - s_in))
     if residual > hilbert.LEDGER_TOL:
@@ -710,6 +714,12 @@ def ledger(
     rec = LedgerRecord(i_before=i_before, i_after=i_after, s_in=s_in, s_out=s_out,
                        residual=residual)
     return rec, tau
+
+
+def _mutual_information(s_x: float, state: DensityOperator, y: list[int]) -> float:
+    """I(X:Y) of a state on X ⊗ Y whose S(X) is known, the arithmetic of
+    :func:`entropy.mutual_information` without solving S(X) again."""
+    return _clip_zero(s_x + von_neumann(partial_trace(state, y)) - von_neumann(state))
 
 
 def ledger_for_instance(inst: CatalysisInstance, rho: DensityOperator) -> LedgerRecord:
@@ -746,7 +756,7 @@ def recovery_defect(inst: CatalysisInstance) -> float:
     rec = recovery_unitary(inst)
     uc = inst.canonical_unitary()
     da, db = inst.a_dim, inst.b_dim
-    cols = np.kron(np.eye(da), purify(inst.sigma).amplitudes[:, None])
+    cols = kron(np.eye(da), purify(inst.sigma).amplitudes[:, None])
     full_dims = [da, db, db]  # A, B, C
     lhs = evolve(uc.matrix, cols, full_dims, [0, 1])
     rhs = evolve(rec.matrix, cols, full_dims, [0, 2])

@@ -91,6 +91,14 @@ def unitarity_defect(m: np.ndarray):
     return frobenius(dagger(m) @ m - np.eye(m.shape[-1]))
 
 
+def refuse_non_finite(x: np.ndarray, what: str) -> None:
+    """Refuse ``x`` before any arithmetic reads it when an entry is NaN or
+    infinite, or so large that its square overflows: ||x||_F² from one
+    ``np.vdot``, which warns on nothing, is then not finite."""
+    if not math.isfinite(np.vdot(x, x).real):
+        raise ValueError(f"non-finite entry (NaN, infinity or too large to square) in {what}")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -206,10 +214,7 @@ class DensityOperator(Frozen):
 
     def __init__(self, matrix, layout):
         layout = _as_layout(layout)
-        m = np.asarray(matrix, dtype=complex)
-        d = layout.total_dim
-        if m.shape != (d, d):
-            raise ValueError(f"matrix shape {m.shape} does not match layout dim {d}")
+        m = _operator_shaped(matrix, layout)
         self._keep(layout, state_spectrum(m), m, None)
 
     @classmethod
@@ -261,11 +266,12 @@ class DensityOperator(Frozen):
 
 def _operator_shaped(matrix, layout: SubsystemLayout, lead: int = 0) -> np.ndarray:
     """``matrix`` as a complex array of (D, D) operators, D the dimension of
-    ``layout``, behind ``lead`` stack axes."""
+    ``layout``, behind ``lead`` stack axes, with every entry finite."""
     m = np.asarray(matrix, dtype=complex)
     d = layout.total_dim
     if m.ndim != lead + 2 or m.shape[lead:] != (d, d):
         raise ValueError(f"matrix shape {m.shape} does not match layout dim {d}")
+    refuse_non_finite(m, "matrix")
     return m
 
 
@@ -335,6 +341,7 @@ class EigenspaceDecomposition(Frozen):
         if any(vals[i] < vals[i + 1] - 1e-12 for i in range(len(vals) - 1)):
             raise ValueError("eigenvalues must be non-increasing")
         stacked = np.hstack(bases)  # raises unless every basis has d rows
+        refuse_non_finite(stacked, "eigenspace bases")
         d, rank = stacked.shape
         if not np.linalg.norm(dagger(stacked) @ stacked - np.eye(rank)) <= 1e-7:
             raise ValueError("eigenspace bases are not orthonormal")
@@ -356,16 +363,27 @@ class EigenspaceDecomposition(Frozen):
 # tensor structure
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two vectors or of two matrices, the one in
+    the package: one broadcast multiply, which forms the element-wise products
+    numpy's ``kron`` forms, with the same ufunc, so it equals that bit for bit
+    (dtype and shape included) without its generic dispatch."""
+    if a.ndim == b.ndim == 1:
+        return (a[:, None] * b).reshape(-1)
+    (m, n), (p, q) = a.shape, b.shape  # any other pair of ranks fails to unpack
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
 def tensor(a, b):
     """Kronecker product of two states or two operators; layouts concatenate."""
     if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(np.kron(a.amplitudes, b.amplitudes), a.layout.concat(b.layout))
+        return StateVector(kron(a.amplitudes, b.amplitudes), a.layout.concat(b.layout))
     if isinstance(a, StateVector) or isinstance(b, StateVector):
         raise TypeError("cannot tensor a state with an operator")
     kinds = (DensityOperator, UnitaryOperator)
     if not (isinstance(a, kinds) and isinstance(b, kinds)):
         raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-    m = np.kron(a.matrix, b.matrix)
+    m = kron(a.matrix, b.matrix)
     layout = a.layout.concat(b.layout)
     if isinstance(a, UnitaryOperator) and isinstance(b, UnitaryOperator):
         return UnitaryOperator(m, layout)
@@ -377,7 +395,7 @@ def tensor(a, b):
 def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     out = np.eye(1, dtype=complex)
     for m in mats:
-        out = np.kron(out, m)
+        out = kron(out, m)
     return out
 
 
@@ -678,8 +696,10 @@ def _validated_spectrum(vals: np.ndarray, dim: int) -> np.ndarray:
 def factor_spectrum(x: np.ndarray) -> np.ndarray:
     """The validated spectrum (see :func:`_validated_spectrum`) of the state
     XX† held as its factor X (D×r), from the smaller Gram side of X after
-    checking that its trace ||X||_F^2 is one.  Leading axes of ``x`` index a
-    stack of factors: one solver call gives all their spectra."""
+    refusing a non-finite entry and checking that its trace ||X||_F^2 is one.
+    Leading axes of ``x`` index a stack of factors: one solver call gives all
+    their spectra."""
+    refuse_non_finite(x, "density factor")
     gram, _ = smaller_gram(x)
     for trace in gram.trace(axis1=-2, axis2=-1).real.flat:  # = ||X||_F^2
         if not abs(trace - 1.0) <= 100 * TOL_NORM:

@@ -420,6 +420,31 @@ def test_ledger_identity_channel():
     assert rec.delta_i == pytest.approx(0.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("n_a2", [0, 1])
+def test_a_ledger_solves_each_entropy_once(monkeypatch, n_a2):
+    """S(ρ), S(τ_A), S(τ_B) and S(τ), and with stored correlations S(σ_A2),
+    S(σ_B) and S(σ) too: one solve each, and both mutual informations equal
+    entropy.mutual_information's bit for bit."""
+    from catalyx import entropy as ent
+
+    rho = random_density([2], 2, 1)
+    inter = random_density([2, 2], 4, 2) if n_a2 else MM2
+    orders = []
+    solve = ent._renyi_support
+
+    def counted(q, alpha):
+        orders.append(alpha)
+        return solve(q, alpha)
+
+    monkeypatch.setattr(ent, "_renyi_support", counted)
+    rec, tau = ledger(CNOT, rho, inter, n_a2, on=[0, 1])
+    assert orders == [1.0] * (7 if n_a2 else 4)
+    n_a = 1 + n_a2
+    assert rec.i_after == ent.mutual_information(tau, range(n_a), [n_a])
+    if n_a2:
+        assert rec.i_before == ent.mutual_information(inter, [0], [1])
+
+
 def test_ledger_rejects_catalyst_alteration():
     with pytest.raises(CertificationError, match="catalyst altered"):
         ledger(SWAP2, hl.basis_state(2, 0).density(), MM2, 0)

@@ -467,21 +467,44 @@ def test_constructors_reject_non_finite_entries(bad):
     from catalyx.catalysis import KrausChannel
 
     one = np.array([[1.0, 0.0], [0.0, bad]])
+    refused = "non-finite entry"
     cases = [
-        (lambda: UnitaryOperator(one, [2]), "not unitary"),
-        (lambda: UnitaryOperator.each([np.eye(2), one], [2]), "not unitary"),
-        (lambda: DensityOperator(one / 2, [2]), "not Hermitian"),
-        (lambda: DensityOperator.from_factor(one[:, :1] * bad, [2]), "trace"),
+        (lambda: UnitaryOperator(one, [2]), refused),
+        (lambda: UnitaryOperator.each([np.eye(2), one], [2]), refused),
+        (lambda: DensityOperator(one / 2, [2]), refused),
+        (lambda: DensityOperator.from_factor(one[:, 1:], [2]), refused),
         (lambda: StateVector([bad, 0.0], [2]), "norm"),
-        (lambda: KrausChannel([one]), "completeness"),
-        (lambda: hl.EigenspaceDecomposition([0.5], [one]), "orthonormal"),
+        (lambda: KrausChannel([one]), refused),
+        (lambda: hl.EigenspaceDecomposition([0.5], [one]), refused),
         (lambda: hl.EigenspaceDecomposition([bad / 2], [np.eye(2)]), "multiplicity"),
     ]
-    # the checks refuse the value; arithmetic on an infinity warns on the way
-    with np.errstate(invalid="ignore", over="ignore"):
-        for build, message in cases:
-            with pytest.raises(ValueError, match=message):
-                build()
+    # each check refuses the value before arithmetic reads it, so nothing warns
+    for build, message in cases:
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+def _infinite_entry_builds(bad):
+    from catalyx.catalysis import KrausChannel
+
+    one = np.array([[1.0, 0.0], [0.0, bad]])
+    return {
+        "UnitaryOperator": lambda: UnitaryOperator(one, [2]),
+        "DensityOperator": lambda: DensityOperator(one / 2, [2]),
+        "from_factor": lambda: DensityOperator.from_factor(one[:, 1:], [2]),
+        "KrausChannel": lambda: KrausChannel([one]),
+        "EigenspaceDecomposition": lambda: hl.EigenspaceDecomposition([1.0], [one[:, 1:]]),
+    }
+
+
+@pytest.mark.parametrize("constructor", sorted(_infinite_entry_builds(0.0)))
+def test_constructor_refuses_an_infinite_entry_before_any_arithmetic(constructor):
+    """An infinite entry, or one whose square overflows, is refused with the
+    constructor's ValueError before a product or a difference reads it: no
+    floating-point error is raised on the way."""
+    for bad in (math.inf, -math.inf, 1e200):
+        with np.errstate(all="raise"), pytest.raises(ValueError):
+            _infinite_entry_builds(bad)[constructor]()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -1,11 +1,12 @@
 """Shared helpers for the test suite."""
 
 import math
+import sys
 from collections import Counter
 
 import numpy as np
 
-from catalyx import constructions, entropy, optimize
+from catalyx import constructions, entropy, hilbert, optimize
 from catalyx.entropy import DegeneracyVector
 from catalyx.hilbert import (
     EigenspaceDecomposition,
@@ -135,16 +136,22 @@ def count_evaluations(monkeypatch):
 
 
 def count_krons(monkeypatch):
-    """Count every later ``np.kron`` call in the returned ``Counter``, keyed
-    by the shapes of its two operands."""
+    """Count every later Kronecker product, ``np.kron`` or ``hilbert.kron``
+    through any package module's binding of it, in the returned ``Counter``,
+    keyed by the shapes of its two operands."""
     counts = Counter()
-    kron = np.kron
 
-    def counting(a, b):
-        counts[np.shape(a), np.shape(b)] += 1
-        return kron(a, b)
+    def counting(kron):
+        def counted(a, b):
+            counts[np.shape(a), np.shape(b)] += 1
+            return kron(a, b)
+        return counted
 
-    monkeypatch.setattr(np, "kron", counting)
+    monkeypatch.setattr(np, "kron", counting(np.kron))
+    kron = hilbert.kron
+    for name, module in list(sys.modules.items()):
+        if name.startswith("catalyx") and getattr(module, "kron", None) is kron:
+            monkeypatch.setattr(module, "kron", counting(kron))
     return counts
 
 
