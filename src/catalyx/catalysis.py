@@ -333,14 +333,17 @@ def implement_channel(inst: CatalysisInstance, rho: DensityOperator) -> DensityO
 
 
 class KrausChannel(Frozen):
-    """Completely positive trace-preserving map given by its Kraus operators.
+    """Completely positive trace-preserving map, held in a minimal Kraus form.
 
     The channel holds one read-only array, the GEMM operand Vᵀ (d_in ×
     d_out·n) of its Stinespring isometry V = sum_i K_i ⊗ |i>; ``kraus`` is a
-    read-only (n, d_out, d_in) view of it.  The channel builders check its
-    n·d_out·d_in entries against ``hilbert.MAX_BYTES``.  Equality is
-    identity, as for ``DensityOperator``.  Nothing writes to a channel after
-    ``__init__``: it is immutable."""
+    read-only (n, d_out, d_in) view of it.  n is the Choi rank: a stack whose
+    Choi vectors (the rows vec K_i of R, columns (in, out)) are independent
+    is kept byte for byte; any other is cut, from one ``eigh`` of the smaller
+    of RR† and R†R, to the Choi vectors u†R or √λ v† of its eigenvalues λ >
+    ``hilbert.TOL_PSD``.  The builders check n·d_out·d_in against
+    ``hilbert.MAX_BYTES``.  Equality is identity, as for ``DensityOperator``.
+    Nothing writes to a channel after ``__init__``: it is immutable."""
 
     kraus: np.ndarray
 
@@ -355,14 +358,21 @@ class KrausChannel(Frozen):
                 "equal-shape matrices"
             )
         hilbert.refuse_non_finite(ops, "Kraus operators")
-        comp = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
-        if not np.linalg.norm(comp - np.eye(ops.shape[2])) <= 1e-7:  # NaN too
-            raise ValueError("Kraus operators do not satisfy completeness")
         n, d_out, d_in = ops.shape
-        # a copy even when ops is laid out as Vᵀ already: the caller keeps ops
-        v_t = hilbert._freeze(np.array(ops.transpose(2, 1, 0), order="C").reshape(d_in, -1))
+        # a copy even when ops is laid out as R already: the caller keeps ops
+        r = np.array(ops.transpose(0, 2, 1), order="C").reshape(n, -1)
+        gram, inner = hilbert.smaller_gram(r)
+        vals, vecs = np.linalg.eigh(gram)
+        keep = vals > hilbert.TOL_PSD
+        if np.count_nonzero(keep) < n:
+            # + 0.0: no -0.0 from conj, so a GEMM against Vᵀ returns Vᵀ's own bits
+            r = (np.sqrt(vals[keep])[:, None] * dagger(vecs[:, keep]) if inner
+                 else dagger(vecs[:, keep]) @ r) + 0.0
+        v_t = hilbert._freeze(r.T.reshape(d_in, -1))
+        if not np.linalg.norm(v_t.conj() @ v_t.T - np.eye(d_in)) <= 1e-7:  # NaN too
+            raise ValueError("Kraus operators do not satisfy completeness")
         object.__setattr__(self, "_isometry_t", v_t)
-        object.__setattr__(self, "kraus", v_t.reshape(d_in, d_out, n).transpose(2, 1, 0))
+        object.__setattr__(self, "kraus", v_t.reshape(d_in, d_out, -1).transpose(2, 1, 0))
 
     @property
     def dim_out(self) -> int:
@@ -463,21 +473,21 @@ def werner_holevo_channel(d: int) -> KrausChannel:
 
 
 def kraus_products_rank(chan: KrausChannel) -> tuple[int, int]:
-    """(dimension of span{K_i† K_j}, Kraus rank k); any Kraus form gives the
-    same pair.  A factorizable channel whose K_i† K_j are linearly independent
-    is a unitary conjugation (Haagerup–Musat, Commun. Math. Phys. 303, 2011),
-    and every catalytic channel is factorizable; so a full span of k² with
-    k > 1 proves the channel is not catalytic.  A smaller span decides nothing."""
+    """(dimension of span{K_i† K_j}, Kraus rank k = ``len(chan.kraus)``).  A
+    factorizable channel whose K_i† K_j are linearly independent is a unitary
+    conjugation (Haagerup–Musat, Commun. Math. Phys. 303, 2011), and every
+    catalytic channel is factorizable; so a full span of k² with k > 1 proves
+    the channel is not catalytic.  A smaller span decides nothing."""
     ops = chan.kraus
-    n = len(ops)
-    products = np.einsum("iba,jbc->ijac", ops.conj(), ops).reshape(n * n, -1)
-    return (int(np.linalg.matrix_rank(products)),
-            int(np.linalg.matrix_rank(ops.reshape(n, -1))))
+    k = len(ops)
+    products = np.einsum("iba,jbc->ijac", ops.conj(), ops).reshape(k * k, -1)
+    return int(np.linalg.matrix_rank(products)), k
 
 
 def random_channel(d: int, kraus_rank: int, seed) -> KrausChannel:
-    """Haar-random Stinespring isometry cut into Kraus blocks; the budget check
-    of the Haar unitary, (d·k)² entries, covers the stack's k·d²."""
+    """Haar-random Stinespring isometry cut into ``kraus_rank`` Kraus blocks,
+    which the constructor cuts to d² when ``kraus_rank`` > d²; the budget
+    check of the Haar unitary, (d·k)² entries, covers the stack's k·d²."""
     big = d * kraus_rank
     hilbert.check_size(big**2, f"random channel from a Haar unitary of {big}×{big}")
     v = hilbert.haar_unitary_matrix(big, seed)[:, :d]
@@ -485,29 +495,15 @@ def random_channel(d: int, kraus_rank: int, seed) -> KrausChannel:
 
 
 def channel_to_kraus(inst: CatalysisInstance) -> KrausChannel:
-    """Minimal Kraus form of the induced channel.
-
-    With σ = Σ_k χ_k χ_k† (the columns χ_k of ``inst.sigma.factor()``, kept on
-    the state), the operators <b|U|χ_k> are a Kraus form; stack their Choi
-    vectors as the rows of R, so the Choi matrix is R^T R̄.  One ``eigh`` of
-    the smaller of RR† and R†R (:func:`hilbert.smaller_gram`) gives the
-    minimal form, with one operator per eigenvalue λ > ``hilbert.TOL_PSD``:
-    the Choi vector u†R for an eigenvector u of RR†, or √λ v† for an
-    eigenvector v of R†R.  Neither divides by anything."""
+    """Minimal Kraus form of the induced channel: with σ = Σ_k χ_k χ_k† (the
+    columns χ_k of ``inst.sigma.factor()``, kept on the state), the operators
+    <b|U|χ_k> are a Kraus form, which :class:`KrausChannel` cuts to the Choi
+    rank."""
     da, db = inst.a_dim, inst.b_dim
     chis = inst.sigma.factor()
-    d = da * db
-    # R[(k, b), (c, a)] = <a, b|U|c, χ_k>: Choi vectors are (in, out)
-    raw = (inst.unitary.matrix.reshape(d * da, db) @ chis).reshape(da, db, da, -1)
-    r = raw.transpose(3, 1, 2, 0).reshape(-1, da * da)
-    gram, inner = hilbert.smaller_gram(r)
-    vals, vecs = np.linalg.eigh(gram)
-    keep = vals > hilbert.TOL_PSD
-    if inner:
-        choi = np.sqrt(vals[keep])[:, None] * dagger(vecs[:, keep])
-    else:
-        choi = dagger(vecs[:, keep]) @ r
-    return KrausChannel(choi.reshape(-1, da, da).transpose(0, 2, 1))
+    # raw[a, b, c, k] = <a, b|U|c, χ_k>: operator (k, b) has entry (a, c)
+    raw = (inst.unitary.matrix.reshape(da * db * da, db) @ chis).reshape(da, db, da, -1)
+    return KrausChannel(raw.transpose(3, 1, 0, 2).reshape(-1, da, da))
 
 
 # ---------------------------------------------------------------------------

@@ -183,8 +183,9 @@ class StateVector(Frozen):
             raise ValueError(
                 f"amplitude length {amps.shape[0]} != layout dimension {layout.total_dim}"
             )
+        refuse_non_finite(amps, "state vector")
         norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= 100 * TOL_NORM:  # NaN too
+        if not abs(norm - 1.0) <= 100 * TOL_NORM:
             raise ValueError(f"state vector norm {norm} too far from 1")
         object.__setattr__(self, "amplitudes", _freeze(amps / norm))
         object.__setattr__(self, "layout", layout)

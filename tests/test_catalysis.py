@@ -276,8 +276,10 @@ def test_kraus_counts_and_agreement():
 
 
 def test_kraus_channel_validation():
-    with pytest.raises(ValueError):
-        KrausChannel([np.eye(2) * 0.5])
+    # completeness is checked after the cut, which leaves a zero stack empty
+    for ops in (np.zeros((2, 2, 2)), [np.eye(2) * 0.5], np.repeat(np.eye(2)[None], 2, axis=0)):
+        with pytest.raises(ValueError, match="completeness"):
+            KrausChannel(ops)
 
 
 def test_named_channels():
@@ -667,6 +669,59 @@ def test_kraus_channel_copies_a_stack_laid_out_as_its_operand():
     assert not np.shares_memory(copy.kraus, ops)
     ops[0] = 0.0
     assert np.array_equal(copy.kraus, chan.kraus)
+
+
+NAMED_CHANNELS = [(build, d) for build in (cat.identity_channel, cat.dephasing_channel,
+                                           cat.erasure_channel, cat.weyl_twirl_channel,
+                                           cat.initialization_channel, cat.werner_holevo_channel)
+                  for d in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("build, d", NAMED_CHANNELS,
+                         ids=[f"{b.__name__[:-8]}{d}" for b, d in NAMED_CHANNELS])
+def test_a_minimal_stack_is_kept_byte_for_byte(monkeypatch, build, d):
+    """Every named builder passes a minimal stack, which the constructor
+    stores as given, and a channel rebuilt from its own ``kraus`` is the
+    same stack again."""
+    given = []
+    init = KrausChannel.__init__
+
+    def recording(self, kraus):
+        given.append(np.asarray(kraus, dtype=complex))
+        init(self, kraus)
+
+    monkeypatch.setattr(KrausChannel, "__init__", recording)
+    chan = build(d)
+    assert chan.kraus.shape == given[0].shape
+    assert chan.kraus.tobytes() == given[0].tobytes()
+    assert KrausChannel(chan.kraus).kraus.tobytes() == chan.kraus.tobytes()
+
+
+def test_a_redundant_stack_is_cut_to_its_choi_rank():
+    chan = cat.dephasing_channel(3)
+    split = KrausChannel(np.repeat(chan.kraus, 2, axis=0) / np.sqrt(2))  # each op twice
+    assert split.kraus.shape == (3, 3, 3)
+    assert np.abs(split.choi() - chan.choi()).max() <= 1e-12
+    rho = random_density([3], 3, 5).matrix
+    assert np.abs(split.apply_matrix(rho) - chan.apply_matrix(rho)).max() <= 1e-12
+    for s in range(3):  # 5 operators on C^2 -> C^2, at most d² = 4 independent
+        assert cat.random_channel(2, 5, s).kraus.shape == (4, 2, 2)
+
+
+def test_the_products_rank_reads_the_minimal_form(monkeypatch):
+    wh = cat.werner_holevo_channel(3)
+    padded = np.concatenate([wh.kraus, np.zeros((1, 3, 3))])
+    chan = KrausChannel(padded)
+    ranks = []
+    matrix_rank = np.linalg.matrix_rank
+
+    def counting(m, *args, **kwargs):
+        ranks.append(m.shape)
+        return matrix_rank(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counting)
+    assert cat.kraus_products_rank(chan) == (9, 3)
+    assert ranks == [(9, 9)]  # the k² products only: k is the stack's length
 
 
 def test_kraus_channels_compare_and_hash_by_identity():

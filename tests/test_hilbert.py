@@ -473,7 +473,7 @@ def test_constructors_reject_non_finite_entries(bad):
         (lambda: UnitaryOperator.each([np.eye(2), one], [2]), refused),
         (lambda: DensityOperator(one / 2, [2]), refused),
         (lambda: DensityOperator.from_factor(one[:, 1:], [2]), refused),
-        (lambda: StateVector([bad, 0.0], [2]), "norm"),
+        (lambda: StateVector([bad, 0.0], [2]), refused),
         (lambda: KrausChannel([one]), refused),
         (lambda: hl.EigenspaceDecomposition([0.5], [one]), refused),
         (lambda: hl.EigenspaceDecomposition([bad / 2], [np.eye(2)]), "multiplicity"),
@@ -492,6 +492,7 @@ def _infinite_entry_builds(bad):
         "UnitaryOperator": lambda: UnitaryOperator(one, [2]),
         "DensityOperator": lambda: DensityOperator(one / 2, [2]),
         "from_factor": lambda: DensityOperator.from_factor(one[:, 1:], [2]),
+        "StateVector": lambda: StateVector(one[1], [2]),
         "KrausChannel": lambda: KrausChannel([one]),
         "EigenspaceDecomposition": lambda: hl.EigenspaceDecomposition([1.0], [one[:, 1:]]),
     }
