@@ -446,7 +446,7 @@ def _ascent_options(args) -> dict:
 
 
 def _ea(args, chan, optimize):
-    return "C_EA", optimize.ea_capacity(chan, seed=args.seed)
+    return "C_EA", optimize.ea_capacity(chan)
 
 
 def _global(args, chan, optimize):
@@ -459,9 +459,9 @@ def _local(args, chan, optimize):
 
 ASCENT = (_flag("--alpha", type=float, default=1.0, help="Renyi order, default 1"),
           _flag("--restarts", type=int, default=None,
-                help="at most this many starts (default 16); global starts at the maximally "
-                     "entangled input, the seed draws the later ones, and at alpha 1/2, 1, 2 or "
-                     "inf it stops at the first start certified within 1e-6 bits"))
+                help="local: this many random starts drawn from the seed (default 16); global "
+                     "is concave and runs one start, the maximally entangled input, whatever "
+                     "this says (at least 1)"))
 OPTIMIZE = {"ea": (_ea, ()), "global": (_global, ASCENT), "local": (_local, ASCENT)}
 
 

@@ -3,16 +3,16 @@ entanglement-assisted classical capacity.
 
 Every reported optimum is a feasible lower bound: the argmax is an explicit
 state and the value is its exact objective.  Where the problem is concave in
-the input state (global production at alpha in {1/2, 1, 2}, and C_EA) the
-optimum is bracketed too: ``upper_bound`` is a certified upper bound on the
-maximum, from one linearization of the objective at the argmax, which reads
-the ascent's last evaluation, or None where the objective is not
-differentiable there.  Restarts run one after the other and reduce
-deterministically (max value, ties to the lowest restart index); after the
-first start that converges with a bound within ``_CERT_GAP`` (1e-6 bits) of
-its value, no further start runs.  The first start of global production is
-the maximally entangled input vec(1), that of C_EA the maximally mixed
-state; the seed reaches only the later, random starts.
+the input state (global production at alpha in {1/2, 1, 2}, and C_EA) one
+ascent runs from a fixed start, since a second start could only reach the
+same maximum: global production starts at the maximally entangled input
+vec(1), C_EA at the maximally mixed state.  The optimum is then bracketed:
+``upper_bound`` is a certified upper bound on the maximum, from one
+linearization of the objective at the argmax, which reads the ascent's last
+evaluation, or None where the objective is not differentiable there on the
+face its outputs live on.  Local production is not concave: its starts are
+random, drawn from the seed, run one after the other and reduce
+deterministically (max value, ties to the lowest restart index).
 
 Entropy production is maximized on the pure face only.  For rho = sum_i p_i
 psi_i and the cq state omega = sum_i p_i |i><i| x Phi(psi_i), at every
@@ -21,15 +21,15 @@ alpha in {1/2, 1, 2, inf}: S_alpha(Phi(rho)) <= S_alpha(omega) <= S_alpha(p)
 of rho never exceeds that of its best eigenvector.  The ascent therefore runs
 over unit vectors, where the input entropy vanishes.  The min-entropy
 objective is not smooth: at alpha=inf the alpha=2 ascent runs (globally
-certified and stopped by its alpha=2 bound, as H_inf <= H_2 at every point)
-and the exact min-entropy of its argmax is reported.
+certified by its alpha=2 bound, as H_inf <= H_2 at every point) and the
+exact min-entropy of its argmax is reported.
 
 For a pure psi on reference x input with input marginal rho,
 (1 x Phi)(psi psi†) and Phi_c(rho) share their nonzero spectrum, so the
 global maximum is max_rho S_alpha(Phi_c(rho)): concave in rho at alpha <= 1,
 and at alpha=2 the minimum of the convex Tr Phi_c(rho)^2.
 
-The paper checks read these brackets, one start each and no seed:
+The paper checks read these brackets and take no seed:
 :func:`cost_bound_check` the upper side of the global alpha=1 production
 maximum, so its pass holds for every input, and :func:`tradeoff_check` the
 C_EA value, a lower side; each report says whether its run was certified.
@@ -40,7 +40,6 @@ with one entry per live channel; a channel itself is never written.
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -60,9 +59,8 @@ SUPPORTED_ALPHAS = (0.5, 1.0, 2.0, math.inf)
 _PURE_MAX_ITER, _PURE_TOL_GRAD = 2000, 1e-9
 _EA_MAX_ITER, _EA_TOL_GRAD = 4000, 1e-7
 # a move is accepted when it gains more than _ACCEPT_GAIN; a restart replaces
-# the best so far when it is higher by more than _TIE_MARGIN; no start runs
-# after one that converged with a certified bound within _CERT_GAP bits
-_ACCEPT_GAIN, _TIE_MARGIN, _CERT_GAP = 1e-16, 1e-15, 1e-6
+# the best so far when it is higher by more than _TIE_MARGIN
+_ACCEPT_GAIN, _TIE_MARGIN = 1e-16, 1e-15
 _TRADEOFF_SLACK = 1e-4
 _LAST_SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -204,9 +202,10 @@ def _ascend(
     x0: np.ndarray,
     max_iter: int,
     tol_grad: float,
-) -> tuple[np.ndarray, float, int, float, bool, object]:
+) -> tuple[np.ndarray, float, int, float, bool, object, object]:
     """Backtracking gradient ascent on the unit sphere from x0.  ``value_grad``
-    gives f, its gradient and its evaluation, returned last at the end point.
+    gives f, its gradient and its evaluation, returned at the end point and,
+    last, at x0.
 
     After an accepted move s = x' − x, with gradient change y = g' − g, the
     next trial step is the Barzilai–Borwein ratio ‖s‖² / (−Re⟨s, y⟩); a move
@@ -217,12 +216,12 @@ def _ascend(
     ‖g‖ <= tol_grad, or when it stalls with ‖g‖ <= 1e3·tol_grad."""
     x = _sphere_retract(x0)
     f, g, ev = value_grad(x)
-    step = 1.0
+    start, step = ev, 1.0
     it = 0
     for it in range(1, max_iter + 1):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol_grad:
-            return x, f, it, gnorm, True, ev
+            return x, f, it, gnorm, True, ev, start
         rounding = 4.0 * _EPS * max(1.0, abs(f))
         while step * gnorm**2 > rounding:
             cand = _sphere_retract(x + step * g)
@@ -235,57 +234,62 @@ def _ascend(
                 break
             step *= 0.5
         else:
-            return x, f, it, gnorm, gnorm <= 1e3 * tol_grad, ev
-    return x, f, it, float(np.linalg.norm(g)), False, ev
+            return x, f, it, gnorm, gnorm <= 1e3 * tol_grad, ev, start
+    return x, f, it, float(np.linalg.norm(g)), False, ev, start
 
 
-def _best_ascent(
-    value_grad: Callable[[np.ndarray], tuple[float, np.ndarray, object]],
-    starts: Iterable[np.ndarray],
-    max_iter: int,
-    tol_grad: float,
-    certify: Callable[[object, float], float | None] | None,
-) -> tuple[np.ndarray, float, float | None, dict]:
+def _best_ascent(value_grad: Callable, starts: Iterable[np.ndarray], max_iter: int,
+                 tol_grad: float) -> tuple[np.ndarray, float, dict]:
     """Ascend from each start and keep the best (strictly better by
-    _TIE_MARGIN, ties to the lowest index).  ``certify(ev, f)`` maps the
-    evaluation at an end point (``_ascend``) and its value to a certified
-    upper bound on the maximum, or None; after a start that converged with a
-    bound within ``_CERT_GAP`` of its value, no further start runs.  Every
-    start's bound holds for the maximum, so the tightest one is reported
-    (None where no start gave one), clipped at the best value against
-    rounding.  Returns the best end point, its value and that bound,
-    and the ``OptimizationResult`` fields of the run: iterations summed over
-    the starts run, their count, and the best start's convergence."""
-    best = tightest = None
+    _TIE_MARGIN, ties to the lowest index).  Returns the best end point, its
+    value and the ``OptimizationResult`` fields of the run: iterations summed
+    over the starts, their count, and the best start's convergence."""
+    best = None
     total_iter = runs = 0
     for x0 in starts:
-        x, f, its, gnorm, conv, ev = _ascend(value_grad, x0, max_iter, tol_grad)
+        x, f, its, gnorm, conv, _, _ = _ascend(value_grad, x0, max_iter, tol_grad)
         total_iter += its
         runs += 1
         if best is None or f > best[1] + _TIE_MARGIN:
             best = (x, f, gnorm, conv)
-        bound = None if certify is None else certify(ev, f)
-        if bound is not None:
-            tightest = bound if tightest is None else min(tightest, bound)
-            if conv and bound - f <= _CERT_GAP:
-                break
     x, f, gnorm, conv = best
-    bound = None if tightest is None else max(tightest, f)
-    return x, f, bound, {"iterations": total_iter, "restarts": runs,
-                         "converged": conv, "gradient_norm_at_end": gnorm}
+    return x, f, {"iterations": total_iter, "restarts": runs,
+                  "converged": conv, "gradient_norm_at_end": gnorm}
+
+
+def _concave_ascent(value_grad: Callable, x0: np.ndarray, max_iter: int, tol_grad: float,
+                    certify: Callable) -> tuple[np.ndarray, float, float | None, dict]:
+    """One ascent of a concave problem from its fixed start x0 (a second
+    start could only reach the same maximum), then one certificate:
+    ``certify(start, end, f)`` maps the evaluations (``_ascend``) at x0 and
+    at the end point, and the end value, to an upper bound on the maximum
+    (at least f, as each bound clips its gap at zero), or None.  Returns
+    ``_best_ascent``'s items with that bound third."""
+    x, f, its, gnorm, conv, end, start = _ascend(value_grad, x0, max_iter, tol_grad)
+    return x, f, certify(start, end, f), {
+        "iterations": its, "restarts": 1, "converged": conv, "gradient_norm_at_end": gnorm}
 
 
 def _random_starts(seed, dim: int, count: int) -> Iterator[np.ndarray]:
     """``count`` complex standard normal vectors of length ``dim``, drawn in
-    turn from ``hilbert._rng(seed)``, which is seeded only at the first draw."""
-    if count > 0:
-        rng = hilbert._rng(seed)
-        for _ in range(count):
-            yield rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    turn from ``hilbert._rng(seed)``: the starts of local production."""
+    rng = hilbert._rng(seed)
+    for _ in range(count):
+        yield rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
 # ---------------------------------------------------------------------------
 # certified upper bounds of the concave problems
+
+
+def _rank(side: tuple) -> int:
+    """The eigenvalues above ``hilbert.TOL_PSD`` in an ``_entropy_derivative``
+    tuple.  Every state σ <= 1, so every output lies in the face of PSD
+    matrices on supp Φ(1), resp. supp Φ_c(1), where an entropy is
+    differentiable at each point of full face rank, with D cut to the
+    support as its derivative.  At a concave ascent's fixed start, input
+    1/d, this reads the face ranks: d, rank Φ(1) and rank Φ_c(1)."""
+    return int(np.count_nonzero(side[2] > hilbert.TOL_PSD))
 
 
 def _input_operator(
@@ -302,7 +306,7 @@ def _input_operator(
 
 
 def _production_bound(
-    chan: KrausChannel, eye: np.ndarray, evaluation: tuple, alpha: float, value: float
+    chan: KrausChannel, eye: np.ndarray, evaluation: tuple, alpha: float, value: float, face: int
 ) -> float | None:
     """Certified upper bound on the global production maximum
     max_σ S_alpha(Φ_c(σ)) at alpha in {1/2, 1, 2}, from one linearization at
@@ -323,11 +327,12 @@ def _production_bound(
     is a positive multiple of −Y on eigenvalues at or below ``TOL_PSD``;
     cutting it can only raise g, apart from n²·TOL_PSD² in Tr[DY].
 
-    None at alpha in {1/2, 1} unless every eigenvalue of Y exceeds
-    ``hilbert.TOL_PSD`` (S_alpha is differentiable at ρ), and at alpha=2
-    where the logarithm's argument is not positive."""
-    _, dmat, vals, diag = _gram_derivative(*evaluation, True, alpha)
-    if alpha != 2.0 and vals[0] <= hilbert.TOL_PSD:
+    None at alpha in {1/2, 1} where Y has fewer eigenvalues above
+    ``hilbert.TOL_PSD`` than ``face``, the rank of Φ_c(1) (``_rank``), and
+    at alpha=2 where the logarithm's argument is not positive."""
+    side = _gram_derivative(*evaluation, True, alpha)
+    _, dmat, vals, diag = side
+    if alpha != 2.0 and _rank(side) < face:
         return None
     h = _input_operator(chan, eye, None, dmat)
     gap = max(float(np.linalg.eigvalsh(h)[-1] - diag @ vals), 0.0)
@@ -338,7 +343,7 @@ def _production_bound(
 
 
 def _ea_bound(
-    chan: KrausChannel, eye: np.ndarray, evaluation: tuple, value: float
+    chan: KrausChannel, eye: np.ndarray, evaluation: tuple, value: float, faces: Iterable[int]
 ) -> float | None:
     """Certified upper bound on C_EA from one linearization of the concave
     I(ρ) = S(ρ) + S(Φ(ρ)) − S(Φ_c(ρ)) at ρ = XX† (X of unit Frobenius norm),
@@ -347,14 +352,14 @@ def _ea_bound(
     three entropies (``_entropy_derivative``; the multiples of the identity
     they leave out cancel in the difference, which is clipped at zero
     against rounding); ``eye`` is as in ``_input_operator``; ``evaluation``
-    is the last item of ``_ea_evaluation`` at X.  None unless every
-    eigenvalue of ρ, Φ(ρ) and Φ_c(ρ) exceeds ``hilbert.TOL_PSD``: the first
-    singular spectrum ends the work."""
+    is the last item of ``_ea_evaluation`` at X.  None where ρ, Φ(ρ) or
+    Φ_c(ρ) has fewer eigenvalues above ``hilbert.TOL_PSD`` than its face
+    rank in ``faces`` (``_rank``): the first such spectrum ends the work."""
     parts = []
     # ρ = XX†, Φ(ρ) = YY† and Φ_c(ρ)ᵀ = Y†Y of Y regrouped as (·, n)
-    for m, solved, inner in zip(*evaluation, (False, False, True)):
+    for m, solved, inner, face in zip(*evaluation, (False, False, True), faces):
         parts.append(_gram_derivative(m, solved, inner, 1.0))
-        if parts[-1][2][0] <= hilbert.TOL_PSD:
+        if _rank(parts[-1]) < face:
             return None
     (_, d_in, v_in, w_in), (_, d_out, v_out, w_out), (_, d_exch, v_exch, w_exch) = parts
     g = d_in + _input_operator(chan, eye, d_out, -d_exch)
@@ -386,21 +391,16 @@ def _pure_ascent(
         g = 2.0 * chan.stinespring_adjoint(z, ref)[:, 0]
         return s, g - np.vdot(v, g) * v, (y, solved)  # g on the sphere's tangent
 
-    certify = None
     if ref == chan.dim_in:
         # the global problem, max_rho S_alpha(Phi_c(rho)) (module docstring)
         eye = chan.identity_factor()
-
-        def certify(ev: tuple, f: float) -> float | None:
-            return _production_bound(chan, eye, ev, smooth, f)
-
-    # the global problem starts at vec(1), whose input marginal 1/d is full
-    # rank: a stationary point of the concave problem there is its maximum
-    first = [np.eye(ref, dtype=complex).reshape(-1)] if ref == chan.dim_in else []
-    starts = itertools.chain(first, _random_starts(seed, ref * chan.dim_in, restarts - len(first)))
-    v, f, bound, stats = _best_ascent(
-        value_grad, starts, _PURE_MAX_ITER, _PURE_TOL_GRAD, certify
-    )
+        v, f, bound, stats = _concave_ascent(
+            value_grad, np.eye(ref, dtype=complex).reshape(-1), _PURE_MAX_ITER, _PURE_TOL_GRAD,
+            lambda start, end, f: _production_bound(chan, eye, end, smooth, f, _rank(start[1][1])))
+    else:
+        v, f, stats = _best_ascent(value_grad, _random_starts(seed, ref * chan.dim_in, restarts),
+                                   _PURE_MAX_ITER, _PURE_TOL_GRAD)
+        bound = None
     if math.isinf(alpha):
         f = _renyi_support(_factor_support(chan.stinespring(v[:, None], ref)), alpha)
     return OptimizationResult(value=f, argmax=v, argmax_kind="pure", upper_bound=bound, **stats)
@@ -411,15 +411,18 @@ def max_entropy_production_global(
 ) -> OptimizationResult:
     """Maximize S_alpha((I x Phi)(psi)) over pure psi on reference x input
     with matching dimensions (pure inputs suffice for the maximum, and a
-    reference of the input dimension exhausts the Schmidt rank)."""
+    reference of the input dimension exhausts the Schmidt rank), from vec(1)
+    alone (module docstring): ``restarts`` is checked (>= 1), and it and
+    ``seed`` are otherwise unused."""
     return _pure_ascent(chan, chan.dim_in, alpha, restarts, seed)
 
 
 def max_entropy_production_local(
     chan: KrausChannel, alpha: float = 1.0, restarts: int = 16, seed: int = 0
 ) -> OptimizationResult:
-    """Maximize S_alpha(Phi(rho)) - S_alpha(rho) over input states; pure
-    inputs suffice (module docstring), so the argmax is a state vector."""
+    """Maximize S_alpha(Phi(rho)) - S_alpha(rho) over input states from
+    ``restarts`` random starts; pure inputs suffice (module docstring), so
+    the argmax is a state vector."""
     return _pure_ascent(chan, 1, alpha, restarts, seed)
 
 
@@ -452,22 +455,17 @@ def _ea_evaluation(chan: KrausChannel, el: np.ndarray) -> tuple[float, np.ndarra
 
 
 def ea_capacity(chan: KrausChannel, seed: int = 0, restarts: int = 4) -> OptimizationResult:
-    """Maximize the quantum mutual information over input states, from the
-    maximally mixed start and then random ones, at most ``restarts`` of them.
-    The objective is concave in rho: the value is that of the feasible argmax,
-    and ``upper_bound`` (``_ea_bound``) bounds the capacity from above, so the
-    first start whose bound meets its value within ``_CERT_GAP`` is the
-    last.  Where rho, Phi(rho) or Phi_c(rho) is singular at the argmax (a
-    channel with a pure output, say), the bound is None and every start runs."""
+    """Maximize the quantum mutual information, concave in the input state,
+    from the maximally mixed state alone: ``restarts`` is checked (>= 1), and
+    it and ``seed`` are otherwise unused.  The value is that of the feasible
+    argmax, and ``upper_bound`` (``_ea_bound``) bounds the capacity above."""
     _check_restarts(restarts)
     d = chan.dim_in
-    starts = itertools.chain([np.eye(d, dtype=complex).reshape(-1)],
-                             _random_starts(seed, d * d, restarts - 1))
     eye = chan.identity_factor()
-    v, f, bound, stats = _best_ascent(
-        lambda v: _ea_evaluation(chan, v), starts, _EA_MAX_ITER, _EA_TOL_GRAD,
-        lambda ev, f: _ea_bound(chan, eye, ev, f),
-    )
+    v, f, bound, stats = _concave_ascent(
+        lambda v: _ea_evaluation(chan, v), np.eye(d, dtype=complex).reshape(-1),
+        _EA_MAX_ITER, _EA_TOL_GRAD,
+        lambda start, end, f: _ea_bound(chan, eye, end, f, [_rank(side) for _, side in start[1]]))
     el = v.reshape(d, d)
     rho = el @ dagger(el)
     rho = rho / np.trace(rho).real
@@ -490,10 +488,9 @@ def cost_bound_check(inst: CatalysisInstance) -> CostBoundReport:
     variance of the induced channel (all of it for a classical catalyst).
     The channel is factorizable, so unital: 1 x Phi never lowers entropy and
     that variance is the global alpha=1 production maximum, whose certified
-    upper bound (one start) the right side reads, so a pass holds for every
-    input.  Without a bound the right side reads the value and the check
-    does not pass."""
-    res = max_entropy_production_global(channel_to_kraus(inst), 1.0, restarts=1)
+    upper bound the right side reads, so a pass holds for every input.
+    Without a bound the right side reads the value and the check fails."""
+    res = max_entropy_production_global(channel_to_kraus(inst), 1.0)
     certified = res.upper_bound is not None
     rhs = (1.0 if inst.classical else 0.5) * (res.upper_bound if certified else res.value)
     lhs = von_neumann(inst.sigma)
@@ -513,8 +510,8 @@ class TradeoffReport(NamedTuple):
 def tradeoff_check(inst: CatalysisInstance) -> TradeoffReport:
     """Check 2 log2 d - C_EA(Phi) <= catalytic min-entropy of the catalyst.
 
-    The capacity is the value of one start of :func:`ea_capacity`, a lower
-    bound, so the left side is an upper bound and a pass is sound; where the
+    The capacity is the value of :func:`ea_capacity`, a lower bound, so
+    the left side is an upper bound and a pass is sound; where the
     run is ``certified`` its ``upper_bound`` brackets it from above too, so a
     fail by more than that bracket is sound as well.  A stored sub-catalysis
     decomposition (a refinement imposed by a conservation law) sharpens the
@@ -528,7 +525,7 @@ def tradeoff_check(inst: CatalysisInstance) -> TradeoffReport:
     the report also carries the weaker bound against the full catalytic
     entropy, which held on every catalysis probed.
     """
-    res = ea_capacity(channel_to_kraus(inst), restarts=1)
+    res = ea_capacity(channel_to_kraus(inst))
     lhs = 2 * math.log2(inst.a_dim) - res.value
     if inst.decomposition:
         lam_r = [(w / (sub.b_dim**2), sub.b_dim) for w, sub in inst.decomposition]
