@@ -49,7 +49,6 @@ from .hilbert import (
     Frozen,
     SubsystemLayout,
     UnitaryOperator,
-    controlled,
     dagger,
     eigh_desc,
     evolve,
@@ -602,7 +601,7 @@ def classical_catalysis(
     da = np.shape(unitaries[0])[0]
     db = p.size
     sigma = DensityOperator(np.diag(p.astype(complex)), [db])
-    u = UnitaryOperator(controlled(unitaries), [da, db])
+    u = UnitaryOperator.controlled(unitaries, [da, db])
     inst = canonical_form(u, sigma, seed=seed)._replace(classical=True)
     # the natural refinement: every catalyst basis state is preserved alone
     dec = decompose_subcatalyses(inst, bases=np.eye(db, dtype=complex)[:, :, None])
@@ -666,14 +665,27 @@ def ledger(
     spectrum and marginals included, for the next transition, whose σ_A2 and
     σ_B are then read from it.
     """
-    dims = rho.layout.dims + intermediate.layout.dims
     if on is not None:
+        dims = rho.layout.dims + intermediate.layout.dims
         on = SubsystemLayout(dims).check_indices(on)
         if u.layout.dims != tuple(dims[i] for i in on):
             raise ValueError(
                 f"unitary layout {u.layout.dims} does not match dimensions "
                 f"{[dims[i] for i in on]} at {list(on)}"
             )
+    return _ledger(u.matrix, rho, intermediate, n_a2, on)
+
+
+def _ledger(
+    u: np.ndarray,
+    rho: DensityOperator,
+    intermediate: DensityOperator,
+    n_a2: int,
+    on: Sequence[int] | None,
+) -> tuple[LedgerRecord, DensityOperator]:
+    """:func:`ledger` of the matrix ``u`` of a unitary its caller has
+    certified, acting on the checked factors ``on`` (all when None)."""
+    dims = rho.layout.dims + intermediate.layout.dims
     int_dims = intermediate.layout.dims
     if not 0 <= n_a2 < len(int_dims):
         raise ValueError(
@@ -684,7 +696,7 @@ def ledger(
     b = list(range(n_a, len(dims)))
     b_int = list(range(n_a2, len(int_dims)))
 
-    x = evolve(u.matrix, kron(rho.factor(), intermediate.factor()), dims, on)
+    x = evolve(u, kron(rho.factor(), intermediate.factor()), dims, on)
     tau = DensityOperator.from_factor(x, dims)
     deviation = trace_distance(partial_trace(tau, b), partial_trace(intermediate, b_int))
     if deviation > hilbert.TOL_STATE:
@@ -719,8 +731,10 @@ def _mutual_information(s_x: float, state: DensityOperator, y: list[int]) -> flo
 
 
 def ledger_for_instance(inst: CatalysisInstance, rho: DensityOperator) -> LedgerRecord:
-    """Ledger of a fresh-catalyst use of a certified instance."""
-    return ledger(inst.canonical_unitary(), rho, inst.sigma, 0)[0]
+    """Ledger of a fresh-catalyst use of a certified instance: the record of
+    ``ledger(inst.canonical_unitary(), rho, inst.sigma, 0)``, from (1 ⊗ V†)U
+    without checking again that this product of certified unitaries is one."""
+    return _ledger(inst._canonical_matrix(), rho, inst.sigma, 0, None)[0]
 
 
 # ---------------------------------------------------------------------------

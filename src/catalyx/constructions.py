@@ -97,8 +97,8 @@ def dephasing_catalysis(r) -> CatalysisInstance:
         s_m += rm * rm
         offset += rm
     sigma = conserved_optimal_catalyst(r)
-    u = controlled(blocks, control_first=True)
-    return canonical_form(UnitaryOperator(u, [big_d, b_dim]), sigma)
+    u = UnitaryOperator.controlled(blocks, [big_d, b_dim], control_first=True)
+    return canonical_form(u, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +145,10 @@ def max_extraction_catalysis(sigma: DensityOperator) -> MaxExtractionResult:
     kernel = np.eye(db) - sum(b @ b.conj().T for b in dec.bases)
     if np.linalg.norm(kernel) > 1e-12:
         blocks += kernel
-    u = controlled(blocks.reshape(n * big_r, db, db), control_first=True)
-    inst = canonical_form(UnitaryOperator(u, [n, big_r, db]), sigma, a_count=2)
+    u = UnitaryOperator.controlled(
+        blocks.reshape(n * big_r, db, db), [n, big_r, db], control_first=True
+    )
+    inst = canonical_form(u, sigma, a_count=2)
     psi = StateVector(max_entangled(n * big_r), [n, big_r, n, big_r])
     return MaxExtractionResult(instance=inst, input_state=psi, register_dim=big_r)
 
@@ -256,7 +258,7 @@ def double_random(
 def double_random_stage_one(d: int, u_list: Sequence[np.ndarray]) -> UnitaryOperator:
     """First stage alone (computational-basis control), for inspecting the
     intermediate marginal."""
-    return UnitaryOperator(controlled(u_list), [np.shape(u_list[0])[0], d])
+    return UnitaryOperator.controlled(u_list, [np.shape(u_list[0])[0], d])
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +272,7 @@ def multiparty_unitary(d: int) -> UnitaryOperator:
     if d < 2:
         raise ValueError("need d >= 2")
     hilbert.check_size((d**3) ** 2, f"multiparty unitary at total dimension {d**3}")
-    return UnitaryOperator(controlled(weyl_set(d), control_first=True), [d * d, d])
+    return UnitaryOperator.controlled(weyl_set(d), [d * d, d], control_first=True)
 
 
 def multiparty_instance(d: int) -> CatalysisInstance:

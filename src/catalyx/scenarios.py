@@ -32,7 +32,6 @@ from .hilbert import (
     StateVector,
     UnitaryOperator,
     clock_matrix,
-    controlled,
     max_entangled,
     maximally_mixed,
     partial_trace,
@@ -131,8 +130,8 @@ def multiparty_refuel(d: int, rounds: int, classical: bool = False) -> ScenarioT
 
     if classical:
         z = clock_matrix(d)
-        turn_u = UnitaryOperator(
-            controlled([np.linalg.matrix_power(z, k) for k in range(d)]), [d, d]
+        turn_u = UnitaryOperator.controlled(
+            [np.linalg.matrix_power(z, k) for k in range(d)], [d, d]
         )
     else:
         turn_u = multiparty_unitary(d)
@@ -391,7 +390,7 @@ def cq_free_randomness(d: int) -> FreeRandomnessReport:
     free = free_randomness(intermediate, 1)
 
     # X^a Z^b on the input when the memory A2 reads a and the source B reads b
-    u = UnitaryOperator(controlled(weyl_set(d)), [d, d, d])
+    u = UnitaryOperator.controlled(weyl_set(d), [d, d, d])
     rho = plus_state(d).density()
     rec, tau = ledger(u, rho, intermediate, 1)
     deviation = trace_distance(partial_trace(tau, [0]), np.eye(d) / d)

@@ -41,6 +41,40 @@ def test_ledger_diagonalizes_each_marginal_once(monkeypatch):
     }
 
 
+def _record_unitarity_checks(monkeypatch):
+    """The dimension of every matrix a unitarity check is run on from now on,
+    one entry per matrix of a stack: every check, ``unitarity_defect`` or a
+    controlled unitary's block check, forms its products in
+    ``hilbert._gram_residual``."""
+    sizes = []
+    gram = hl._gram_residual
+
+    def recording(m):
+        sizes.extend([m.shape[-1]] * int(np.prod(m.shape[:-2])))
+        return gram(m)
+
+    monkeypatch.setattr(hl, "_gram_residual", recording)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "run, checked",
+    [
+        (lambda: sc.cq_free_randomness(5), [5] * 25),
+        (lambda: constructions.multiparty_unitary(3), [3] * 9),
+        # 18 blocks on the 108-dimensional space, the partial-transpose test
+        # of canonical_form (a catalysis criterion on the whole unitary, not
+        # a validation) and the catalyst rotation V
+        (lambda: constructions.dephasing_catalysis((3, 3)), [6] * 18 + [108] + [6]),
+    ],
+    ids=["cq_free5", "multiparty3", "dephasing33"],
+)
+def test_controlled_unitaries_are_validated_block_by_block(monkeypatch, run, checked):
+    sizes = _record_unitarity_checks(monkeypatch)
+    run()
+    assert sizes == checked
+
+
 @pytest.mark.parametrize(
     "run, small_dim",
     [
@@ -51,16 +85,7 @@ def test_ledger_diagonalizes_each_marginal_once(monkeypatch):
     ids=["initialization5", "refuel2x4", "depletion3"],
 )
 def test_scenarios_apply_only_the_small_unitary(monkeypatch, run, small_dim):
-    checked = []
-    defect = hl.unitarity_defect
-
-    def recording_defect(m):
-        checked.append(m.shape[0])
-        return defect(m)
-
-    for module in _catalyx_modules():
-        if hasattr(module, "unitarity_defect"):
-            monkeypatch.setattr(module, "unitarity_defect", recording_defect)
+    checked = _record_unitarity_checks(monkeypatch)
     trace = run()
     # the dense embedding is a test-only reference: no library module has one
     assert [m.__name__ for m in _catalyx_modules() if hasattr(m, "embed_operator")] == []
