@@ -12,6 +12,7 @@ Randomness enters only through explicit seeds.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -93,7 +94,7 @@ def _real_first(f, m: np.ndarray) -> np.ndarray:
     matrices go to ``f`` together and the rest together, so each gets, bit
     for bit, what it gets alone, in at most two calls."""
     if m.dtype.kind == "c":
-        if m.ndim == 2:
+        if m.size == m.shape[-2] * m.shape[-1]:  # one matrix, or a stack of one
             if not np.count_nonzero(m.imag):
                 return f(m.real)
         else:
@@ -208,6 +209,20 @@ def _as_layout(layout) -> SubsystemLayout:
     return SubsystemLayout(layout)
 
 
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows of ``rows`` (n, D) normalized, each checked as a state
+    vector: one ``refuse_non_finite`` on the stack, then each norm within
+    100·``TOL_NORM`` of one, or the first row that is not raises.  The norms
+    are :func:`frobenius` of the rows, ``np.linalg.norm`` of each bit for
+    bit; the one normalization rule of :class:`StateVector`."""
+    refuse_non_finite(rows, "state vector")
+    norms = frobenius(rows[:, None])
+    for norm in norms.tolist():
+        if not abs(norm - 1.0) <= 100 * TOL_NORM:
+            raise ValueError(f"state vector norm {norm} too far from 1")
+    return rows / norms[:, None]
+
+
 class StateVector(Frozen):
     """Normalized pure state with a subsystem layout."""
 
@@ -221,11 +236,7 @@ class StateVector(Frozen):
             raise ValueError(
                 f"amplitude length {amps.shape[0]} != layout dimension {layout.total_dim}"
             )
-        refuse_non_finite(amps, "state vector")
-        norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= 100 * TOL_NORM:
-            raise ValueError(f"state vector norm {norm} too far from 1")
-        object.__setattr__(self, "amplitudes", _freeze(amps / norm))
+        object.__setattr__(self, "amplitudes", _freeze(_unit_rows(amps[None])[0]))
         object.__setattr__(self, "layout", layout)
 
     @property
@@ -736,11 +747,14 @@ def state_spectrum(m: np.ndarray) -> np.ndarray:
 def _validated_spectrum(vals: np.ndarray, dim: int) -> np.ndarray:
     """The spectrum of a state of dimension ``dim`` from its ascending
     eigenvalues ``vals`` (zeros beyond them are implied), checked against the
-    PSD floor and returned padded, descending and clipped at zero.  Leading
+    PSD floor and returned descending and clipped at zero, padded with zeros
+    (into a new buffer) only when ``vals`` holds fewer than ``dim``.  Leading
     axes index a stack of spectra, each checked alone."""
     fault = _negative_fault(min(vals[..., 0].flat))
     if fault:
         raise ValueError(fault)
+    if vals.shape[-1] == dim:
+        return np.maximum(vals[..., ::-1], 0.0)
     spectrum = np.zeros(vals.shape[:-1] + (dim,))
     spectrum[..., : vals.shape[-1]] = np.maximum(vals[..., ::-1], 0.0)
     return spectrum
@@ -828,13 +842,20 @@ def shift_matrix(d: int) -> np.ndarray:
     return basis_permutation([d], lambda k: (k + 1,))
 
 
-def weyl_set(d: int) -> list[np.ndarray]:
-    """X^a Z^b at index a d + b; the d^2 of them are orthogonal: Tr(W†W') = d δ."""
+def weyl_set(d: int) -> tuple[np.ndarray, ...]:
+    """X^a Z^b at index a d + b; the d^2 of them are orthogonal: Tr(W†W') = d δ.
+    Built once per dimension and kept, as read-only arrays."""
     check_dim(d, "Weyl set")
+    check_size(d**4, f"Weyl set of {d * d} operators of {d}×{d}")
+    return _weyl_set(d)
+
+
+@functools.lru_cache(maxsize=8)
+def _weyl_set(d: int) -> tuple[np.ndarray, ...]:
     x, z = shift_matrix(d), clock_matrix(d)
     xs = [np.linalg.matrix_power(x, a) for a in range(d)]
     zs = [np.linalg.matrix_power(z, b) for b in range(d)]
-    return [xa @ zb for xa in xs for zb in zs]
+    return tuple(_freeze(xa @ zb) for xa in xs for zb in zs)
 
 
 def swap_matrix(d: int) -> np.ndarray:

@@ -29,7 +29,6 @@ from .constructions import initialization_classical, multiparty_unitary
 from .entropy import _clip_zero, mutual_information, von_neumann, von_neumann_rows
 from .hilbert import (
     DensityOperator,
-    StateVector,
     UnitaryOperator,
     clock_matrix,
     max_entangled,
@@ -205,12 +204,14 @@ def conservation_law_check(
     fully tests the code and no maximum over states is being estimated.
 
     All samples are drawn at once, from the stream ``n_samples`` calls of
-    ``haar_state`` would read, and held as one stack of rank-1 factors, so
-    the joint pure states are never formed.  Each of the seven marginals is
-    solved for every sample in one stacked eigensolve on the smaller side of
-    its cut, through the factor helpers ``partial_trace`` uses, and its
-    entropies come from one ``von_neumann_rows`` call; the report equals, bit
-    for bit, the one sample-by-sample marginals would give."""
+    ``haar_state`` would read, normalized and checked as ``StateVector``
+    does, on the whole stack at once (``hilbert._unit_rows``), and held as
+    one stack of rank-1 factors, so the joint pure states are never formed.
+    Each of the seven marginals is solved for every sample in one stacked
+    eigensolve on the smaller side of its cut, through the factor helpers
+    ``partial_trace`` uses, and its entropies come from one
+    ``von_neumann_rows`` call; the report equals, bit for bit, the one
+    sample-by-sample marginals would give."""
     dims = [int(x) for x in dims]
     if len(dims) != 4 or any(x > 3 for x in dims):
         raise ValueError("need four factors of dimension <= 3")
@@ -223,10 +224,9 @@ def conservation_law_check(
     )
     rng = hilbert._rng(seed)
     z = rng.standard_normal((n_samples, 2, layout.total_dim))
-    # each row normalized and checked as haar_state and StateVector do
-    x = np.stack([
-        StateVector(v / np.linalg.norm(v), layout).amplitudes for v in z[:, 0] + 1j * z[:, 1]
-    ])[..., None]
+    v = z[:, 0] + 1j * z[:, 1]
+    # haar_state's division by the norm, then StateVector's check, on the stack
+    x = hilbert._unit_rows(v / hilbert.frobenius(v[:, None])[:, None])[..., None]
     w_i, x_i, y_i, z_i = 0, 1, 2, 3
     groups = ([x_i], [y_i], [z_i], [x_i, y_i], [y_i, z_i], [w_i, z_i], [w_i, y_i, z_i])
     s_x, s_y, s_z, s_xy, s_yz, s_wz, s_wyz = (

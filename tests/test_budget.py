@@ -37,9 +37,10 @@ def test_check_size_names_the_object_its_bytes_and_the_budget():
         (lambda: sc.cq_free_randomness(17), "cq_free randomness"),
         (lambda: sc.multiparty_refuel(17, 1), "multiparty refuelling"),
         (lambda: sc.conservation_law_check(n_samples=2**20 + 1), "conservation check"),
+        (lambda: hl.weyl_set(65), "Weyl set of 4225 operators"),
     ],
     ids=["dephasing", "conserved", "angular", "classical", "masking", "multiparty",
-         "depletion", "initialization", "cq_free", "refuel", "conservation"],
+         "depletion", "initialization", "cq_free", "refuel", "conservation", "weyl"],
 )
 def test_first_size_past_the_limit_is_refused(build, what):
     with pytest.raises(ValueError, match=f"{what}.* budget"):

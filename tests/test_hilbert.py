@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from util import embed_operator
 
+from catalyx import constructions, scenarios
 from catalyx import hilbert as hl
 from catalyx.hilbert import (
     DensityOperator,
@@ -301,6 +302,45 @@ def test_controlled_weyl_set_is_the_two_controlled_stages(d):
     dims = [d, d, d]
     two = embed_operator(stage2, dims, [0, 1]) @ embed_operator(stage1, dims, [0, 2])
     assert np.array_equal(hl.controlled(hl.weyl_set(d)), two)
+
+
+def test_weyl_set_is_built_once_per_dimension_and_read_only():
+    first = hl.weyl_set(3)
+    assert isinstance(first, tuple) and len(first) == 9
+    assert hl.weyl_set(3) is first
+    for w in first:
+        assert not w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w[0, 0] = 0
+
+
+def _same_bits(a, b):
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_weyl_set_keeps_the_bits_of_fresh_clock_and_shift_powers(d):
+    x, z = hl.shift_matrix(d), hl.clock_matrix(d)
+    fresh = [np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+             for a in range(d) for b in range(d)]
+    kept = hl.weyl_set(d)
+    assert len(kept) == d * d
+    for w, want in zip(kept, fresh):
+        assert _same_bits(w, want)
+
+
+@pytest.mark.parametrize("build", [lambda: scenarios.cq_free_randomness(3),
+                                   lambda: constructions.multiparty_unitary(2)],
+                         ids=["cq_free_randomness3", "multiparty_unitary2"])
+def test_a_second_weyl_controlled_build_takes_no_matrix_power(monkeypatch, build):
+    build()
+    calls = []
+    power = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power", lambda *a: calls.append(a) or power(*a))
+    build()
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -83,11 +83,60 @@ def _reference_conservation(seed, n_samples, dims):
 
 @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 3, 3, 3), (2, 3, 2, 3), (3, 2, 2, 1)])
 def test_conservation_report_equals_the_sample_by_sample_check(dims):
-    for seed, n in itertools.product(range(4), (1, 40)):
+    # 10 and 20 are the sample counts of selftest and of the benchmark's cli script
+    for seed, n in itertools.product(range(4), (1, 10, 20, 40)):
         rep = sc.conservation_law_check(seed=seed, n_samples=n, dims=dims)
         assert (rep.max_residual, rep.max_inequality_violation) == _reference_conservation(
             seed, n, dims
         )
+
+
+class _Draws:
+    """A generator whose ``standard_normal`` returns fixed draws."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, shape):
+        assert shape == self.z.shape
+        return self.z
+
+
+def _patched_draws(monkeypatch, z):
+    monkeypatch.setattr(hl, "_rng", lambda seed: _Draws(z))
+
+
+def test_non_finite_draw_raises_the_state_vectors_message(monkeypatch):
+    z = np.random.default_rng(2).standard_normal((5, 2, 16))
+    z[3, 1, 7] = np.nan
+    v = z[3, 0] + 1j * z[3, 1]
+    _patched_draws(monkeypatch, z)
+    # the division by a NaN norm warns before the check refuses the row
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError) as alone:
+            hl.StateVector(v / np.linalg.norm(v), [2, 2, 2, 2])
+        with pytest.raises(ValueError, match="non-finite entry") as stacked:
+            sc.conservation_law_check(n_samples=5)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_off_norm_draw_raises_the_norm_of_the_first_bad_row(monkeypatch):
+    # rows this small lose digits to subnormal squares: their norms, and the
+    # norms after the first division, are off by more than 100·TOL_NORM
+    z = np.random.default_rng(1).standard_normal((6, 2, 16))
+    z[2] *= 1e-161
+    z[4] *= 1e-162
+    messages = []
+    for row in z[2], z[4]:
+        v = row[0] + 1j * row[1]
+        with pytest.raises(ValueError, match="too far from 1") as alone:
+            hl.StateVector(v / np.linalg.norm(v), [2, 2, 2, 2])
+        messages.append(str(alone.value))
+    assert messages[0] != messages[1]
+    _patched_draws(monkeypatch, z)
+    with pytest.raises(ValueError) as stacked:
+        sc.conservation_law_check(n_samples=6)
+    assert str(stacked.value) == messages[0]
 
 
 def test_off_norm_sample_raises_what_from_factor_raises():

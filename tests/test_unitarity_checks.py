@@ -82,6 +82,36 @@ def test_a_mixed_stack_gives_each_matrix_what_it_gets_alone(monkeypatch):
         assert g.tobytes() == np.float64(hl.unitarity_defect(u)).tobytes()
 
 
+def _one_real_one_complex():
+    rng = np.random.default_rng(5)
+    real = np.linalg.qr(rng.standard_normal((4, 4)))[0].astype(complex)
+    return {"real": real, "complex": hl.haar_unitary_matrix(4, rng)}
+
+
+def _stack_of_one_defect(m, kind):
+    """The defect of the stack m[None] by the stacked rule: the real product
+    for an exactly real matrix, else the complex one."""
+    m = m[None].real if kind == "real" else m[None]
+    return hl.frobenius(hl._gram_residual(m))[0]
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_a_stack_of_one_keeps_its_dispatch_and_bits(monkeypatch, kind):
+    m = _one_real_one_complex()[kind]
+    defects = []
+    fault = hl._unitary_fault
+    monkeypatch.setattr(hl, "_unitary_fault", lambda d: defects.append(d) or fault(d))
+    kinds = _record_products(monkeypatch)
+    hl.UnitaryOperator.each(m[None], [2, 2])
+    verdict = cat.is_catalysis_unitary(hl.UnitaryOperator(m, [2, 2]))
+    assert kinds == ["f" if kind == "real" else "c"] * 3
+    want = _stack_of_one_defect(m, kind)
+    assert np.float64(defects[0]).tobytes() == want.tobytes()
+    pt = hl.ptranspose_matrix(m[None], [2, 2], (0,))[0]
+    want = _stack_of_one_defect(pt, kind)
+    assert np.float64(verdict.defect).tobytes() == want.tobytes()
+
+
 CONSTRUCT_ARGS = [
     ["dephasing_degeneracy", "--r", "1,3"],
     ["dephasing_degeneracy", "--r", "3,3"],
