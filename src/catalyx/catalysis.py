@@ -368,7 +368,7 @@ class KrausChannel(Frozen):
             r = (np.sqrt(vals[keep])[:, None] * dagger(vecs[:, keep]) if inner
                  else dagger(vecs[:, keep]) @ r) + 0.0
         v_t = hilbert._freeze(r.T.reshape(d_in, -1))
-        if not np.linalg.norm(v_t.conj() @ v_t.T - np.eye(d_in)) <= 1e-7:  # NaN too
+        if not hilbert.unitarity_defect(v_t.T) <= 1e-7:  # V†V = 1; NaN fails too
             raise ValueError("Kraus operators do not satisfy completeness")
         object.__setattr__(self, "_isometry_t", v_t)
         object.__setattr__(self, "kraus", v_t.reshape(d_in, d_out, -1).transpose(2, 1, 0))

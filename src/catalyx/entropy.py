@@ -213,36 +213,37 @@ def average_degeneracy(dec) -> float:
     )
 
 
+def _catalytic_bits(eigenvalues, multiplicities, alpha: float) -> float:
+    """H_alpha^cat in bits of blocks of eigenvalue lambda_i on r_i
+    dimensions, at an order alpha >= 0: the one formula of the catalytic
+    family.  Blocks with lambda_i <= ``TOL_PSD`` add nothing (0 log 0 = 0),
+    as in :func:`renyi`; alpha=1 sums its terms in block order."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    keep = lam > hilbert.TOL_PSD
+    lam, r = lam[keep], np.asarray(multiplicities, dtype=float)[keep]
+    if abs(alpha - 1.0) <= _ALPHA_SNAP:
+        return _clip_zero(float(-sum(v * m * np.log2(v / m) for v, m in zip(lam, r))))
+    if math.isinf(alpha):
+        return _clip_zero(float(-np.log2((lam / r).max())))
+    if alpha <= _ALPHA_SNAP:
+        return float(np.log2((r**2).sum()))
+    return _clip_zero(float(np.log2((lam**alpha * r ** (2.0 - alpha)).sum()) / (1.0 - alpha)))
+
+
 def catalytic_entropy(dec) -> float:
     """S_cat = -sum_i lambda_i r_i log2(lambda_i / r_i) = S + Delta."""
     dec = _as_decomposition(dec)
-    return _clip_zero(
-        float(
-            -sum(
-                v * r * np.log2(v / r)
-                for v, r in zip(dec.eigenvalues, dec.multiplicities)
-            )
-        )
-    )
+    return _catalytic_bits(dec.eigenvalues, dec.multiplicities, 1.0)
 
 
 def catalytic_renyi(dec, alpha: float) -> float:
     """(1/(1-alpha)) log2 sum_i lambda_i^alpha r_i^(2-alpha), with the limits
     alpha->1 (catalytic entropy), alpha->inf (-max log2 lambda_i/r_i) and
-    alpha->0 (log2 sum r_i^2)."""
+    alpha->0 (log2 sum r_i^2), each over the blocks with lambda_i above
+    ``TOL_PSD``."""
     _check_order(alpha)
     dec = _as_decomposition(dec)
-    lam = np.asarray(dec.eigenvalues)
-    r = np.asarray(dec.multiplicities, dtype=float)
-    if math.isinf(alpha):
-        return _clip_zero(float(-np.log2((lam / r).max())))
-    if abs(alpha - 1.0) <= _ALPHA_SNAP:
-        return catalytic_entropy(dec)
-    if alpha <= _ALPHA_SNAP:
-        return float(np.log2((r**2).sum()))
-    return _clip_zero(
-        float(np.log2((lam**alpha * r ** (2.0 - alpha)).sum()) / (1.0 - alpha))
-    )
+    return _catalytic_bits(dec.eigenvalues, dec.multiplicities, alpha)
 
 
 def catalytic_min_entropy(dec) -> float:

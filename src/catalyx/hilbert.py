@@ -114,7 +114,8 @@ def _real_first(f, m: np.ndarray) -> np.ndarray:
 
 def _gram_residual(m: np.ndarray) -> np.ndarray:
     """m†m - 1, of a matrix or of each matrix of a stack: the one product
-    behind every unitarity check."""
+    behind every unitarity check, and behind the isometry checks of Kraus
+    completeness and of orthonormal eigenspace bases, where m is (d, r)."""
     return dagger(m) @ m - np.eye(m.shape[-1])
 
 
@@ -124,9 +125,11 @@ def _gram_defect(m: np.ndarray):
 
 def unitarity_defect(m: np.ndarray):
     """Frobenius norm of m†m - 1; for a stack (..., d, d), of each matrix
-    (see :func:`frobenius`).  An exactly real matrix takes the real product
-    mᵀm, about 2.7x faster than the complex one at D = 125 (see
-    :func:`_real_first`)."""
+    (see :func:`frobenius`); for a (d, r) matrix, its isometry defect, which
+    ``KrausChannel`` (Kraus completeness, m = V) and
+    ``EigenspaceDecomposition`` (orthonormality, m the stacked bases) hold
+    against 1e-7.  An exactly real matrix takes the real product mᵀm, about
+    2.7x faster than the complex one at D = 125 (see :func:`_real_first`)."""
     return _real_first(_gram_defect, m)
 
 
@@ -417,7 +420,7 @@ class EigenspaceDecomposition(Frozen):
         stacked = np.hstack(bases)  # raises unless every basis has d rows
         refuse_non_finite(stacked, "eigenspace bases")
         d, rank = stacked.shape
-        if not np.linalg.norm(dagger(stacked) @ stacked - np.eye(rank)) <= 1e-7:
+        if not unitarity_defect(stacked) <= 1e-7:
             raise ValueError("eigenspace bases are not orthonormal")
         total = sum(v * b.shape[1] for v, b in zip(vals, bases))
         # eigenvalues at or below TOL_PSD count as zero, so the space the

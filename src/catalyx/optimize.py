@@ -48,8 +48,7 @@ import numpy as np
 
 from . import hilbert
 from .catalysis import CatalysisInstance, KrausChannel, channel_to_kraus
-from .entropy import _check_order, _renyi_bits, _renyi_support
-from .entropy import catalytic_entropy, catalytic_min_entropy, von_neumann
+from .entropy import _catalytic_bits, _check_order, _renyi_bits, _renyi_support, von_neumann
 from .hilbert import dagger, eigenspace_decompose
 
 _LN2 = math.log(2.0)
@@ -238,36 +237,28 @@ def _ascend(
     return x, f, it, float(np.linalg.norm(g)), False, ev, start
 
 
-def _best_ascent(value_grad: Callable, starts: Iterable[np.ndarray], max_iter: int,
-                 tol_grad: float) -> tuple[np.ndarray, float, dict]:
-    """Ascend from each start and keep the best (strictly better by
-    _TIE_MARGIN, ties to the lowest index).  Returns the best end point, its
-    value and the ``OptimizationResult`` fields of the run: iterations summed
-    over the starts, their count, and the best start's convergence."""
+def _maximize(value_grad: Callable, starts: Iterable[np.ndarray], max_iter: int,
+              tol_grad: float, certify: Callable | None = None) -> tuple[np.ndarray, float, dict]:
+    """Ascend from each start in turn (``_ascend``) and keep the best: a later
+    start must be higher by more than _TIE_MARGIN, so ties go to the lowest
+    index.  The one driver of every maximization.  Returns the best end
+    point, its value and the ``OptimizationResult`` fields: iterations summed
+    over the starts, their count, the best start's convergence and
+    ``upper_bound``, ``certify(start, end, f)`` of the best start's two
+    evaluations and its value (an upper bound on the maximum, at least f as
+    each bound clips its gap at zero, or None), or None without ``certify``."""
     best = None
     total_iter = runs = 0
     for x0 in starts:
-        x, f, its, gnorm, conv, _, _ = _ascend(value_grad, x0, max_iter, tol_grad)
-        total_iter += its
+        run = _ascend(value_grad, x0, max_iter, tol_grad)
+        total_iter += run[2]
         runs += 1
-        if best is None or f > best[1] + _TIE_MARGIN:
-            best = (x, f, gnorm, conv)
-    x, f, gnorm, conv = best
-    return x, f, {"iterations": total_iter, "restarts": runs,
-                  "converged": conv, "gradient_norm_at_end": gnorm}
-
-
-def _concave_ascent(value_grad: Callable, x0: np.ndarray, max_iter: int, tol_grad: float,
-                    certify: Callable) -> tuple[np.ndarray, float, float | None, dict]:
-    """One ascent of a concave problem from its fixed start x0 (a second
-    start could only reach the same maximum), then one certificate:
-    ``certify(start, end, f)`` maps the evaluations (``_ascend``) at x0 and
-    at the end point, and the end value, to an upper bound on the maximum
-    (at least f, as each bound clips its gap at zero), or None.  Returns
-    ``_best_ascent``'s items with that bound third."""
-    x, f, its, gnorm, conv, end, start = _ascend(value_grad, x0, max_iter, tol_grad)
-    return x, f, certify(start, end, f), {
-        "iterations": its, "restarts": 1, "converged": conv, "gradient_norm_at_end": gnorm}
+        if best is None or run[1] > best[1] + _TIE_MARGIN:
+            best = run
+    x, f, _, gnorm, conv, end, start = best
+    return x, f, {"iterations": total_iter, "restarts": runs, "converged": conv,
+                  "gradient_norm_at_end": gnorm,
+                  "upper_bound": None if certify is None else certify(start, end, f)}
 
 
 def _random_starts(seed, dim: int, count: int) -> Iterator[np.ndarray]:
@@ -394,16 +385,14 @@ def _pure_ascent(
     if ref == chan.dim_in:
         # the global problem, max_rho S_alpha(Phi_c(rho)) (module docstring)
         eye = chan.identity_factor()
-        v, f, bound, stats = _concave_ascent(
-            value_grad, np.eye(ref, dtype=complex).reshape(-1), _PURE_MAX_ITER, _PURE_TOL_GRAD,
+        starts, certify = [np.eye(ref, dtype=complex).reshape(-1)], (
             lambda start, end, f: _production_bound(chan, eye, end, smooth, f, _rank(start[1][1])))
     else:
-        v, f, stats = _best_ascent(value_grad, _random_starts(seed, ref * chan.dim_in, restarts),
-                                   _PURE_MAX_ITER, _PURE_TOL_GRAD)
-        bound = None
+        starts, certify = _random_starts(seed, ref * chan.dim_in, restarts), None
+    v, f, stats = _maximize(value_grad, starts, _PURE_MAX_ITER, _PURE_TOL_GRAD, certify)
     if math.isinf(alpha):
         f = _renyi_support(_factor_support(chan.stinespring(v[:, None], ref)), alpha)
-    return OptimizationResult(value=f, argmax=v, argmax_kind="pure", upper_bound=bound, **stats)
+    return OptimizationResult(value=f, argmax=v, argmax_kind="pure", **stats)
 
 
 def max_entropy_production_global(
@@ -412,8 +401,9 @@ def max_entropy_production_global(
     """Maximize S_alpha((I x Phi)(psi)) over pure psi on reference x input
     with matching dimensions (pure inputs suffice for the maximum, and a
     reference of the input dimension exhausts the Schmidt rank), from vec(1)
-    alone (module docstring): ``restarts`` is checked (>= 1), and it and
-    ``seed`` are otherwise unused."""
+    alone (module docstring), by ``_maximize`` with ``_production_bound`` as
+    its certificate: ``restarts`` is checked (>= 1), and it and ``seed`` are
+    otherwise unused."""
     return _pure_ascent(chan, chan.dim_in, alpha, restarts, seed)
 
 
@@ -456,20 +446,21 @@ def _ea_evaluation(chan: KrausChannel, el: np.ndarray) -> tuple[float, np.ndarra
 
 def ea_capacity(chan: KrausChannel, seed: int = 0, restarts: int = 4) -> OptimizationResult:
     """Maximize the quantum mutual information, concave in the input state,
-    from the maximally mixed state alone: ``restarts`` is checked (>= 1), and
-    it and ``seed`` are otherwise unused.  The value is that of the feasible
-    argmax, and ``upper_bound`` (``_ea_bound``) bounds the capacity above."""
+    from the maximally mixed state alone, by ``_maximize``, the driver of
+    every maximization: ``restarts`` is checked (>= 1), and it and ``seed``
+    are otherwise unused.  The value is that of the feasible argmax, and
+    ``upper_bound`` (``_ea_bound``, the certificate) bounds the capacity above."""
     _check_restarts(restarts)
     d = chan.dim_in
     eye = chan.identity_factor()
-    v, f, bound, stats = _concave_ascent(
-        lambda v: _ea_evaluation(chan, v), np.eye(d, dtype=complex).reshape(-1),
+    v, f, stats = _maximize(
+        lambda v: _ea_evaluation(chan, v), [np.eye(d, dtype=complex).reshape(-1)],
         _EA_MAX_ITER, _EA_TOL_GRAD,
         lambda start, end, f: _ea_bound(chan, eye, end, f, [_rank(side) for _, side in start[1]]))
     el = v.reshape(d, d)
     rho = el @ dagger(el)
     rho = rho / np.trace(rho).real
-    return OptimizationResult(value=f, argmax=rho, argmax_kind="mixed", upper_bound=bound, **stats)
+    return OptimizationResult(value=f, argmax=rho, argmax_kind="mixed", **stats)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +506,10 @@ def tradeoff_check(inst: CatalysisInstance) -> TradeoffReport:
     run is ``certified`` its ``upper_bound`` brackets it from above too, so a
     fail by more than that bracket is sound as well.  A stored sub-catalysis
     decomposition (a refinement imposed by a conservation law) sharpens the
-    right side.
+    right side: block i, of weight w_i on a catalyst of dimension r_i, is an
+    eigenvalue w_i/r_i of multiplicity r_i.  Either way the right side reads
+    the catalytic family from ``entropy._catalytic_bits``, where a block of
+    weight zero adds nothing.
 
     The min-entropy bound holds whenever the catalyst's block ratios
     lambda_i/r_i are flat (conserved-optimal and maximally mixed catalysts)
@@ -528,13 +522,12 @@ def tradeoff_check(inst: CatalysisInstance) -> TradeoffReport:
     res = ea_capacity(channel_to_kraus(inst))
     lhs = 2 * math.log2(inst.a_dim) - res.value
     if inst.decomposition:
-        lam_r = [(w / (sub.b_dim**2), sub.b_dim) for w, sub in inst.decomposition]
-        rhs = -max(math.log2(lr) for lr, _ in lam_r)
-        rhs_vn = -sum(lr * r * r * math.log2(lr) for lr, r in lam_r)
+        blocks = ([w / sub.b_dim for w, sub in inst.decomposition],
+                  [sub.b_dim for _, sub in inst.decomposition])
     else:
         dec = eigenspace_decompose(inst.sigma)
-        rhs = catalytic_min_entropy(dec)
-        rhs_vn = catalytic_entropy(dec)
+        blocks = (dec.eigenvalues, dec.multiplicities)
+    rhs, rhs_vn = (_catalytic_bits(*blocks, alpha) for alpha in (math.inf, 1.0))
     return TradeoffReport(
         lhs=lhs, rhs=rhs, rhs_vn=rhs_vn, capacity=res.value,
         ok=lhs <= rhs + _TRADEOFF_SLACK, ok_vn=lhs <= rhs_vn + _TRADEOFF_SLACK,

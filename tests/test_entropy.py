@@ -221,6 +221,37 @@ def test_divergence_form_residual_sweep():
             assert ent.catalytic_renyi_divergence_form(dec, alpha).residual <= 1e-9
 
 
+def _blocks(eigenvalues, multiplicities):
+    """Eigenspace data on contiguous identity-column blocks."""
+    eye = np.eye(sum(multiplicities))
+    ends = np.cumsum(multiplicities)
+    return EigenspaceDecomposition(
+        eigenvalues, [eye[:, e - r : e] for r, e in zip(multiplicities, ends)])
+
+
+@pytest.mark.parametrize("quantity", [
+    ent.catalytic_entropy, ent.catalytic_max_entropy, ent.catalytic_min_entropy,
+    lambda dec: ent.catalytic_renyi(dec, 2.0), lambda dec: ent.catalytic_renyi(dec, 0.5),
+], ids=["vn", "max", "min", "renyi2", "renyi_half"])
+def test_a_zero_block_adds_nothing(quantity):
+    # 0 log 0 = 0, and the support of (1, 0) is one block of one dimension;
+    # a RuntimeWarning is an error in this suite
+    assert quantity(_blocks([1.0, 0.0], [1, 1])) == 0.0
+
+
+def test_the_catalytic_family_reads_the_support_only():
+    with_zero, support = _blocks([0.5, 0.25, 0.0], [1, 2, 1]), _blocks([0.5, 0.25], [1, 2])
+    for alpha in (0.0, 0.5, 1.0, 2.0, 3.0, math.inf):
+        assert ent.catalytic_renyi(with_zero, alpha) == ent.catalytic_renyi(support, alpha)
+    assert ent.catalytic_max_entropy(with_zero) == pytest.approx(math.log2(5))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0, math.inf])
+def test_the_divergence_form_agrees_with_a_zero_block(alpha):
+    res = ent.catalytic_renyi_divergence_form(_blocks([0.5, 0.25, 0.0], [1, 2, 1]), alpha)
+    assert res.residual <= 1e-12
+
+
 def test_entropy_report_keys_and_values():
     rep = ent.entropy_report(DIAG)
     d = rep.to_json_dict()

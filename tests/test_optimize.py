@@ -705,6 +705,90 @@ def test_min_entropy_mixture_inequality():
             assert s_mix - s_i <= -math.log2(w) + 1e-9
 
 
+def _scripted_ascend(monkeypatch, values):
+    """Replace ``optimize._ascend`` by a script: its k-th call ends at its
+    start with the value values[k] after k + 1 iterations, converged for
+    even k, and tags its evaluations ("start", k) and ("end", k)."""
+    calls = []
+
+    def ascend(value_grad, x0, max_iter, tol_grad):
+        k = len(calls)
+        calls.append(x0)
+        return x0, values[k], k + 1, 0.1 * k, k % 2 == 0, ("end", k), ("start", k)
+
+    monkeypatch.setattr(opt, "_ascend", ascend)
+    return calls
+
+
+@pytest.mark.parametrize("values, best", [
+    ([0.0, 0.0, 0.0], 0),
+    ([0.0, opt._TIE_MARGIN, 0.0], 0),  # not higher by more than the margin
+    ([0.0, 2 * opt._TIE_MARGIN, 2 * opt._TIE_MARGIN], 1),
+    ([1.0, -1.0, 3.0], 2),
+    ([5.0, 4.0, 3.0], 0),
+])
+def test_the_driver_keeps_the_first_best_start(monkeypatch, values, best):
+    starts = [np.full(2, k, dtype=complex) for k in range(len(values))]
+    _scripted_ascend(monkeypatch, values)
+    seen = []
+
+    def certify(start, end, f):
+        seen.append((start, end, f))
+        return f + 1.0
+
+    x, f, stats = opt._maximize(None, starts, 10, 1e-9, certify)
+    assert x is starts[best] and f == values[best]
+    assert stats == {"iterations": 1 + 2 + 3, "restarts": 3, "converged": best % 2 == 0,
+                     "gradient_norm_at_end": 0.1 * best, "upper_bound": values[best] + 1.0}
+    # one certificate, on the best start's two evaluations
+    assert seen == [(("start", best), ("end", best), values[best])]
+    _scripted_ascend(monkeypatch, values)
+    assert opt._maximize(None, starts, 10, 1e-9)[2]["upper_bound"] is None
+
+
+def _count_bounds(monkeypatch):
+    """The evaluation each later ``_production_bound`` or ``_ea_bound`` call
+    reads, by name."""
+    calls = {"_production_bound": [], "_ea_bound": []}
+    for name, seen in calls.items():
+        def counting(chan, eye, evaluation, *rest, _seen=seen, _bound=getattr(opt, name)):
+            _seen.append(evaluation)
+            return _bound(chan, eye, evaluation, *rest)
+        monkeypatch.setattr(opt, name, counting)
+    return calls
+
+
+def test_local_production_sums_its_starts_and_calls_no_bound(monkeypatch):
+    starts = _scripted_ascend(monkeypatch, [0.25, 0.75, 0.75, 0.5])
+    calls = _count_bounds(monkeypatch)
+    res = opt.max_entropy_production_local(cat.dephasing_channel(2), 1.0, restarts=4, seed=2)
+    assert (res.iterations, res.restarts, res.value) == (1 + 2 + 3 + 4, 4, 0.75)
+    assert res.argmax is starts[1] and not res.converged and res.upper_bound is None
+    assert calls == {"_production_bound": [], "_ea_bound": []}
+
+
+@pytest.mark.parametrize("run, bound", [
+    (lambda chan: opt.max_entropy_production_global(chan, 1.0, restarts=4), "_production_bound"),
+    (lambda chan: opt.max_entropy_production_global(chan, math.inf), "_production_bound"),
+    (lambda chan: opt.ea_capacity(chan, restarts=4), "_ea_bound"),
+], ids=["global", "global_inf", "ea"])
+def test_a_concave_run_certifies_once_at_its_end(monkeypatch, run, bound):
+    ends = []
+    ascend = opt._ascend
+
+    def recording(*args):
+        out = ascend(*args)
+        ends.append(out[5])
+        return out
+
+    monkeypatch.setattr(opt, "_ascend", recording)
+    calls = _count_bounds(monkeypatch)
+    res = run(cat.random_channel(2, 2, 5))
+    assert res.restarts == 1 and res.iterations > 1
+    assert len(ends) == 1 and len(calls[bound]) == 1 and calls[bound][0] is ends[0]
+    assert sum(map(len, calls.values())) == 1
+
+
 # ---------------------------------------------------------------------------
 # capacity-randomness tradeoff
 
@@ -771,6 +855,29 @@ def test_tradeoff_minentropy_bound_fails_for_skewed_mixtures():
     assert not rep.ok        # the min-entropy bound is genuinely violated
     assert rep.ok_vn         # the catalytic-entropy bound absorbs it
     assert rep.rhs_vn >= rep.lhs - 1e-6
+
+
+@pytest.mark.parametrize("probs, rhs, rhs_vn", [
+    ([1.0, 0.0], 0.0, 0.0),
+    ([0.75, 0.25, 0.0], -math.log2(0.75), -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))),
+], ids=["one_and_zero", "with_a_zero"])
+def test_tradeoff_reads_no_zero_weight_block(probs, rhs, rhs_vn):
+    z = hl.clock_matrix(2)
+    inst = cat.classical_catalysis(probs, [np.eye(2), z, z][: len(probs)])
+    assert any(w == 0.0 for w, _ in inst.decomposition)
+    rep = opt.tradeoff_check(inst)
+    assert rep.rhs == pytest.approx(rhs, abs=1e-12)
+    assert rep.rhs_vn == pytest.approx(rhs_vn, abs=1e-12)
+
+
+@pytest.mark.parametrize("probs", [[0.7, 0.3], [0.5, 0.3, 0.2], [0.4, 0.3, 0.2, 0.1]])
+def test_tradeoff_decomposition_branch_equals_the_eigenspace_branch(probs):
+    inst = cat.classical_catalysis(probs, hl.weyl_set(2)[: len(probs)])
+    refined = opt.tradeoff_check(inst)
+    spectral = opt.tradeoff_check(inst._replace(decomposition=()))
+    assert abs(refined.rhs - spectral.rhs) <= 1e-12
+    assert abs(refined.rhs_vn - spectral.rhs_vn) <= 1e-12
+    assert refined.lhs == spectral.lhs
 
 
 # ---------------------------------------------------------------------------

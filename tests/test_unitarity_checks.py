@@ -238,3 +238,61 @@ def test_ledger_for_instance_checks_no_unitary_again(monkeypatch, name):
     got = cat.ledger_for_instance(inst, rho)
     assert products == []
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# isometries: Kraus completeness and orthonormal eigenspace bases
+
+
+NAMED_CHANNELS = {
+    "identity": cat.identity_channel, "dephasing": cat.dephasing_channel,
+    "erasure": cat.erasure_channel, "weyl_twirl": cat.weyl_twirl_channel,
+    "initialization": cat.initialization_channel, "werner_holevo": cat.werner_holevo_channel,
+}
+
+
+@pytest.mark.parametrize("build, kinds", [
+    (lambda: cat.dephasing_channel(3), ["f"]),
+    (lambda: cat.random_channel(2, 3, 0), ["c"]),
+    (lambda: con.degeneracy_decomposition((1, 2)), ["f"]),
+    (lambda: hl.eigenspace_decompose(hl.random_density([3], 3, 1)), ["c"]),
+], ids=["dephasing3", "random2x3", "degeneracy12", "random_state3"])
+def test_an_isometry_check_is_one_gram_product(monkeypatch, build, kinds):
+    products = _record_products(monkeypatch)
+    build()
+    assert products == kinds
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("name", NAMED_CHANNELS)
+def test_named_channels_take_the_real_product_and_keep_their_kraus(monkeypatch, name, d):
+    products = _record_products(monkeypatch)
+    chan = NAMED_CHANNELS[name](d)
+    # the clock matrix of the Weyl set holds rounded roots of unity, -1 too
+    assert products == ["c" if name == "weyl_twirl" else "f"]
+    # the check reads the stack and writes nothing: the complex product
+    # leaves the same operators, and gives the same verdict
+    monkeypatch.setattr(hl, "_real_first", lambda f, m: f(m))
+    assert NAMED_CHANNELS[name](d).kraus.tobytes() == chan.kraus.tobytes()
+
+
+@pytest.mark.parametrize("unitary", [hl.shift_matrix, hl.clock_matrix], ids=["real", "complex"])
+def test_a_kraus_stack_off_by_1e6_is_incomplete(unitary):
+    ops = np.stack([np.eye(3), unitary(3)]) / np.sqrt(2)
+    cat.KrausChannel(ops * (1 + 1e-9))
+    with pytest.raises(ValueError, match="do not satisfy completeness"):
+        cat.KrausChannel(ops * (1 + 1e-6))
+
+
+def test_a_non_finite_kraus_entry_is_refused_before_any_product(monkeypatch):
+    products = _record_products(monkeypatch)
+    with pytest.raises(ValueError, match="non-finite entry"):
+        cat.KrausChannel([[[1.0, 0.0], [0.0, np.nan]]])
+    assert products == []
+
+
+def test_bases_off_by_1e6_are_not_orthonormal():
+    eye = np.eye(3)
+    hl.EigenspaceDecomposition([0.5, 0.25], [eye[:, :1], eye[:, 1:] * (1 + 1e-9)])
+    with pytest.raises(ValueError, match="not orthonormal"):
+        hl.EigenspaceDecomposition([0.5, 0.25], [eye[:, :1], eye[:, 1:] * (1 + 1e-6)])
